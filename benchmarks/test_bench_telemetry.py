@@ -25,7 +25,6 @@ from repro.telemetry.trace import Telemetry
 
 #: The BENCH_7 grid, unchanged, so the points/s figures line up.
 CONFIG = CampaignConfig(
-    replay_mode="batched",
     kernels=("canrdr", "matrix"),
     policies=("no-ecc", "extra-cycle"),
     scale=0.1,
@@ -123,7 +122,6 @@ def test_bench_telemetry_overhead(tmp_path, write_bench_report):
             "trials_per_stratum": CONFIG.trials,
             "batch": CONFIG.batch,
             "seed": CONFIG.seed,
-            "replay_mode": CONFIG.replay_mode,
             "repeats": REPEATS,
             "max_overhead_share": MAX_OVERHEAD_SHARE,
         },

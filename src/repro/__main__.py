@@ -288,17 +288,6 @@ def _build_campaign_parser() -> argparse.ArgumentParser:
         help="base of the exponential retry backoff (default: 0.1)",
     )
     parser.add_argument(
-        "--replay-mode",
-        choices=("batched", "point"),
-        default="batched",
-        help=(
-            "batched (default): derive golden state once per batch, "
-            "triage dead-on-arrival/code-healed flips analytically and "
-            "suffix-resume the rest; point: legacy per-point replay. "
-            "Outcomes and summaries are byte-identical either way"
-        ),
-    )
-    parser.add_argument(
         "--no-quarantine",
         action="store_true",
         help=(
@@ -414,7 +403,6 @@ def _run_campaign_command(argv: List[str]) -> int:
             max_retries=args.max_retries,
             retry_backoff=args.retry_backoff,
             quarantine=not args.no_quarantine,
-            replay_mode=args.replay_mode,
         )
         chaos = (
             parse_chaos(args.chaos, hang_seconds=args.chaos_hang)
@@ -432,7 +420,6 @@ def _run_campaign_command(argv: List[str]) -> int:
                     "scenarios": ",".join(scenarios),
                     "trials": args.trials,
                     "seed": args.seed,
-                    "replay_mode": args.replay_mode,
                 },
             )
             if args.trace is not None or args.progress_interval is not None

@@ -102,10 +102,10 @@ class ChaosPlan:
     def has_directive(self, index: int) -> bool:
         """Non-consuming peek: does ``index`` still have a pending directive?
 
-        The batched scheduler routes chaos-targeted points through the
-        per-point path (where kill/hang/fail semantics are exact); this
-        peek must not consume a one-shot directive, or the directive
-        would silently never fire.
+        The supervisor runs chaos-targeted points as singleton groups
+        (where kill/hang/fail semantics are exact); this peek must not
+        consume a one-shot directive, or the directive would silently
+        never fire.
         """
         for directive in self.directives:
             if directive.index != index:
@@ -143,7 +143,7 @@ def parse_chaos(text: str, *, hang_seconds: float = 3600.0) -> ChaosPlan:
 def apply_worker_directive(directive: Optional[ChaosDirective], hang_seconds: float) -> None:
     """Execute a worker-side directive inside the simulating process.
 
-    Called by the supervised point runner before the real replay; the
+    Called by the supervised group job before the real replay; the
     directive (already consumed parent-side for one-shot bookkeeping)
     travels pickled with the job, so pool workers need no shared state.
     """

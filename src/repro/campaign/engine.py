@@ -11,9 +11,12 @@ a stratum early once its intervals are tight enough.  The default grid
 historical single-dimension campaigns byte-identically — same seed, same
 points, same rendered table.
 
-Execution is shardable (``workers=`` fans points out over a
-``ProcessPoolExecutor``; every worker reuses the per-process kernel
-trace cache) and resumable: with a :class:`~repro.store.ResultStore`
+Execution is batched and shardable: points run as **group jobs**
+through :func:`repro.campaign.replay.run_injection_batch` (golden state
+derived once per group, analytical triage, suffix-resume for the
+residue), and ``workers=`` fans the groups out over a
+``ProcessPoolExecutor`` of warm workers.  It is also resumable: with a
+:class:`~repro.store.ResultStore`
 attached, each point is keyed by the content hash of its full
 :class:`~repro.scenarios.spec.SimulationSpec` — which carries the
 target, the scenario's interference and the scale — so resume works
@@ -21,10 +24,12 @@ across every dimension of the grid.  Because the sample sequence is
 prefix-deterministic and each point's outcome is deterministic, a
 resumed campaign renders byte-identical summaries.
 
-Execution is also **supervised**: a per-point watchdog
-(``point_timeout``) bounds hung replays, dead pool workers
-(``BrokenProcessPool``) respawn the pool and retry the unfinished shard
-with exponential backoff, and points that keep failing past
+Execution is also **supervised**, with the group job as its only unit
+of work: a watchdog (``point_timeout`` per point of a group) bounds hung
+replays, dead pool workers (``BrokenProcessPool``) respawn the pool, a
+failed group is split into singleton groups so the failure lands on the
+point that caused it, failed singletons are retried with exponential
+backoff, and points that keep failing past
 ``max_retries`` are **quarantined** — recorded with a structured error
 from the taxonomy in :mod:`repro.campaign.errors` (and in the store's
 quarantine table) so the campaign completes and reports them instead of
@@ -57,7 +62,7 @@ from repro.campaign.errors import (
     WorkerCrash,
     wrap_point_error,
 )
-from repro.campaign.replay import ArchOutcome, run_injection
+from repro.campaign.replay import ArchOutcome
 from repro.campaign.sampling import DEFAULT_TARGET, ISOLATION_SCENARIO, sample_faults
 from repro.campaign.stats import DEFAULT_Z, wilson_half_width, wilson_interval
 from repro.core.policies import make_policy
@@ -85,6 +90,8 @@ class CampaignConfig:
     meaning — and reproducing — exactly what they always did.
     ``scales`` empty means "just ``scale``".
 
+    Every stratum batch is replayed as group jobs of up to ``batch``
+    points through :func:`repro.campaign.replay.run_injection_batch`.
     ``point_timeout``/``max_retries``/``quarantine`` configure the
     execution supervisor: a point that times out, crashes its worker or
     raises is retried up to ``max_retries`` times (exponential backoff
@@ -125,14 +132,6 @@ class CampaignConfig:
     retry_backoff: float = 0.1
     #: Quarantine poison points (True) or fail fast (False).
     quarantine: bool = True
-    #: How sampled points are replayed: ``"batched"`` (default) hands
-    #: each stratum batch to :func:`repro.campaign.replay.run_injection_batch`
-    #: — golden trace, final memory and per-word timelines derived once
-    #: per (kernel, scale) group, analytical triage for dead-on-arrival
-    #: and code-healed flips, snapshot suffix-resume for the residue —
-    #: while ``"point"`` keeps the legacy one-process-job-per-point
-    #: path.  Outcomes and summaries are byte-identical either way.
-    replay_mode: str = "batched"
 
     def __post_init__(self) -> None:
         if not self.kernels:
@@ -165,11 +164,6 @@ class CampaignConfig:
             raise ValueError("max_retries must be >= 0")
         if self.retry_backoff < 0:
             raise ValueError("retry_backoff must be >= 0")
-        if self.replay_mode not in ("batched", "point"):
-            raise ValueError(
-                f"unknown replay_mode {self.replay_mode!r}; "
-                "expected 'batched' or 'point'"
-            )
 
     # -- the sweep grid -------------------------------------------------- #
     @property
@@ -380,60 +374,26 @@ class CampaignResult:
         return text
 
 
-def _simulate_point(spec: SimulationSpec) -> Dict[str, object]:
-    """Worker-side job: one architectural injection, payload out.
-
-    Module-level so it pickles for :class:`ProcessPoolExecutor`; the
-    golden program/trace come from the worker's kernel-trace cache.
-    """
-    return run_injection(spec).payload()
-
-
-def _simulate_point_supervised(
-    spec: SimulationSpec, directive=None, hang_seconds: float = 0.0
-) -> Dict[str, object]:
-    """One supervised injection, with an optional chaos directive.
-
-    The directive travels pickled with the job (no shared state in the
-    pool workers); it runs *before* the real replay, so a chaos-killed
-    worker dies exactly where a segfault would.
-
-    Returns a job envelope ``{"payload", "pid", "phases"}``: the store
-    payload itself is exactly what replay produced; the worker pid and
-    its drained phase-timing snapshot ride alongside for telemetry only.
-    A failing point leaves with this process's flight-recorder tail
-    attached to the taxonomy error, so a quarantine records the last
-    things the worker actually did.
-    """
-    _flight.record("point-start", kernel=spec.kernel, policy=spec.policy)
-    try:
-        if directive is not None:
-            from repro.campaign.chaos import apply_worker_directive
-
-            apply_worker_directive(directive, hang_seconds)
-        payload = run_injection(spec).payload()
-    except Exception as error:  # noqa: BLE001 - taxonomy boundary
-        wrapped = wrap_point_error(error)
-        wrapped.details.setdefault("flight_recorder", _flight.tail_payload())
-        raise wrapped from error
-    return {
-        "payload": payload,
-        # repro: allow[D104] reason=telemetry envelope field; stripped before payloads persist (differential-tested)
-        "pid": os.getpid(),
-        "phases": _metrics.drain_phase_payload(),
-    }
-
-
 def _simulate_batch(
-    specs: Sequence[SimulationSpec], shard_store: Optional[str] = None
+    specs: Sequence[SimulationSpec],
+    shard_store: Optional[str] = None,
+    directive=None,
+    hang_seconds: float = 0.0,
 ) -> Dict[str, object]:
-    """Worker-side job: one whole batch through the shared-golden path.
+    """Worker-side job: one group of points through the shared-golden path.
 
     Returns an envelope ``{"results", "pid", "phases", "persisted"}``;
     ``results`` is ``(payload, replay_mode)`` per spec, in input order —
     the mode string feeds the ``analytical=/streamed=/full=`` counters —
     and the drained phase snapshot carries this job's golden/triage/
     residue timings back to the campaign process.
+
+    A chaos ``directive`` (only ever attached to a singleton group)
+    travels pickled with the job — no shared state in the pool workers —
+    and runs *before* the replay, so a chaos-killed worker dies exactly
+    where a segfault would.  A failing group leaves with this process's
+    flight-recorder tail attached to the taxonomy error, so a quarantine
+    records the last things the worker actually did.
 
     With ``shard_store`` set (the canonical store's path), the worker
     also persists its finished rows to its **own** shard file
@@ -445,10 +405,19 @@ def _simulate_batch(
     from repro.campaign.replay import run_injection_batch
 
     _flight.record("batch-start", points=len(specs))
-    results = [
-        (result.payload(), result.replay_mode)
-        for result in run_injection_batch(list(specs))
-    ]
+    try:
+        if directive is not None:
+            from repro.campaign.chaos import apply_worker_directive
+
+            apply_worker_directive(directive, hang_seconds)
+        results = [
+            (result.payload(), result.replay_mode)
+            for result in run_injection_batch(list(specs))
+        ]
+    except Exception as error:  # noqa: BLE001 - taxonomy boundary
+        wrapped = wrap_point_error(error)
+        wrapped.details.setdefault("flight_recorder", _flight.tail_payload())
+        raise wrapped from error
     persisted = False
     if shard_store is not None:
         from repro.store import canonical_json, spec_hash
@@ -521,20 +490,22 @@ class _SignalGuard:
 
 
 class _PointSupervisor:
-    """Runs batches of points, surviving harness faults.
+    """Runs stratum windows as group jobs, surviving harness faults.
 
     One supervisor per campaign.  It owns the (optional) process pool,
     assigns every sampled point its campaign-global index (the chaos
-    schedule's clock), enforces the per-point watchdog, respawns the
-    pool after worker death, retries failed points with exponential
-    backoff and quarantines the ones that fail every attempt.
+    schedule's clock), enforces the watchdog, respawns the pool after
+    worker death, retries failed points with exponential backoff and
+    quarantines the ones that fail every attempt.
 
-    Fault attribution: when the pool breaks, every pending future fails
-    at once and only the point whose wait raised is charged an attempt —
-    then the supervisor switches to **isolation mode** (one in-flight
-    point at a time) until a clean round, so a genuine poison point is
-    charged precisely on every retry while innocent shard-mates are
-    rescheduled uncharged.
+    Fault attribution: a failed group of several points is split into
+    singleton groups and requeued with no point charged, so only a
+    failed singleton is ever charged an attempt.  When the pool breaks,
+    every pending future fails at once and only the group whose wait
+    raised is blamed — then the supervisor switches to **isolation
+    mode** (one group in flight at a time) until a clean round, so a
+    genuine poison point is charged precisely on every retry while
+    innocent group-mates are rescheduled uncharged.
     """
 
     def __init__(
@@ -559,12 +530,8 @@ class _PointSupervisor:
             self._pooled = workers is not None and workers > 1
         self._width = workers if self._pooled else None
         # Workers write their own store shards only where contention
-        # exists at all: a real store file, a process pool, group jobs.
-        self.shard_store = (
-            shard_store
-            if self._pooled and config.replay_mode == "batched"
-            else None
-        )
+        # exists at all: a real store file and a process pool.
+        self.shard_store = shard_store if self._pooled else None
         self._executor: Optional[ProcessPoolExecutor] = None
         self._isolating = False
         self.next_index = 0
@@ -575,27 +542,18 @@ class _PointSupervisor:
     # -- pool lifecycle ------------------------------------------------- #
     def _pool(self) -> ProcessPoolExecutor:
         if self._executor is None:
-            if self.config.replay_mode == "batched":
-                # Persistent warm workers: each worker preloads the
-                # sweep's golden artefacts once at spawn, so shards stop
-                # re-warming traces on every job (and a respawned pool
-                # re-warms exactly once, not per batch).
-                from repro.campaign.replay import warm_lean_golden
+            # Persistent warm workers: each worker preloads the sweep's
+            # golden artefacts once at spawn, so shards stop re-warming
+            # traces on every job (and a respawned pool re-warms exactly
+            # once, not per batch).
+            from repro.campaign.replay import warm_lean_golden
 
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self._width,
-                    initializer=warm_lean_golden,
-                    initargs=(self.config.kernels, self.config.sweep_scales),
-                )
-            else:
-                self._executor = ProcessPoolExecutor(max_workers=self._width)
+            self._executor = ProcessPoolExecutor(
+                max_workers=self._width,
+                initializer=warm_lean_golden,
+                initargs=(self.config.kernels, self.config.sweep_scales),
+            )
         return self._executor
-
-    def _collect(self, index: int, job: Dict[str, object], payloads) -> None:
-        """Unpack one point-job envelope (payload + telemetry sidecar)."""
-        payloads[index] = job["payload"]
-        self.worker_pids[index] = job["pid"]
-        _metrics.merge_phase_payload(job["phases"])
 
     def _kill_pool(self) -> None:
         executor, self._executor = self._executor, None
@@ -633,92 +591,12 @@ class _PointSupervisor:
         self.next_index += count
         return indices
 
-    def run_batch(
-        self, jobs: Sequence[Tuple[int, SimulationSpec]]
-    ) -> Tuple[Dict[int, Dict[str, object]], Dict[int, Tuple[CampaignError, int]]]:
-        """Run ``(global_index, spec)`` jobs to completion or quarantine.
-
-        Returns ``(payloads, quarantined)`` keyed by global index;
-        ``quarantined`` values are ``(final_error, attempts)``.  With
-        ``config.quarantine=False`` the final error is raised instead.
-        """
-        payloads: Dict[int, Dict[str, object]] = {}
-        quarantined: Dict[int, Tuple[CampaignError, int]] = {}
-        attempts: Dict[int, int] = {}
-        pending = sorted(jobs)
-        while pending:
-            failed: List[Tuple[int, SimulationSpec, CampaignError]] = []
-            if self._pooled:
-                survivors = self._run_pooled(pending, payloads, failed)
-            else:
-                survivors = self._run_serial(pending, payloads, failed)
-            if self._pooled and not failed:
-                self._isolating = False
-            retry: List[Tuple[int, SimulationSpec]] = list(survivors)
-            for index, spec, error in failed:
-                attempts[index] = attempts.get(index, 0) + 1
-                self.stats.record(error)
-                error.details.setdefault("point_index", index)
-                error.details["attempts"] = attempts[index]
-                _metrics.inc(
-                    "campaign_point_failures_total", labels={"error": error.kind}
-                )
-                _flight.record(
-                    "point-failure",
-                    index=index,
-                    error=error.kind,
-                    attempt=attempts[index],
-                )
-                _trace.event(
-                    "point-failure",
-                    index=index,
-                    error=error.kind,
-                    attempt=attempts[index],
-                )
-                if attempts[index] > self.config.max_retries:
-                    if not self.config.quarantine:
-                        raise error
-                    self.stats.quarantined += 1
-                    _metrics.inc("campaign_points_quarantined_total")
-                    # The worker's own tail travels in the error when the
-                    # worker lived to attach it; a killed or hung worker
-                    # leaves the supervisor's view as the next-best tail.
-                    error.details.setdefault(
-                        "flight_recorder", _flight.tail_payload()
-                    )
-                    _flight.record("quarantine", index=index, error=error.kind)
-                    _trace.event(
-                        "quarantine",
-                        index=index,
-                        error=error.kind,
-                        attempts=attempts[index],
-                    )
-                    quarantined[index] = (error, attempts[index])
-                else:
-                    self.stats.retries += 1
-                    _metrics.inc("campaign_retries_total")
-                    _flight.record("retry", index=index, attempt=attempts[index])
-                    _trace.event(
-                        "retry",
-                        index=index,
-                        attempt=attempts[index],
-                        error=error.kind,
-                    )
-                    if self.config.retry_backoff > 0:
-                        time.sleep(
-                            self.config.retry_backoff
-                            * (2 ** (attempts[index] - 1))
-                        )
-                    retry.append((index, spec))
-            pending = sorted(retry)
-        return payloads, quarantined
-
     def inflight_groups(self) -> int:
         """Group jobs one stratum window keeps in flight.
 
-        Pooled batched campaigns target **two groups per worker**: one
-        running while its successor queues, so workers never idle
-        between a group finishing and the engine's collect/flush — and
+        Pooled campaigns target **two groups per worker**: one running
+        while its successor queues, so workers never idle between a
+        group finishing and the engine's collect/flush — and
         golden-artefact derivation for one group overlaps residue
         replay of another.  Serial campaigns window one group at a
         time (there is nothing to overlap with).
@@ -735,238 +613,242 @@ class _PointSupervisor:
         Dict[int, str],
         set,
     ]:
-        """Run one stratum window through the batched replay backend.
+        """Run one stratum window of ``(global_index, spec)`` jobs to
+        completion or quarantine.
 
-        Returns ``(payloads, quarantined, modes, persisted)``; ``modes``
-        maps each completed global index to its replay mode
-        (``analytical`` / ``streamed`` / ``full``) and ``persisted``
-        holds the indices whose rows a worker already wrote to its own
-        store shard (the engine must not write them again).
+        Returns ``(payloads, quarantined, modes, persisted)`` keyed by
+        global index.  ``quarantined`` values are ``(final_error,
+        attempts)`` (with ``config.quarantine=False`` the final error is
+        raised instead); ``modes`` maps each completed point to its
+        replay mode (``analytical`` / ``streamed`` / ``full``);
+        ``persisted`` holds the indices whose rows a worker already
+        wrote to its own store shard (the engine must not write them
+        again).
 
-        Semantics are preserved by routing, not by re-implementation:
+        The group job is the supervisor's only unit of work:
 
+        * the window's points run as group jobs of up to ``chunk``
+          points against shared golden state — **all submitted up
+          front** when pooled, so every worker stays busy — each under
+          a watchdog scaled to its size;
         * chaos-targeted points (a *non-consuming* peek at the plan, so
-          one-shot directives still fire exactly once) take the
-          per-point path, where kill/hang/fail directives land on a
-          process boundary exactly as in ``--replay-mode=point``;
-        * the rest run as group jobs of up to ``chunk`` points against
-          shared golden state — **all submitted up front**, so a pooled
-          campaign keeps every worker busy — each under a watchdog
-          scaled to its size;
-        * if a group job times out, crashes its worker or raises, every
-          point in it is retried through the per-point path — which
-          owns retry accounting, backoff, isolation mode and
-          quarantine — so a poison point is attributed and quarantined
-          precisely, and no batch failure is ever charged to innocents.
+          one-shot directives still fire exactly once) become singleton
+          groups that run once those groups are collected, so a
+          directive that kills or hangs its worker breaks no other group;
+        * a failed group of several points is split into singleton
+          groups and requeued, no point charged;
+        * a failed singleton is charged an attempt (:meth:`_charge`),
+          then retried after an exponential backoff or, past
+          ``max_retries``, quarantined.
         """
-        point_jobs: List[Tuple[int, SimulationSpec]] = []
-        group_jobs: List[Tuple[int, SimulationSpec]] = []
-        for index, spec in jobs:
-            if self.chaos is not None and self.chaos.has_directive(index):
-                point_jobs.append((index, spec))
+        clean: List[Tuple[int, SimulationSpec]] = []
+        # Chaos-targeted points start in the requeue, so they run as
+        # singletons in the round after the clean groups.
+        requeue: List[List[Tuple[int, SimulationSpec]]] = []
+        for job in jobs:
+            if self.chaos is not None and self.chaos.has_directive(job[0]):
+                requeue.append([job])
             else:
-                group_jobs.append((index, spec))
+                clean.append(job)
+        size = chunk if chunk else max(1, len(clean))
+        pending = [clean[start : start + size] for start in range(0, len(clean), size)]
+        if pending:
+            _flight.record("dispatch-group", points=len(clean), groups=len(pending))
         payloads: Dict[int, Dict[str, object]] = {}
         modes: Dict[int, str] = {}
         persisted: set = set()
-        if group_jobs:
-            size = chunk if chunk else len(group_jobs)
-            groups = [
-                group_jobs[start : start + size]
-                for start in range(0, len(group_jobs), size)
-            ]
-            _flight.record(
-                "dispatch-group", points=len(group_jobs), groups=len(groups)
-            )
-            for group, batch in self._run_groups(groups):
-                if batch is None:
-                    point_jobs.extend(group)
-                    continue
-                _metrics.merge_phase_payload(batch["phases"])
-                if batch.get("persisted"):
-                    persisted.update(index for index, _spec in group)
-                for (index, _spec), (payload, mode) in zip(
-                    group, batch["results"]
-                ):
-                    payloads[index] = payload
-                    modes[index] = mode
-                    self.worker_pids[index] = batch["pid"]
         quarantined: Dict[int, Tuple[CampaignError, int]] = {}
-        if point_jobs:
-            point_payloads, quarantined = self.run_batch(sorted(point_jobs))
-            for index, payload in point_payloads.items():
-                payloads[index] = payload
-                modes[index] = "full"
+        attempts: Dict[int, int] = {}
+        while pending or requeue:
+            failed = False
+            for group, batch, error in self._run_groups(pending):
+                if batch is not None:
+                    _metrics.merge_phase_payload(batch["phases"])
+                    if batch["persisted"]:
+                        persisted.update(index for index, _spec in group)
+                    for (index, _spec), (payload, mode) in zip(
+                        group, batch["results"]
+                    ):
+                        payloads[index] = payload
+                        modes[index] = mode
+                        self.worker_pids[index] = batch["pid"]
+                    continue
+                failed = True
+                if error is None or len(group) > 1:
+                    # Collateral of a broken pool, or a failure no single
+                    # point can be blamed for yet: rerun every point as
+                    # its own group, uncharged.
+                    requeue.extend([job] for job in group)
+                elif self._charge(group[0][0], error, attempts):
+                    requeue.append(group)
+                else:
+                    quarantined[group[0][0]] = (error, attempts[group[0][0]])
+            if pending and not failed:
+                self._isolating = False
+            pending, requeue = sorted(requeue), []
         return payloads, quarantined, modes, persisted
 
-    def _run_groups(self, groups):
-        """Run group jobs, overlapped when pooled.
+    def _charge(
+        self, index: int, error: CampaignError, attempts: Dict[int, int]
+    ) -> bool:
+        """Charge failed point ``index`` one attempt.
 
-        Yields ``(group, envelope)`` pairs in submission order;
-        ``envelope=None`` means "retry this group's points per-point".
-        Pooled execution submits **every** group before collecting the
-        first result, so up to pool-width groups run concurrently and
-        the rest queue warm behind them.
+        Returns True when the point is to be retried (after the
+        backoff), False when it is quarantined; with
+        ``config.quarantine=False`` a final failure raises instead.
+        """
+        attempts[index] = attempts.get(index, 0) + 1
+        self.stats.record(error)
+        error.details.setdefault("point_index", index)
+        error.details["attempts"] = attempts[index]
+        _metrics.inc(
+            "campaign_point_failures_total", labels={"error": error.kind}
+        )
+        _flight.record(
+            "point-failure",
+            index=index,
+            error=error.kind,
+            attempt=attempts[index],
+        )
+        _trace.event(
+            "point-failure",
+            index=index,
+            error=error.kind,
+            attempt=attempts[index],
+        )
+        if attempts[index] > self.config.max_retries:
+            if not self.config.quarantine:
+                raise error
+            self.stats.quarantined += 1
+            _metrics.inc("campaign_points_quarantined_total")
+            # The worker's own tail travels in the error when the worker
+            # lived to attach it; a killed or hung worker leaves the
+            # supervisor's view as the next-best tail.
+            error.details.setdefault(
+                "flight_recorder", _flight.tail_payload()
+            )
+            _flight.record("quarantine", index=index, error=error.kind)
+            _trace.event(
+                "quarantine",
+                index=index,
+                error=error.kind,
+                attempts=attempts[index],
+            )
+            return False
+        self.stats.retries += 1
+        _metrics.inc("campaign_retries_total")
+        _flight.record("retry", index=index, attempt=attempts[index])
+        _trace.event(
+            "retry",
+            index=index,
+            attempt=attempts[index],
+            error=error.kind,
+        )
+        if self.config.retry_backoff > 0:
+            time.sleep(
+                self.config.retry_backoff
+                * (2 ** (attempts[index] - 1))
+            )
+        return True
+
+    def _run_groups(self, groups):
+        """Run one round of group jobs, overlapped when pooled.
+
+        Yields ``(group, envelope, error)`` in submission order.  A
+        failed group has ``envelope=None`` and ``error`` set to the
+        taxonomy error it is blamed for — or ``error=None`` when the
+        pool broke under it while an earlier group took the blame.
+        Pooled execution submits every group of the round before
+        collecting the first result, so up to pool-width groups run
+        concurrently and the rest queue warm behind them; in isolation
+        mode one group is in flight at a time.
         """
         if not self._pooled:
             for group in groups:
+                directive = self._chaos_directive(group, inline=True)
                 try:
-                    yield group, _simulate_batch(
-                        [spec for _index, spec in group]
+                    batch = _simulate_batch(
+                        [spec for _index, spec in group], None, directive
                     )
-                except Exception:  # noqa: BLE001 - per-point path attributes it
-                    yield group, None
-            return
-        submitted = []
-        for group in groups:
-            try:
-                future = self._pool().submit(
-                    _simulate_batch,
-                    [spec for _index, spec in group],
-                    self.shard_store,
-                )
-            except BrokenProcessPool:
-                self._kill_pool()
-                self._isolating = True
-                future = None
-            submitted.append((group, future))
-        broken = False
-        for group, future in submitted:
-            if future is None or broken:
-                # The pool died under an earlier group: keep results
-                # that finished in time, reschedule the rest uncharged
-                # (the group whose wait raised took the blame).
-                if (
-                    future is not None
-                    and future.done()
-                    and not future.cancelled()
-                    and future.exception() is None
-                ):
-                    yield group, future.result()
+                except Exception as error:  # noqa: BLE001 - taxonomy boundary
+                    yield group, None, wrap_point_error(error)
                 else:
-                    yield group, None
-                continue
-            timeout = (
-                self.config.point_timeout * max(1, len(group))
-                if self.config.point_timeout is not None
-                else None
-            )
-            try:
-                yield group, future.result(timeout=timeout)
-            except (FuturesTimeoutError, BrokenProcessPool):
+                    yield group, batch, None
+            return
+        hang = self.chaos.hang_seconds if self.chaos is not None else 0.0
+        timeout = self.config.point_timeout
+        waves = [[group] for group in groups] if self._isolating else [groups]
+        for wave in waves:
+            submitted = []
+            for group in wave:
+                directive = self._chaos_directive(group, inline=False)
+                try:
+                    future = self._pool().submit(
+                        _simulate_batch,
+                        [spec for _index, spec in group],
+                        self.shard_store,
+                        directive,
+                        hang,
+                    )
+                except BrokenProcessPool:
+                    self._kill_pool()
+                    self._isolating = True
+                    future = None
+                submitted.append((group, future))
+            broken = False
+            for group, future in submitted:
+                if future is None or broken:
+                    # The pool died under this group: keep a result that
+                    # finished in time, otherwise reschedule it uncharged
+                    # (the group whose wait raised took the blame).
+                    if (
+                        future is not None
+                        and future.done()
+                        and not future.cancelled()
+                        and future.exception() is None
+                    ):
+                        yield group, future.result(), None
+                    else:
+                        yield group, None, None
+                    continue
+                try:
+                    batch = future.result(
+                        timeout=timeout * len(group) if timeout is not None else None
+                    )
+                except FuturesTimeoutError:
+                    error = PointTimeout(
+                        f"point exceeded the {timeout:g}s watchdog",
+                        timeout_seconds=timeout,
+                    )
+                except BrokenProcessPool:
+                    error = WorkerCrash("a pool worker died while running the shard")
+                except Exception as raised:  # noqa: BLE001 - taxonomy boundary
+                    yield group, None, wrap_point_error(raised)
+                    continue
+                else:
+                    yield group, batch, None
+                    continue
+                # A hung or dead worker: respawn the pool and isolate.
                 self._kill_pool()
                 self._isolating = True
                 broken = True
-                yield group, None
-            except Exception:  # noqa: BLE001 - per-point path attributes it
-                yield group, None
+                yield group, None, error
 
-    def _chaos_worker_directive(self, index: int, *, inline: bool):
-        if self.chaos is None:
+    def _chaos_directive(self, group, *, inline: bool):
+        """Apply a singleton group's supervisor-side chaos at dispatch and
+        return its worker-side directive (multi-point groups never hold a
+        chaos-targeted point)."""
+        if self.chaos is None or len(group) != 1:
             return None
+        from repro.campaign.chaos import apply_supervisor_directive
+
+        index = group[0][0]
+        apply_supervisor_directive(self.chaos.directive_for(index, worker=False))
         directive = self.chaos.directive_for(index, worker=True)
         if directive is not None and inline and directive.kind != "fail":
             # No worker boundary to kill or hang in inline execution.
             return None
         return directive
-
-    def _chaos_supervisor_step(self, index: int) -> None:
-        if self.chaos is None:
-            return
-        from repro.campaign.chaos import apply_supervisor_directive
-
-        apply_supervisor_directive(self.chaos.directive_for(index, worker=False))
-
-    def _run_serial(self, pending, payloads, failed):
-        for index, spec in pending:
-            self._chaos_supervisor_step(index)
-            directive = self._chaos_worker_directive(index, inline=True)
-            try:
-                self._collect(index, _simulate_point_supervised(spec, directive), payloads)
-            except Exception as error:  # noqa: BLE001 - taxonomy boundary
-                failed.append((index, spec, wrap_point_error(error, point_index=index)))
-        return []
-
-    def _run_pooled(self, pending, payloads, failed):
-        if self._isolating:
-            waves = [[job] for job in pending]
-        else:
-            waves = [list(pending)]
-        survivors: List[Tuple[int, SimulationSpec]] = []
-        for wave in waves:
-            survivors.extend(self._run_wave(wave, payloads, failed))
-        return survivors
-
-    def _run_wave(self, wave, payloads, failed):
-        hang = self.chaos.hang_seconds if self.chaos is not None else 0.0
-        futures = []
-        for index, spec in wave:
-            self._chaos_supervisor_step(index)
-            directive = self._chaos_worker_directive(index, inline=False)
-            try:
-                future = self._pool().submit(
-                    _simulate_point_supervised, spec, directive, hang
-                )
-            except BrokenProcessPool:
-                self._kill_pool()
-                self._isolating = True
-                futures.append((index, spec, None))
-                continue
-            futures.append((index, spec, future))
-        survivors: List[Tuple[int, SimulationSpec]] = []
-        broken = False
-        for index, spec, future in futures:
-            if future is None or broken:
-                # The pool died under this future: collect it if it
-                # finished in time, otherwise reschedule it uncharged
-                # (the point whose wait raised took the blame).
-                if (
-                    future is not None
-                    and future.done()
-                    and not future.cancelled()
-                    and future.exception() is None
-                ):
-                    self._collect(index, future.result(), payloads)
-                else:
-                    survivors.append((index, spec))
-                continue
-            try:
-                self._collect(
-                    index,
-                    future.result(timeout=self.config.point_timeout),
-                    payloads,
-                )
-            except FuturesTimeoutError:
-                failed.append(
-                    (
-                        index,
-                        spec,
-                        PointTimeout(
-                            f"point exceeded the {self.config.point_timeout:g}s "
-                            "watchdog",
-                            timeout_seconds=self.config.point_timeout,
-                        ),
-                    )
-                )
-                self._kill_pool()
-                self._isolating = True
-                broken = True
-            except BrokenProcessPool:
-                failed.append(
-                    (
-                        index,
-                        spec,
-                        WorkerCrash("a pool worker died while running the shard"),
-                    )
-                )
-                self._kill_pool()
-                self._isolating = True
-                broken = True
-            except Exception as error:  # noqa: BLE001 - taxonomy boundary
-                failed.append(
-                    (index, spec, wrap_point_error(error, point_index=index))
-                )
-        return survivors
 
 
 def _dl1_code_instance(policy_value: str) -> EccCode:
@@ -1105,7 +987,6 @@ def run_campaign(
         kernels=",".join(config.kernels),
         policies=",".join(config.policies),
         trials=config.trials,
-        replay_mode=config.replay_mode,
         workers=config.workers if config.workers is not None else 0,
     )
     status = "completed"
@@ -1182,15 +1063,13 @@ def _run_stratum(
     interference = config.scenario_interference(scenario)
     stratum_label = f"{kernel}/{policy_value}/{target}/{scenario}/{scale:g}"
     counts: Dict[str, int] = {key: 0 for key in OUTCOME_KEYS}
-    # Window sizing: a batched sweep with no early-stopping checks to
-    # honour samples `inflight_groups` batches at once and submits them
-    # all, so a pooled campaign keeps >= 2 group jobs per worker in
-    # flight.  With a CI target (or the point backend) the window stays
-    # one batch, preserving the historical check cadence exactly.
+    # Window sizing: a sweep with no early-stopping checks to honour
+    # samples `inflight_groups` batches at once and submits them all, so
+    # a pooled campaign keeps >= 2 group jobs per worker in flight.
+    # With a CI target the window stays one batch, preserving the
+    # historical check cadence exactly.
     window_groups = (
-        supervisor.inflight_groups()
-        if config.replay_mode == "batched" and config.ci_target is None
-        else 1
+        supervisor.inflight_groups() if config.ci_target is None else 1
     )
     done = 0
     stratum_quarantined = 0
@@ -1254,24 +1133,19 @@ def _run_stratum(
                 to_run.append(slot)
         quarantined_slots: List[int] = []
         rows: List[Tuple[str, Dict[str, object], str]] = []
-        persisted: set = set()
         if to_run:
             jobs = [(indices[slot], specs[slot]) for slot in to_run]
             run_started = _trace.now()
-            if config.replay_mode == "batched":
-                computed, poisoned, modes, persisted = (
-                    supervisor.run_batch_grouped(jobs, chunk=config.batch)
-                )
-            else:
-                computed, poisoned = supervisor.run_batch(jobs)
-                modes = {}
+            computed, poisoned, modes, persisted = supervisor.run_batch_grouped(
+                jobs, chunk=config.batch
+            )
             run_ended = _trace.now()
             for slot in to_run:
                 index = indices[slot]
                 if index in computed:
                     payloads[slot] = computed[index]
                     result.simulated += 1
-                    mode = modes.get(index, "full")
+                    mode = modes[index]
                     result.stats.record_mode(mode)
                     _metrics.inc("campaign_points_simulated_total")
                     _metrics.inc(

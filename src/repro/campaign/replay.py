@@ -173,11 +173,11 @@ class ArchInjectionResult:
     #: The divergent dynamic stream (kept only when ``keep_trace`` was
     #: requested; never serialised into store payloads).
     faulty_trace: Optional[FunctionalTrace] = field(default=None, repr=False)
-    #: How the result was produced (``point``/``analytical``/``streamed``/
-    #: ``full``) — execution metadata for throughput accounting, never
-    #: serialised into store payloads (payload byte-identity across
-    #: replay modes is an acceptance criterion).
-    replay_mode: str = field(default="point", repr=False, compare=False)
+    #: How the result was produced (``analytical``/``streamed``/``full``)
+    #: — execution metadata for throughput accounting, never serialised
+    #: into store payloads (payload byte-identity across replay modes is
+    #: an acceptance criterion).
+    replay_mode: str = field(default="full", repr=False, compare=False)
 
     # ------------------------------------------------------------------ #
     def payload(self) -> Dict[str, object]:
@@ -804,11 +804,15 @@ def run_injection_batch(
     :meth:`~repro.ecc.codec.EccCode.decode_many`; only faults whose
     corruption becomes load-visible are executed, via snapshot
     suffix-resume.  Points outside the proven triage tree fall back to
-    the classic per-point :func:`run_injection`, so the batch entry
-    point is safe for *any* spec mix.
+    the classic per-point :func:`run_injection` (replay mode ``full``),
+    so the batch entry point is safe for *any* spec mix.  This is the
+    campaign engine's only replay entry point: every supervised group
+    job, singleton retries included, runs through it, and an exception
+    raised here is retried and quarantined like any other point failure.
 
     Results come back in input order with payloads byte-identical to
-    the per-point path (differentially tested over full grids).
+    :func:`run_injection`, which stays the reference oracle
+    (differentially tested over full grids).
     """
     from repro.campaign import triage as _triage
     from repro.campaign.lean_sim import golden_pass
@@ -934,9 +938,7 @@ def run_injection_batch(
                 results[index] = _analytic_result(spec, verdict, golden_len)
 
         for index in fallback:
-            result = run_injection(specs[index], program=program)
-            result.replay_mode = "full"
-            results[index] = result
+            results[index] = run_injection(specs[index], program=program)
 
     return [result for result in results if result is not None]
 

@@ -10,8 +10,10 @@ answer, never three answers.  These tests pin that equivalence over:
   (crash, hang, subword read-modify-write, sign extension, protected
   policies with corrected / detected / writeback events);
 * sampled real-kernel strata across policies and both fault targets;
-* the campaign engine in ``batched`` vs ``point`` mode, including the
-  replay-mode counters, store-warm resume and chaos injection.
+* the campaign engine end to end: every payload it stores matches
+  ``run_injection`` (the test-only reference oracle), plus the
+  replay-mode counters, store-warm resume, chaos injection and the
+  supervisor's group-to-singleton split.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from repro.campaign import (
 from repro.functional.simulator import FunctionalSimulator, run_program
 from repro.isa.assembler import assemble
 from repro.scenarios.spec import FaultSpec, SimulationSpec
-from repro.store import ResultStore
+from repro.store import ResultStore, spec_hash
 
 # --------------------------------------------------------------------- #
 # synthetic programs: each one corners a different triage branch        #
@@ -506,10 +508,40 @@ def config(**overrides) -> CampaignConfig:
 
 
 class TestBatchedCampaign:
-    def test_batched_and_point_summaries_are_byte_identical(self):
-        batched = run_campaign(config(replay_mode="batched"))
-        point = run_campaign(config(replay_mode="point"))
-        assert batched.render() == point.render()
+    def test_stored_payloads_match_the_per_point_reference(self, tmp_path):
+        """Every payload the campaign stores equals the classic per-point
+        ``run_injection`` payload for the same spec (the CI sweep grid:
+        2 policies x 2 targets x 2 scenarios x 4 trials = 32 rows)."""
+        grid = config(
+            trials=4, batch=2, scenarios=("isolation", "laec-worst")
+        )
+        with ResultStore(tmp_path / "reference.sqlite") as store:
+            run_campaign(grid, store=store, resume=True)
+            stored = {key: store.get(key) for key in store.keys()}
+        specs = [
+            SimulationSpec(
+                kernel=kernel,
+                scale=scale,
+                policy=policy,
+                interference=grid.scenario_interference(scenario),
+                fault=fault,
+            )
+            for kernel, policy, target, scenario, scale in grid.strata()
+            for fault in sample_faults(
+                kernel,
+                scale,
+                policy,
+                grid.trials,
+                seed=grid.seed,
+                target=target,
+                scenario=scenario,
+            )
+        ]
+        assert len(specs) == len(stored) == 32
+        for spec in specs:
+            assert stored[spec_hash(spec)] == run_injection(spec).payload(), (
+                f"stored != reference for {spec.fault} under {spec.policy}"
+            )
 
     def test_mode_counters_sum_to_total_points(self):
         result = run_campaign(config())
@@ -540,12 +572,6 @@ class TestBatchedCampaign:
             == streamed.points
         )
 
-    def test_point_mode_counts_everything_as_full(self):
-        result = run_campaign(config(replay_mode="point"))
-        stats = result.stats
-        assert stats.analytical == stats.streamed == 0
-        assert stats.full == result.simulated == result.points
-
     def test_warm_resume_counts_store_hits(self, tmp_path):
         with ResultStore(tmp_path / "warm.sqlite") as store:
             cold = run_campaign(config(), store=store, resume=True)
@@ -556,10 +582,6 @@ class TestBatchedCampaign:
             warm.stats.analytical + warm.stats.streamed + warm.stats.full == 0
         )
         assert warm.render() == cold.render()
-
-    def test_invalid_replay_mode_is_rejected(self):
-        with pytest.raises(ValueError):
-            config(replay_mode="warp")
 
 
 class TestChaosUnderBatching:
@@ -595,8 +617,59 @@ class TestChaosUnderBatching:
         chaotic = run_campaign(config(), chaos=parse_chaos("fail@2"))
         assert chaotic.render() == clean.render()
         assert chaotic.stats.retries == 1
-        # The chaos-targeted point executed via the per-point path.
-        assert chaotic.stats.full >= 1
+        # The retried point counts under its real replay mode.
+        stats = chaotic.stats
+        assert stats.analytical + stats.streamed + stats.full == chaotic.points
+
+    def test_failed_group_is_split_and_only_the_poison_point_charged(
+        self, monkeypatch
+    ):
+        """A batch replay that raises fails its whole group; the
+        supervisor must split it into singletons, charge only the point
+        that keeps failing and complete its group-mates uncharged."""
+        from repro.campaign import replay
+
+        poison = SimulationSpec(
+            kernel="rspeed",
+            scale=0.1,
+            policy="no-ecc",
+            fault=sample_faults("rspeed", 0.1, "no-ecc", 4, seed=2019)[2],
+        )
+        seen = []
+        real_batch = replay.run_injection_batch
+
+        def poisoned_batch(specs, **kwargs):
+            specs = list(specs)
+            if poison in specs:
+                seen.append(len(specs))
+                raise RuntimeError("poisoned batch")
+            return real_batch(specs, **kwargs)
+
+        monkeypatch.setattr(replay, "run_injection_batch", poisoned_batch)
+        cfg = config()
+        result = run_campaign(cfg)
+        monkeypatch.undo()
+        clean = run_campaign(cfg)
+
+        # One failed group of 4, then max_retries + 1 singleton attempts.
+        assert seen == [4] + [1] * (cfg.max_retries + 1)
+        assert result.quarantined_points == 1
+        point = result.quarantined[0]
+        assert point.index == 2
+        assert point.attempts == cfg.max_retries + 1
+        assert point.error["error"] == "replay-divergence"
+        assert result.stats.retries == cfg.max_retries
+        # Every charged failure was the poison point's own.
+        assert result.stats.replay_failures == cfg.max_retries + 1
+        # The group-mates completed with their clean outcomes.
+        assert result.points == clean.points - 1
+        expected = dict(clean.strata[0].counts)
+        expected[str(run_injection(poison).payload()["outcome"])] -= 1
+        assert result.strata[0].counts == expected
+        assert result.strata[0].quarantined == 1
+        assert [stratum.counts for stratum in result.strata[1:]] == [
+            stratum.counts for stratum in clean.strata[1:]
+        ]
 
 
 # --------------------------------------------------------------------- #
