@@ -63,7 +63,12 @@ from repro.campaign.errors import (
     wrap_point_error,
 )
 from repro.campaign.replay import ArchOutcome
-from repro.campaign.sampling import DEFAULT_TARGET, ISOLATION_SCENARIO, sample_faults
+from repro.campaign.sampling import (
+    DEFAULT_TARGET,
+    ISOLATION_SCENARIO,
+    kernel_fault_space,
+    sample_faults,
+)
 from repro.campaign.stats import DEFAULT_Z, wilson_half_width, wilson_interval
 from repro.core.policies import make_policy
 from repro.ecc.codec import EccCode
@@ -1071,6 +1076,10 @@ def _run_stratum(
     window_groups = (
         supervisor.inflight_groups() if config.ci_target is None else 1
     )
+    # Derive the fault space (and, on first use, the lean golden run it
+    # reads) before the sampling timer, so golden time is not also
+    # counted as sampling time.
+    kernel_fault_space(kernel, scale)
     done = 0
     stratum_quarantined = 0
     early = False

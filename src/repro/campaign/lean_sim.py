@@ -255,6 +255,9 @@ class GoldenRun:
     mem_init: Dict[int, int]
     mem_final: Dict[int, int]
     max_instructions: int
+    #: CacheGeometry -> per-word event timelines, filled on demand by
+    #: :func:`repro.campaign.timeline.golden_timelines`.
+    timelines: Dict[object, Dict[int, list]] = field(default_factory=dict)
 
     @property
     def instructions(self) -> int:

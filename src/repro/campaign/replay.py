@@ -679,11 +679,11 @@ _LEAN_GOLDEN_CACHE_MAX = 8
 def lean_golden_for_kernel(kernel: str, scale: float) -> "GoldenRun":
     """Build (or fetch) the lean golden artefacts of one kernel.
 
-    The batched path's replacement for ``cached_kernel_trace`` +
+    The campaign's replacement for ``cached_kernel_trace`` +
     ``_golden_final_memory``: one pre-decoded execution records the PC
     stream, memory-op stream, store history, snapshots and final image —
-    everything triage and suffix-resume consume — without ever
-    materialising per-instruction trace objects.
+    everything the sampler's fault space, triage and suffix-resume
+    consume — without ever materialising per-instruction trace objects.
     """
     from repro.campaign.lean_sim import golden_pass
 
@@ -816,7 +816,7 @@ def run_injection_batch(
     """
     from repro.campaign import triage as _triage
     from repro.campaign.lean_sim import golden_pass
-    from repro.campaign.timeline import build_timelines
+    from repro.campaign.timeline import golden_timelines
 
     specs = list(specs)
     results: List[Optional[ArchInjectionResult]] = [None] * len(specs)
@@ -845,11 +845,9 @@ def run_injection_batch(
         golden_len = golden.instructions
         triage_started = time.perf_counter()
 
-        # Pass 1: resolve each point's geometry/code, collect the words
-        # every timeline walk must watch.
+        # Pass 1: resolve each point's geometry, code and word timeline.
         contexts: List[Optional[tuple]] = []
         fallback: List[int] = []
-        geometry_words: Dict[object, set] = {}
         for index in indices:
             spec = specs[index]
             fault = spec.fault
@@ -866,13 +864,8 @@ def run_injection_batch(
                 if fault.target == "dl1"
                 else l2_code_for_policy(policy)
             )
-            geometry_words.setdefault(geometry, set()).add(wa)
-            contexts.append((index, spec, fault, geometry, wa, code))
-
-        timelines = {
-            geometry: build_timelines(golden, geometry, words)
-            for geometry, words in geometry_words.items()
-        }
+            events = golden_timelines(golden, geometry).get(wa, [])
+            contexts.append((index, spec, fault, geometry, wa, code, events))
 
         # Pass 2: derive every corrupted codeword, batched per code.
         by_code: Dict[str, tuple] = {}
@@ -881,8 +874,7 @@ def run_injection_batch(
         for context in contexts:
             if context is None:
                 continue
-            index, spec, fault, geometry, wa, code = context
-            events = timelines[geometry][wa]
+            index, spec, fault, geometry, wa, code, events = context
             if fault.target == "dl1":
                 a_eff = max(1, fault.at_access)
                 value = golden.value_at(wa, a_eff)
@@ -917,8 +909,7 @@ def run_injection_batch(
         for context in contexts:
             if context is None:
                 continue
-            index, spec, fault, geometry, wa, code = context
-            events = timelines[geometry][wa]
+            index, spec, fault, geometry, wa, code, events = context
             if fault.target == "dl1":
                 verdict = _triage.triage_dl1(
                     golden, geometry, wa, fault.at_access, events,

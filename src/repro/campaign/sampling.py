@@ -53,7 +53,12 @@ ISOLATION_SCENARIO = "isolation"
 
 @dataclass(frozen=True)
 class KernelFaultSpace:
-    """The sampleable population of one kernel at one scale."""
+    """The sampleable population of one kernel at one scale.
+
+    Derived from the memory-op stream of the kernel's lean golden run
+    (:func:`repro.campaign.replay.lean_golden_for_kernel`), the same
+    run batched replay classifies the sampled points against.
+    """
 
     #: Total DL1 data accesses (loads + stores) of the golden run.
     mem_ops: int
@@ -74,16 +79,12 @@ def kernel_fault_space(kernel: str, scale: float) -> KernelFaultSpace:
     cached = lru_get(_SPACE_CACHE, key)
     if cached is not None:
         return cached
-    from repro.experiments.runner import cached_kernel_trace
+    from repro.campaign.replay import lean_golden_for_kernel
 
-    _, trace = cached_kernel_trace(kernel, scale)
     seen = set()
     first_touch: List[int] = []
     distinct_before: List[int] = [0]
-    for dyn in trace.instructions:
-        if dyn.address is None:
-            continue
-        word = dyn.address & ~0x3
+    for word in lean_golden_for_kernel(kernel, scale).op_wa:
         if word not in seen:
             seen.add(word)
             first_touch.append(word)

@@ -12,9 +12,12 @@ backing store), evicted clean (corruption discarded) or dirty
 becomes architecturally visible) or stored (corruption overwritten),
 and what the end-of-run flush does to it.
 
-One walk covers *all* faulted words of a batch simultaneously — the
-cost is one pass over the op stream per (kernel, scale, write-policy)
-group, a few milliseconds, shared by hundreds of fault points.
+A word's timeline does not depend on which other words a walk
+watches, so :func:`golden_timelines` walks once per (golden run,
+geometry) over every word of every line the golden run touches and
+caches the result on the :class:`~repro.campaign.lean_sim.GoldenRun`:
+every batch of every policy sharing that run and geometry reads it.
+A word on a line the run never touches has no events at all.
 
 The same invariant carries the timeline-delta walk
 (:func:`repro.campaign.triage._walk_divergent`): as long as that walk
@@ -165,4 +168,25 @@ def build_timelines(
         kind = EV_END_FLUSH if model.line_dirty(line_address) else EV_END_DISCARD
         for watched_wa in watched:
             timelines[watched_wa].append((end_ordinal, kind, 0, 0))
+    return timelines
+
+
+def golden_timelines(
+    golden: GoldenRun, geometry: CacheGeometry
+) -> Dict[int, List[Event]]:
+    """Timelines of every word on every line the golden run touches.
+
+    Built by one :func:`build_timelines` walk on first use and cached
+    on ``golden``; a word missing from the result has no events.
+    """
+    timelines = golden.timelines.get(geometry)
+    if timelines is None:
+        line_bytes = 1 << geometry.line_bits
+        lines = dict.fromkeys(wa & geometry.line_mask for wa in golden.op_wa)
+        timelines = build_timelines(
+            golden,
+            geometry,
+            (wa for line in lines for wa in range(line, line + line_bytes, 4)),
+        )
+        golden.timelines[geometry] = timelines
     return timelines

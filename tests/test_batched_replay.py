@@ -584,6 +584,100 @@ class TestBatchedCampaign:
         assert warm.render() == cold.render()
 
 
+    def test_campaign_hot_path_never_runs_the_object_interpreter(
+        self, tmp_path, monkeypatch
+    ):
+        """Cold and resumed campaigns sample and replay from the lean
+        golden run alone: with the object interpreter's trace cache
+        rigged to raise, both still match an unpatched run."""
+        from repro.campaign import replay, sampling
+        from repro.experiments import runner
+
+        reference = run_campaign(config())
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("object interpreter on the campaign path")
+
+        sampling._SPACE_CACHE.clear()
+        replay._LEAN_GOLDEN_CACHE.clear()
+        monkeypatch.setattr(runner, "cached_kernel_trace", forbidden)
+        with ResultStore(tmp_path / "lean.sqlite") as store:
+            cold = run_campaign(config(), store=store, resume=True)
+            resumed = run_campaign(config(), store=store, resume=True)
+        assert cold.stats.full == resumed.stats.full == 0
+        assert resumed.stats.store_hits == resumed.points
+        assert cold.render() == resumed.render() == reference.render()
+
+
+# --------------------------------------------------------------------- #
+# golden timeline cache                                                 #
+# --------------------------------------------------------------------- #
+class TestGoldenTimelines:
+    @pytest.mark.parametrize(
+        "write_back, ways, write_allocate",
+        [(True, 1, True), (True, 4, True), (False, 1, True), (False, 4, False)],
+        ids=["wb-1way", "wb-4way", "wt-1way", "wt-4way-no-allocate"],
+    )
+    def test_cached_lookups_equal_fresh_walks(
+        self, write_back, ways, write_allocate
+    ):
+        from repro.campaign.lean_sim import golden_pass
+        from repro.campaign.timeline import (
+            CacheGeometry,
+            build_timelines,
+            golden_timelines,
+        )
+        from repro.workloads import build_kernel
+
+        golden = golden_pass(build_kernel("canrdr", scale=0.1))
+        # Two sets: this kernel then evicts clean and dirty lines.
+        geometry = CacheGeometry(
+            line_bits=5,
+            set_bits=1,
+            ways=ways,
+            write_back=write_back,
+            write_allocate=write_allocate,
+        )
+        cached = golden_timelines(golden, geometry)
+        assert golden_timelines(golden, geometry) is cached
+        touched = set(golden.op_wa)
+        lines = sorted({wa & geometry.line_mask for wa in touched})
+        words = [line + offset for line in lines for offset in range(0, 32, 4)]
+        siblings = [wa for wa in words if wa not in touched]
+        untouched_line = lines[-1] + 0x1000
+        assert siblings
+        for wa in words + [untouched_line]:
+            fresh = build_timelines(golden, geometry, [wa])[wa]
+            assert cached.get(wa, []) == fresh, hex(wa)
+        assert untouched_line not in cached
+        # Never-touched siblings still see their line's fills/evictions.
+        assert any(cached[wa] for wa in siblings)
+
+    def test_campaign_walks_once_per_golden_run_and_geometry(self, monkeypatch):
+        from repro.campaign import replay, timeline
+
+        walks, batches = [], []
+        real_walk = timeline.build_timelines
+        real_batch = replay.run_injection_batch
+
+        def counting_walk(golden, geometry, words):
+            walks.append((id(golden), geometry))
+            return real_walk(golden, geometry, words)
+
+        def counting_batch(specs, **kwargs):
+            batches.append(len(specs))
+            return real_batch(specs, **kwargs)
+
+        replay._LEAN_GOLDEN_CACHE.clear()
+        monkeypatch.setattr(timeline, "build_timelines", counting_walk)
+        monkeypatch.setattr(replay, "run_injection_batch", counting_batch)
+        # no-ecc/extra-cycle share the write-back DL1; wt-parity's DL1
+        # is write-through: one golden run, two geometries.
+        run_campaign(config(policies=("no-ecc", "extra-cycle", "wt-parity")))
+        assert len(batches) > 2
+        assert len(walks) == len(set(walks)) == 2
+
+
 class TestChaosUnderBatching:
     def test_worker_kill_under_batching_matches_clean_run(self):
         clean = run_campaign(config(workers=2))

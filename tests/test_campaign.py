@@ -19,6 +19,10 @@ from repro.memory.l2_cache import SharedL2Cache
 from repro.memory.main_memory import MainMemory
 from repro.scenarios import FaultSpec, SimulationSpec
 from repro.store import ResultStore
+from repro.workloads import KERNEL_NAMES
+
+#: The kernels of the benchmark's campaign grid.
+BENCH_KERNELS = ("aifirf", "canrdr", "matrix", "tblook")
 
 
 # --------------------------------------------------------------------- #
@@ -357,6 +361,54 @@ class TestSampling:
         # The L2 population is the whole working set, not just the words
         # touched before the injection ordinal.
         assert {p.word_address for p in secded} <= set(space.first_touch)
+
+    @pytest.mark.parametrize(
+        "kernel, scale",
+        [(kernel, 0.1) for kernel in KERNEL_NAMES]
+        + [(kernel, 0.4) for kernel in BENCH_KERNELS],
+    )
+    def test_fault_space_matches_the_object_interpreter(
+        self, kernel, scale, monkeypatch
+    ):
+        """The fault space read off the lean golden run equals one built
+        from the object interpreter's address stream, so the sampled
+        points (and every campaign summary) cannot move."""
+        from repro.campaign import clear_sample_cursors, kernel_fault_space
+        from repro.campaign import sampling
+        from repro.experiments.runner import cached_kernel_trace
+
+        _, trace = cached_kernel_trace(kernel, scale)
+        seen = set()
+        first_touch, distinct_before = [], [0]
+        for dyn in trace.instructions:
+            if dyn.address is None:
+                continue
+            word = dyn.address & ~0x3
+            if word not in seen:
+                seen.add(word)
+                first_touch.append(word)
+            distinct_before.append(len(seen))
+        reference = sampling.KernelFaultSpace(
+            mem_ops=len(distinct_before) - 1,
+            first_touch=tuple(first_touch),
+            distinct_before=tuple(distinct_before),
+        )
+        space = kernel_fault_space(kernel, scale)
+        assert space.mem_ops == reference.mem_ops
+        assert space.first_touch == reference.first_touch
+        assert space.distinct_before == reference.distinct_before
+
+        def draws():
+            clear_sample_cursors()
+            return [
+                sample_faults(kernel, scale, "laec", 32, seed=seed, target=target)
+                for seed in (2019, 1)
+                for target in ("dl1", "l2")
+            ]
+
+        lean = draws()
+        monkeypatch.setattr(sampling, "kernel_fault_space", lambda *_: reference)
+        assert draws() == lean
 
     def test_stratum_identity_extends_only_for_non_default_dimensions(self):
         from repro.campaign import stratum_identity

@@ -620,6 +620,51 @@ class TestRobustnessCli:
         assert cli.main(["store", str(path), "--repair"]) == 0
         assert cli.main(["store", str(path), "--verify"]) == 0
 
+    def test_corrupt_campaign_row_is_repaired_and_resimulated_once(
+        self, tmp_path, capsys
+    ):
+        """verify flags a corrupted campaign row, repair drops it, and a
+        resumed campaign re-simulates exactly that row to a summary
+        byte-identical to an undisturbed run."""
+        from repro import __main__ as cli
+
+        path = tmp_path / "heal.sqlite"
+        with ResultStore(path) as store:
+            fresh = run_campaign(config(), store=store)
+        assert cli.main(["store", str(path), "--verify"]) == 0
+        assert cli.main(["store", str(path), "--corrupt-row", "2"]) == 0
+        assert cli.main(["store", str(path), "--verify"]) == 1
+        assert cli.main(["store", str(path), "--repair"]) == 0
+        assert cli.main(["store", str(path), "--verify"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "healed.txt"
+        code = cli.main(
+            [
+                "campaign",
+                "--kernels",
+                "rspeed",
+                "--policies",
+                "extra-cycle",
+                "--trials",
+                "6",
+                "--batch",
+                "3",
+                "--scale",
+                "0.1",
+                "--store",
+                str(path),
+                "--resume",
+                "--out",
+                str(out),
+                "--quiet",
+            ]
+        )
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "simulated=1 " in err
+        assert "store-hits=5 " in err
+        assert out.read_text(encoding="utf-8") == fresh.render() + "\n"
+
     def test_store_subcommand_missing_file(self, tmp_path, capsys):
         from repro import __main__ as cli
 

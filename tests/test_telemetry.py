@@ -482,6 +482,35 @@ class TestSupervisorAgreement:
         assert {"sampling", "store_write"} <= phases
 
 
+    def test_golden_phase_is_timed_once_per_kernel_and_outside_sampling(
+        self, tmp_path
+    ):
+        """The sampler reads the lean golden run; deriving it must be
+        timed as `golden` exactly once per (kernel, scale) and never
+        inside the `sampling` timer, so phases do not double-count."""
+        from repro.campaign import replay, sampling
+
+        sampling._SPACE_CACHE.clear()
+        replay._LEAN_GOLDEN_CACHE.clear()
+        path = tmp_path / "phases.trace"
+        grid = config(kernels=("rspeed", "canrdr"), scales=(0.05, 0.1), trials=4)
+        run_campaign(grid, telemetry=Telemetry(path))
+        loaded = analyze.TraceFile(path)
+        phases = {
+            metric["labels"]["phase"]: metric
+            for metric in loaded.metrics
+            if metric["name"] == metrics.PHASE_METRIC
+        }
+        pairs = {(kernel, scale) for kernel, *_, scale in grid.strata()}
+        assert phases["golden"]["count"] == len(pairs) == 4
+        # A handful of RNG draws costs far less than a golden execution;
+        # sampling time that swallowed the golden run would not.
+        assert phases["sampling"]["sum"] < phases["golden"]["sum"]
+        (campaign,) = loaded.spans_named("campaign")
+        wall = campaign["t_end"] - campaign["t_start"]
+        assert sum(metric["sum"] for metric in phases.values()) <= wall
+
+
 # --------------------------------------------------------------------- #
 # trace analysis + CLI consumer                                         #
 # --------------------------------------------------------------------- #
