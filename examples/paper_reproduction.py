@@ -5,62 +5,28 @@ Run with::
     python examples/paper_reproduction.py [scale]
 
 ``scale`` (default 0.4) multiplies the iteration counts of the 16
-EEMBC-Automotive-like kernels; 1.0 matches the sizes used for the
+EEMBC-Automotive-like kernels shared by Table II, Figure 8, the energy
+report and the hazard ablation; 1.0 matches the sizes used for the
 numbers recorded in EXPERIMENTS.md and takes a few minutes in pure
-Python.  The same artefacts are produced by the pytest benchmark harness
-(``pytest benchmarks/ --benchmark-only``), which additionally asserts
-the paper's headline claims.
+Python.  Every section is one registered experiment built on one shared
+context, exactly as ``python -m repro --run all`` builds them, so at the
+default scale the printed sections equal the committed artefacts under
+``benchmarks/output/``.
 """
 
 from __future__ import annotations
 
 import sys
 
-from repro.experiments import (
-    ablation_hazards,
-    chronograms,
-    energy_report,
-    fault_campaign,
-    figure8,
-    table1,
-    table2,
-    wt_vs_wb,
-)
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments import ExperimentContext, all_experiments
 
 
 def main(scale: float = 0.4) -> None:
     separator = "\n" + "=" * 78 + "\n"
-
-    print(separator)
-    print(table1.render())
-
-    print(separator)
-    print("Simulating the 16 kernels under the 4 policies "
-          f"(scale={scale}); this is the slow part...")
-    runner = ExperimentRunner(scale=scale)
-    run_set = runner.run_all()
-
-    print(separator)
-    print(table2.render(table2.run(run_set=run_set)))
-
-    print(separator)
-    print(figure8.render(figure8.run(run_set=run_set)))
-
-    print(separator)
-    print(chronograms.render(chronograms.run()))
-
-    print(separator)
-    print(energy_report.render(energy_report.run(run_set=run_set)))
-
-    print(separator)
-    print(ablation_hazards.render(ablation_hazards.run(run_set=run_set)))
-
-    print(separator)
-    print(wt_vs_wb.render(wt_vs_wb.run(scale=min(scale, 0.3))))
-
-    print(separator)
-    print(fault_campaign.render(fault_campaign.run(trials_per_point=2000)))
+    context = ExperimentContext(scale=scale)
+    for experiment in all_experiments():
+        print(separator)
+        print(experiment.execute(context).text)
 
 
 if __name__ == "__main__":

@@ -23,8 +23,6 @@ Classes
     Console/CLI formatting seams — human-facing, never persisted.
 ``cli``
     Entry points (``__main__``): argument parsing and process exit.
-``bench``
-    Benchmark harnesses: report wall-clock by design.
 ``tool``
     The static analyzer itself.
 
@@ -51,7 +49,7 @@ DETERMINISTIC_CLASSES = frozenset({"core", "serialization"})
 
 #: All recognised module classes.
 MODULE_CLASSES = frozenset(
-    {"core", "serialization", "telemetry", "console", "cli", "bench", "tool"}
+    {"core", "serialization", "telemetry", "console", "cli", "tool"}
 )
 
 #: All recognised capability tags.
@@ -72,7 +70,6 @@ WORKER_INITIALIZERS = frozenset({"warm_lean_golden"})
 _RULES: Tuple[Tuple[str, str, FrozenSet[str]], ...] = (
     ("analysis/lint/*", "tool", frozenset()),
     ("telemetry/*", "telemetry", frozenset()),
-    ("perf/*", "bench", frozenset()),
     ("__main__.py", "cli", frozenset()),
     # Shard files are named by pid — the one sanctioned pid sink
     # outside telemetry (ISSUE 10 rule scope).

@@ -2,7 +2,7 @@
 
 Every experiment exposes a ``run(...)`` function returning structured
 data plus a ``render(...)`` helper that turns it into the table/figure
-text printed by the benchmark harness.  The mapping to the paper is:
+text of the committed artefact.  The mapping to the paper is:
 
 ==============================  =======================================
 module                          paper artefact

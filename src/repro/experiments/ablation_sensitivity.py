@@ -81,7 +81,7 @@ def sweep(
 
 
 def run(*, instructions: int = 12_000) -> Dict[str, List[SweepPoint]]:
-    """Run the three default sweeps used by the benchmark harness."""
+    """Run the three default sweeps."""
     return {
         "load_fraction": sweep(
             "load_fraction", (0.15, 0.25, 0.35), instructions=instructions

@@ -9,8 +9,8 @@ shared :class:`ExperimentContext` makes the expensive ingredient — the
 kernel × policy simulation matrix — computed once per campaign no matter
 how many experiments consume it.
 
-The default campaign scale (:data:`DEFAULT_CAMPAIGN_SCALE`) is the one
-the benchmark harness has always used: 0.4 keeps the full 16-kernel ×
+The default campaign scale (:data:`DEFAULT_CAMPAIGN_SCALE`) is the
+scale of the committed artefacts: 0.4 keeps the full 16-kernel ×
 4-policy matrix fast while preserving the loop-dominated steady-state
 behaviour, so overhead percentages match the full-scale runs.
 """
@@ -25,7 +25,7 @@ from typing import Dict, List, Optional
 from repro.experiments.runner import ExperimentRunner, KernelRunSet
 
 #: Scale applied to every kernel's iteration counts in a default
-#: campaign.  Shared with ``benchmarks/conftest.py``.
+#: campaign; the committed artefacts under ``benchmarks/output/`` use it.
 DEFAULT_CAMPAIGN_SCALE = 0.4
 
 
@@ -86,8 +86,8 @@ class ExperimentOutput:
     def write(self, directory: pathlib.Path) -> Optional[pathlib.Path]:
         """Write the rendered text to ``<directory>/<artifact>.txt``.
 
-        Matches the benchmark harness' ``save_artifact`` byte-for-byte
-        (trailing newline included).  Returns the written path, or
+        The file holds :attr:`text` plus a trailing newline, the exact
+        bytes of the committed artefact.  Returns the written path, or
         ``None`` for experiments that own no artefact.
         """
         if self.artifact is None:

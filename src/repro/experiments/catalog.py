@@ -1,9 +1,10 @@
 """The registered experiment catalogue.
 
 One :class:`~repro.experiments.base.Experiment` per paper artefact,
-wrapping the corresponding driver module with the exact parameters the
-benchmark harness uses — so ``python -m repro --run <name>`` regenerates
-``benchmarks/output/<artifact>.txt`` byte-identically.
+wrapping the corresponding driver module with the parameters of the
+committed artefact — so ``python -m repro --run <name>`` regenerates
+``benchmarks/output/<artifact>.txt`` byte-identically.  These classes
+are the only place those parameters live.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ class WtVsWbExperiment(Experiment):
     description = "§I/§II-A: WT+parity vs WB WCET bounds under bus contention"
     artifact = "wt_vs_wb_wcet"
 
-    #: Harness parameters (store-intensive kernels, reduced scale).
+    #: Artefact parameters (store-intensive kernels, reduced scale).
     kernels = ("iirflt", "puwmod", "a2time")
     scale = 0.3
 
@@ -163,7 +164,7 @@ class CampaignSummaryExperiment(Experiment):
     )
     artifact = "campaign_summary"
 
-    #: Harness parameters: two kernels with opposite DL1 behaviour (a
+    #: Artefact parameters: two kernels with opposite DL1 behaviour (a
     #: streaming writer and a load-after-store reuser) keep the campaign
     #: fast while exercising both SDC paths.
     kernels = ("canrdr", "matrix")
@@ -242,7 +243,7 @@ class SweepSummaryExperiment(Experiment):
     )
     artifact = "sweep_summary"
 
-    #: Harness parameters: the campaign_summary kernel pair swept over
+    #: Artefact parameters: the campaign_summary kernel pair swept over
     #: both fault targets and both interference extremes.  Small per-
     #: stratum budgets keep the 2x4x2x2 grid fast while leaving every
     #: marginal well-populated.

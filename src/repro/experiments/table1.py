@@ -1,7 +1,7 @@
 """Table I: commercial processors and how they protect their L1 caches.
 
 Table I of the paper is a survey, not a measurement; we carry it as
-structured data so the benchmark harness can regenerate it verbatim and
+structured data so the experiment registry can regenerate it verbatim and
 so tests can assert the qualitative point it makes (no surveyed LEON
 part supports a write-back DL1, hence the need for schemes like LAEC).
 """

@@ -194,8 +194,8 @@ class TestManifest:
         assert not classify("src/repro/campaign/chaos.py").has_tag("allow-pid")
 
     def test_overrides_win(self):
-        verdict = classify("x.py", overrides=[("x.py", "bench", frozenset())])
-        assert verdict.module_class == "bench"
+        verdict = classify("x.py", overrides=[("x.py", "console", frozenset())])
+        assert verdict.module_class == "console"
         assert not verdict.deterministic
 
 

@@ -553,6 +553,8 @@ class TestBatchedCampaign:
         # The triage pass must actually eliminate work.
         assert stats.analytical > 0
         assert stats.store_hits == 0
+        # A run without chaos quarantines nothing.
+        assert result.quarantined_points == 0
 
     def test_timing_walk_disabled_streams_byte_identically(self, monkeypatch):
         """With the timeline-delta walk disabled every load-visible

@@ -1,8 +1,8 @@
 """Integration tests asserting the paper's headline claims on real kernels.
 
-These use a subset of kernels at reduced scale so the whole suite stays
-fast; the full-suite equivalents are regenerated by the benchmark
-harness (see benchmarks/ and EXPERIMENTS.md).
+These use a subset of kernels at reduced scale so they stay fast; the
+full 16-kernel checks, on the artefact-scale results, are the
+paper-shape tests in ``tests/test_golden_artifacts.py``.
 """
 
 import pytest

@@ -450,6 +450,12 @@ class TestSupervisorAgreement:
         ) == result.stats.streamed
         assert reg.value("campaign_points_simulated_total") == result.simulated
         assert reg.value("campaign_points_total") == result.points
+        # The trace is complete: every simulated point got a span, and
+        # the metrics snapshot landed in the file.
+        loaded = analyze.TraceFile(tmp_path / "m.trace")
+        assert loaded.validate() == []
+        assert len(loaded.spans_named("point")) == result.simulated > 0
+        assert loaded.metrics
 
     def test_store_counters_and_phases_are_published(self, tmp_path):
         store_path = tmp_path / "s.sqlite"
