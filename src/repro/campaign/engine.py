@@ -390,8 +390,8 @@ def _simulate_batch(
     Returns an envelope ``{"results", "pid", "phases", "persisted"}``;
     ``results`` is ``(payload, replay_mode)`` per spec, in input order —
     the mode string feeds the ``analytical=/streamed=/full=`` counters —
-    and the drained phase snapshot carries this job's golden/triage/
-    residue timings back to the campaign process.
+    and the drained metrics snapshot carries this job's phase timings
+    and counters back to the campaign process (none if it raises).
 
     A chaos ``directive`` (only ever attached to a singleton group)
     travels pickled with the job — no shared state in the pool workers —
@@ -410,33 +410,34 @@ def _simulate_batch(
     from repro.campaign.replay import run_injection_batch
 
     _flight.record("batch-start", points=len(specs))
-    try:
-        if directive is not None:
-            from repro.campaign.chaos import apply_worker_directive
+    with _metrics.job_metrics():
+        try:
+            if directive is not None:
+                from repro.campaign.chaos import apply_worker_directive
 
-            apply_worker_directive(directive, hang_seconds)
-        results = [
-            (result.payload(), result.replay_mode)
-            for result in run_injection_batch(list(specs))
-        ]
-    except Exception as error:  # noqa: BLE001 - taxonomy boundary
-        wrapped = wrap_point_error(error)
-        wrapped.details.setdefault("flight_recorder", _flight.tail_payload())
-        raise wrapped from error
-    persisted = False
-    if shard_store is not None:
-        from repro.store import canonical_json, spec_hash
-        from repro.store.sharding import shard_writer
+                apply_worker_directive(directive, hang_seconds)
+            results = [
+                (result.payload(), result.replay_mode)
+                for result in run_injection_batch(list(specs))
+            ]
+        except Exception as error:  # noqa: BLE001 - taxonomy boundary
+            wrapped = wrap_point_error(error)
+            wrapped.details.setdefault("flight_recorder", _flight.tail_payload())
+            raise wrapped from error
+        persisted = False
+        if shard_store is not None:
+            from repro.store import canonical_json, spec_hash
+            from repro.store.sharding import shard_writer
 
-        with _metrics.phase_timer("store_write"):
-            shard_writer(shard_store).put_many(
-                [
-                    (spec_hash(spec), payload, canonical_json(spec))
-                    for spec, (payload, _mode) in zip(specs, results)
-                ],
-                kind="injection",
-            )
-        persisted = True
+            with _metrics.phase_timer("store_write"):
+                shard_writer(shard_store).put_many(
+                    [
+                        (spec_hash(spec), payload, canonical_json(spec))
+                        for spec, (payload, _mode) in zip(specs, results)
+                    ],
+                    kind="injection",
+                )
+            persisted = True
     return {
         "results": results,
         # repro: allow[D104] reason=telemetry envelope field; stripped before payloads persist (differential-tested)

@@ -38,6 +38,7 @@ Semantics are bit-identical to the `FunctionalSimulator` +
 from __future__ import annotations
 
 import bisect
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -258,6 +259,8 @@ class GoldenRun:
     #: CacheGeometry -> per-word event timelines, filled on demand by
     #: :func:`repro.campaign.timeline.golden_timelines`.
     timelines: Dict[object, Dict[int, list]] = field(default_factory=dict)
+    #: word address -> ascending ordinals of its ops, see :meth:`word_ops`.
+    op_index: Dict[int, array] = field(default_factory=dict)
 
     @property
     def instructions(self) -> int:
@@ -284,10 +287,19 @@ class GoldenRun:
 
     def snapshot_before(self, instr_index: int) -> Snapshot:
         """The latest snapshot taken at or before instruction ``instr_index``."""
-        position = bisect.bisect_right(
-            [snap.index for snap in self.snapshots], instr_index
-        )
-        return self.snapshots[max(position - 1, 0)]
+        snapshots = self.snapshots
+        return snapshots[min(instr_index // SNAPSHOT_INTERVAL, len(snapshots) - 1)]
+
+    def word_ops(self) -> Dict[int, array]:
+        """Per-word op-ordinal index, built once from ``op_wa``."""
+        index = self.op_index
+        if not index:
+            for ordinal, wa in enumerate(self.op_wa, 1):
+                ops = index.get(wa)
+                if ops is None:
+                    ops = index[wa] = array("I")
+                ops.append(ordinal)
+        return index
 
 
 def golden_pass(
@@ -617,10 +629,15 @@ def _branch_taken(op: int, n: bool, z: bool, v: bool, c: bool) -> bool:
 
 
 def golden_state_at(
-    golden: GoldenRun, instr_index: int
+    golden: GoldenRun,
+    instr_index: int,
+    state: Optional[Tuple[int, List[int], Dict[int, int]]] = None,
 ) -> Tuple[List[int], Dict[int, int]]:
     """Exact golden ``(registers, memory)`` right before retiring
     instruction ``instr_index``, rebuilt from the nearest snapshot.
+
+    An exact golden ``state = (index, registers, memory)`` with ``index``
+    in ``[snapshot, instr_index]`` is advanced in place instead.
 
     Control flow is taken from the recorded PC stream, so only data
     effects (ALU results, loads, stores, link writes) are replayed —
@@ -629,12 +646,14 @@ def golden_state_at(
     values at the defining op.
     """
     snap = golden.snapshot_before(instr_index)
-    regs = list(snap.regs)
-    mem = dict(snap.mem)
+    if state is not None and snap.index <= state[0] <= instr_index:
+        start, regs, mem = state
+    else:
+        start, regs, mem = snap.index, list(snap.regs), dict(snap.mem)
     pcs = golden.pcs
     table = golden.table
     mget = mem.get
-    for index in range(snap.index, instr_index):
+    for index in range(start, instr_index):
         pc = pcs[index]
         op, rd, rs1, rs2, imm, imm_u, uses_imm, size, _fall, _target, sx = table[pc]
         if op < 18:

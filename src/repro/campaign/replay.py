@@ -903,13 +903,14 @@ def run_injection_batch(
             ]
             for i, decoded in zip(code_indices, code.decode_many(flipped)):
                 decode_results[i] = decoded
-        observe_phase("triage", time.perf_counter() - triage_started)
+        triage_s = time.perf_counter() - triage_started
 
         # Pass 3: triage; execute only the residue.
         for context in contexts:
             if context is None:
                 continue
             index, spec, fault, geometry, wa, code, events = context
+            triage_started = time.perf_counter()
             if fault.target == "dl1":
                 verdict = _triage.triage_dl1(
                     golden, geometry, wa, fault.at_access, events,
@@ -920,6 +921,7 @@ def run_injection_batch(
                     golden, geometry, wa, fault.at_access, events,
                     decode_results[index], golden_values[index],
                 )
+            triage_s += time.perf_counter() - triage_started
             if verdict is None:
                 fallback.append(index)
             elif isinstance(verdict, _triage.ResiduePlan):
@@ -927,6 +929,7 @@ def run_injection_batch(
                     results[index] = _run_residue(spec, golden, geometry, verdict)
             else:
                 results[index] = _analytic_result(spec, verdict, golden_len)
+        observe_phase("triage", triage_s)
 
         for index in fallback:
             results[index] = run_injection(specs[index], program=program)

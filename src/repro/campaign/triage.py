@@ -23,10 +23,12 @@ classifies most fault points with *zero* re-execution:
   under the unprotected baseline — enters the DL1 on first fill and
   joins the same raw mask walk.
 
-Only the last bullet's endpoint — a load that actually observes a
-corrupted value — needs execution; those points come back as
-:class:`ResiduePlan`\\ s and are re-run from the nearest golden snapshot
-by :func:`repro.campaign.lean_sim.resume_faulty`.
+The last bullet's endpoint — a load that observes a corrupted value —
+is followed by the sparse timeline-delta walk (:func:`_walk_divergent`),
+which interprets only while a register or the flags are corrupted and
+otherwise jumps from one access of a corrupted word to the next.  Only
+a walk that gives up yields a :class:`ResiduePlan`, re-run from the
+nearest golden snapshot by :func:`repro.campaign.lean_sim.resume_faulty`.
 
 Any situation outside the proven decision tree (non-LRU replacement,
 detected-uncorrectable on a write-back policy, raw words under
@@ -40,13 +42,13 @@ the full-grid differential tests in ``tests/test_batched_replay.py``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.campaign.lean_sim import (
     _M32,
     _OP_CALL,
-    _OP_HALT,
     _OP_JUMP,
     _OP_LOAD,
     _OP_NOP,
@@ -72,6 +74,7 @@ from repro.campaign.timeline import (
 from repro.ecc.codec import DecodeResult, DecodeStatus
 from repro.isa.instructions import INSTRUCTION_BYTES
 from repro.memory.config import CacheConfig, ReplacementPolicy, WritePolicy
+from repro.telemetry.metrics import inc
 
 
 @dataclass
@@ -206,10 +209,10 @@ def _walk_detected_wt(
 # --------------------------------------------------------------------- #
 # timeline-delta walk: prove load-visible corruptions without streaming #
 # --------------------------------------------------------------------- #
-#: Retired-instruction budget of one timeline-delta walk.  A walk that
-#: would exceed it bails to the streamed residue path, so the budget
-#: trades analytical coverage against worst-case walk cost; 0 disables
-#: the walk entirely (every load-visible corruption streams).
+#: Budget of one timeline-delta walk in golden instructions, interpreted
+#: or skipped.  A walk that would exceed it bails to the streamed residue
+#: path, trading analytical coverage against worst-case walk cost; 0
+#: disables the walk entirely (every load-visible corruption streams).
 TIMING_WALK_BUDGET = 100_000
 
 #: Longest straight NOP run the reconvergence scan follows when a
@@ -233,6 +236,25 @@ def _nop_reconvergence(table, from_pc: int, to_pc: int) -> Optional[int]:
     return None
 
 
+def _move_masks(kind: int, cache_mask: int, backing_mask: int) -> Tuple[int, int]:
+    """The faulted word's ``(cache, backing)`` masks after one event that
+    is not its own data access."""
+    if kind == EV_FILL:
+        return backing_mask, backing_mask
+    if kind == EV_EVICT_DIRTY:
+        return 0, cache_mask
+    if kind == EV_EVICT_CLEAN:
+        return 0, backing_mask
+    if kind == EV_END_FLUSH:
+        return cache_mask, cache_mask
+    return cache_mask, backing_mask  # EV_LINE_STORE / EV_END_DISCARD: no data
+
+
+def _bail(reason: str) -> None:
+    """Count one walk that gave up; its point streams instead."""
+    inc("campaign_triage_bailouts_total", labels={"reason": reason})
+
+
 def _walk_divergent(
     golden: GoldenRun,
     wa: int,
@@ -246,9 +268,9 @@ def _walk_divergent(
 ) -> Optional[AnalyticOutcome]:
     """Prove a load-visible corruption's outcome without streaming it.
 
-    Interprets the *golden* instruction stream from the diverging load
-    onward (control flow taken from the recorded PC stream, data state
-    re-seeded from the nearest snapshot) while tracking, exactly:
+    Follows the *golden* instruction stream from the diverging load
+    onward (control flow taken from the recorded PC stream) while
+    tracking, exactly:
 
     * the faulty value of every tainted register — the golden value is
       in the interpreted register file, so every ALU op with tainted
@@ -260,6 +282,18 @@ def _walk_divergent(
       event walk — tainted stores *merge into* the cache mask instead of
       clearing it;
     * the faulty condition codes, only while they differ from golden.
+
+    The walk is sparse.  While a register or the condition codes are
+    corrupted it interprets instruction by instruction.  Otherwise only
+    an op on a corrupted word can matter, so it jumps to the next event
+    of the faulted word or op on a ``delta`` word (found through
+    :meth:`~repro.campaign.lean_sim.GoldenRun.word_ops`) and applies it
+    from the golden op stream.  Only a load that re-taints a register
+    needs the register file, rebuilt by
+    :func:`~repro.campaign.lean_sim.golden_state_at` from the last
+    interpreted state or the nearest snapshot.  Skipped instructions
+    count against the budget like interpreted ones, so no verdict
+    depends on how the walk got there.
 
     The faulty PC stream provably equals the golden one as long as no
     tainted value reaches an address computation, an indirect jump or a
@@ -278,9 +312,12 @@ def _walk_divergent(
     table = golden.table
     pcs = golden.pcs
     golden_len = len(pcs)
-    i = golden.op_instr[ord0 - 1]
-    regs, mem = golden_state_at(golden, i)
-    mget = mem.get
+    op_instr = golden.op_instr
+    word_ops = golden.word_ops()
+    end_ordinal = golden.total_ops + 1
+    i = i0 = op_instr[ord0 - 1]
+    stop = i0 + budget  # the walk gives up at this instruction
+    synced = None  # (index, regs, mem): the last golden state interpreted
     taint: Dict[int, int] = {}
     cc_f: Optional[Tuple[bool, bool, bool, bool]] = None
     delta: Dict[int, int] = {}
@@ -289,6 +326,7 @@ def _walk_divergent(
     n_events = len(events)
     instr_delta = 0
     stream_diverged = False
+    skipped = 0
 
     def pump() -> None:
         """Consume the faulted word's structural events up to op ``k``
@@ -298,180 +336,194 @@ def _walk_divergent(
             e_ord, e_kind = events[ei][0], events[ei][1]
             if e_ord > k or (e_ord == k and e_kind in (EV_LOAD, EV_STORE)):
                 return
-            if e_kind == EV_FILL:
-                cache_mask = backing_mask
-            elif e_kind == EV_EVICT_DIRTY:
-                backing_mask = cache_mask
-                cache_mask = 0
-            elif e_kind == EV_EVICT_CLEAN:
-                cache_mask = 0
-            # EV_LINE_STORE only tracks dirtiness; the eviction events
-            # already carry the resulting kind.
+            cache_mask, backing_mask = _move_masks(e_kind, cache_mask, backing_mask)
             ei += 1
 
-    while i < golden_len:
-        if budget <= 0:
-            return None
-        budget -= 1
-        pc = pcs[i]
-        op, rd, rs1, rs2, imm, imm_u, uses_imm, size, fall, target, sx = table[pc]
-        if op < 18:
-            a_g = regs[rs1]
-            b_g = imm_u if uses_imm else regs[rs2]
-            r_g, flags_g = _alu_eval(op, a_g, b_g, imm_u)
-            if rs1 in taint or (not uses_imm and rs2 in taint):
-                r_f, flags_f = _alu_eval(
-                    op,
-                    taint.get(rs1, a_g),
-                    b_g if uses_imm else taint.get(rs2, b_g),
-                    imm_u,
-                )
-            else:
-                r_f, flags_f = r_g, flags_g
-            if flags_g is not None:
-                cc_f = flags_f if flags_f != flags_g else None
-            if rd:
-                regs[rd] = r_g
-                if r_f != r_g:
-                    taint[rd] = r_f
+    try:
+        while i < golden_len:
+            # Clean stretch: jump from one op on a corrupted word to the next.
+            while True:
+                if delta or cache_mask or backing_mask:
+                    n = events[ei][0] if ei < n_events else end_ordinal
+                    for word_address in delta:
+                        ops = word_ops[word_address]
+                        position = bisect_right(ops, k)
+                        if position < len(ops) and ops[position] < n:
+                            n = ops[position]
+                    # Op n, or the final HALT when no op can matter any more.
+                    j = op_instr[n - 1] if n < end_ordinal else golden_len - 1
+                    if j >= stop:
+                        return _bail("budget")
                 else:
-                    taint.pop(rd, None)
-        elif op == _OP_LOAD:
-            if rs1 in taint or (not uses_imm and rs2 in taint):
-                return None  # tainted address: access stream unprovable
-            address = (regs[rs1] + (imm if uses_imm else regs[rs2])) & _M32
-            word_address = address & ~0x3
-            k += 1
-            pump()
-            word = mget(word_address, 0)
-            if word_address == wa:
-                ei += 1  # consume this op's EV_LOAD entry
-                xor = cache_mask
-            else:
-                xor = delta.get(word_address, 0)
-            if size == 4:
-                raw_g = word
-                raw_f = word ^ xor
-            else:
-                shift = (address & 0x3) * 8
-                sub = 0xFF if size == 1 else 0xFFFF
-                raw_g = (word >> shift) & sub
-                raw_f = ((word ^ xor) >> shift) & sub
-                if sx == 1:
-                    if raw_g & 0x80:
-                        raw_g |= 0xFFFFFF00
-                    if raw_f & 0x80:
-                        raw_f |= 0xFFFFFF00
-                elif sx == 2:
-                    if raw_g & 0x8000:
-                        raw_g |= 0xFFFF0000
-                    if raw_f & 0x8000:
-                        raw_f |= 0xFFFF0000
-            if rd:
-                regs[rd] = raw_g
-                if raw_f != raw_g:
-                    taint[rd] = raw_f
-                else:
-                    taint.pop(rd, None)
-        elif op == _OP_STORE:
-            if rs1 in taint or (not uses_imm and rs2 in taint):
-                return None  # tainted address: access stream unprovable
-            address = (regs[rs1] + (imm if uses_imm else regs[rs2])) & _M32
-            word_address = address & ~0x3
-            k += 1
-            pump()
-            shift = (address & 0x3) * 8
-            smask = subword_mask(size, shift)
-            value_g = regs[rd]
-            value_f = taint.get(rd, value_g)
-            prev = mget(word_address, 0)
-            mem[word_address] = (prev & ~smask) | ((value_g << shift) & smask)
-            xor_bits = ((value_f ^ value_g) << shift) & smask
-            if word_address == wa:
-                ei += 1  # consume this op's EV_STORE entry
-                cache_mask = (cache_mask & ~smask) | xor_bits
-            else:
-                d = (delta.get(word_address, 0) & ~smask) | xor_bits
-                if d:
-                    delta[word_address] = d
-                else:
-                    delta.pop(word_address, None)
-        elif op < 36:  # branches
-            if cc_f is not None and i + 1 < golden_len:
-                f_next = target if _branch_taken(op, *cc_f) else fall
-                g_next = pcs[i + 1]
-                if f_next != g_next:
-                    # The corrupted flags flipped this branch.  Provable
-                    # only when the divergent arm is a straight NOP run
-                    # reconverging with the golden arm.
-                    extra = _nop_reconvergence(table, f_next, g_next)
-                    if extra is not None:
-                        # Faulty falls through `extra` NOPs golden skips.
-                        instr_delta += extra
-                        stream_diverged = True
+                    n = end_ordinal  # every corruption channel is dead
+                if n == end_ordinal:
+                    skipped += golden_len - i
+                    i = golden_len
+                    break
+                skipped += j - i
+                i = j
+                k = n
+                pump()
+                word_address = golden.op_wa[n - 1]
+                is_store = golden.op_store[n - 1]
+                smask = subword_mask(golden.op_size[n - 1], golden.op_shift[n - 1])
+                xor = cache_mask if word_address == wa else delta.get(word_address, 0)
+                if not is_store and xor & smask and table[pcs[j]][1]:
+                    k = n - 1  # a register reads corrupted bits: interpret op n
+                    break
+                skipped += 1
+                i += 1
+                if word_address == wa:
+                    ei += 1  # consume this op's EV_LOAD / EV_STORE entry
+                    if is_store:
+                        cache_mask &= ~smask
+                elif is_store and xor:
+                    if xor & ~smask:
+                        delta[word_address] = xor & ~smask
                     else:
-                        count = 0
-                        j = i + 1
-                        while (
-                            j < golden_len
-                            and count < _NOP_RECONVERGENCE_LIMIT
-                            and table[pcs[j]][0] == _OP_NOP
-                        ):
-                            j += 1
-                            count += 1
-                        if count and j < golden_len and pcs[j] == f_next:
-                            # Faulty skips `count` NOPs golden executes.
-                            instr_delta -= count
-                            stream_diverged = True
+                        del delta[word_address]
+            if i >= golden_len:
+                break
+            regs, mem = golden_state_at(golden, i, synced)
+            mget = mem.get
+            # Tainted stretch: interpret until registers and flags are golden.
+            while i < golden_len:
+                if i >= stop:
+                    return _bail("budget")
+                pc = pcs[i]
+                op, rd, rs1, rs2, imm, imm_u, uses_imm, size, fall, target, sx = table[pc]
+                if op < 18:
+                    a_g = regs[rs1]
+                    b_g = imm_u if uses_imm else regs[rs2]
+                    r_g, flags_g = _alu_eval(op, a_g, b_g, imm_u)
+                    if rs1 in taint or (not uses_imm and rs2 in taint):
+                        r_f, flags_f = _alu_eval(
+                            op,
+                            taint.get(rs1, a_g),
+                            b_g if uses_imm else taint.get(rs2, b_g),
+                            imm_u,
+                        )
+                    else:
+                        r_f, flags_f = r_g, flags_g
+                    if flags_g is not None:
+                        cc_f = flags_f if flags_f != flags_g else None
+                    if rd:
+                        regs[rd] = r_g
+                        if r_f != r_g:
+                            taint[rd] = r_f
                         else:
-                            return None  # divergent arms: unprovable
-        elif op == _OP_CALL:
-            if rd:
-                regs[rd] = pc + INSTRUCTION_BYTES
-                taint.pop(rd, None)
-        elif op == _OP_JUMP:
-            if rs1 in taint:
-                return None  # tainted indirect target: unprovable
-            if rd:
-                regs[rd] = pc + INSTRUCTION_BYTES
-                taint.pop(rd, None)
-        elif op == _OP_HALT:
-            break
-        # _OP_NOP: no effect
-        i += 1
-        if (
-            not taint
-            and cc_f is None
-            and not delta
-            and not cache_mask
-            and not backing_mask
-        ):
-            # Every corruption channel is dead: the rest of the run is
-            # bit-identical to golden.
-            return AnalyticOutcome(
-                outcome="timing" if stream_diverged else "masked",
-                triggered=True,
-                resident=True,
-                dirty_at_injection=dirty_at_injection,
-                diverged=True,
-                instruction_delta=instr_delta,
-            )
+                            taint.pop(rd, None)
+                elif op == _OP_LOAD:
+                    if rs1 in taint or (not uses_imm and rs2 in taint):
+                        return _bail("tainted-address")
+                    address = (regs[rs1] + (imm if uses_imm else regs[rs2])) & _M32
+                    word_address = address & ~0x3
+                    k += 1
+                    pump()
+                    word = mget(word_address, 0)
+                    if word_address == wa:
+                        ei += 1  # consume this op's EV_LOAD entry
+                        xor = cache_mask
+                    else:
+                        xor = delta.get(word_address, 0)
+                    if size == 4:
+                        raw_g = word
+                        raw_f = word ^ xor
+                    else:
+                        shift = (address & 0x3) * 8
+                        sub = 0xFF if size == 1 else 0xFFFF
+                        raw_g = (word >> shift) & sub
+                        raw_f = ((word ^ xor) >> shift) & sub
+                        if sx == 1:
+                            if raw_g & 0x80:
+                                raw_g |= 0xFFFFFF00
+                            if raw_f & 0x80:
+                                raw_f |= 0xFFFFFF00
+                        elif sx == 2:
+                            if raw_g & 0x8000:
+                                raw_g |= 0xFFFF0000
+                            if raw_f & 0x8000:
+                                raw_f |= 0xFFFF0000
+                    if rd:
+                        regs[rd] = raw_g
+                        if raw_f != raw_g:
+                            taint[rd] = raw_f
+                        else:
+                            taint.pop(rd, None)
+                elif op == _OP_STORE:
+                    if rs1 in taint or (not uses_imm and rs2 in taint):
+                        return _bail("tainted-address")
+                    address = (regs[rs1] + (imm if uses_imm else regs[rs2])) & _M32
+                    word_address = address & ~0x3
+                    k += 1
+                    pump()
+                    shift = (address & 0x3) * 8
+                    smask = subword_mask(size, shift)
+                    value_g = regs[rd]
+                    value_f = taint.get(rd, value_g)
+                    prev = mget(word_address, 0)
+                    mem[word_address] = (prev & ~smask) | ((value_g << shift) & smask)
+                    xor_bits = ((value_f ^ value_g) << shift) & smask
+                    if word_address == wa:
+                        ei += 1  # consume this op's EV_STORE entry
+                        cache_mask = (cache_mask & ~smask) | xor_bits
+                    else:
+                        d = (delta.get(word_address, 0) & ~smask) | xor_bits
+                        if d:
+                            delta[word_address] = d
+                        else:
+                            delta.pop(word_address, None)
+                elif op < 36:  # branches
+                    if cc_f is not None and i + 1 < golden_len:
+                        f_next = target if _branch_taken(op, *cc_f) else fall
+                        g_next = pcs[i + 1]
+                        if f_next != g_next:
+                            # The corrupted flags flipped this branch.  Provable
+                            # only when the divergent arm is a straight NOP run
+                            # reconverging with the golden arm.
+                            extra = _nop_reconvergence(table, f_next, g_next)
+                            if extra is not None:
+                                # Faulty falls through `extra` NOPs golden skips.
+                                instr_delta += extra
+                                stream_diverged = True
+                            else:
+                                count = 0
+                                j = i + 1
+                                while (
+                                    j < golden_len
+                                    and count < _NOP_RECONVERGENCE_LIMIT
+                                    and table[pcs[j]][0] == _OP_NOP
+                                ):
+                                    j += 1
+                                    count += 1
+                                if count and j < golden_len and pcs[j] == f_next:
+                                    # Faulty skips `count` NOPs golden executes.
+                                    instr_delta -= count
+                                    stream_diverged = True
+                                else:
+                                    return _bail("divergent-branch")
+                elif op == _OP_CALL:
+                    if rd:
+                        regs[rd] = pc + INSTRUCTION_BYTES
+                        taint.pop(rd, None)
+                elif op == _OP_JUMP:
+                    if rs1 in taint:
+                        return _bail("tainted-jump")
+                    if rd:
+                        regs[rd] = pc + INSTRUCTION_BYTES
+                        taint.pop(rd, None)
+                # _OP_NOP / _OP_HALT (always the last golden instruction): no effect
+                i += 1
+                if not taint and cc_f is None:
+                    break
+            synced = (i, regs, mem)
+    finally:
+        inc("campaign_walk_instructions_total", i - i0 - skipped, {"mode": "interpreted"})
+        inc("campaign_walk_instructions_total", skipped, {"mode": "skipped"})
 
-    # Drain the remaining events: the end-of-run flush decides where the
-    # faulted word's mask ends up (remaining structural traffic was
-    # already consumed at its triggering ops).
-    while ei < n_events:
-        e_kind = events[ei][1]
-        if e_kind == EV_FILL:
-            cache_mask = backing_mask
-        elif e_kind == EV_EVICT_DIRTY:
-            backing_mask = cache_mask
-            cache_mask = 0
-        elif e_kind == EV_EVICT_CLEAN:
-            cache_mask = 0
-        elif e_kind == EV_END_FLUSH:
-            backing_mask = cache_mask
-        ei += 1
+    # The end-of-run flush decides where the faulted word's mask ends up.
+    k = end_ordinal
+    pump()
     if backing_mask or delta:
         outcome = "sdc"  # corrupt bits reached the final image unhealed
     elif stream_diverged:
@@ -550,24 +602,15 @@ def _walk_raw(
                 cache_mask = 0
             else:
                 cache_mask &= ~(((1 << (8 * a)) - 1) << b)
-        elif kind == EV_EVICT_DIRTY:
-            backing_mask = cache_mask
-            last_sync = ord_
-            resident = False
-            cache_mask = 0
-        elif kind == EV_EVICT_CLEAN:
-            resident = False
-            cache_mask = 0
-        elif kind == EV_FILL:
-            resident = True
-            resident_at_fill_ord = ord_
-            cache_mask = backing_mask
-        elif kind == EV_END_FLUSH:
-            backing_mask = cache_mask
-        elif kind == EV_END_DISCARD:
-            pass
-        # EV_LINE_STORE only tracks dirtiness; the eviction events
-        # already carry the resulting kind.
+        else:
+            cache_mask, backing_mask = _move_masks(kind, cache_mask, backing_mask)
+            if kind == EV_EVICT_DIRTY:
+                last_sync = ord_
+            if kind == EV_EVICT_DIRTY or kind == EV_EVICT_CLEAN:
+                resident = False
+            elif kind == EV_FILL:
+                resident = True
+                resident_at_fill_ord = ord_
     if backing_mask:
         # Survived to the final architectural image without ever being
         # read: silent data corruption, with no error event and no

@@ -14,9 +14,9 @@ appends at campaign end, rendered Prometheus-style by
 
 Histograms use **fixed bucket bounds** so snapshots from different
 processes merge bucket-wise: pool workers accumulate their per-phase
-timings locally, ship a drained snapshot back with each finished batch
-job, and the engine folds it into the campaign-process registry
-(:func:`drain_phase_payload` / :func:`merge_phase_payload`).
+timings and counters locally, ship a drained snapshot back with each
+finished batch job, and the engine folds it into the campaign-process
+registry (:func:`drain_phase_payload` / :func:`merge_phase_payload`).
 
 Metric identity is ``(name, sorted labels)``, mirroring the Prometheus
 data model (``campaign_phase_seconds{phase="triage"}``).
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 #: Fixed bucket bounds (seconds) shared by every duration histogram, so
@@ -337,8 +338,23 @@ class phase_timer:
         observe_phase(self.phase, time.perf_counter() - self._started)
 
 
+@contextmanager
+def job_metrics() -> Iterator[None]:
+    """``with job_metrics():`` — publish into a fresh registry, folded into
+    this process's on a clean exit and dropped if the block raises, so a
+    failed group job that is split or retried is counted once."""
+    global _REGISTRY
+    outer = registry()
+    _REGISTRY = MetricsRegistry()
+    try:
+        yield
+        outer.merge_payload(registry().to_payload())
+    finally:
+        _REGISTRY = outer
+
+
 def drain_phase_payload() -> List[Dict[str, object]]:
-    """Snapshot-and-reset this process's phase histograms.
+    """Snapshot-and-reset this process's metrics (phase timings, counters).
 
     Pool workers call this at the end of a batch job and ship the
     snapshot back with the results; the engine folds it into the
@@ -346,14 +362,9 @@ def drain_phase_payload() -> List[Dict[str, object]]:
     than snapshotting) keeps long-lived warm workers from re-reporting
     old batches.
     """
-    reg = registry()
-    payload = []
-    for metric in list(reg):
-        if isinstance(metric, Histogram) and metric.name == PHASE_METRIC:
-            payload.append(metric.to_payload())
-            metric.buckets = [0] * (len(metric.bounds) + 1)
-            metric.sum = 0.0
-            metric.count = 0
+    global _REGISTRY
+    payload = registry().to_payload()
+    _REGISTRY = MetricsRegistry()
     return payload
 
 
@@ -371,6 +382,7 @@ __all__ = [
     "MetricsRegistry",
     "drain_phase_payload",
     "inc",
+    "job_metrics",
     "merge_phase_payload",
     "observe",
     "observe_phase",

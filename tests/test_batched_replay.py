@@ -197,6 +197,54 @@ class TestLeanGoldenPass:
         assert golden.value_at(dst, 1) == 0
         assert golden.value_at(dst, golden.total_ops + 1) == 0x13579BDF
 
+    def test_snapshot_before_equals_bisect_over_snapshot_indices(self):
+        import bisect
+
+        from repro.campaign.replay import lean_golden_for_kernel
+
+        golden = lean_golden_for_kernel("canrdr", 0.4)
+        indices = [snap.index for snap in golden.snapshots]
+        assert len(indices) > 2
+        for instr_index in range(golden.instructions + 1):
+            position = bisect.bisect_right(indices, instr_index)
+            expected = golden.snapshots[max(position - 1, 0)]
+            assert golden.snapshot_before(instr_index) is expected
+
+    @pytest.mark.parametrize("kernel", ["canrdr", "matrix", "tblook", "aifirf"])
+    def test_golden_state_advances_a_synced_state(self, kernel):
+        """Replaying from an earlier exact state equals rebuilding from
+        the nearest snapshot, whichever of the two is later."""
+        import random
+
+        from repro.campaign.lean_sim import SNAPSHOT_INTERVAL, golden_state_at
+        from repro.campaign.replay import lean_golden_for_kernel
+
+        golden = lean_golden_for_kernel(kernel, 0.4)
+        rng = random.Random(2019)
+        for _ in range(12):
+            start = rng.randrange(golden.instructions)
+            stop = min(
+                golden.instructions,
+                start + rng.randrange(3 * SNAPSHOT_INTERVAL),
+            )
+            regs, mem = golden_state_at(golden, start)
+            advanced = golden_state_at(golden, stop, (start, regs, mem))
+            assert advanced == golden_state_at(golden, stop)
+
+    @pytest.mark.parametrize("kernel", ["canrdr", "matrix"])
+    def test_word_op_index_lists_every_op_once_in_order(self, kernel):
+        from repro.campaign.replay import lean_golden_for_kernel
+
+        golden = lean_golden_for_kernel(kernel, 0.1)
+        index = golden.word_ops()
+        assert golden.word_ops() is index  # built once, then cached
+        seen = []
+        for word_address, ordinals in index.items():
+            assert list(ordinals) == sorted(set(ordinals))
+            assert all(golden.op_wa[o - 1] == word_address for o in ordinals)
+            seen.extend(ordinals)
+        assert sorted(seen) == list(range(1, golden.total_ops + 1))
+
 
 # --------------------------------------------------------------------- #
 # differential grids                                                    #
@@ -369,6 +417,74 @@ main:
 """
 
 
+#: The second load reads a flip that landed on the resident word; its
+#: taint dies at once, and a clean loop runs out the rest of the
+#: program: the walk needs exactly the instructions from that load to
+#: the end of the run.
+CLEAN_TAIL_PROGRAM = """
+.data
+val:
+    .word 0x11111111
+.text
+main:
+    set val, r1
+    ld [r1], r2
+    ld [r1], r2
+    set 0, r2
+    set 5, r3
+loop:
+    subcc r3, 1, r3
+    bne loop
+    nop
+    halt
+"""
+
+
+#: Exercises every clean-stretch step of the sparse walk.  The squared
+#: corrupted value spreads the flip over several bytes of `b` and is
+#: dropped; a sub-word load re-taints a register from `b` right away
+#: (rebuilt from the walk's own state); a load into r0 never taints;
+#: clean sub-word stores shrink the `b` delta and the faulted word's
+#: mask; a clean loop runs past the next snapshot before `b` re-taints
+#: a register again (rebuilt from the snapshot) and may leak into `c`;
+#: clean stores finally clear `b` and `a`, so only that leak is `sdc`.
+SPARSE_WALK_PROGRAM = """
+.data
+a:
+    .word 0x01020304
+b:
+    .word 0x0A0B0C0D
+c:
+    .word 0
+.text
+main:
+    set a, r1
+    set b, r2
+    ld [r1], r3
+    ld [r1], r3
+    smul r3, r3, r3
+    st r3, [r2]
+    set 0, r3
+    ldub [r2 + 1], r4
+    set 0, r4
+    ld [r2], r0
+    sth r0, [r2 + 2]
+    stb r0, [r1 + 3]
+    set 600, r5
+loop:
+    subcc r5, 1, r5
+    bne loop
+    ldub [r2], r4
+    add r4, 1, r4
+    st r4, [r2 + 4]
+    sth r0, [r2]
+    ld [r1], r6
+    set 0, r6
+    st r0, [r1]
+    halt
+"""
+
+
 class TestTimelineDeltaWalk:
     """Every provable / unprovable deviation case of `_walk_divergent`,
     pinned byte-identical to the classic per-point path."""
@@ -439,6 +555,47 @@ class TestTimelineDeltaWalk:
             result.diverged and result.replay_mode == "analytical"
             for result in batch
         )
+
+
+    def test_sparse_steps_prove_every_point(self):
+        from repro.telemetry import metrics
+
+        metrics.reset_registry()
+        _specs, batch = self._run(SPARSE_WALK_PROGRAM, "sparse_walk", bits=(0, 9, 26))
+        assert all(result.replay_mode == "analytical" for result in batch)
+        outcomes = {r.outcome.value for r in batch if r.diverged}
+        assert {"masked", "sdc"} <= outcomes
+        skipped = metrics.registry().value(
+            "campaign_walk_instructions_total", {"mode": "skipped"}
+        )
+        assert skipped > 600
+        metrics.reset_registry()
+
+    def test_budget_boundary_with_a_clean_tail(self, monkeypatch):
+        """Skipped instructions are charged like interpreted ones: the
+        walk proves the point at a budget of exactly the instructions
+        from the diverging load to the end, and streams one below."""
+        from repro.campaign import triage
+        from repro.campaign.lean_sim import golden_pass
+
+        program = assemble(CLEAN_TAIL_PROGRAM, name="clean_tail")
+        trace = run_program(program)
+        golden = golden_pass(program)
+        needed = golden.instructions - golden.op_instr[1]
+        spec = SimulationSpec(
+            policy="no-ecc",
+            fault=FaultSpec(
+                target="dl1", word_address=_words_of(trace)[0], bit=3, at_access=2
+            ),
+        )
+        reference = run_injection(spec, program=program, trace=trace).payload()
+        modes = {}
+        for budget in (needed, needed - 1):
+            monkeypatch.setattr(triage, "TIMING_WALK_BUDGET", budget)
+            (result,) = run_injection_batch([spec], program=program)
+            assert result.payload() == reference
+            modes[budget] = result.replay_mode
+        assert modes == {needed: "analytical", needed - 1: "streamed"}
 
 
 class TestKernelGridEquivalence:
@@ -573,6 +730,86 @@ class TestBatchedCampaign:
             + streamed.stats.full + streamed.stats.store_hits
             == streamed.points
         )
+
+    def test_walk_matches_streaming_on_every_kernel(self, monkeypatch):
+        """The sparse walk against the streamed oracle over all 16
+        kernels, both fault targets: byte-identical summaries."""
+        from repro.campaign import triage
+        from repro.workloads.registry import KERNEL_NAMES
+
+        grid = config(kernels=tuple(KERNEL_NAMES), policies=("no-ecc",), trials=12)
+        walked = run_campaign(grid)
+        monkeypatch.setattr(triage, "TIMING_WALK_BUDGET", 0)
+        streamed = run_campaign(grid)
+        assert len(KERNEL_NAMES) == 16
+        assert streamed.render() == walked.render()
+        assert walked.stats.streamed < streamed.stats.streamed
+
+    def test_benchmark_grid_mode_counts(self, capsys):
+        """The benchmark's reference grid at seed 2019: the walk proves
+        all but 8 of the 768 points, and none falls back to ``full``."""
+        from repro import __main__ as cli
+
+        code = cli.main(
+            [
+                "campaign", "--kernels", "aifirf,canrdr,matrix,tblook",
+                "--targets", "dl1,l2", "--trials", "24", "--scale", "1.0",
+                "--seed", "2019", "-q",
+            ]
+        )
+        assert code == 0
+        assert "analytical=760 streamed=8 full=0" in capsys.readouterr().err
+
+    def test_walk_counters_account_for_every_walk(self, monkeypatch):
+        """Every streamed point is one walk bail-out, and pool workers
+        ship their walk counters home: pooled totals equal serial ones.
+        A group that fails after its walks ran is split and rerun; the
+        failed attempt's counters are dropped, so the totals still
+        equal the clean run's."""
+        from repro.campaign import replay
+        from repro.telemetry import metrics
+
+        names = ("campaign_triage_bailouts_total", "campaign_walk_instructions_total")
+
+        def walk_counters(**overrides):
+            metrics.reset_registry()
+            result = run_campaign(
+                config(kernels=("tblook",), policies=("no-ecc",), **overrides)
+            )
+            counters = {
+                (metric.name, metric.labels): metric.value
+                for metric in metrics.registry()
+                if metric.name in names
+            }
+            metrics.reset_registry()
+            return result, counters
+
+        serial, counters = walk_counters()
+        bailouts = sum(
+            value for (name, _labels), value in counters.items() if name == names[0]
+        )
+        assert bailouts == serial.stats.streamed > 0
+        assert counters[(names[1], (("mode", "interpreted"),))] > 0
+        assert counters[(names[1], (("mode", "skipped"),))] > 0
+        _pooled, pooled_counters = walk_counters(workers=2)
+        assert pooled_counters == counters
+
+        real_batch = replay.run_injection_batch
+        failures = []
+
+        def fail_once_after_the_walks(specs, **kwargs):
+            results = real_batch(specs, **kwargs)
+            if not failures:
+                failures.append(len(results))
+                raise RuntimeError("group failed after its walks ran")
+            return results
+
+        monkeypatch.setattr(replay, "run_injection_batch", fail_once_after_the_walks)
+        retried, retried_counters = walk_counters()
+        assert failures and failures[0] > 1
+        assert retried.render() == serial.render()
+        assert retried.stats.streamed == serial.stats.streamed
+        assert retried_counters == counters
 
     def test_warm_resume_counts_store_hits(self, tmp_path):
         with ResultStore(tmp_path / "warm.sqlite") as store:

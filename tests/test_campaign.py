@@ -749,9 +749,11 @@ class TestCampaignCli:
         assert code == 0
         first = capsys.readouterr()
         assert "simulated=4" in first.err
+        assert "store-hits=0" in first.err
         assert out.read_text(encoding="utf-8").startswith(
             "Architectural fault-injection campaign"
         )
+        resumed = tmp_path / "resumed.txt"
         code = cli.main(
             [
                 "campaign",
@@ -766,6 +768,8 @@ class TestCampaignCli:
                 "--store",
                 str(store),
                 "--resume",
+                "--out",
+                str(resumed),
                 "--quiet",
             ]
         )
@@ -773,6 +777,8 @@ class TestCampaignCli:
         second = capsys.readouterr()
         assert "simulated=0" in second.err
         assert "store-hits=4" in second.err
+        # The summary read back from the store is byte-identical.
+        assert resumed.read_bytes() == out.read_bytes()
 
     def test_l2_target_sweep_through_the_cli(self, tmp_path, capsys):
         # End-to-end L2 injection: FAULT_TARGETS has always advertised

@@ -135,6 +135,20 @@ class TestMetricsRegistry:
         )
         assert hist.count == 2
 
+    def test_drain_ships_counters_and_job_metrics_drop_failed_jobs(self):
+        metrics.inc("walks_total", 2)
+        with metrics.job_metrics():
+            metrics.inc("walks_total", 3)
+            assert metrics.registry().value("walks_total") == 3
+        with pytest.raises(RuntimeError):
+            with metrics.job_metrics():
+                metrics.inc("walks_total", 7)
+                metrics.observe_phase("triage", 0.5)
+                raise RuntimeError("failed job")
+        payload = metrics.drain_phase_payload()
+        assert [(p["name"], p["value"]) for p in payload] == [("walks_total", 5)]
+        assert metrics.registry().value("walks_total") == 0
+
 
 # --------------------------------------------------------------------- #
 # flight recorder                                                       #
