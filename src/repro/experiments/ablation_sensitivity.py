@@ -21,8 +21,7 @@ from typing import Dict, List, Sequence
 
 from repro.analysis.reporting import Table
 from repro.core.policies import EccPolicyKind
-from repro.simulation import SimulationResult
-from repro.memory.hierarchy import MemoryHierarchy
+from repro.simulation import SimulationResult, build_hierarchy
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.timing import TimingPipeline
 from repro.core.policies import make_policy
@@ -47,11 +46,7 @@ class SweepPoint:
 def _time_stream(trace, policy_kind: EccPolicyKind, core_config: CoreConfig) -> int:
     policy = make_policy(policy_kind)
     config = core_config.with_policy(policy)
-    hierarchy = MemoryHierarchy(
-        config.resolved_hierarchy_config(),
-        write_buffer_entries=config.pipeline.write_buffer_entries,
-    )
-    pipeline = TimingPipeline(policy, hierarchy, config.pipeline)
+    pipeline = TimingPipeline(policy, build_hierarchy(config), config.pipeline)
     return pipeline.run(trace).cycles
 
 

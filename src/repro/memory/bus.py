@@ -12,20 +12,15 @@ cores are modelled as *contenders* that can delay every transaction:
   transactions, which is the bound WCET analyses assume for a
   round-robin arbiter [Dasari 2011, reference [14] of the paper].
 
-For the cycle-level multicore co-simulation (:mod:`repro.soc.cosim`)
-the analytic :class:`ContentionModel` is replaced by an actual
-:class:`RoundRobinArbiter` shared by the per-core buses: every
-transaction then waits for the *observed* bus occupancy of the other
-cores rather than an assumed round, subject to the same physical
-guarantee the analytic bound encodes (a work-conserving round-robin
-arbiter never delays one request by more than one full round of the
-other masters).
+Each mode is one fixed charge per transaction,
+:meth:`ContentionModel.delay`, independent of the cycle the transaction
+is issued in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 
 #: The interference accountings :class:`ContentionModel` understands.
@@ -63,78 +58,6 @@ class ContentionModel:
 
 
 @dataclass
-class ArbiterStatistics:
-    """Observed behaviour of the shared round-robin arbiter."""
-
-    grants: int = 0
-    wait_cycles: int = 0
-    capped_waits: int = 0
-
-    @property
-    def average_wait(self) -> float:
-        return self.wait_cycles / self.grants if self.grants else 0.0
-
-
-class RoundRobinArbiter:
-    """Cycle-level shared-bus arbiter for the multicore co-simulation.
-
-    Requests arrive as ``(master, cycle, duration)`` and are serialised
-    on the single bus: a request issued while the bus is busy waits until
-    the in-flight transaction completes.  The wait charged to any single
-    request is clamped to one full round of the *other* masters
-    (``(masters - 1) * slot_cycles``) — the defining guarantee of a
-    work-conserving round-robin arbiter, and exactly the per-transaction
-    bound the analytic ``worst`` contention mode charges [Dasari 2011].
-    The clamp also absorbs the small out-of-order arrival skew the
-    lockstep scheduler can introduce between cores.
-
-    Grant order is **first-come-first-served with that clamp**: requests
-    are granted in the order :meth:`acquire` is called, regardless of
-    which master issues them — the lockstep scheduler already steps the
-    cores in a fixed order, so same-cycle requests arrive (and are
-    granted) in core order.  The arbiter keeps no slot pointer or
-    last-granted-master state; the round-robin *bound* is what it
-    enforces, not a slot schedule.
-    """
-
-    def __init__(self, *, masters: int = 4, slot_cycles: int = 6) -> None:
-        if masters < 1:
-            raise ValueError("the arbiter needs at least one master")
-        self.masters = masters
-        self.slot_cycles = slot_cycles
-        self.busy_until = 0
-        self.stats = ArbiterStatistics()
-
-    @property
-    def max_wait(self) -> int:
-        """Worst-case wait of one request: a full round of the others."""
-        return (self.masters - 1) * self.slot_cycles
-
-    def acquire(self, master: int, cycle: int, duration: int) -> int:
-        """Grant the bus to ``master`` for ``duration`` cycles.
-
-        Returns the wait (in cycles) between the request at ``cycle`` and
-        the grant.  Guaranteed to satisfy ``0 <= wait <= max_wait``.
-        """
-        start = self.busy_until if self.busy_until > cycle else cycle
-        bound = self.max_wait
-        if start - cycle > bound:
-            start = cycle + bound
-            self.stats.capped_waits += 1
-        wait = start - cycle
-        end = start + duration
-        if end > self.busy_until:
-            self.busy_until = end
-        self.stats.grants += 1
-        self.stats.wait_cycles += wait
-        return wait
-
-    def reset(self) -> None:
-        self.busy_until = 0
-        self.stats = ArbiterStatistics()
-
-
-@dataclass
 class BusStatistics:
     """Transaction counters and occupancy accounting."""
 
@@ -153,15 +76,8 @@ class BusStatistics:
 class Bus:
     """A shared bus: fixed per-transaction latency plus contention.
 
-    Interference comes from one of two sources:
-
-    * the analytic :class:`ContentionModel` (single-core WCET runs) — a
-      fixed per-transaction charge independent of time, or
-    * a shared :class:`RoundRobinArbiter` (multicore co-simulation) —
-      the *observed* wait at the cycle the transaction is issued.  The
-      arbiter is only consulted when the caller supplies the issue
-      ``cycle``; time-agnostic callers (the fast-path single-core
-      engine) keep the analytic behaviour unchanged.
+    The other cores' interference is the analytic :class:`ContentionModel`
+    charge, added to every transaction.
     """
 
     def __init__(
@@ -170,35 +86,23 @@ class Bus:
         request_latency: int = 2,
         transfer_latency: int = 4,
         contention: ContentionModel | None = None,
-        arbiter: RoundRobinArbiter | None = None,
-        master_id: int = 0,
     ) -> None:
         self.request_latency = request_latency
         self.transfer_latency = transfer_latency
         self.contention = contention or ContentionModel()
-        self.arbiter = arbiter
-        self.master_id = master_id
         self.stats = BusStatistics()
 
-    def transaction_cycles(self, kind: str = "line", *, cycle: Optional[int] = None) -> int:
+    def transaction_cycles(self, kind: str = "line") -> int:
         """Latency of one bus transaction including interference.
 
         ``kind`` is ``"line"`` for a cache-line transfer (miss fill or
         dirty write-back) and ``"word"`` for a single-word write-through
         store; the word case only pays the request plus one beat.
-        ``cycle`` is the issue cycle; it is required for arbiter-backed
-        (co-simulated) buses and ignored otherwise.
         """
         if kind == "word":
             duration = self.request_latency + max(1, self.transfer_latency // 4)
         else:
             duration = self.request_latency + self.transfer_latency
-        if self.arbiter is not None and cycle is not None:
-            contention = self.arbiter.acquire(self.master_id, cycle, duration)
-        else:
-            contention = self.contention.delay()
+        contention = self.contention.delay()
         self.stats.record(kind, duration + contention, contention)
         return duration + contention
-
-    def reset_statistics(self) -> None:
-        self.stats = BusStatistics()

@@ -82,12 +82,10 @@ class MemoryHierarchyConfig:
       off-chip memory.
     * ``bus_contenders`` / ``bus_contention_mode`` — interference from
       the other cores of the SoC (see :class:`repro.memory.bus.Bus`).
-    * ``bus_slot_cycles`` — length of one round-robin arbitration slot.
-      This is the single source of truth for both interference models:
-      the analytic :class:`~repro.memory.bus.ContentionModel` charge and
-      the co-simulation arbiter's per-request clamp are derived from it,
-      which is what keeps ``co-simulated <= worst analytic`` sound for
-      non-default slot lengths.
+    * ``bus_slot_cycles`` — length of one round-robin arbitration slot;
+      the :class:`~repro.memory.bus.ContentionModel` charges
+      ``contenders * bus_slot_cycles`` per transaction in the ``worst``
+      mode and half of that in the ``average`` mode.
     """
 
     l1d: CacheConfig = field(

@@ -2,9 +2,11 @@
 
 The :class:`MemoryHierarchy` is what the timing pipeline talks to.  It
 owns the private L1 instruction and data caches and the store/write
-buffer of one core, and it references the (possibly shared) bus, L2 and
-main memory.  All methods return *latencies in cycles*; the pipeline is
-responsible for scheduling them into stage occupancy.
+buffer of one core, plus the bus, L2 and main memory behind them (the
+other cores' share of the bus is the analytic contention charge).  All
+methods return *latencies in cycles*; the pipeline is responsible for
+scheduling them into stage occupancy.  No accessor takes a cycle: the
+outcomes depend only on the sequence of accesses.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.ecc.codec import EccCode
 from repro.memory.bus import Bus, ContentionModel
 from repro.memory.cache import SetAssociativeCache
 from repro.memory.config import MemoryHierarchyConfig, WritePolicy
@@ -39,39 +40,20 @@ class DataAccessOutcome:
 
 
 class MemoryHierarchy:
-    """Private L1s + write buffer, backed by a shared bus/L2/memory."""
+    """Private L1s + write buffer, backed by a bus, L2 and memory."""
 
     def __init__(
         self,
         config: MemoryHierarchyConfig,
         *,
-        bus: Optional[Bus] = None,
-        l2: Optional[SharedL2Cache] = None,
-        memory: Optional[MainMemory] = None,
         write_buffer_entries: int = 4,
-        dl1_ecc_code: Optional[EccCode] = None,
-        core_id: int = 0,
-        l2_address_offset: int = 0,
-        track_l2_master: bool = False,
     ) -> None:
         self.config = config
-        #: Identifies this core in shared-L2 accounting (co-simulation).
-        self.core_id = core_id
-        #: Offset applied to addresses presented to a *shared* L2 so that
-        #: different cores' identical virtual layouts do not alias to the
-        #: same lines (each task owns a distinct physical region).  Zero
-        #: for private (single-core / partitioned) hierarchies.
-        self.l2_address_offset = l2_address_offset
-        #: Master id passed to the L2 for per-core attribution, or
-        #: ``None`` to skip the accounting entirely — the default, so
-        #: single-core runs (the optimized campaign hot path) pay nothing
-        #: for a feature only shared-L2 co-simulations read.
-        self.l2_master = core_id if track_l2_master else None
-        self.memory = memory or MainMemory(access_latency=config.memory_latency)
-        self.l2 = l2 or SharedL2Cache(
+        self.memory = MainMemory(access_latency=config.memory_latency)
+        self.l2 = SharedL2Cache(
             config.l2, self.memory, hit_latency=config.l2_hit_latency
         )
-        self.bus = bus or Bus(
+        self.bus = Bus(
             request_latency=config.bus_request_latency,
             transfer_latency=config.bus_transfer_latency,
             contention=ContentionModel(
@@ -80,42 +62,34 @@ class MemoryHierarchy:
                 mode=config.bus_contention_mode,
             ),
         )
-        self.l1d = SetAssociativeCache(config.l1d, ecc_code=dl1_ecc_code)
+        self.l1d = SetAssociativeCache(config.l1d)
         self.l1i = SetAssociativeCache(config.l1i)
         self.write_buffer = WriteBuffer(capacity=write_buffer_entries)
 
     # ------------------------------------------------------------------ #
     # instruction side                                                   #
     # ------------------------------------------------------------------ #
-    def instruction_fetch_cycles(self, pc: int, *, cycle: Optional[int] = None) -> int:
-        """Extra fetch cycles beyond the single-cycle L1I hit (0 on a hit).
-
-        ``cycle`` is the issue cycle of the fetch; it is only needed when
-        the bus is backed by the co-simulation arbiter and is ignored by
-        the analytic contention model.
-        """
+    def instruction_fetch_cycles(self, pc: int) -> int:
+        """Extra fetch cycles beyond the single-cycle L1I hit (0 on a hit)."""
         result = self.l1i.access(pc, is_write=False)
         if result.hit:
             return 0
-        line_address = self.l1i.line_address(pc) + self.l2_address_offset
-        return self.bus.transaction_cycles("line", cycle=cycle) + self.l2.access_cycles(
-            line_address, master=self.l2_master
+        return self.bus.transaction_cycles("line") + self.l2.access_cycles(
+            self.l1i.line_address(pc)
         )
 
     # ------------------------------------------------------------------ #
     # data side                                                          #
     # ------------------------------------------------------------------ #
-    def load_access(self, address: int, *, cycle: Optional[int] = None) -> DataAccessOutcome:
+    def load_access(self, address: int) -> DataAccessOutcome:
         """Timing of one load (hit/miss decision plus miss penalty)."""
         result = self.l1d.access(address, is_write=False)
         if result.hit:
             return DataAccessOutcome(hit=True)
-        extra = self._miss_penalty(
-            address, result.writeback, result.writeback_address, cycle=cycle
-        )
+        extra = self._miss_penalty(address, result.writeback, result.writeback_address)
         return DataAccessOutcome(hit=False, extra_cycles=extra, caused_writeback=result.writeback)
 
-    def store_access(self, address: int, *, cycle: Optional[int] = None) -> DataAccessOutcome:
+    def store_access(self, address: int) -> DataAccessOutcome:
         """Timing of one store as seen by the write buffer.
 
         Write-back DL1: a store hit drains in a single DL1 cycle; a store
@@ -129,7 +103,7 @@ class MemoryHierarchy:
             if result.hit:
                 return DataAccessOutcome(hit=True, store_drain_latency=1)
             extra = self._miss_penalty(
-                address, result.writeback, result.writeback_address, cycle=cycle
+                address, result.writeback, result.writeback_address
             )
             return DataAccessOutcome(
                 hit=False,
@@ -138,10 +112,7 @@ class MemoryHierarchy:
             )
         # Write-through: the DL1 lookup only decides whether the line is
         # also updated locally; the drain always pays a bus + L2 word write.
-        drain = (
-            self.bus.transaction_cycles("word", cycle=cycle)
-            + self.config.store_through_latency
-        )
+        drain = self.bus.transaction_cycles("word") + self.config.store_through_latency
         return DataAccessOutcome(hit=result.hit, store_drain_latency=drain)
 
     def _miss_penalty(
@@ -149,40 +120,20 @@ class MemoryHierarchy:
         address: int,
         writeback: bool,
         writeback_address: Optional[int],
-        cycle: Optional[int] = None,
     ) -> int:
-        line_address = self.l1d.line_address(address) + self.l2_address_offset
-        cycles = self.bus.transaction_cycles("line", cycle=cycle)
-        cycles += self.l2.access_cycles(line_address, master=self.l2_master)
+        cycles = self.bus.transaction_cycles("line")
+        cycles += self.l2.access_cycles(self.l1d.line_address(address))
         if writeback and writeback_address is not None:
             # Dirty victim: the write-back occupies the bus and the L2
             # write port before the fill can complete (no write buffer
             # between L1 and L2 in this simple model).
-            wb_cycle = None if cycle is None else cycle + cycles
-            cycles += self.bus.transaction_cycles("line", cycle=wb_cycle)
-            cycles += (
-                self.l2.access_cycles(
-                    writeback_address + self.l2_address_offset,
-                    is_write=True,
-                    master=self.l2_master,
-                )
-                // 2
-            )
+            cycles += self.bus.transaction_cycles("line")
+            cycles += self.l2.access_cycles(writeback_address, is_write=True) // 2
         return cycles
 
     # ------------------------------------------------------------------ #
-    # maintenance                                                        #
+    # statistics                                                         #
     # ------------------------------------------------------------------ #
-    def warm_up_instruction(self, pc: int) -> None:
-        """Pre-load the L1I line holding ``pc`` (used for warm-start runs)."""
-        self.l1i.access(pc, is_write=False)
-
-    def reset_statistics(self) -> None:
-        self.l1d.stats.__init__()
-        self.l1i.stats.__init__()
-        self.bus.reset_statistics()
-        self.write_buffer.reset()
-
     def dl1_statistics(self):
         return self.l1d.stats
 

@@ -4,11 +4,16 @@ The L2 is unified, SECDED-protected (per the paper's baseline platform)
 and shared between the four cores of the NGMP.  Because the SECDED check
 is folded into the already multi-cycle L2 access, the paper treats its
 latency impact as negligible; we simply include it in ``hit_latency``.
+
+Each simulated core gets its own instance: the model times one core's
+requests, and the other cores appear only as the analytic bus
+contention charge (:class:`repro.memory.bus.ContentionModel`), not as
+L2 traffic.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.ecc.codec import EccCode
 from repro.memory.cache import ArmedFault, SetAssociativeCache
@@ -17,13 +22,7 @@ from repro.memory.main_memory import MainMemory
 
 
 class SharedL2Cache:
-    """Unified second-level cache backed by main memory.
-
-    When the co-simulation shares one instance between several cores the
-    ``master`` argument attributes each access (and each miss) to the
-    core that issued it, so inter-core storage interference can be
-    quantified per task.
-    """
+    """Unified second-level cache backed by main memory."""
 
     def __init__(
         self,
@@ -36,20 +35,12 @@ class SharedL2Cache:
         self.cache = SetAssociativeCache(config, ecc_code=ecc_code)
         self.memory = memory
         self.hit_latency = hit_latency
-        self.accesses_by_master: Dict[int, int] = {}
-        self.misses_by_master: Dict[int, int] = {}
 
-    def access_cycles(
-        self, address: int, *, is_write: bool = False, master: Optional[int] = None
-    ) -> int:
+    def access_cycles(self, address: int, *, is_write: bool = False) -> int:
         """Cycles spent in the L2 (and memory, on an L2 miss) for a request."""
         result = self.cache.access(address, is_write=is_write)
         cycles = self.hit_latency
-        if master is not None:
-            self.accesses_by_master[master] = self.accesses_by_master.get(master, 0) + 1
         if result.miss:
-            if master is not None:
-                self.misses_by_master[master] = self.misses_by_master.get(master, 0) + 1
             cycles += self.memory.access_cycles(address)
             if result.writeback and result.writeback_address is not None:
                 # Dirty L2 victim: charge the memory write (no row reuse

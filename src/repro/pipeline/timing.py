@@ -43,13 +43,6 @@ The original loop is preserved verbatim as
 regression suite proves both engines produce identical cycle counts,
 stall breakdowns and chronograms on every kernel under every policy.
 
-A third form, :meth:`TimingPipeline.step_instructions`, exposes the same
-schedule as a per-instruction generator with cycle-stamped memory
-accesses — the stepping hook the multicore co-simulation
-(:mod:`repro.soc.cosim`) drives in lockstep against a shared round-robin
-bus arbiter.  It too is proven cycle-identical to :meth:`run` for
-private (arbiter-less) hierarchies.
-
 Unlike the seed engine, :meth:`TimingPipeline.run` does not mutate the
 shared :class:`~repro.memory.hierarchy.MemoryHierarchy`: the configured
 write-buffer capacity is passed explicitly into every push instead of
@@ -176,10 +169,9 @@ class TimingPipeline:
     def _build_infos(self, stream):
         """Stream-aligned list of memoised per-static-instruction infos.
 
-        Shared by :meth:`run` and :meth:`step_instructions`: one info
-        tuple per static instruction, materialised per dynamic index so
-        the dependent-load scan can look ahead without re-deriving
-        operand sets.
+        One info tuple per static instruction, materialised per dynamic
+        index so the dependent-load scan of :meth:`run` can look ahead
+        without re-deriving operand sets.
         """
         config = self.config
         info_cache: Dict[int, tuple] = {}
@@ -197,57 +189,6 @@ class TimingPipeline:
                 info_cache[key] = info
             infos_append(info)
         return infos
-
-    @staticmethod
-    def _write_back_stats(
-        stats,
-        instructions,
-        cycles,
-        n_loads,
-        n_stores,
-        n_branches,
-        n_taken,
-        n_load_hits,
-        n_load_misses,
-        n_dep_loads,
-        n_dep1,
-        n_dep2,
-        st_operand,
-        st_load_use,
-        st_ecc_wait,
-        st_mem_struct,
-        st_dl1_miss,
-        st_wb_full,
-        st_wb_drain,
-        st_redirect,
-        st_icache,
-    ) -> None:
-        """Flush the scheduling loop's local accumulators into ``stats``.
-
-        Shared by :meth:`run` and :meth:`step_instructions` so the two
-        live engines cannot drift in what they report.
-        """
-        stats.instructions = instructions
-        stats.cycles = cycles
-        stats.loads = n_loads
-        stats.stores = n_stores
-        stats.branches = n_branches
-        stats.taken_branches = n_taken
-        stats.load_hits = n_load_hits
-        stats.load_misses = n_load_misses
-        stats.dependent_loads = n_dep_loads
-        stats.dependent_load_distance_1 = n_dep1
-        stats.dependent_load_distance_2 = n_dep2
-        stalls = stats.stalls
-        stalls.operand_wait = st_operand
-        stalls.load_use_wait = st_load_use
-        stalls.ecc_wait = st_ecc_wait
-        stalls.memory_structural = st_mem_struct
-        stalls.dl1_miss = st_dl1_miss
-        stalls.write_buffer_full = st_wb_full
-        stalls.write_buffer_drain = st_wb_drain
-        stalls.branch_redirect = st_redirect
-        stalls.icache_miss = st_icache
 
     def run(self, trace: FunctionalTrace) -> PipelineResult:
         """Time the whole ``trace`` and return the collected results."""
@@ -553,337 +494,27 @@ class TimingPipeline:
             prev_lookahead = lookahead_taken
 
         # Write the local accumulators back into the stats objects ------- #
-        self._write_back_stats(
-            stats,
-            n,
-            last_retire,
-            n_loads,
-            n_stores,
-            n_branches,
-            n_taken,
-            n_load_hits,
-            n_load_misses,
-            n_dep_loads,
-            n_dep1,
-            n_dep2,
-            st_operand,
-            st_load_use,
-            st_ecc_wait,
-            st_mem_struct,
-            st_dl1_miss,
-            st_wb_full,
-            st_wb_drain,
-            st_redirect,
-            st_icache,
-        )
-        dl1 = hierarchy.dl1_statistics()
-        return PipelineResult(
-            policy=policy,
-            stats=stats,
-            chronogram=chronogram,
-            dl1_stats=dl1.as_dict(),
-            bus_transactions=hierarchy.bus.stats.transactions,
-            bus_contention_cycles=hierarchy.bus.stats.contention_cycles,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Per-instruction stepping (multicore co-simulation hook)            #
-    # ------------------------------------------------------------------ #
-    def step_instructions(self, trace: FunctionalTrace):
-        """Generator form of :meth:`run` for lockstep co-simulation.
-
-        Implements the same dependency-driven schedule, but
-
-        * every memory-hierarchy access carries its issue *cycle*, so a
-          bus backed by a shared :class:`~repro.memory.bus.RoundRobinArbiter`
-          can charge the observed (rather than assumed) interference, and
-        * the generator yields the pipeline's memory-stage frontier after
-          scheduling each instruction, letting the co-simulation driver
-          advance whichever core is earliest in simulated time.
-
-        With a private (arbiter-less) hierarchy this produces cycle counts
-        and stall breakdowns identical to :meth:`run` — the regression
-        suite asserts it on every kernel under every policy.  The final
-        :class:`PipelineResult` is the generator's return value
-        (``StopIteration.value``).
-        """
-        policy = self.policy
-        config = self.config
-        hierarchy = self.hierarchy
-        write_buffer = hierarchy.write_buffer
-        wb_capacity = config.write_buffer_entries
-
-        stats = PipelineStatistics()
-        lookahead_stats = self.lookahead_unit.stats
-        stats.lookahead = lookahead_stats
-        chronogram = Chronogram()
-
-        has_ecc_stage = policy.has_ecc_stage
-        supports_lookahead = policy.supports_lookahead
-        load_hit_cycles = policy.load_hit_memory_cycles
-        taken_branch_penalty = config.taken_branch_penalty
-        indirect_branch_penalty = config.indirect_branch_penalty
-
-        reg_ready = [0] * REGISTER_COUNT
-        reg_by_load = [False] * REGISTER_COUNT
-        reg_via_ecc = [False] * REGISTER_COUNT
-
-        pe_decode = pe_ra = pe_ex = pe_mem = pe_ecc = pe_xc = pe_wb = 0
-        cc_ready = 0
-        fetch_free = 0
-        redirect_cycle = 1
-        prev_is_load = False
-        prev_dest: Optional[int] = None
-        prev_lookahead = False
-        last_retire = 0
-
-        n_loads = n_stores = n_branches = n_taken = 0
-        n_load_hits = n_load_misses = 0
-        n_dep_loads = n_dep1 = n_dep2 = 0
-        st_operand = st_load_use = st_ecc_wait = st_mem_struct = 0
-        st_dl1_miss = st_wb_full = st_wb_drain = st_redirect = st_icache = 0
-
-        stream = trace.instructions
-        n = len(stream)
-        record_window = config.chronogram_window
-        infos = self._build_infos(stream)
-
-        for i in range(n):
-            dyn = stream[i]
-            (
-                is_load,
-                is_store,
-                sources,
-                destination,
-                addr_regs,
-                reads_cc,
-                sets_cc,
-                ex_extra,
-                kind,
-            ) = infos[i]
-
-            # Fetch ------------------------------------------------------ #
-            sequential_start = fetch_free + 1
-            if redirect_cycle > sequential_start:
-                f_start = redirect_cycle
-                st_redirect += redirect_cycle - sequential_start
-            else:
-                f_start = sequential_start
-            icache_extra = hierarchy.instruction_fetch_cycles(dyn.pc, cycle=f_start)
-            if icache_extra:
-                st_icache += icache_extra
-                f_end = f_start + icache_extra
-            else:
-                f_end = f_start
-            fetch_free = f_end
-
-            # Decode / Register access ----------------------------------- #
-            d_end = f_end + 1 if f_end >= pe_decode else pe_decode + 1
-            pe_decode = d_end
-            ra_end = d_end + 1 if d_end >= pe_ra else pe_ra + 1
-            pe_ra = ra_end
-
-            # Execute ---------------------------------------------------- #
-            ex_start = ra_end + 1 if ra_end >= pe_ex else pe_ex + 1
-            source_ready = 0
-            limiting = -1
-            for reg in sources:
-                ready = reg_ready[reg]
-                if ready > source_ready:
-                    source_ready = ready
-                    limiting = reg
-            if reads_cc and cc_ready > source_ready:
-                source_ready = cc_ready
-                limiting = -1
-            if source_ready >= ex_start:
-                exec_cycle = source_ready + 1
-                wait = exec_cycle - ex_start
-                if limiting >= 0 and reg_by_load[limiting]:
-                    if reg_via_ecc[limiting]:
-                        st_ecc_wait += 1
-                        st_load_use += wait - 1
-                    else:
-                        st_load_use += wait
-                else:
-                    st_operand += wait
-            else:
-                exec_cycle = ex_start
-            ex_end = exec_cycle + ex_extra
-            pe_ex = ex_end
-
-            # LAEC look-ahead -------------------------------------------- #
-            lookahead_taken = False
-            if supports_lookahead and is_load:
-                address_ready = 0
-                for reg in addr_regs:
-                    ready = reg_ready[reg]
-                    if ready > address_ready:
-                        address_ready = ready
-                data_hazard = prev_dest is not None and prev_dest in addr_regs
-                resource_hazard = prev_is_load and not prev_lookahead
-                operands_late = address_ready > exec_cycle - 2
-                lookahead_taken = not (
-                    data_hazard or resource_hazard or operands_late
-                )
-                lookahead_stats.record(
-                    LookaheadDecision(
-                        taken=lookahead_taken,
-                        data_hazard=data_hazard,
-                        resource_hazard=resource_hazard,
-                        operands_late=operands_late,
-                    )
-                )
-
-            # Memory ----------------------------------------------------- #
-            unconstrained_m = ex_end + 1
-            if pe_mem >= unconstrained_m:
-                m_start = pe_mem + 1
-                st_mem_struct += m_start - unconstrained_m
-            else:
-                m_start = unconstrained_m
-            m_occupancy = 1
-            load_hit = False
-            if is_load:
-                n_loads += 1
-                drain_until = write_buffer.drain_complete_time(m_start)
-                if drain_until > m_start:
-                    st_wb_drain += drain_until - m_start
-                    write_buffer.record_load_wait(drain_until - m_start)
-                    m_start = drain_until
-                outcome = hierarchy.load_access(dyn.address, cycle=m_start)
-                if outcome.hit:
-                    load_hit = True
-                    n_load_hits += 1
-                    m_occupancy = load_hit_cycles
-                else:
-                    n_load_misses += 1
-                    extra = outcome.extra_cycles
-                    m_occupancy = 1 + extra
-                    st_dl1_miss += extra
-            elif is_store:
-                n_stores += 1
-                outcome = hierarchy.store_access(dyn.address, cycle=m_start)
-                stalled_until = write_buffer.push(
-                    m_start, outcome.store_drain_latency, wb_capacity
-                )
-                if stalled_until > m_start:
-                    st_wb_full += stalled_until - m_start
-                    m_start = stalled_until
-            m_end = m_start + m_occupancy - 1
-            pe_mem = m_end
-
-            # ECC stage -------------------------------------------------- #
-            if has_ecc_stage and (
-                not supports_lookahead or (is_load and load_hit and not lookahead_taken)
-            ):
-                uses_ecc_stage = True
-                ecc_end = m_end + 1 if m_end >= pe_ecc else pe_ecc + 1
-                pe_ecc = ecc_end
-                before_xc = ecc_end
-            else:
-                uses_ecc_stage = False
-                ecc_end = 0
-                before_xc = m_end
-
-            # Exception / Write-back ------------------------------------- #
-            xc_end = before_xc + 1 if before_xc >= pe_xc else pe_xc + 1
-            pe_xc = xc_end
-            wb_end = xc_end + 1 if xc_end >= pe_wb else pe_wb + 1
-            pe_wb = wb_end
-            if wb_end > last_retire:
-                last_retire = wb_end
-
-            # Result availability ---------------------------------------- #
-            if destination is not None:
-                if is_load:
-                    if load_hit and uses_ecc_stage:
-                        reg_ready[destination] = ecc_end
-                        reg_via_ecc[destination] = True
-                    else:
-                        reg_ready[destination] = m_end
-                        reg_via_ecc[destination] = False
-                    reg_by_load[destination] = True
-                else:
-                    reg_ready[destination] = ex_end
-                    reg_by_load[destination] = False
-                    reg_via_ecc[destination] = False
-            if sets_cc:
-                cc_ready = ex_end
-
-            # Control flow ----------------------------------------------- #
-            if kind:
-                if kind == _KIND_BRANCH:
-                    n_branches += 1
-                    if dyn.branch_taken:
-                        n_taken += 1
-                        redirect_cycle = f_end + 1 + taken_branch_penalty
-                    else:
-                        redirect_cycle = f_end + 1
-                elif kind == _KIND_CALL:
-                    redirect_cycle = f_end + 1 + taken_branch_penalty
-                else:  # _KIND_JUMP
-                    redirect_cycle = f_end + 1 + indirect_branch_penalty
-            else:
-                redirect_cycle = f_end + 1
-
-            # Table II accounting ---------------------------------------- #
-            if is_load and destination is not None:
-                follower = i + 1
-                if follower < n:
-                    f_info = infos[follower]
-                    if destination in f_info[2]:
-                        n_dep_loads += 1
-                        n_dep1 += 1
-                    elif f_info[3] != destination:
-                        follower += 1
-                        if follower < n and destination in infos[follower][2]:
-                            n_dep_loads += 1
-                            n_dep2 += 1
-
-            # Chronogram recording --------------------------------------- #
-            if i < record_window:
-                entry = ChronogramEntry(index=i, label=dyn.instruction.render())
-                occupancy = entry.occupancy
-                occupancy[Stage.FETCH] = (f_start, f_end)
-                occupancy[Stage.DECODE] = (d_end, d_end)
-                occupancy[Stage.REGISTER_ACCESS] = (ra_end, ra_end)
-                occupancy[Stage.EXECUTE] = (ex_start, ex_end)
-                occupancy[Stage.MEMORY] = (m_start, m_end)
-                if uses_ecc_stage:
-                    occupancy[Stage.ECC] = (ecc_end, ecc_end)
-                occupancy[Stage.EXCEPTION] = (xc_end, xc_end)
-                occupancy[Stage.WRITE_BACK] = (wb_end, wb_end)
-                chronogram.add(entry)
-
-            prev_is_load = is_load
-            prev_dest = destination
-            prev_lookahead = lookahead_taken
-
-            yield pe_mem
-
-        self._write_back_stats(
-            stats,
-            n,
-            last_retire,
-            n_loads,
-            n_stores,
-            n_branches,
-            n_taken,
-            n_load_hits,
-            n_load_misses,
-            n_dep_loads,
-            n_dep1,
-            n_dep2,
-            st_operand,
-            st_load_use,
-            st_ecc_wait,
-            st_mem_struct,
-            st_dl1_miss,
-            st_wb_full,
-            st_wb_drain,
-            st_redirect,
-            st_icache,
-        )
+        stats.instructions = n
+        stats.cycles = last_retire
+        stats.loads = n_loads
+        stats.stores = n_stores
+        stats.branches = n_branches
+        stats.taken_branches = n_taken
+        stats.load_hits = n_load_hits
+        stats.load_misses = n_load_misses
+        stats.dependent_loads = n_dep_loads
+        stats.dependent_load_distance_1 = n_dep1
+        stats.dependent_load_distance_2 = n_dep2
+        stalls = stats.stalls
+        stalls.operand_wait = st_operand
+        stalls.load_use_wait = st_load_use
+        stalls.ecc_wait = st_ecc_wait
+        stalls.memory_structural = st_mem_struct
+        stalls.dl1_miss = st_dl1_miss
+        stalls.write_buffer_full = st_wb_full
+        stalls.write_buffer_drain = st_wb_drain
+        stalls.branch_redirect = st_redirect
+        stalls.icache_miss = st_icache
         dl1 = hierarchy.dl1_statistics()
         return PipelineResult(
             policy=policy,

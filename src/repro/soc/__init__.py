@@ -11,22 +11,16 @@ store onto the shared bus, which inflates worst-case execution time
 shared bus/L2 parameters, and models inter-core interference through the
 bus contention model (none / average / worst-case round-robin round),
 which is the abstraction measurement-based WCET analyses use for this
-class of arbiter.  :mod:`repro.soc.cosim` complements the analytic model
-with a cycle-level lockstep co-simulation of all cores against an actual
-shared round-robin arbiter.
+class of arbiter.
 """
 
 from repro.soc.ngmp import NgmpConfig, NgmpSoC, TaskPlacement
 from repro.soc.interference import InterferenceScenario, contention_modes
-from repro.soc.cosim import CoreSimOutcome, CoSimulationResult, co_simulate
 
 __all__ = [
-    "CoSimulationResult",
-    "CoreSimOutcome",
     "InterferenceScenario",
     "NgmpConfig",
     "NgmpSoC",
     "TaskPlacement",
-    "co_simulate",
     "contention_modes",
 ]

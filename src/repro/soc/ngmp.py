@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Union
 
 from repro.core.policies import EccPolicy, EccPolicyKind
 from repro.isa.program import Program
@@ -21,17 +21,6 @@ class NgmpConfig:
     cores: int = 4
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     hierarchy: MemoryHierarchyConfig = field(default_factory=MemoryHierarchyConfig)
-
-    @property
-    def bus_slot_cycles(self) -> int:
-        """Round-robin slot length (cycles).
-
-        Read from the hierarchy config, which is the single source of
-        truth shared by the analytic contention model and the
-        co-simulation arbiter — so the two interference models can never
-        disagree about the per-transaction round-robin bound.
-        """
-        return self.hierarchy.bus_slot_cycles
 
     def core_config(
         self,
@@ -59,20 +48,14 @@ class TaskPlacement:
 class NgmpSoC:
     """A 4-core NGMP-like system.
 
-    Two complementary evaluation modes are offered:
-
-    * ``run_task`` mirrors the paper's methodology: one task of interest
-      runs on one core and the other cores are represented by the
-      analytic bus contention model (the abstraction measurement-based
-      WCET bounds for round-robin buses are constructed from).  It
-      returns the full single-core
-      :class:`~repro.simulation.SimulationResult` with the configured
-      interference applied to every bus transaction.
-    * ``co_simulate`` steps all placed tasks cycle-level in lockstep
-      against a shared round-robin bus arbiter (and optionally a truly
-      shared L2), observing interference instead of assuming it; per
-      task the observed cycles always fall between the ``isolation`` and
-      ``worst`` analytic bounds of :meth:`wcet_estimate`.
+    Mirrors the paper's methodology: one task of interest runs on one
+    core and the other cores are represented by the analytic bus
+    contention model (the abstraction measurement-based WCET bounds for
+    round-robin buses are constructed from).  :meth:`run_task` returns
+    the full single-core :class:`~repro.simulation.SimulationResult`
+    with the configured interference applied to every bus transaction;
+    :meth:`wcet_estimate` runs it under the isolation, average and
+    worst scenarios.
     """
 
     def __init__(self, config: Optional[NgmpConfig] = None) -> None:
@@ -116,34 +99,6 @@ class NgmpSoC:
         """Run one task under the given (analytic) interference scenario."""
         spec = self.build_spec(placement, scenario=scenario)
         return simulate_spec(spec, program=placement.program, trace=trace)
-
-    def co_simulate(
-        self,
-        placements: Sequence[TaskPlacement],
-        *,
-        shared_l2: bool = False,
-        max_instructions: int = 5_000_000,
-        traces=None,
-    ):
-        """Cycle-level lockstep co-simulation of all placed tasks.
-
-        All tasks run concurrently against one shared round-robin bus
-        arbiter (and, with ``shared_l2=True``, one truly shared L2); see
-        :mod:`repro.soc.cosim` for the model and its relationship to the
-        analytic bounds of :meth:`wcet_estimate`.  Supports mixed
-        per-core ECC policies and heterogeneous programs.  Returns a
-        :class:`repro.soc.cosim.CoSimulationResult`.
-        """
-        # Imported lazily: cosim imports this module at load time.
-        from repro.soc.cosim import co_simulate
-
-        return co_simulate(
-            self.config,
-            placements,
-            shared_l2=shared_l2,
-            max_instructions=max_instructions,
-            traces=traces,
-        )
 
     # ------------------------------------------------------------------ #
     def wcet_estimate(

@@ -1,8 +1,8 @@
 """Validation of trace-file records against the ``repro-trace/1`` schema.
 
 Hand-rolled field checks (stdlib only — the repo bakes in no JSON-schema
-library) used two ways: the CI ``telemetry-smoke`` job validates every
-line a traced campaign emits, and ``python -m repro trace --validate``
+library) used two ways: the test suite validates every line a traced
+campaign emits, and ``python -m repro trace --validate``
 gives the same check to users.  :data:`RECORD_SCHEMAS` doubles as the
 machine-readable description of the trace format for the docs.
 """

@@ -4,9 +4,8 @@ For every kernel x policy combination the analytic interference
 scenarios must order the observed cycle counts: adding (more
 pessimistic) bus contention can never speed a task up.  This is the
 property that makes the ``worst`` scenario a sound measurement-based
-WCET bound for the round-robin arbiter — and the co-simulation tests
-(`test_cosim.py`) additionally pin the observed multicore behaviour
-inside the same envelope.
+WCET bound for the round-robin arbiter.  The slot length's effect on
+the bounds is pinned in `test_soc.py`.
 """
 
 import pytest

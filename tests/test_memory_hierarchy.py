@@ -49,12 +49,6 @@ class TestBus:
         assert bus.stats.contention_cycles == 10
         assert bus.stats.transactions == 1
 
-    def test_reset_statistics(self):
-        bus = Bus()
-        bus.transaction_cycles()
-        bus.reset_statistics()
-        assert bus.stats.transactions == 0
-
 
 class TestMainMemoryAndL2:
     def test_row_hit_discount(self):
@@ -130,12 +124,6 @@ class TestMemoryHierarchy:
         hierarchy = self._hierarchy()
         text = hierarchy.describe()
         assert "16 KiB" in text and "write-back" in text
-
-    def test_reset_statistics(self):
-        hierarchy = self._hierarchy()
-        hierarchy.load_access(0x40100000)
-        hierarchy.reset_statistics()
-        assert hierarchy.dl1_statistics().accesses == 0
 
     def test_memory_round_trip_consistency(self):
         config = MemoryHierarchyConfig()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.policies import EccPolicyKind
+from repro.memory.config import MemoryHierarchyConfig
 from repro.soc import InterferenceScenario, NgmpConfig, NgmpSoC, TaskPlacement, contention_modes
 from repro.workloads import build_kernel
 
@@ -63,3 +64,12 @@ class TestSoC:
             placement, scenario=InterferenceScenario("worst", 10, "worst")
         )
         assert result.cycles > 0
+
+    def test_longer_bus_slot_raises_only_the_contended_bounds(self, small_program):
+        placement = TaskPlacement(program=small_program, policy=EccPolicyKind.LAEC)
+        default = NgmpSoC().wcet_estimate(placement, contenders=3)
+        long_slot = NgmpSoC(
+            NgmpConfig(hierarchy=MemoryHierarchyConfig(bus_slot_cycles=12))
+        ).wcet_estimate(placement, contenders=3)
+        assert long_slot["worst"] > default["worst"]
+        assert long_slot["isolation"] == default["isolation"]

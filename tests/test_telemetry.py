@@ -330,34 +330,44 @@ class TestDeterministicInertness:
         return rows, quarantine
 
     def test_traced_run_is_byte_identical_to_untraced(self, tmp_path):
-        cfg = config(max_retries=1)
         chaos_spec = "fail@1,fail@4:always"
-
-        plain_store = tmp_path / "plain.sqlite"
-        with ResultStore(plain_store) as store:
-            plain = run_campaign(
-                cfg, store=store, chaos=parse_chaos(chaos_spec)
-            )
-        traced_store = tmp_path / "traced.sqlite"
-        with ResultStore(traced_store) as store:
-            traced = run_campaign(
-                cfg,
-                store=store,
-                chaos=parse_chaos(chaos_spec),
-                telemetry=Telemetry(
-                    tmp_path / "run.trace", progress_interval=0
-                ),
-            )
-        # Summaries byte-identical (including the quarantine footer).
-        assert traced.render() == plain.render()
-        assert traced.quarantined_points == plain.quarantined_points == 1
-        # Every store payload byte-identical, quarantine rows included —
-        # flight-recorder tails carry no timestamps or pids.
-        assert self._store_rows(traced_store) == self._store_rows(plain_store)
-        # And the trace file itself recorded the run.
-        loaded = analyze.TraceFile(tmp_path / "run.trace")
-        assert loaded.validate() == []
-        assert loaded.spans_named("campaign")
+        # One dl1 grid, and a target x scenario sweep over two policies.
+        grids = {
+            "dl1": {},
+            "sweep": dict(
+                policies=("extra-cycle", "no-ecc"),
+                targets=("dl1", "l2"),
+                scenarios=("isolation", "laec-worst"),
+                trials=4,
+                batch=2,
+            ),
+        }
+        for name, grid in grids.items():
+            cfg = config(max_retries=1, **grid)
+            plain_store = tmp_path / f"{name}-plain.sqlite"
+            with ResultStore(plain_store) as store:
+                plain = run_campaign(
+                    cfg, store=store, chaos=parse_chaos(chaos_spec)
+                )
+            traced_store = tmp_path / f"{name}-traced.sqlite"
+            trace_path = tmp_path / f"{name}.trace"
+            with ResultStore(traced_store) as store:
+                traced = run_campaign(
+                    cfg,
+                    store=store,
+                    chaos=parse_chaos(chaos_spec),
+                    telemetry=Telemetry(trace_path, progress_interval=0),
+                )
+            # Summaries byte-identical (including the quarantine footer).
+            assert traced.render() == plain.render(), name
+            assert traced.quarantined_points == plain.quarantined_points == 1
+            # Every store payload byte-identical, quarantine rows included —
+            # flight-recorder tails carry no timestamps or pids.
+            assert self._store_rows(traced_store) == self._store_rows(plain_store)
+            # And the trace file itself recorded the run.
+            loaded = analyze.TraceFile(trace_path)
+            assert loaded.validate() == []
+            assert loaded.spans_named("campaign")
 
     def test_quarantine_payload_carries_the_flight_tail(self):
         result = run_campaign(
@@ -571,6 +581,7 @@ class TestTraceConsumer:
         assert main(["trace", str(path), "--metrics"]) == 0
         out = capsys.readouterr().out
         assert "# TYPE campaign_points_total counter" in out
+        assert "\ncampaign_points_total 6\n" in out
         assert "campaign_phase_seconds_bucket" in out
         # A corrupted file fails validation with a nonzero exit.
         bad = tmp_path / "bad.trace"
