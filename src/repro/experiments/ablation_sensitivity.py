@@ -21,7 +21,6 @@ from typing import Dict, List, Sequence
 
 from repro.analysis.reporting import Table
 from repro.core.policies import EccPolicyKind
-from repro.simulation import SimulationResult, build_hierarchy
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.timing import TimingPipeline
 from repro.core.policies import make_policy
@@ -46,7 +45,9 @@ class SweepPoint:
 def _time_stream(trace, policy_kind: EccPolicyKind, core_config: CoreConfig) -> int:
     policy = make_policy(policy_kind)
     config = core_config.with_policy(policy)
-    pipeline = TimingPipeline(policy, build_hierarchy(config), config.pipeline)
+    pipeline = TimingPipeline(
+        policy, config.resolved_hierarchy_config(), config.pipeline
+    )
     return pipeline.run(trace).cycles
 
 

@@ -11,7 +11,7 @@ outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.functional.memory import FlatMemory
 from repro.isa.instructions import INSTRUCTION_BYTES, Instruction, InstructionClass, Mnemonic
@@ -104,6 +104,13 @@ class FunctionalTrace:
     program_name: str
     instructions: List[DynInstruction] = field(default_factory=list)
     halted: bool = False
+    #: The timing pre-pass caches of :mod:`repro.pipeline.timing`, filled
+    #: on demand; they take no part in equality and are not pickled.
+    static_facts: Dict[tuple, list] = field(default_factory=dict, compare=False, repr=False)
+    memory_tapes: Dict[object, object] = field(default_factory=dict, compare=False, repr=False)
+
+    def __getstate__(self):
+        return {**self.__dict__, "static_facts": {}, "memory_tapes": {}}
 
     def __len__(self) -> int:
         return len(self.instructions)

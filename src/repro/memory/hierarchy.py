@@ -1,12 +1,14 @@
 """Per-core view of the memory hierarchy.
 
-The :class:`MemoryHierarchy` is what the timing pipeline talks to.  It
-owns the private L1 instruction and data caches and the store/write
-buffer of one core, plus the bus, L2 and main memory behind them (the
+The :class:`MemoryHierarchy` owns the private L1 instruction and data
+caches of one core, plus the bus, L2 and main memory behind them (the
 other cores' share of the bus is the analytic contention charge).  All
 methods return *latencies in cycles*; the pipeline is responsible for
-scheduling them into stage occupancy.  No accessor takes a cycle: the
-outcomes depend only on the sequence of accesses.
+scheduling them into stage occupancy, and owns the cycle-dependent
+write buffer.  No accessor takes a cycle: the outcomes depend only on
+the sequence of accesses, which is why the timing engine replays a
+hierarchy once per trace into a memory tape
+(:func:`repro.pipeline.timing.memory_tape`).
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from repro.memory.cache import SetAssociativeCache
 from repro.memory.config import MemoryHierarchyConfig, WritePolicy
 from repro.memory.l2_cache import SharedL2Cache
 from repro.memory.main_memory import MainMemory
-from repro.memory.write_buffer import WriteBuffer
 
 
 @dataclass(frozen=True)
@@ -40,14 +41,9 @@ class DataAccessOutcome:
 
 
 class MemoryHierarchy:
-    """Private L1s + write buffer, backed by a bus, L2 and memory."""
+    """Private L1s backed by a bus, L2 and memory."""
 
-    def __init__(
-        self,
-        config: MemoryHierarchyConfig,
-        *,
-        write_buffer_entries: int = 4,
-    ) -> None:
+    def __init__(self, config: MemoryHierarchyConfig) -> None:
         self.config = config
         self.memory = MainMemory(access_latency=config.memory_latency)
         self.l2 = SharedL2Cache(
@@ -64,7 +60,6 @@ class MemoryHierarchy:
         )
         self.l1d = SetAssociativeCache(config.l1d)
         self.l1i = SetAssociativeCache(config.l1i)
-        self.write_buffer = WriteBuffer(capacity=write_buffer_entries)
 
     # ------------------------------------------------------------------ #
     # instruction side                                                   #

@@ -18,7 +18,7 @@ and time is monotonic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 
 @dataclass
@@ -63,7 +63,7 @@ class WriteBuffer:
             return cycle
         return max(self._completions)
 
-    def push(self, cycle: int, drain_latency: int, capacity: Optional[int] = None) -> int:
+    def push(self, cycle: int, drain_latency: int) -> int:
         """Insert a store at ``cycle``; return the cycle the store's memory
         stage can complete (after any full-buffer back-pressure stall).
 
@@ -71,16 +71,10 @@ class WriteBuffer:
         head of the buffer: a DL1 write for a write-back cache, or a bus +
         L2 transaction for a write-through cache (plus any miss handling
         charged by the hierarchy).
-
-        ``capacity`` optionally overrides :attr:`capacity` for this push
-        only.  The timing pipeline passes its configured entry count here
-        instead of mutating the (potentially shared) buffer object.
         """
-        if capacity is None:
-            capacity = self.capacity
         self._expire(cycle)
         stalled_until = cycle
-        if len(self._completions) >= capacity:
+        if len(self._completions) >= self.capacity:
             # Back-pressure: wait until the buffer fully drains.
             stalled_until = max(self._completions)
             self.stats.full_stalls += 1

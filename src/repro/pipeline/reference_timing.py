@@ -11,10 +11,9 @@ Like the codec references in :mod:`repro.ecc.reference`, nothing on a
 hot path should use this class; it exists for equivalence testing and as
 the baseline the perf harness measures speedups against.
 
-Note: faithfully to the seed, this engine *does* set
-``hierarchy.write_buffer.capacity`` (the shared-state side effect the
-optimized engine no longer has), so always hand it a private
-:class:`~repro.memory.hierarchy.MemoryHierarchy`.
+Unlike the optimized engine, which reads a per-trace memory tape, this
+engine drives a live :class:`~repro.memory.hierarchy.MemoryHierarchy`;
+hand it a fresh hierarchy per run.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from repro.core.policies import DataReadyStage, EccPolicy
 from repro.functional.simulator import DynInstruction, FunctionalTrace
 from repro.isa.instructions import InstructionClass
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.memory.write_buffer import WriteBuffer
 from repro.pipeline.chronogram import Chronogram, ChronogramEntry
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.stages import Stage
@@ -54,8 +54,7 @@ class ReferenceTimingPipeline:
         policy = self.policy
         config = self.config
         hierarchy = self.hierarchy
-        write_buffer = hierarchy.write_buffer
-        write_buffer.capacity = config.write_buffer_entries
+        write_buffer = WriteBuffer(capacity=config.write_buffer_entries)
 
         stats = PipelineStatistics()
         stats.lookahead = self.lookahead_unit.stats

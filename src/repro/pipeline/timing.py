@@ -22,44 +22,38 @@ is cycle-equivalent to stepping stage registers one cycle at a time, but
 it is far easier to instrument (every stall has an identifiable cause)
 and to validate against the paper's chronograms.
 
-This is the *fast-path* engine (see PERFORMANCE.md).  Every experiment
-funnels through :meth:`TimingPipeline.run`, so the scheduling loop is
-written for CPython throughput:
+This is the *fast-path* engine (see PERFORMANCE.md).  What does not
+depend on the ECC policy is computed once per trace and cached on it:
+:func:`static_facts` (operand sets, class and Execute extras per static
+instruction) and :func:`memory_tape` (every fetch, load and store
+outcome of one :class:`~repro.memory.hierarchy.MemoryHierarchy`
+replay — no hierarchy accessor takes a cycle).  :class:`TimingPipeline`
+therefore takes a hierarchy *config*; its loop reads both columns, owns
+a fresh write buffer per run (the one cycle-dependent memory model) and
+keeps register state in lists indexed by register number, stage end
+cycles and statistics in locals, and chronogram entries only inside the
+recording window.
 
-* register ready/producer state lives in three fixed-size lists indexed
-  by architectural register number instead of a dict of status objects;
-* per-stage end cycles are plain local integers instead of a
-  ``Dict[Stage, int]``;
-* the register def/use sets, instruction class and condition-code flags
-  of each *static* instruction are computed once per run and memoised
-  (the seed engine re-derived them — including a sort — per *dynamic*
-  instruction);
-* statistics accumulate in local counters and are written back once;
-* chronogram entries (and their rendered labels) are only materialised
-  inside the configured recording window.
-
-The original loop is preserved verbatim as
-:class:`repro.pipeline.reference_timing.ReferenceTimingPipeline`; the
-regression suite proves both engines produce identical cycle counts,
-stall breakdowns and chronograms on every kernel under every policy.
-
-Unlike the seed engine, :meth:`TimingPipeline.run` does not mutate the
-shared :class:`~repro.memory.hierarchy.MemoryHierarchy`: the configured
-write-buffer capacity is passed explicitly into every push instead of
-being stored on the buffer object.
+The seed loop is preserved verbatim as
+:class:`repro.pipeline.reference_timing.ReferenceTimingPipeline`, which
+drives a live hierarchy; the regression suite proves both engines
+produce identical cycle counts, stall breakdowns and chronograms on
+every kernel and on synthetic streams under every policy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
-from repro.core.lookahead import LookaheadDecision, LookaheadUnit
+from repro.core.lookahead import LookaheadDecision, LookaheadStatistics
 from repro.core.policies import EccPolicy
 from repro.functional.simulator import FunctionalTrace
 from repro.isa.instructions import InstructionClass
 from repro.isa.registers import REGISTER_COUNT
+from repro.memory.config import MemoryHierarchyConfig
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.memory.write_buffer import WriteBuffer
 from repro.pipeline.chronogram import Chronogram, ChronogramEntry
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.stages import Stage
@@ -109,11 +103,138 @@ class _RegisterStatus:
     via_ecc_stage: bool = False
 
 
-# Control-flow kinds precomputed per static instruction (see _instr_info).
+# Control-flow kinds precomputed per static instruction (see _static_info).
 _KIND_OTHER = 0
 _KIND_BRANCH = 1
 _KIND_CALL = 2
 _KIND_JUMP = 3
+
+
+# ---------------------------------------------------------------------- #
+# Policy-independent pre-pass                                            #
+# ---------------------------------------------------------------------- #
+def _static_info(instr, mul_extra: int, div_extra: int) -> tuple:
+    """Flatten the facts of one static instruction the scheduling loop needs."""
+    klass = instr.klass
+    if klass is InstructionClass.MUL:
+        ex_extra = mul_extra
+    elif klass is InstructionClass.DIV:
+        ex_extra = div_extra
+    else:
+        ex_extra = 0
+    if klass is InstructionClass.BRANCH:
+        kind = _KIND_BRANCH
+    elif klass is InstructionClass.CALL:
+        kind = _KIND_CALL
+    elif klass is InstructionClass.JUMP:
+        kind = _KIND_JUMP
+    else:
+        kind = _KIND_OTHER
+    return (
+        instr.is_load,
+        instr.is_store,
+        instr.source_registers(),
+        instr.destination_register(),
+        instr.address_registers(),
+        instr.reads_condition_codes,
+        instr.sets_condition_codes,
+        ex_extra,
+        kind,
+    )
+
+
+def static_facts(trace: FunctionalTrace, mul_latency: int, div_latency: int) -> List[tuple]:
+    """One shared fact tuple per dynamic instruction (cached on ``trace``).
+
+    The memo falls back from the instruction object to its operand
+    fields, all that :func:`_static_info` reads, so streams that build
+    one ``Instruction`` per dynamic instance (the synthetic generator)
+    still derive each distinct shape once.
+    """
+    key = (mul_latency, div_latency)
+    facts = trace.static_facts.get(key)
+    if facts is not None:
+        return facts
+    mul_extra = mul_latency - 1
+    div_extra = div_latency - 1
+    by_object: Dict[int, tuple] = {}
+    by_operands: Dict[tuple, tuple] = {}
+    facts = []
+    append = facts.append
+    for dyn in trace.instructions:
+        instr = dyn.instruction
+        info = by_object.get(id(instr))
+        if info is None:
+            operands = (instr.mnemonic, instr.rd, instr.rs1, instr.rs2, instr.uses_imm)
+            info = by_operands.get(operands)
+            if info is None:
+                info = by_operands[operands] = _static_info(instr, mul_extra, div_extra)
+            by_object[id(instr)] = info
+        append(info)
+    trace.static_facts[key] = facts
+    return facts
+
+
+@dataclass
+class MemoryTape:
+    """Hierarchy outcomes of one trace under one hierarchy configuration.
+
+    ``fetch_extra[i]`` is instruction *i*'s fetch cycles beyond an L1I
+    hit.  ``data[i]`` is, for a load, ``-1`` on a DL1 hit and the miss
+    penalty otherwise; for a store, its write-buffer drain latency; 0
+    for everything else.
+    """
+
+    fetch_extra: List[int]
+    data: List[int]
+    dl1_stats: Dict[str, float]
+    bus_transactions: int
+    bus_contention_cycles: int
+
+
+def memory_tape(trace: FunctionalTrace, config: MemoryHierarchyConfig) -> MemoryTape:
+    """The :class:`MemoryTape` of ``trace`` under ``config`` (cached on ``trace``).
+
+    One replay, fetch(i) then the data access of *i* in program order:
+    the L1I and DL1 share the L2, its open memory rows and the bus.
+    """
+    tape = trace.memory_tapes.get(config)
+    if tape is not None:
+        return tape
+    hierarchy = MemoryHierarchy(config)
+    fetch_cycles = hierarchy.instruction_fetch_cycles
+    load_access = hierarchy.load_access
+    store_access = hierarchy.store_access
+    fetch_extra = []
+    data = []
+    line_mask = ~(config.l1i.line_bytes - 1)
+    fetched_line = None
+    for dyn in trace.instructions:
+        pc = dyn.pc
+        if pc & line_mask == fetched_line:
+            # The line fetched last is its set's MRU line: a hit whose
+            # only other effect is an L1I hit count no tape reports.
+            fetch_extra.append(0)
+        else:
+            fetch_extra.append(fetch_cycles(pc))
+            fetched_line = pc & line_mask
+        address = dyn.address
+        if address is not None and dyn.instruction.is_load:
+            outcome = load_access(address)
+            data.append(-1 if outcome.hit else outcome.extra_cycles)
+        elif address is not None and dyn.instruction.is_store:
+            data.append(store_access(address).store_drain_latency)
+        else:
+            data.append(0)
+    tape = MemoryTape(
+        fetch_extra=fetch_extra,
+        data=data,
+        dl1_stats=hierarchy.dl1_statistics().as_dict(),
+        bus_transactions=hierarchy.bus.stats.transactions,
+        bus_contention_cycles=hierarchy.bus.stats.contention_cycles,
+    )
+    trace.memory_tapes[config] = tape
+    return tape
 
 
 class TimingPipeline:
@@ -122,84 +243,25 @@ class TimingPipeline:
     def __init__(
         self,
         policy: EccPolicy,
-        hierarchy: MemoryHierarchy,
+        hierarchy_config: MemoryHierarchyConfig,
         config: Optional[PipelineConfig] = None,
     ) -> None:
         self.policy = policy
-        self.hierarchy = hierarchy
+        self.hierarchy_config = hierarchy_config
         self.config = config or PipelineConfig()
-        self.lookahead_unit = LookaheadUnit()
 
     # ------------------------------------------------------------------ #
-    def _instr_info(self, instr, mul_extra: int, div_extra: int):
-        """Flatten the per-instruction facts the scheduling loop needs.
-
-        Computed once per *static* instruction and memoised by the run
-        loop: ``source_registers()``/``destination_register()`` walk and
-        sort operand lists on every call, which the seed engine paid for
-        every dynamic instance.
-        """
-        klass = instr.klass
-        if klass is InstructionClass.MUL:
-            ex_extra = mul_extra
-        elif klass is InstructionClass.DIV:
-            ex_extra = div_extra
-        else:
-            ex_extra = 0
-        if klass is InstructionClass.BRANCH:
-            kind = _KIND_BRANCH
-        elif klass is InstructionClass.CALL:
-            kind = _KIND_CALL
-        elif klass is InstructionClass.JUMP:
-            kind = _KIND_JUMP
-        else:
-            kind = _KIND_OTHER
-        return (
-            instr.is_load,
-            instr.is_store,
-            instr.source_registers(),
-            instr.destination_register(),
-            instr.address_registers(),
-            instr.reads_condition_codes,
-            instr.sets_condition_codes,
-            ex_extra,
-            kind,
-        )
-
-    def _build_infos(self, stream):
-        """Stream-aligned list of memoised per-static-instruction infos.
-
-        One info tuple per static instruction, materialised per dynamic
-        index so the dependent-load scan of :meth:`run` can look ahead
-        without re-deriving operand sets.
-        """
-        config = self.config
-        info_cache: Dict[int, tuple] = {}
-        instr_info = self._instr_info
-        mul_extra = config.mul_latency - 1
-        div_extra = config.div_latency - 1
-        infos = []
-        infos_append = infos.append
-        for dyn in stream:
-            instr = dyn.instruction
-            key = id(instr)
-            info = info_cache.get(key)
-            if info is None:
-                info = instr_info(instr, mul_extra, div_extra)
-                info_cache[key] = info
-            infos_append(info)
-        return infos
-
     def run(self, trace: FunctionalTrace) -> PipelineResult:
         """Time the whole ``trace`` and return the collected results."""
         policy = self.policy
         config = self.config
-        hierarchy = self.hierarchy
-        write_buffer = hierarchy.write_buffer
-        wb_capacity = config.write_buffer_entries
+        tape = memory_tape(trace, self.hierarchy_config)
+        # The write buffer depends on cycles, so it is the one piece of
+        # hierarchy state that lives in the scheduling loop.
+        write_buffer = WriteBuffer(capacity=config.write_buffer_entries)
 
         stats = PipelineStatistics()
-        lookahead_stats = self.lookahead_unit.stats
+        lookahead_stats = LookaheadStatistics()
         stats.lookahead = lookahead_stats
         chronogram = Chronogram()
 
@@ -211,12 +273,8 @@ class TimingPipeline:
         indirect_branch_penalty = config.indirect_branch_penalty
 
         # Hoisted bound methods ----------------------------------------- #
-        fetch_cycles = hierarchy.instruction_fetch_cycles
-        load_access = hierarchy.load_access
-        store_access = hierarchy.store_access
         wb_drain_complete = write_buffer.drain_complete_time
         wb_push = write_buffer.push
-        wb_record_load_wait = write_buffer.record_load_wait
         record_lookahead = lookahead_stats.record
         chron_add = chronogram.add
 
@@ -245,10 +303,11 @@ class TimingPipeline:
         stream = trace.instructions
         n = len(stream)
         record_window = config.chronogram_window
-        infos = self._build_infos(stream)
+        infos = static_facts(trace, config.mul_latency, config.div_latency)
+        fetch_extra = tape.fetch_extra
+        mem_data = tape.data
 
         for i in range(n):
-            dyn = stream[i]
             (
                 is_load,
                 is_store,
@@ -270,7 +329,7 @@ class TimingPipeline:
                 st_redirect += redirect_cycle - sequential_start
             else:
                 f_start = sequential_start
-            icache_extra = fetch_cycles(dyn.pc)
+            icache_extra = fetch_extra[i]
             if icache_extra:
                 st_icache += icache_extra
                 f_end = f_start + icache_extra
@@ -364,24 +423,19 @@ class TimingPipeline:
                 drain_until = wb_drain_complete(m_start)
                 if drain_until > m_start:
                     st_wb_drain += drain_until - m_start
-                    wb_record_load_wait(drain_until - m_start)
                     m_start = drain_until
-                outcome = load_access(dyn.address)
-                if outcome.hit:
+                extra = mem_data[i]
+                if extra < 0:
                     load_hit = True
                     n_load_hits += 1
                     m_occupancy = load_hit_cycles
                 else:
                     n_load_misses += 1
-                    extra = outcome.extra_cycles
                     m_occupancy = 1 + extra
                     st_dl1_miss += extra
             elif is_store:
                 n_stores += 1
-                outcome = store_access(dyn.address)
-                stalled_until = wb_push(
-                    m_start, outcome.store_drain_latency, wb_capacity
-                )
+                stalled_until = wb_push(m_start, mem_data[i])
                 if stalled_until > m_start:
                     st_wb_full += stalled_until - m_start
                     m_start = stalled_until
@@ -444,7 +498,7 @@ class TimingPipeline:
             if kind:
                 if kind == _KIND_BRANCH:
                     n_branches += 1
-                    if dyn.branch_taken:
+                    if stream[i].branch_taken:
                         n_taken += 1
                         redirect_cycle = f_end + 1 + taken_branch_penalty
                     else:
@@ -476,7 +530,7 @@ class TimingPipeline:
             # Chronogram recording                                       #
             # ---------------------------------------------------------- #
             if i < record_window:
-                entry = ChronogramEntry(index=i, label=dyn.instruction.render())
+                entry = ChronogramEntry(index=i, label=stream[i].instruction.render())
                 occupancy = entry.occupancy
                 occupancy[Stage.FETCH] = (f_start, f_end)
                 occupancy[Stage.DECODE] = (d_end, d_end)
@@ -515,12 +569,11 @@ class TimingPipeline:
         stalls.write_buffer_drain = st_wb_drain
         stalls.branch_redirect = st_redirect
         stalls.icache_miss = st_icache
-        dl1 = hierarchy.dl1_statistics()
         return PipelineResult(
             policy=policy,
             stats=stats,
             chronogram=chronogram,
-            dl1_stats=dl1.as_dict(),
-            bus_transactions=hierarchy.bus.stats.transactions,
-            bus_contention_cycles=hierarchy.bus.stats.contention_cycles,
+            dl1_stats=dict(tape.dl1_stats),
+            bus_transactions=tape.bus_transactions,
+            bus_contention_cycles=tape.bus_contention_cycles,
         )

@@ -16,7 +16,7 @@ Since the scenario-first refactor every entry path — these two
 functions, the experiment runner and the SoC — constructs a declarative
 :class:`~repro.scenarios.SimulationSpec` and funnels it through
 :func:`simulate_spec`, the single place where a spec is turned into a
-functional trace, a memory hierarchy and a timing run.
+functional trace and a timing run.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from typing import Dict, Optional, Union
 from repro.core.policies import EccPolicy, EccPolicyKind, make_policy
 from repro.functional.simulator import FunctionalTrace, run_program
 from repro.isa.program import Program
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.chronogram import Chronogram
 from repro.pipeline.config import CoreConfig, PipelineConfig
 from repro.pipeline.statistics import PipelineStatistics
@@ -43,7 +42,6 @@ class SimulationResult:
     policy: EccPolicy
     trace: FunctionalTrace
     timing: PipelineResult
-    hierarchy: Optional[MemoryHierarchy]
     #: The declarative spec this result was produced from (``None`` only
     #: for results assembled by hand, e.g. in unit tests).
     spec: Optional[SimulationSpec] = None
@@ -53,8 +51,8 @@ class SimulationResult:
     injection: Optional[object] = None
     #: True when this result was reconstructed from a
     #: :class:`~repro.store.ResultStore` payload rather than simulated
-    #: in this process (``hierarchy`` is then ``None`` and ``trace`` is
-    #: only present if the caller re-attached it).
+    #: in this process (``trace`` is then only present if the caller
+    #: re-attached it).
     from_store: bool = False
 
     @property
@@ -86,14 +84,6 @@ class SimulationResult:
         summary["policy"] = self.policy.kind.value
         summary["program"] = self.program_name
         return summary
-
-
-def build_hierarchy(config: CoreConfig) -> MemoryHierarchy:
-    """Construct a private memory hierarchy for ``config``."""
-    return MemoryHierarchy(
-        config.resolved_hierarchy_config(),
-        write_buffer_entries=config.pipeline.write_buffer_entries,
-    )
 
 
 def simulate_spec(
@@ -148,15 +138,16 @@ def simulate_spec(
     core_config = spec.core_config()
     if trace is None:
         trace = run_program(program, max_instructions=spec.max_instructions)
-    hierarchy = build_hierarchy(core_config)
-    pipeline = TimingPipeline(resolved_policy, hierarchy, core_config.pipeline)
-    timing = pipeline.run(trace)
+    pipeline = TimingPipeline(
+        resolved_policy,
+        core_config.resolved_hierarchy_config(),
+        core_config.pipeline,
+    )
     return SimulationResult(
         program_name=program.name,
         policy=resolved_policy,
         trace=trace,
-        timing=timing,
-        hierarchy=hierarchy,
+        timing=pipeline.run(trace),
         spec=spec,
     )
 

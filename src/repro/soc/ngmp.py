@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
 from repro.core.policies import EccPolicy, EccPolicyKind
+from repro.functional.simulator import run_program
 from repro.isa.program import Program
 from repro.memory.config import MemoryHierarchyConfig
 from repro.pipeline.config import CoreConfig, PipelineConfig
@@ -140,8 +141,10 @@ class NgmpSoC:
         This reproduces the shape of the argument in §I/§II-A: under
         worst-case bus contention a write-through DL1 (every store on the
         bus) inflates the WCET estimate far more than a write-back DL1
-        protected by LAEC.
+        protected by LAEC.  The program is interpreted once and all nine
+        runs time that one functional trace.
         """
+        trace = run_program(program)
         comparison: Dict[str, Dict[str, int]] = {}
         for label, policy in (
             ("wt-parity", EccPolicyKind.WT_PARITY),
@@ -149,7 +152,9 @@ class NgmpSoC:
             ("wb-no-ecc", EccPolicyKind.NO_ECC),
         ):
             placement = TaskPlacement(program=program, policy=policy)
-            comparison[label] = self.wcet_estimate(placement, contenders=contenders)
+            comparison[label] = self.wcet_estimate(
+                placement, contenders=contenders, trace=trace
+            )
         return comparison
 
     def describe(self) -> str:

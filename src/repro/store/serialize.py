@@ -76,8 +76,7 @@ def result_from_payload(
 ):
     """Rebuild a :class:`SimulationResult` from a stored payload.
 
-    ``hierarchy`` is ``None`` (the live cache objects are not stored)
-    and ``trace`` is attached only when the caller supplies it; the
+    ``trace`` is attached only when the caller supplies it; the
     reconstructed result is flagged ``from_store``.
     """
     from repro.simulation import SimulationResult  # local: avoids cycle
@@ -102,7 +101,6 @@ def result_from_payload(
         policy=policy,
         trace=trace,
         timing=timing,
-        hierarchy=None,
         spec=spec,
         from_store=True,
     )

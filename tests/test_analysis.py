@@ -7,6 +7,7 @@ from repro.analysis.metrics import PolicyComparison, compare_policies, geometric
 from repro.analysis.reporting import Table, bar_chart, percentage, render_csv
 from repro.analysis.timing_budget import TimingBudget
 from repro.analysis.wcet import WcetAnalysis
+from repro.core.policies import EccPolicyKind
 from repro.workloads import build_kernel
 
 
@@ -110,6 +111,26 @@ class TestWcet:
         assert wt.wcet_estimate_cycles > wb.wcet_estimate_cycles
         # The safety margin is applied on top of the contended observation.
         assert wt.wcet_estimate_cycles == int(round(wt.observed_contention_cycles * 1.2))
+
+    def test_write_policy_study_interprets_once(self, monkeypatch):
+        import repro.analysis.wcet
+        import repro.simulation
+        from repro.functional.simulator import run_program
+
+        calls = []
+
+        def counting_run_program(program, **kwargs):
+            calls.append(program.name)
+            return run_program(program, **kwargs)
+
+        monkeypatch.setattr(repro.simulation, "run_program", counting_run_program)
+        monkeypatch.setattr(repro.analysis.wcet, "run_program", counting_run_program)
+        program = build_kernel("puwmod", scale=0.1)
+        analysis = WcetAnalysis(contenders=3, safety_margin=1.2)
+        study = analysis.write_policy_study(program)
+        assert calls == [program.name]
+        assert study["wb-laec"] == analysis.bound_for(program, EccPolicyKind.LAEC)
+        assert len(calls) == 2
 
 
 class TestReporting:
@@ -821,6 +842,7 @@ class TestLintCli:
         assert cli.main(["lint", str(REPO / "src" / "repro"), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert validate_report(payload) == []
+        assert payload["summary"]["active"] == 0, payload["summary"]
 
     def test_strict_fails_on_finding(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"

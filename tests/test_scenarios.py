@@ -112,9 +112,9 @@ class TestFunnel:
     def test_wt_policy_forces_write_through_dl1(self):
         spec = SimulationSpec(kernel=KERNEL, scale=SCALE, policy="wt-parity")
         result = simulate_spec(spec)
-        assert (
-            result.hierarchy.config.l1d.write_policy is WritePolicy.WRITE_THROUGH
-        )
+        hierarchy = result.spec.core_config().resolved_hierarchy_config()
+        assert hierarchy.l1d.write_policy is WritePolicy.WRITE_THROUGH
+        assert list(result.trace.memory_tapes) == [hierarchy]
 
 
 class TestRegistry:

@@ -57,6 +57,30 @@ class TestSoC:
 
         assert inflation("wt-parity") > inflation("wb-laec")
 
+    def test_write_policy_comparison_interprets_once(self, small_program, monkeypatch):
+        import repro.simulation
+        import repro.soc.ngmp
+        from repro.functional.simulator import run_program
+
+        calls = []
+
+        def counting_run_program(program, **kwargs):
+            calls.append(program.name)
+            return run_program(program, **kwargs)
+
+        monkeypatch.setattr(repro.simulation, "run_program", counting_run_program)
+        monkeypatch.setattr(repro.soc.ngmp, "run_program", counting_run_program)
+        soc = NgmpSoC()
+        comparison = soc.compare_write_policies(small_program, contenders=3)
+        assert calls == [small_program.name]
+        for label, policy in (
+            ("wt-parity", EccPolicyKind.WT_PARITY),
+            ("wb-laec", EccPolicyKind.LAEC),
+            ("wb-no-ecc", EccPolicyKind.NO_ECC),
+        ):
+            placement = TaskPlacement(program=small_program, policy=policy)
+            assert comparison[label] == soc.wcet_estimate(placement, contenders=3)
+
     def test_contenders_clamped_to_core_count(self, small_program):
         soc = NgmpSoC(NgmpConfig(cores=2))
         placement = TaskPlacement(program=small_program)

@@ -6,20 +6,30 @@ write-through parity scheme) through both the optimized
 engine :class:`~repro.pipeline.reference_timing.ReferenceTimingPipeline`.
 Total cycles, the full stall breakdown, look-ahead statistics, hierarchy
 counters and chronograms must all match — this is what guarantees that
-none of the paper's reported numbers moved.
+none of the paper's reported numbers moved.  The fast engine reads the
+per-trace pre-pass (static facts and memory tape), so the suite also
+covers synthetic streams, non-default hierarchies and latencies, and
+re-use of the pre-pass across runs.
 """
 
 from __future__ import annotations
+
+import copy
+import pickle
+from dataclasses import replace
 
 import pytest
 
 from repro.core.policies import EccPolicyKind, make_policy
 from repro.functional.simulator import run_program
+from repro.memory.config import MemoryHierarchyConfig
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.config import CoreConfig, PipelineConfig
 from repro.pipeline.reference_timing import ReferenceTimingPipeline
 from repro.pipeline.timing import TimingPipeline
-from repro.simulation import build_hierarchy
+from repro.simulation import simulate_program
 from repro.workloads import KERNEL_NAMES, build_kernel
+from repro.workloads.synthetic import SyntheticStreamConfig, SyntheticWorkloadGenerator
 
 POLICIES = [
     EccPolicyKind.NO_ECC,
@@ -31,17 +41,36 @@ POLICIES = [
 SCALE = 0.1
 
 
-def _run_both(policy_kind, trace, *, chronogram_window=0, pipeline_config=None):
+ALL_POLICIES = POLICIES + [EccPolicyKind.WT_PARITY]
+
+
+def _run_both(
+    policy_kind, trace, *, chronogram_window=0, pipeline_config=None, hierarchy=None
+):
     policy = make_policy(policy_kind)
     core_config = CoreConfig().with_policy(policy)
     config = pipeline_config or core_config.pipeline
     if chronogram_window:
         config = config.with_chronogram(chronogram_window)
+    hierarchy = hierarchy or core_config.resolved_hierarchy_config()
     reference = ReferenceTimingPipeline(
-        policy, build_hierarchy(core_config), config
+        policy, MemoryHierarchy(hierarchy), config
     ).run(trace)
-    optimized = TimingPipeline(policy, build_hierarchy(core_config), config).run(trace)
+    optimized = TimingPipeline(policy, hierarchy, config).run(trace)
     return reference, optimized
+
+
+def _assert_identical(reference, optimized, label):
+    ref_stats = reference.stats.as_dict()
+    fast_stats = optimized.stats.as_dict()
+    assert fast_stats == ref_stats, (
+        f"{label}: "
+        f"{ {k: (ref_stats[k], fast_stats[k]) for k in ref_stats if ref_stats[k] != fast_stats[k]} }"
+    )
+    assert optimized.stats.stalls.as_dict() == reference.stats.stalls.as_dict(), label
+    assert optimized.dl1_stats == reference.dl1_stats, label
+    assert optimized.bus_transactions == reference.bus_transactions, label
+    assert optimized.bus_contention_cycles == reference.bus_contention_cycles, label
 
 
 @pytest.fixture(scope="module")
@@ -57,16 +86,7 @@ def kernel_traces():
 def test_engines_identical_on_all_kernels(kernel_traces, policy_kind):
     for name, trace in kernel_traces.items():
         reference, optimized = _run_both(policy_kind, trace)
-        ref_stats = reference.stats.as_dict()
-        fast_stats = optimized.stats.as_dict()
-        assert fast_stats == ref_stats, (
-            f"{name}/{policy_kind.value}: "
-            f"{ {k: (ref_stats[k], fast_stats[k]) for k in ref_stats if ref_stats[k] != fast_stats[k]} }"
-        )
-        assert optimized.stats.stalls.as_dict() == reference.stats.stalls.as_dict()
-        assert optimized.dl1_stats == reference.dl1_stats
-        assert optimized.bus_transactions == reference.bus_transactions
-        assert optimized.bus_contention_cycles == reference.bus_contention_cycles
+        _assert_identical(reference, optimized, f"{name}/{policy_kind.value}")
 
 
 def test_wt_parity_policy_identical(kernel_traces):
@@ -103,13 +123,98 @@ def test_non_default_pipeline_config_identical(kernel_traces):
         assert optimized.stats.as_dict() == reference.stats.as_dict()
 
 
-def test_optimized_engine_does_not_mutate_shared_write_buffer(kernel_traces):
-    """Seed behaviour: run() stamped its configured capacity onto the
-    shared hierarchy's write buffer.  The fast engine must not."""
-    policy = make_policy(EccPolicyKind.NO_ECC)
+@pytest.mark.parametrize(
+    "hierarchy",
+    [
+        MemoryHierarchyConfig().with_write_through_l1d(),
+        MemoryHierarchyConfig().with_contention(3, "worst"),
+    ],
+    ids=["write-through", "worst-contention"],
+)
+def test_non_default_hierarchy_identical(kernel_traces, hierarchy):
+    for policy_kind in ALL_POLICIES:
+        reference, optimized = _run_both(
+            policy_kind, kernel_traces["ttsprk"], hierarchy=hierarchy
+        )
+        _assert_identical(reference, optimized, policy_kind.value)
+
+
+def test_latency_change_rederives_static_facts():
+    """One trace timed under ``mul_latency=2`` and then ``5``: the
+    static-fact cache must key on the latencies, not only the trace."""
+    trace = run_program(build_kernel("matrix", scale=SCALE))
+    cycles = []
+    for mul_latency in (2, 5):
+        config = PipelineConfig(mul_latency=mul_latency)
+        reference, optimized = _run_both(
+            EccPolicyKind.LAEC, trace, pipeline_config=config
+        )
+        _assert_identical(reference, optimized, f"mul_latency={mul_latency}")
+        cycles.append(optimized.cycles)
+    assert cycles[0] < cycles[1]
+    assert sorted(trace.static_facts) == [(2, 18), (5, 18)]
+
+
+A2_TRACES = [
+    (parameter, value)
+    for parameter, values in (
+        ("load_fraction", (0.15, 0.25, 0.35)),
+        ("dependent_load_fraction", (0.2, 0.6, 0.9)),
+        ("address_from_previous_fraction", (0.0, 0.3, 0.8)),
+    )
+    for value in values
+]
+
+
+@pytest.mark.parametrize(
+    "parameter,value", A2_TRACES, ids=[f"{p}={v}" for p, v in A2_TRACES]
+)
+def test_engines_identical_on_ablation_synthetic_traces(parameter, value):
+    """The Ablation A2 streams (one ``Instruction`` object per dynamic
+    instruction) under every policy, at the artifact's trace length."""
+    config = replace(SyntheticStreamConfig(instructions=8000), **{parameter: value})
+    trace = SyntheticWorkloadGenerator(config).generate(name="a2")
+    for policy_kind in ALL_POLICIES:
+        reference, optimized = _run_both(policy_kind, trace)
+        _assert_identical(reference, optimized, f"{parameter}={value}/{policy_kind.value}")
+
+
+def test_policies_share_one_prepass_per_hierarchy():
+    """The four Figure 8 policies share one tape; WT-parity's
+    write-through DL1 is a different hierarchy and adds a second."""
+    program = build_kernel("pntrch", scale=SCALE)
+    trace = run_program(program)
+    for policy_kind in POLICIES:
+        simulate_program(program, policy=policy_kind, trace=trace)
+    assert len(trace.static_facts) == 1
+    assert len(trace.memory_tapes) == 1
+    simulate_program(program, policy=EccPolicyKind.WT_PARITY, trace=trace)
+    assert len(trace.static_facts) == 1
+    assert len(trace.memory_tapes) == 2
+
+
+def test_prepass_is_not_compared_or_pickled():
+    program = build_kernel("pntrch", scale=SCALE)
+    timed = run_program(program)
+    simulate_program(program, policy=EccPolicyKind.LAEC, trace=timed)
+    assert timed.memory_tapes and timed.static_facts
+    assert timed == run_program(program)
+    restored = pickle.loads(pickle.dumps(timed))
+    assert restored == timed
+    assert restored.memory_tapes == {} and restored.static_facts == {}
+
+
+@pytest.mark.parametrize("policy_kind", ALL_POLICIES, ids=lambda kind: kind.value)
+def test_repeated_runs_are_independent(kernel_traces, policy_kind):
+    """A second run of one pipeline repeats the first and leaves the
+    first result untouched (no statistics or hierarchy state carry over)."""
+    policy = make_policy(policy_kind)
     core_config = CoreConfig().with_policy(policy)
-    hierarchy = build_hierarchy(core_config)
-    hierarchy.write_buffer.capacity = 17  # sentinel
-    config = PipelineConfig(write_buffer_entries=2)
-    TimingPipeline(policy, hierarchy, config).run(kernel_traces["matrix"])
-    assert hierarchy.write_buffer.capacity == 17
+    pipeline = TimingPipeline(
+        policy, core_config.resolved_hierarchy_config(), core_config.pipeline
+    )
+    first = pipeline.run(kernel_traces["matrix"])
+    snapshot = copy.deepcopy(first)
+    second = pipeline.run(kernel_traces["matrix"])
+    assert second == snapshot
+    assert first == snapshot
