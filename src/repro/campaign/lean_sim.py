@@ -499,11 +499,8 @@ def golden_pass(
             if rd:
                 regs[rd] = pc + INSTRUCTION_BYTES
             next_pc = jump_target
-        elif op == _OP_HALT:
-            pcs.append(pc)
-            retired += 1
-            break
-        # _OP_NOP falls through.
+        # _OP_NOP and _OP_HALT fall through: HALT retires (and counts
+        # against the limit) like any other instruction.
         pcs.append(pc)
         retired += 1
         if retired > max_instructions:
@@ -511,6 +508,8 @@ def golden_pass(
                 f"{program.name}: exceeded {max_instructions} retired "
                 "instructions without halting"
             )
+        if op == _OP_HALT:
+            break
         pc = next_pc
 
     return GoldenRun(
@@ -1027,15 +1026,8 @@ def resume_faulty(
             if rd:
                 regs[rd] = pc + INSTRUCTION_BYTES
             next_pc = jump_target
-        elif op == _OP_HALT:
-            if faulty and stream_match and (
-                retired >= golden_len or pcs[retired] != pc
-            ):
-                stream_match = False
-            retired += 1
-            halted = True
-            break
-        # _OP_NOP falls through.
+        # _OP_NOP and _OP_HALT fall through: a HALT past the limit is a
+        # hang, as in the object interpreter's re-execution.
         if faulty and stream_match and (
             retired >= golden_len or pcs[retired] != pc
         ):
@@ -1043,6 +1035,9 @@ def resume_faulty(
         retired += 1
         if retired > limit:
             extra_events.append("hang")
+            break
+        if op == _OP_HALT:
+            halted = True
             break
         pc = next_pc
 

@@ -249,6 +249,45 @@ class TestLeanGoldenPass:
 # --------------------------------------------------------------------- #
 # differential grids                                                    #
 # --------------------------------------------------------------------- #
+class TestHaltCountsAgainstTheLimit:
+    """HALT retires like any other instruction, so a run whose HALT is
+    instruction ``limit + 1`` exceeded its limit, in every interpreter."""
+
+    @pytest.mark.parametrize("limit, halts", [(2, False), (3, True)])
+    def test_lean_and_object_interpreters_agree(self, limit, halts):
+        from repro.campaign.lean_sim import golden_pass
+        from repro.functional.simulator import ExecutionLimitExceeded
+
+        program = assemble("main:\n    set 1, r1\n    set 2, r2\n    halt\n")
+        if halts:
+            assert golden_pass(program, max_instructions=limit).instructions == 3
+            assert len(run_program(program, max_instructions=limit)) == 3
+        else:
+            with pytest.raises(ExecutionLimitExceeded):
+                golden_pass(program, max_instructions=limit)
+            with pytest.raises(ExecutionLimitExceeded):
+                run_program(program, max_instructions=limit)
+
+    @pytest.mark.parametrize("limit, outcome", [(16, "detected"), (17, "sdc")])
+    def test_resume_and_full_replay_agree_at_the_hang_boundary(self, limit, outcome):
+        # Bit 2 turns the loop count 3 into 7: the faulty run retires 17
+        # instructions, the last one its HALT.
+        program = assemble(HANG_PROGRAM, name="hang_prog")
+        spec = SimulationSpec(
+            policy="no-ecc",
+            max_instructions=limit,
+            fault=FaultSpec(
+                target="l2", word_address=program.symbol("count"), bit=2, at_access=1
+            ),
+        )
+        (streamed,) = run_injection_batch([spec], program=program)
+        full = run_injection(spec, program=program)
+        assert streamed.replay_mode == "streamed"
+        assert streamed.payload() == full.payload()
+        assert full.outcome.value == outcome
+        assert ("hang" in full.events) is (outcome == "detected")
+
+
 class TestSyntheticGridEquivalence:
     BITS = (0, 7, 13, 31, 33, 38)  # data low/mid/high + check-bit region
 
