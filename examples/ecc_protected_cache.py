@@ -25,7 +25,7 @@ from repro.ecc import (
     ReliabilityModel,
 )
 from repro.ecc.codec import DecodeStatus
-from repro.functional import run_program
+from repro.functional import golden_pass
 from repro.memory.cache import SetAssociativeCache
 from repro.memory.config import CacheConfig
 from repro.workloads import build_kernel
@@ -38,11 +38,17 @@ def cache_level_demo() -> None:
         CacheConfig(size_bytes=16 * 1024, line_bytes=32, ways=4, name="dl1"),
         ecc_code=HsiaoSecDedCode(),
     )
-    trace = run_program(build_kernel("iirflt", scale=0.1))
-    stores = [dyn for dyn in trace if dyn.is_store][:64]
-    for dyn in stores:
-        cache.access(dyn.address, is_write=True)
-        cache.ecc_store_word(dyn.address, dyn.value)
+    golden = golden_pass(build_kernel("iirflt", scale=0.1))
+    stores = [
+        (word_address, golden.value_at(word_address, ordinal + 1))  # the word just written
+        for ordinal, (word_address, is_store) in enumerate(
+            zip(golden.op_wa, golden.op_store), 1
+        )
+        if is_store
+    ][:64]
+    for word_address, word in stores:
+        cache.access(word_address, is_write=True)
+        cache.ecc_store_word(word_address, word)
     print(f"stored {len(stores)} dirty words from the iirflt kernel")
 
     rng = random.Random(42)

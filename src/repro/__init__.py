@@ -6,8 +6,8 @@ The package provides, from the bottom up:
 
 * :mod:`repro.isa` — a small SPARC-V8-like instruction set, assembler and
   program container used by all workloads.
-* :mod:`repro.functional` — an architectural (functional) simulator that
-  produces the dynamic instruction stream driving the timing model.
+* :mod:`repro.functional` — an architectural (functional) interpreter that
+  produces the columnar instruction stream driving the timing model.
 * :mod:`repro.ecc` — parity / Hamming / Hsiao-SECDED codecs and a fault
   injection engine.
 * :mod:`repro.memory` — set-associative caches, write buffer, shared bus,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Union
 
 from repro.core.policies import EccPolicy, EccPolicyKind
-from repro.functional.simulator import FunctionalTrace, run_program
+from repro.functional.interpreter import FunctionalTrace, run_program
 from repro.isa.program import Program
 from repro.soc.interference import InterferenceScenario
 from repro.soc.ngmp import NgmpConfig, NgmpSoC, TaskPlacement

@@ -1077,7 +1077,7 @@ def _run_stratum(
     window_groups = (
         supervisor.inflight_groups() if config.ci_target is None else 1
     )
-    # Derive the fault space (and, on first use, the lean golden run it
+    # Derive the fault space (and, on first use, the golden run it
     # reads) before the sampling timer, so golden time is not also
     # counted as sampling time.
     kernel_fault_space(kernel, scale)

@@ -1,34 +1,25 @@
-"""Pre-decoded lean interpreter powering the batched fault-replay backend.
+"""Fault-tracking resume over a golden run: the campaign side of the interpreter.
 
-:class:`~repro.functional.simulator.FunctionalSimulator` builds one
-:class:`DynInstruction` dataclass per retired instruction and re-derives
-the instruction class from its mnemonic on every step — ideal for a
-trace consumed by the timing model, but ~6x too slow for a campaign
-that re-executes diverged fault injections by the dozen.  The batched
-replay path never needs dynamic instruction objects: classification
-only consumes the PC stream, the memory-operation stream and the final
-memory image.  This module therefore interprets the *pre-decoded*
-program — one flat tuple per static instruction, integer opcodes,
-registers in a plain list, memory as a word dictionary — and records
-exactly those three things.
-
-Two entry points share the decode tables:
-
-* :func:`golden_pass` executes the clean program once and records the
-  golden artefacts every fault in the group shares: the PC stream, the
-  memory-op stream (word address / size / store mask per ordinal), a
-  per-word store-value history (so the backing copy of any word at any
-  ordinal can be reconstructed), periodic register+memory snapshots,
-  and the final memory image.
+The clean run of a (kernel, scale) comes from
+:func:`repro.functional.interpreter.golden_pass`, the one interpreter
+production paths run to completion; the object interpreter
+(:mod:`repro.functional.reference`), about 11x slower on the 16 paper
+kernels (PERFORMANCE.md §3), is its test oracle.  This module adds what
+a fault campaign needs on top of the golden artefacts, on the same
+pre-decoded tables:
 
 * :func:`resume_faulty` re-executes a *diverged* injection from the
   nearest golden snapshot instead of from scratch.  The prefix up to
   the divergence point is golden by construction (the triage pass
   proved no corrupted value was architecturally visible before it), so
   only ``divergence → end`` runs with fault tracking: a one-set cache
-  metadata model (the faulted word's set is the only set whose state is
-  architecturally observable) decides when the corrupted cache copy is
-  written back, discarded or re-imported.
+  metadata model (:class:`OneSetModel`; the faulted word's set is the
+  only set whose state is architecturally observable) decides when the
+  corrupted cache copy is written back, discarded or re-imported.
+
+* :func:`golden_state_at` and :func:`replay_set_state` rebuild the
+  golden register/memory state and one set's cache metadata at any
+  point of the run, for triage and resume.
 
 Semantics are bit-identical to the `FunctionalSimulator` +
 `Dl1ContentModel` pair; the differential tests in
@@ -37,496 +28,18 @@ Semantics are bit-identical to the `FunctionalSimulator` +
 
 from __future__ import annotations
 
-import bisect
-from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.functional.simulator import ExecutionLimitExceeded
-from repro.isa.instructions import (
-    INSTRUCTION_BYTES,
-    MEMORY_ACCESS_BYTES,
-    Mnemonic,
+from repro.functional.interpreter import (  # the shared decode tables
+    _M32, _SIGN, _OP_ADD, _OP_SET, _OP_SUB, _OP_ADDCC, _OP_SUBCC, _OP_SLL,
+    _OP_SRL, _OP_SRA, _OP_AND, _OP_OR, _OP_XOR, _OP_ANDCC, _OP_ORCC,
+    _OP_XORCC, _OP_SMUL, _OP_UMUL, _OP_SDIV, _OP_LOAD, _OP_STORE, _OP_BA,
+    _OP_BN, _OP_BE, _OP_BNE, _OP_BG, _OP_BLE, _OP_BGE, _OP_BL, _OP_BGU,
+    _OP_BLEU, _OP_BCC, _OP_BCS, _OP_BPOS, _OP_BNEG, _OP_BVC, _OP_CALL,
+    _OP_JUMP, _OP_HALT, GoldenRun,
 )
-from repro.isa.program import Program
-from repro.isa.registers import STACK_POINTER
-
-_M32 = 0xFFFFFFFF
-_SIGN = 0x80000000
-
-#: Snapshot cadence (retired instructions) of the golden pass.  Small
-#: enough that the golden re-execution prefix of a resumed fault stays
-#: in the hundreds of instructions, large enough that snapshot copies
-#: are a rounding error of the pass itself.
-SNAPSHOT_INTERVAL = 1024
-
-# Integer opcodes.  The interpreter dispatch chains test these in
-# listed order, tuned to kernel instruction frequency.
-(
-    _OP_ADD,
-    _OP_SET,
-    _OP_SUB,
-    _OP_ADDCC,
-    _OP_SUBCC,
-    _OP_SLL,
-    _OP_SRL,
-    _OP_SRA,
-    _OP_AND,
-    _OP_OR,
-    _OP_XOR,
-    _OP_ANDCC,
-    _OP_ORCC,
-    _OP_XORCC,
-    _OP_SMUL,
-    _OP_UMUL,
-    _OP_SDIV,
-    _OP_UDIV,
-) = range(18)
-_OP_LOAD = 18
-_OP_STORE = 19
-(
-    _OP_BA,
-    _OP_BN,
-    _OP_BE,
-    _OP_BNE,
-    _OP_BG,
-    _OP_BLE,
-    _OP_BGE,
-    _OP_BL,
-    _OP_BGU,
-    _OP_BLEU,
-    _OP_BCC,
-    _OP_BCS,
-    _OP_BPOS,
-    _OP_BNEG,
-    _OP_BVC,
-    _OP_BVS,
-) = range(20, 36)
-_OP_CALL = 36
-_OP_JUMP = 37
-_OP_NOP = 38
-_OP_HALT = 39
-
-_ALU_OPCODES = {
-    Mnemonic.ADD: _OP_ADD,
-    Mnemonic.SET: _OP_SET,
-    Mnemonic.SUB: _OP_SUB,
-    Mnemonic.ADDCC: _OP_ADDCC,
-    Mnemonic.SUBCC: _OP_SUBCC,
-    Mnemonic.SLL: _OP_SLL,
-    Mnemonic.SRL: _OP_SRL,
-    Mnemonic.SRA: _OP_SRA,
-    Mnemonic.AND: _OP_AND,
-    Mnemonic.OR: _OP_OR,
-    Mnemonic.XOR: _OP_XOR,
-    Mnemonic.ANDCC: _OP_ANDCC,
-    Mnemonic.ORCC: _OP_ORCC,
-    Mnemonic.XORCC: _OP_XORCC,
-    Mnemonic.SMUL: _OP_SMUL,
-    Mnemonic.UMUL: _OP_UMUL,
-    Mnemonic.SDIV: _OP_SDIV,
-    Mnemonic.UDIV: _OP_UDIV,
-}
-_BRANCH_OPCODES = {
-    Mnemonic.BA: _OP_BA,
-    Mnemonic.BN: _OP_BN,
-    Mnemonic.BE: _OP_BE,
-    Mnemonic.BNE: _OP_BNE,
-    Mnemonic.BG: _OP_BG,
-    Mnemonic.BLE: _OP_BLE,
-    Mnemonic.BGE: _OP_BGE,
-    Mnemonic.BL: _OP_BL,
-    Mnemonic.BGU: _OP_BGU,
-    Mnemonic.BLEU: _OP_BLEU,
-    Mnemonic.BCC: _OP_BCC,
-    Mnemonic.BCS: _OP_BCS,
-    Mnemonic.BPOS: _OP_BPOS,
-    Mnemonic.BNEG: _OP_BNEG,
-    Mnemonic.BVC: _OP_BVC,
-    Mnemonic.BVS: _OP_BVS,
-}
-
-
-class LeanExecutionError(RuntimeError):
-    """The golden lean pass reached a state the classic simulator would
-    have faulted on (bad PC, misaligned access) — golden runs must not."""
-
-
-def predecode(program: Program) -> Dict[int, tuple]:
-    """Flatten every static instruction into one dispatch tuple.
-
-    Tuple layout (fixed positions, consumed positionally by the
-    interpreter loops)::
-
-        (op, rd, rs1, rs2, imm, imm_u, uses_imm, size, fall, target, sx)
-
-    ``fall`` is the fall-through PC, ``target`` the pre-resolved
-    branch/call target (0 when not a control transfer), ``sx`` the
-    sign-extension width for sub-word loads (0 none, 1 byte, 2 half).
-    """
-    table: Dict[int, tuple] = {}
-    for ins in program.instructions:
-        mn = ins.mnemonic
-        fall = ins.address + INSTRUCTION_BYTES
-        imm_u = ins.imm & _M32
-        target = 0
-        sx = 0
-        if mn in _ALU_OPCODES:
-            op = _ALU_OPCODES[mn]
-        elif mn in MEMORY_ACCESS_BYTES:
-            if mn in (Mnemonic.ST, Mnemonic.STH, Mnemonic.STB):
-                op = _OP_STORE
-            else:
-                op = _OP_LOAD
-                if mn is Mnemonic.LDSB:
-                    sx = 1
-                elif mn is Mnemonic.LDSH:
-                    sx = 2
-        elif mn in _BRANCH_OPCODES:
-            op = _BRANCH_OPCODES[mn]
-            target = (ins.address + ins.imm) & _M32
-        elif mn is Mnemonic.CALL:
-            op = _OP_CALL
-            target = (ins.address + ins.imm) & _M32
-        elif mn is Mnemonic.JMPL:
-            op = _OP_JUMP
-        elif mn is Mnemonic.NOP:
-            op = _OP_NOP
-        elif mn is Mnemonic.HALT:
-            op = _OP_HALT
-        else:  # pragma: no cover - ISA fully enumerated above
-            raise LeanExecutionError(f"unhandled mnemonic {mn}")
-        table[ins.address] = (
-            op,
-            ins.rd,
-            ins.rs1,
-            ins.rs2,
-            ins.imm,
-            imm_u,
-            ins.uses_imm,
-            MEMORY_ACCESS_BYTES.get(mn, 0),
-            fall,
-            target,
-            sx,
-        )
-    return table
-
-
-def initial_memory_words(program: Program) -> Dict[int, int]:
-    """The program's initial data image as a word-address dictionary."""
-    words: Dict[int, int] = {}
-    base = program.data.base
-    for offset, byte in enumerate(program.data.data):
-        if not byte:
-            continue
-        address = base + offset
-        wa = address & ~0x3
-        words[wa] = words.get(wa, 0) | (byte << ((address & 0x3) * 8))
-    return words
-
-
-@dataclass
-class Snapshot:
-    """Golden machine state right before executing instruction ``index``."""
-
-    index: int
-    op_count: int
-    pc: int
-    regs: List[int]
-    cc: Tuple[bool, bool, bool, bool]
-    mem: Dict[int, int]
-
-
-@dataclass
-class GoldenRun:
-    """Everything one clean lean execution produced (shared per group)."""
-
-    program: Program
-    table: Dict[int, tuple]
-    pcs: List[int]
-    #: Per memory operation (1-based ordinal ``i`` lives at index ``i-1``):
-    op_instr: List[int]  #: retired-instruction index of the op
-    op_wa: List[int]  #: word address touched
-    op_store: List[bool]
-    op_size: List[int]
-    op_shift: List[int]  #: bit shift of a sub-word access inside its word
-    #: word address -> [(op ordinal, merged word value after the store)]
-    store_hist: Dict[int, List[Tuple[int, int]]]
-    snapshots: List[Snapshot]
-    mem_init: Dict[int, int]
-    mem_final: Dict[int, int]
-    max_instructions: int
-    #: CacheGeometry -> per-word event timelines, filled on demand by
-    #: :func:`repro.campaign.timeline.golden_timelines`.
-    timelines: Dict[object, Dict[int, list]] = field(default_factory=dict)
-    #: word address -> ascending ordinals of its ops, see :meth:`word_ops`.
-    op_index: Dict[int, array] = field(default_factory=dict)
-
-    @property
-    def instructions(self) -> int:
-        return len(self.pcs)
-
-    @property
-    def total_ops(self) -> int:
-        return len(self.op_wa)
-
-    def value_at(self, word_address: int, op_ordinal: int) -> int:
-        """Architecturally visible value of a word *before* op ``op_ordinal``.
-
-        Stores merge sub-word writes, so the history holds full merged
-        words; the value before ordinal ``k`` is the last merge strictly
-        below ``k`` (the initial image when none).
-        """
-        history = self.store_hist.get(word_address)
-        if not history:
-            return self.mem_init.get(word_address, 0)
-        position = bisect.bisect_left(history, (op_ordinal, -1))
-        if position == 0:
-            return self.mem_init.get(word_address, 0)
-        return history[position - 1][1]
-
-    def snapshot_before(self, instr_index: int) -> Snapshot:
-        """The latest snapshot taken at or before instruction ``instr_index``."""
-        snapshots = self.snapshots
-        return snapshots[min(instr_index // SNAPSHOT_INTERVAL, len(snapshots) - 1)]
-
-    def word_ops(self) -> Dict[int, array]:
-        """Per-word op-ordinal index, built once from ``op_wa``."""
-        index = self.op_index
-        if not index:
-            for ordinal, wa in enumerate(self.op_wa, 1):
-                ops = index.get(wa)
-                if ops is None:
-                    ops = index[wa] = array("I")
-                ops.append(ordinal)
-        return index
-
-
-def golden_pass(
-    program: Program, *, max_instructions: int = 5_000_000
-) -> GoldenRun:
-    """Execute the clean program once, recording the shared golden artefacts."""
-    table = predecode(program)
-    mem_init = initial_memory_words(program)
-    mem = dict(mem_init)
-    regs = [0] * 32
-    regs[STACK_POINTER] = program.stack_top & _M32
-    n = z = v = c = False
-    pc = program.entry
-    pcs: List[int] = []
-    op_instr: List[int] = []
-    op_wa: List[int] = []
-    op_store: List[bool] = []
-    op_size: List[int] = []
-    op_shift: List[int] = []
-    store_hist: Dict[int, List[Tuple[int, int]]] = {}
-    snapshots: List[Snapshot] = []
-    retired = 0
-    tget = table.get
-    mget = mem.get
-
-    while True:
-        if retired % SNAPSHOT_INTERVAL == 0:
-            snapshots.append(
-                Snapshot(
-                    index=retired,
-                    op_count=len(op_wa),
-                    pc=pc,
-                    regs=list(regs),
-                    cc=(n, z, v, c),
-                    mem=dict(mem),
-                )
-            )
-        t = tget(pc)
-        if t is None:
-            raise LeanExecutionError(f"golden PC outside text segment: {pc:#x}")
-        op, rd, rs1, rs2, imm, imm_u, uses_imm, size, fall, target, sx = t
-        next_pc = fall
-        if op < 18:
-            a = regs[rs1]
-            b = imm_u if uses_imm else regs[rs2]
-            if op == _OP_ADD:
-                r = (a + b) & _M32
-            elif op == _OP_SET:
-                r = imm_u
-            elif op == _OP_SUB:
-                r = (a - b) & _M32
-            elif op == _OP_ADDCC:
-                total = a + b
-                r = total & _M32
-                v = ((a ^ r) & (b ^ r) & _SIGN) != 0
-                c = total > _M32
-                n = r >= _SIGN
-                z = r == 0
-            elif op == _OP_SUBCC:
-                total = a - b
-                r = total & _M32
-                v = ((a ^ b) & (a ^ r) & _SIGN) != 0
-                c = a < b
-                n = r >= _SIGN
-                z = r == 0
-            elif op == _OP_SLL:
-                r = (a << (b & 31)) & _M32
-            elif op == _OP_SRL:
-                r = a >> (b & 31)
-            elif op == _OP_SRA:
-                sa = a - 0x100000000 if a & _SIGN else a
-                r = (sa >> (b & 31)) & _M32
-            elif op == _OP_AND:
-                r = a & b
-            elif op == _OP_OR:
-                r = a | b
-            elif op == _OP_XOR:
-                r = a ^ b
-            elif op == _OP_ANDCC:
-                r = a & b
-                n = r >= _SIGN
-                z = r == 0
-                v = c = False
-            elif op == _OP_ORCC:
-                r = a | b
-                n = r >= _SIGN
-                z = r == 0
-                v = c = False
-            elif op == _OP_XORCC:
-                r = a ^ b
-                n = r >= _SIGN
-                z = r == 0
-                v = c = False
-            elif op == _OP_SMUL:
-                sa = a - 0x100000000 if a & _SIGN else a
-                sb = b - 0x100000000 if b & _SIGN else b
-                r = (sa * sb) & _M32
-            elif op == _OP_UMUL:
-                r = (a * b) & _M32
-            elif op == _OP_SDIV:
-                if b == 0:
-                    r = _M32
-                else:
-                    sa = a - 0x100000000 if a & _SIGN else a
-                    sb = b - 0x100000000 if b & _SIGN else b
-                    r = (int(sa / sb) if sb else 0) & _M32
-            else:  # _OP_UDIV
-                r = _M32 if b == 0 else (a // b) & _M32
-            if rd:
-                regs[rd] = r
-        elif op == _OP_LOAD:
-            address = (regs[rs1] + (imm if uses_imm else regs[rs2])) & _M32
-            if address & (size - 1):
-                raise LeanExecutionError(
-                    f"golden misaligned {size}-byte read at {address:#x}"
-                )
-            wa = address & ~0x3
-            shift = (address & 0x3) * 8
-            op_instr.append(retired)
-            op_wa.append(wa)
-            op_store.append(False)
-            op_size.append(size)
-            op_shift.append(shift)
-            word = mget(wa, 0)
-            if size == 4:
-                raw = word
-            else:
-                raw = (word >> shift) & (0xFF if size == 1 else 0xFFFF)
-                if sx == 1 and raw & 0x80:
-                    raw |= 0xFFFFFF00
-                elif sx == 2 and raw & 0x8000:
-                    raw |= 0xFFFF0000
-            if rd:
-                regs[rd] = raw
-        elif op == _OP_STORE:
-            address = (regs[rs1] + (imm if uses_imm else regs[rs2])) & _M32
-            if address & (size - 1):
-                raise LeanExecutionError(
-                    f"golden misaligned {size}-byte write at {address:#x}"
-                )
-            wa = address & ~0x3
-            shift = (address & 0x3) * 8
-            op_instr.append(retired)
-            op_wa.append(wa)
-            op_store.append(True)
-            op_size.append(size)
-            op_shift.append(shift)
-            value = regs[rd]
-            if size == 4:
-                word = value
-            else:
-                mask = ((1 << (8 * size)) - 1) << shift
-                word = (mget(wa, 0) & ~mask) | ((value << shift) & mask)
-            mem[wa] = word
-            store_hist.setdefault(wa, []).append((len(op_wa), word))
-        elif op < 36:
-            if op == _OP_BA:
-                taken = True
-            elif op == _OP_BN:
-                taken = False
-            elif op == _OP_BE:
-                taken = z
-            elif op == _OP_BNE:
-                taken = not z
-            elif op == _OP_BG:
-                taken = not (z or (n != v))
-            elif op == _OP_BLE:
-                taken = z or (n != v)
-            elif op == _OP_BGE:
-                taken = n == v
-            elif op == _OP_BL:
-                taken = n != v
-            elif op == _OP_BGU:
-                taken = not (c or z)
-            elif op == _OP_BLEU:
-                taken = c or z
-            elif op == _OP_BCC:
-                taken = not c
-            elif op == _OP_BCS:
-                taken = c
-            elif op == _OP_BPOS:
-                taken = not n
-            elif op == _OP_BNEG:
-                taken = n
-            elif op == _OP_BVC:
-                taken = not v
-            else:  # _OP_BVS
-                taken = v
-            if taken:
-                next_pc = target
-        elif op == _OP_CALL:
-            if rd:
-                regs[rd] = pc + INSTRUCTION_BYTES
-            next_pc = target
-        elif op == _OP_JUMP:
-            jump_target = (regs[rs1] + imm) & _M32
-            if rd:
-                regs[rd] = pc + INSTRUCTION_BYTES
-            next_pc = jump_target
-        # _OP_NOP and _OP_HALT fall through: HALT retires (and counts
-        # against the limit) like any other instruction.
-        pcs.append(pc)
-        retired += 1
-        if retired > max_instructions:
-            raise ExecutionLimitExceeded(
-                f"{program.name}: exceeded {max_instructions} retired "
-                "instructions without halting"
-            )
-        if op == _OP_HALT:
-            break
-        pc = next_pc
-
-    return GoldenRun(
-        program=program,
-        table=table,
-        pcs=pcs,
-        op_instr=op_instr,
-        op_wa=op_wa,
-        op_store=op_store,
-        op_size=op_size,
-        op_shift=op_shift,
-        store_hist=store_hist,
-        snapshots=snapshots,
-        mem_init=mem_init,
-        mem_final=mem,
-        max_instructions=max_instructions,
-    )
+from repro.isa.instructions import INSTRUCTION_BYTES
 
 
 def _alu_eval(op: int, a: int, b: int, imm_u: int):

@@ -22,10 +22,11 @@ One injection run works in three layers:
    :class:`~repro.scenarios.spec.FaultSpec` flips one stored bit via the
    injection hooks in :mod:`repro.memory.cache`.
 
-2. **Golden-stream fast path**: the golden functional trace already
-   knows every architecturally correct load value, so the replay first
-   just streams the trace's memory operations through the content model
-   and compares what a load *observes* against the golden value.  While
+2. **Golden-stream fast path**: the golden run's op stream and store
+   history already know every architecturally correct load value, so
+   the replay first just streams the golden memory operations through
+   the content model and compares what a load *observes* against the
+   golden value.  While
    they agree the rest of the machine state cannot have diverged, so no
    re-execution is needed — the vast majority of sampled faults
    (masked, corrected, detected-and-refetched) finish here at memory-op
@@ -37,7 +38,7 @@ One injection run works in three layers:
    content model.  Wrong values then propagate exactly as they would in
    hardware — through registers, branches, stores, even into crashes —
    and the run is classified by diffing the final memory image and the
-   dynamic instruction stream against the golden run.
+   pc stream against the golden run.
 
 Outcome taxonomy (:class:`ArchOutcome`): ``masked`` (no architectural
 effect), ``corrected`` (the DL1/L2 code repaired the flip), ``detected``
@@ -55,16 +56,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.caching import lru_get, lru_put
+from repro.campaign.lean_sim import memories_equal
 from repro.core.policies import EccPolicy, EccPolicyKind
 from repro.ecc.codec import DecodeResult, DecodeStatus, EccCode, get_code
+from repro.functional.interpreter import FunctionalTrace, GoldenRun, golden_pass
 from repro.functional.memory import FlatMemory, MemoryAccessError
-from repro.functional.simulator import (
-    FunctionalSimulator,
-    FunctionalTrace,
-    SimulationFault,
-    run_program,
-)
+from repro.functional.reference import FunctionalSimulator, SimulationFault
 from repro.isa.program import Program
 from repro.memory.cache import SetAssociativeCache
 from repro.memory.config import MemoryHierarchyConfig, WritePolicy
@@ -393,31 +390,17 @@ class _ReplayMemory:
 
 
 # ---------------------------------------------------------------------- #
-# golden references (per-process caches)                                 #
+# golden references                                                      #
 # ---------------------------------------------------------------------- #
-#: (kernel, scale) -> final architectural memory image of the clean run.
-_GOLDEN_MEMORY_CACHE: Dict[Tuple[str, float], FlatMemory] = {}
-_GOLDEN_MEMORY_CACHE_MAX = 8
+def _golden_for(spec: SimulationSpec, program: Optional[Program]) -> GoldenRun:
+    """The clean run of ``program``, else of the spec's kernel (cached)."""
+    if program is not None:
+        return golden_pass(program, max_instructions=spec.max_instructions)
+    if spec.kernel is None:
+        raise ValueError("faulty specs without a kernel need an explicit program=")
+    from repro.experiments.runner import cached_golden_run
 
-
-def _golden_final_memory(
-    program: Program,
-    *,
-    kernel: Optional[str],
-    scale: float,
-    max_instructions: int,
-) -> FlatMemory:
-    key = (kernel, scale) if kernel is not None else None
-    if key is not None:
-        cached = lru_get(_GOLDEN_MEMORY_CACHE, key)
-        if cached is not None:
-            return cached
-    with phase_timer("golden"):
-        simulator = FunctionalSimulator(program, max_instructions=max_instructions)
-        simulator.run()
-    if key is not None:
-        lru_put(_GOLDEN_MEMORY_CACHE, key, simulator.memory, _GOLDEN_MEMORY_CACHE_MAX)
-    return simulator.memory
+    return cached_golden_run(spec.kernel, spec.scale)
 
 
 def _build_model(spec: SimulationSpec, program: Program) -> Dl1ContentModel:
@@ -443,32 +426,29 @@ def _arm(model: Dl1ContentModel, fault: FaultSpec) -> None:
 # the two replay phases                                                  #
 # ---------------------------------------------------------------------- #
 def _stream_replay(
-    trace: FunctionalTrace, model: Dl1ContentModel, fault: FaultSpec
+    golden: GoldenRun, model: Dl1ContentModel, fault: FaultSpec
 ) -> Optional[int]:
     """Stream golden memory ops through the model.
 
     Returns the dynamic index of the first load observing a corrupted
     value (divergence), or ``None`` if the whole stream went through
-    with every load agreeing with the golden run.
+    with every load agreeing with the golden run.  Stored and loaded
+    golden values come from the run's store history.
     """
-    l2_pending = fault.target == "l2"
-    op_ordinal = 0
-    for dyn in trace.instructions:
-        address = dyn.address
-        if address is None:
-            continue
-        op_ordinal += 1
-        if l2_pending and op_ordinal == fault.at_access:
+    l2_ordinal = fault.at_access if fault.target == "l2" else 0
+    value_at = golden.value_at
+    for ordinal, (wa, shift, size, is_store) in enumerate(
+        zip(golden.op_wa, golden.op_shift, golden.op_size, golden.op_store), 1
+    ):
+        if ordinal == l2_ordinal:
             model.inject_l2_fault(fault.word_address, fault.bit)
-            l2_pending = False
-        size = dyn.size
-        if dyn.is_store:
-            model.store(address, dyn.value, size)
-            continue
-        observed = model.load(address, size)
-        golden = dyn.value & ((1 << (8 * size)) - 1)
-        if observed != golden:
-            return dyn.index
+        address = wa | shift >> 3
+        mask = (1 << (8 * size)) - 1
+        if is_store:
+            # The word right after this store holds the stored value.
+            model.store(address, (value_at(wa, ordinal + 1) >> shift) & mask, size)
+        elif model.load(address, size) != (value_at(wa, ordinal) >> shift) & mask:
+            return golden.op_instr[ordinal - 1]
     return None
 
 
@@ -477,8 +457,10 @@ def _full_replay(
 ) -> Tuple[Dl1ContentModel, FunctionalTrace, List[str]]:
     """Re-execute the program with the DL1 model as its memory.
 
-    The returned trace is partial (and an event records why) when the
-    corrupted execution crashed or ran away.
+    The reference interpreter runs it, for its pluggable memory; its
+    records go into a :class:`FunctionalTrace` that the timing engine
+    replays.  The returned trace is partial (and an event records why)
+    when the corrupted execution crashed or ran away.
     """
     model = _build_model(spec, program)
     _arm(model, fault)
@@ -501,8 +483,9 @@ def _full_replay(
     trace = FunctionalTrace(program_name=program.name)
     try:
         while not simulator.halted:
-            trace.instructions.append(simulator.step())
-            if len(trace.instructions) > limit:
+            dyn = simulator.step()
+            trace.append(dyn.pc, dyn.instruction, dyn.address, dyn.branch_taken)
+            if len(trace) > limit:
                 extra_events.append("hang")
                 break
         else:
@@ -564,15 +547,6 @@ def _classify(
     return ArchOutcome.MASKED
 
 
-def _streams_match(golden: FunctionalTrace, faulty: FunctionalTrace) -> bool:
-    if len(golden) != len(faulty):
-        return False
-    for gold, bad in zip(golden.instructions, faulty.instructions):
-        if gold.pc != bad.pc:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------- #
 # entry points                                                           #
 # ---------------------------------------------------------------------- #
@@ -580,52 +554,40 @@ def run_injection(
     spec: SimulationSpec,
     *,
     program: Optional[Program] = None,
-    trace: Optional[FunctionalTrace] = None,
+    golden: Optional[GoldenRun] = None,
     keep_trace: bool = False,
 ) -> ArchInjectionResult:
     """Execute one architecturally-classified fault injection.
 
-    ``spec.fault`` must be set.  ``program``/``trace`` may be supplied to
-    reuse the golden artefacts; otherwise the named kernel is built via
-    the shared per-process kernel-trace cache.
+    ``spec.fault`` must be set.  ``golden`` may be supplied to reuse a
+    clean run; otherwise ``program`` is interpreted, or the named kernel
+    is fetched from the shared per-process golden-run cache.
     """
     fault = spec.fault
     if fault is None:
         raise ValueError("run_injection needs a spec with a FaultSpec armed")
-    if program is None:
-        if spec.kernel is None:
-            raise ValueError("faulty specs without a kernel need an explicit program=")
-        from repro.experiments.runner import cached_kernel_trace
-
-        program, trace = cached_kernel_trace(spec.kernel, spec.scale)
-    elif trace is None:
-        trace = run_program(program, max_instructions=spec.max_instructions)
-
-    golden_memory = _golden_final_memory(
-        program,
-        kernel=spec.kernel,
-        scale=spec.scale,
-        max_instructions=spec.max_instructions,
-    )
+    if golden is None:
+        golden = _golden_for(spec, program)
+    program = golden.program
 
     model = _build_model(spec, program)
     _arm(model, fault)
-    diverged_at = _stream_replay(trace, model, fault)
+    diverged_at = _stream_replay(golden, model, fault)
 
     faulty_trace: Optional[FunctionalTrace] = None
     extra_events: List[str] = []
     if diverged_at is None:
         model.flush()
         stream_match = True
-        faulty_instructions = len(trace)
+        faulty_instructions = golden.instructions
     else:
         model, faulty_trace, extra_events = _full_replay(
-            spec, program, fault, len(trace)
+            spec, program, fault, golden.instructions
         )
         model.flush()
-        stream_match = not extra_events and _streams_match(trace, faulty_trace)
+        stream_match = not extra_events and faulty_trace.pcs == golden.pcs
         faulty_instructions = len(faulty_trace)
-    state_match = model.backing.same_contents(golden_memory)
+    state_match = memories_equal(model.backing.words(), golden.mem_final)
 
     events = list(model.events) + extra_events
     if fault.target == "dl1":
@@ -636,7 +598,7 @@ def run_injection(
     else:
         # The below-L1 store always holds the word, so an L2 flip that
         # fired always landed on live data.
-        triggered = _l2_fault_fired(trace, fault)
+        triggered = golden.total_ops >= fault.at_access
         live = triggered
         dirty = False
 
@@ -656,58 +618,27 @@ def run_injection(
         dirty_at_injection=dirty,
         diverged=diverged_at is not None,
         events=tuple(events),
-        golden_instructions=len(trace),
+        golden_instructions=golden.instructions,
         faulty_instructions=faulty_instructions,
         faulty_trace=faulty_trace if keep_trace else None,
     )
 
 
-def _l2_fault_fired(trace: FunctionalTrace, fault: FaultSpec) -> bool:
-    """Whether the run reaches the L2 fault's injection ordinal at all."""
-    ops = sum(1 for dyn in trace.instructions if dyn.address is not None)
-    return ops >= fault.at_access
-
-
 # ---------------------------------------------------------------------- #
 # batched replay backend                                                 #
 # ---------------------------------------------------------------------- #
-#: (kernel, scale) -> lean golden run shared by every fault in a group.
-_LEAN_GOLDEN_CACHE: Dict[Tuple[str, float], "GoldenRun"] = {}
-_LEAN_GOLDEN_CACHE_MAX = 8
-
-
-def lean_golden_for_kernel(kernel: str, scale: float) -> "GoldenRun":
-    """Build (or fetch) the lean golden artefacts of one kernel.
-
-    The campaign's replacement for ``cached_kernel_trace`` +
-    ``_golden_final_memory``: one pre-decoded execution records the PC
-    stream, memory-op stream, store history, snapshots and final image —
-    everything the sampler's fault space, triage and suffix-resume
-    consume — without ever materialising per-instruction trace objects.
-    """
-    from repro.campaign.lean_sim import golden_pass
-
-    key = (kernel, scale)
-    cached = lru_get(_LEAN_GOLDEN_CACHE, key)
-    if cached is None:
-        from repro.workloads import build_kernel
-
-        with phase_timer("golden"):
-            cached = golden_pass(build_kernel(kernel, scale=scale))
-        lru_put(_LEAN_GOLDEN_CACHE, key, cached, _LEAN_GOLDEN_CACHE_MAX)
-    return cached
-
-
 def warm_lean_golden(kernels, scales) -> None:
-    """Preload golden artefacts (process-pool initializer hook).
+    """Preload golden runs (process-pool initializer hook).
 
     Best-effort: a kernel that fails to warm simply warms lazily on its
     first job — an initializer exception would poison the whole pool.
     """
+    from repro.experiments.runner import cached_golden_run
+
     for kernel in kernels:
         for scale in scales:
             try:
-                lean_golden_for_kernel(kernel, scale)
+                cached_golden_run(kernel, scale)
             except Exception:  # noqa: BLE001 - warming must never kill a worker
                 continue
 
@@ -733,11 +664,7 @@ def _run_residue(
     spec: SimulationSpec, golden, geometry, plan
 ) -> ArchInjectionResult:
     """Execute one diverging fault via snapshot suffix-resume."""
-    from repro.campaign.lean_sim import (
-        memories_equal,
-        replay_set_state,
-        resume_faulty,
-    )
+    from repro.campaign.lean_sim import replay_set_state, resume_faulty
 
     fault = spec.fault
     wa = fault.word_address & ~0x3
@@ -797,7 +724,7 @@ def run_injection_batch(
     """Classify a batch of fault injections against shared golden state.
 
     The batch is grouped by (kernel, scale); each group derives its
-    golden artefacts (lean golden run, per-word cache timelines) once.
+    golden artefacts (golden run, per-word cache timelines) once.
     An analytical triage pass then classifies every dead-on-arrival or
     code-healed flip with zero re-execution, batching the corrupted
     codeword decodes through the vectorised
@@ -815,8 +742,8 @@ def run_injection_batch(
     (differentially tested over full grids).
     """
     from repro.campaign import triage as _triage
-    from repro.campaign.lean_sim import golden_pass
     from repro.campaign.timeline import golden_timelines
+    from repro.experiments.runner import cached_golden_run
 
     specs = list(specs)
     results: List[Optional[ArchInjectionResult]] = [None] * len(specs)
@@ -841,7 +768,7 @@ def run_injection_batch(
                 "faulty specs without a kernel need an explicit program="
             )
         else:
-            golden = lean_golden_for_kernel(kernel, scale)
+            golden = cached_golden_run(kernel, scale)
         golden_len = golden.instructions
         triage_started = time.perf_counter()
 
@@ -932,7 +859,7 @@ def run_injection_batch(
         observe_phase("triage", triage_s)
 
         for index in fallback:
-            results[index] = run_injection(specs[index], program=program)
+            results[index] = run_injection(specs[index], golden=golden)
 
     return [result for result in results if result is not None]
 
@@ -953,13 +880,12 @@ def simulate_faulty_spec(
     """
     from repro.simulation import simulate_spec
 
-    if program is None and spec.kernel is not None:
-        from repro.experiments.runner import cached_kernel_trace
-
-        program, trace = cached_kernel_trace(spec.kernel, spec.scale)
-    injection = run_injection(spec, program=program, trace=trace, keep_trace=True)
-    timed_trace = injection.faulty_trace if injection.faulty_trace is not None else trace
-    result = simulate_spec(spec.with_fault(None), program=program, trace=timed_trace)
+    golden = _golden_for(spec, program)
+    injection = run_injection(spec, golden=golden, keep_trace=True)
+    timed_trace = injection.faulty_trace
+    if timed_trace is None:
+        timed_trace = trace if trace is not None else golden.trace
+    result = simulate_spec(spec.with_fault(None), program=golden.program, trace=timed_trace)
     result.spec = spec
     result.injection = injection
     return result

@@ -55,9 +55,9 @@ ISOLATION_SCENARIO = "isolation"
 class KernelFaultSpace:
     """The sampleable population of one kernel at one scale.
 
-    Derived from the memory-op stream of the kernel's lean golden run
-    (:func:`repro.campaign.replay.lean_golden_for_kernel`), the same
-    run batched replay classifies the sampled points against.
+    Derived from the memory-op stream of the kernel's golden run
+    (:func:`repro.experiments.runner.cached_golden_run`), the same run
+    batched replay classifies the sampled points against.
     """
 
     #: Total DL1 data accesses (loads + stores) of the golden run.
@@ -79,12 +79,12 @@ def kernel_fault_space(kernel: str, scale: float) -> KernelFaultSpace:
     cached = lru_get(_SPACE_CACHE, key)
     if cached is not None:
         return cached
-    from repro.campaign.replay import lean_golden_for_kernel
+    from repro.experiments.runner import cached_golden_run
 
     seen = set()
     first_touch: List[int] = []
     distinct_before: List[int] = [0]
-    for word in lean_golden_for_kernel(kernel, scale).op_wa:
+    for word in cached_golden_run(kernel, scale).op_wa:
         if word not in seen:
             seen.add(word)
             first_touch.append(word)
@@ -270,7 +270,7 @@ def replay_group_key(
     """The batched-replay grouping key of one sampled point.
 
     Points sharing it run against one shared set of golden artefacts
-    (lean golden trace, final memory, per-word cache timelines) in
+    (golden run, final memory, per-word cache timelines) in
     :func:`repro.campaign.replay.run_injection_batch`; the policy axis
     deliberately stays out of the key — every policy of a group reuses
     the same golden run, only the codeword decode differs.

@@ -15,7 +15,7 @@ and what the end-of-run flush does to it.
 A word's timeline does not depend on which other words a walk
 watches, so :func:`golden_timelines` walks once per (golden run,
 geometry) over every word of every line the golden run touches and
-caches the result on the :class:`~repro.campaign.lean_sim.GoldenRun`:
+caches the result on the :class:`~repro.functional.interpreter.GoldenRun`:
 every batch of every policy sharing that run and geometry reads it.
 A word on a line the run never touches has no events at all.
 
@@ -37,7 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
-from repro.campaign.lean_sim import GoldenRun, OneSetModel
+from repro.campaign.lean_sim import OneSetModel
+from repro.functional.interpreter import GoldenRun
 
 # Event kinds, ordered as appended while processing one op:
 # evictions precede fills precede the data access itself (mirroring

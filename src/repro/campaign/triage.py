@@ -1,7 +1,7 @@
 """Analytical fault triage for the batched replay backend.
 
-Given the golden artefacts of one (kernel, scale) group — the lean
-golden run and the per-word cache event timelines — this module
+Given the golden artefacts of one (kernel, scale) group — the golden
+run and the per-word cache event timelines — this module
 classifies most fault points with *zero* re-execution:
 
 * a flip that fires while the word's line is not resident corrupts no
@@ -46,18 +46,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.campaign.lean_sim import (
-    _M32,
-    _OP_CALL,
-    _OP_JUMP,
-    _OP_LOAD,
-    _OP_NOP,
-    _OP_STORE,
-    GoldenRun,
-    _alu_eval,
-    _branch_taken,
-    golden_state_at,
-)
+from repro.campaign.lean_sim import _alu_eval, _branch_taken, golden_state_at
 from repro.campaign.timeline import (
     EV_END_DISCARD,
     EV_END_FLUSH,
@@ -72,6 +61,15 @@ from repro.campaign.timeline import (
     subword_mask,
 )
 from repro.ecc.codec import DecodeResult, DecodeStatus
+from repro.functional.interpreter import (
+    _M32,
+    _OP_CALL,
+    _OP_JUMP,
+    _OP_LOAD,
+    _OP_NOP,
+    _OP_STORE,
+    GoldenRun,
+)
 from repro.isa.instructions import INSTRUCTION_BYTES
 from repro.memory.config import CacheConfig, ReplacementPolicy, WritePolicy
 from repro.telemetry.metrics import inc
@@ -287,7 +285,7 @@ def _walk_divergent(
     corrupted it interprets instruction by instruction.  Otherwise only
     an op on a corrupted word can matter, so it jumps to the next event
     of the faulted word or op on a ``delta`` word (found through
-    :meth:`~repro.campaign.lean_sim.GoldenRun.word_ops`) and applies it
+    :meth:`~repro.functional.interpreter.GoldenRun.word_ops`) and applies it
     from the golden op stream.  Only a load that re-taints a register
     needs the register file, rebuilt by
     :func:`~repro.campaign.lean_sim.golden_state_at` from the last

@@ -1,15 +1,18 @@
 """Dependence helpers shared by the look-ahead unit and the statistics.
 
-These predicates operate on the *dynamic* instruction stream produced by
-the functional simulator, which is exactly the information the hardware
-would derive from the decoded instructions in flight.
+These predicates operate on the *dynamic* instruction records of the
+reference interpreter (:mod:`repro.functional.reference`), which is
+exactly the information the hardware would derive from the decoded
+instructions in flight.  The reference timing engine uses them; the
+fast engine folds the same rules into its scheduling loop.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from repro.functional.simulator import DynInstruction
+if TYPE_CHECKING:
+    from repro.functional.reference import DynInstruction
 
 
 def produces_any_register(

@@ -22,10 +22,12 @@ needed — which is the whole point for simple safety-critical cores.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.hazards import address_produced_by_predecessor
-from repro.functional.simulator import DynInstruction
+
+if TYPE_CHECKING:
+    from repro.functional.reference import DynInstruction
 
 
 @dataclass(frozen=True)

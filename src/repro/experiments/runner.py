@@ -8,11 +8,14 @@ individual experiments.
 
 Two fast paths keep repeated campaigns cheap (see PERFORMANCE.md):
 
-* a module-level **functional-trace cache** keyed by ``(kernel, scale)``.
+* a module-level **golden-run cache** keyed by ``(kernel, scale)``: the
+  one clean run of each kernel (:func:`cached_golden_run`), shared by
+  the timing paths (its columnar trace, :func:`cached_kernel_trace`)
+  and fault campaigns (its op stream, snapshots and final image).
   Traces are policy-independent — the architectural stream is identical
   under every ECC scheme by construction — so the semantics of each
-  kernel are simulated exactly once per process no matter how many
-  runners, experiments or policies replay it;
+  kernel are interpreted exactly once per process no matter how many
+  runners, experiments, policies or campaigns use it;
 * an opt-in **process-pool fan-out** (``max_workers=``) that distributes
   whole kernels (one functional simulation + all policy timing runs)
   across worker processes.  Results are reassembled in kernel order, so
@@ -28,10 +31,11 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.caching import lru_get, lru_put
 from repro.core.policies import EccPolicyKind
-from repro.functional.simulator import FunctionalTrace, run_program
+from repro.functional.interpreter import FunctionalTrace, GoldenRun, golden_pass
 from repro.isa.program import Program
 from repro.scenarios.spec import SimulationSpec
 from repro.simulation import SimulationResult, simulate_spec
+from repro.telemetry.metrics import phase_timer
 from repro.workloads import KERNEL_NAMES, build_kernel
 
 FIGURE8_POLICIES = (
@@ -41,15 +45,15 @@ FIGURE8_POLICIES = (
     EccPolicyKind.LAEC,
 )
 
-#: (kernel name, scale) -> (assembled program, functional trace).  Traces
-#: and programs are treated as immutable once built; everything that
-#: consumes them (the timing engine, Table II accounting, chronograms)
-#: only reads.
-_KERNEL_CACHE: Dict[Tuple[str, float], Tuple[Program, FunctionalTrace]] = {}
+#: (kernel name, scale) -> the kernel's clean run.  Runs are treated as
+#: immutable once built; everything that consumes them (the timing
+#: engine, Table II accounting, chronograms, fault campaigns) only reads
+#: them or fills their on-demand caches.
+_GOLDEN_CACHE: Dict[Tuple[str, float], GoldenRun] = {}
 
-#: Upper bound on cached (kernel, scale) traces.  The full campaign needs
+#: Upper bound on cached (kernel, scale) runs.  The full campaign needs
 #: 16 (one per kernel at one scale); the cap keeps long-lived processes
-#: sweeping many scales from accumulating traces without bound.  Eviction
+#: sweeping many scales from accumulating runs without bound.  Eviction
 #: is least-recently-used: every hit moves its entry to the back of the
 #: (insertion-ordered) dict, so the hottest traces survive long fault
 #: campaigns that cycle through many scales — FIFO would evict exactly
@@ -57,39 +61,45 @@ _KERNEL_CACHE: Dict[Tuple[str, float], Tuple[Program, FunctionalTrace]] = {}
 KERNEL_TRACE_CACHE_MAX_ENTRIES = 48
 
 
-def cached_kernel_trace(name: str, scale: float) -> Tuple[Program, FunctionalTrace]:
-    """Build (or fetch) the program and functional trace of one kernel.
+def cached_golden_run(name: str, scale: float) -> GoldenRun:
+    """Interpret (or fetch) the clean run of one kernel.
 
     The cache key is ``(name, scale)``: the functional behaviour of a
     kernel depends on nothing else, and in particular not on the ECC
     policy or pipeline configuration being timed.  The cache holds at
-    most :data:`KERNEL_TRACE_CACHE_MAX_ENTRIES` traces; the
+    most :data:`KERNEL_TRACE_CACHE_MAX_ENTRIES` runs; the
     least-recently-used entry is evicted when a new one would exceed the
     cap (a hit refreshes an entry's recency).
     """
     key = (name, scale)
-    cached = lru_get(_KERNEL_CACHE, key)
-    if cached is None:
-        program = build_kernel(name, scale=scale)
-        trace = run_program(program)
-        cached = (program, trace)
-        lru_put(_KERNEL_CACHE, key, cached, KERNEL_TRACE_CACHE_MAX_ENTRIES)
-    return cached
+    golden = lru_get(_GOLDEN_CACHE, key)
+    if golden is None:
+        with phase_timer("golden"):
+            golden = golden_pass(build_kernel(name, scale=scale))
+        lru_put(_GOLDEN_CACHE, key, golden, KERNEL_TRACE_CACHE_MAX_ENTRIES)
+    return golden
+
+
+def cached_kernel_trace(name: str, scale: float) -> Tuple[Program, FunctionalTrace]:
+    """The program and functional trace of one kernel (see :func:`cached_golden_run`)."""
+    golden = cached_golden_run(name, scale)
+    return golden.program, golden.trace
 
 
 def kernel_trace_cache_size() -> int:
-    """Number of (kernel, scale) traces currently cached."""
-    return len(_KERNEL_CACHE)
+    """Number of (kernel, scale) runs currently cached."""
+    return len(_GOLDEN_CACHE)
 
 
 def clear_kernel_trace_cache() -> None:
-    """Drop all cached functional traces.
+    """Drop all cached golden runs.
 
     Part of the public :mod:`repro.experiments` API: long-lived services
     embedding the campaign machinery call this between campaigns to
-    release the (large) dynamic instruction streams.
+    release the cached runs (their trace columns, op streams and
+    snapshots).
     """
-    _KERNEL_CACHE.clear()
+    _GOLDEN_CACHE.clear()
 
 
 def _simulate_kernel_task(
@@ -101,7 +111,7 @@ def _simulate_kernel_task(
     The functional trace is shared by every policy's result, so it is
     detached before pickling and shipped exactly once — otherwise each
     of the N per-policy results would serialise its own copy of the
-    (large) dynamic instruction stream.  The parent re-attaches it.
+    trace's columns.  The parent re-attaches it.
     """
     name, scale, policy_values = args
     program, trace = cached_kernel_trace(name, scale)

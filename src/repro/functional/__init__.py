@@ -1,28 +1,31 @@
 """Architectural (functional) simulation.
 
-The functional simulator interprets a :class:`repro.isa.program.Program`
-with full architectural semantics and emits the *dynamic instruction
-stream*: one :class:`repro.functional.simulator.DynInstruction` per retired
-instruction, carrying the effective address of memory operations and the
-outcome of control transfers.  The cycle-accurate timing model in
-:mod:`repro.pipeline` replays this stream (a standard functional-first /
-timing-directed decomposition, as used by many academic simulators).
+:func:`repro.functional.interpreter.golden_pass` interprets a
+:class:`repro.isa.program.Program` with full architectural semantics and
+records its *architectural stream* as a columnar
+:class:`~repro.functional.interpreter.FunctionalTrace`: per retired
+instruction its pc, static instruction, effective address (memory
+operations) and taken flag (control transfers).  The cycle-accurate
+timing model in :mod:`repro.pipeline` replays this stream (a standard
+functional-first / timing-directed decomposition, as used by many
+academic simulators).  :mod:`repro.functional.reference` keeps the
+object interpreter as its test oracle.
 """
 
-from repro.functional.memory import FlatMemory
-from repro.functional.simulator import (
-    DynInstruction,
+from repro.functional.interpreter import (
     ExecutionLimitExceeded,
-    FunctionalSimulator,
     FunctionalTrace,
+    GoldenRun,
+    golden_pass,
     run_program,
 )
+from repro.functional.memory import FlatMemory
 
 __all__ = [
-    "DynInstruction",
     "ExecutionLimitExceeded",
     "FlatMemory",
-    "FunctionalSimulator",
     "FunctionalTrace",
+    "GoldenRun",
+    "golden_pass",
     "run_program",
 ]

@@ -89,26 +89,22 @@ class FlatMemory:
         for offset, value in enumerate(payload):
             self.write_byte(base + offset, value)
 
-    def touched_pages(self) -> int:
-        """Number of allocated pages (useful for footprint diagnostics)."""
-        return len(self._pages)
-
     # ------------------------------------------------------------------ #
     # comparison                                                         #
     # ------------------------------------------------------------------ #
-    def same_contents(self, other: "FlatMemory") -> bool:
-        """Whether both memories hold identical architectural contents.
+    def words(self) -> Dict[int, int]:
+        """The non-zero contents as a word-address dictionary.
 
-        Pages absent on one side compare equal to all-zero pages on the
-        other (an allocated-but-zero page is architecturally identical
-        to an untouched one), so the comparison is about *contents*, not
-        allocation history.  Used by the fault-injection campaign to
-        decide whether corrupted data reached the final memory image.
+        An allocated-but-zero word is architecturally identical to an
+        untouched one, so both are left out: the result is about
+        *contents*, not allocation history.  Used by the fault-injection
+        replay to diff a final memory image against the golden run's.
         """
-        zero = bytes(PAGE_SIZE)
-        for page_number in self._pages.keys() | other._pages.keys():
-            mine = bytes(self._pages.get(page_number, zero))
-            theirs = bytes(other._pages.get(page_number, zero))
-            if mine != theirs:
-                return False
-        return True
+        words: Dict[int, int] = {}
+        for page_number, page in self._pages.items():
+            base = page_number << PAGE_BITS
+            for offset in range(0, PAGE_SIZE, 4):
+                word = int.from_bytes(page[offset : offset + 4], "little")
+                if word:
+                    words[base + offset] = word
+        return words

@@ -1,18 +1,25 @@
-"""Functional (architectural) simulator for the mini ISA.
+"""Reference (object) interpreter, kept as the behavioural specification.
 
-The simulator interprets an assembled :class:`~repro.isa.program.Program`
-and records one :class:`DynInstruction` per retired instruction.  This
-dynamic stream is what the cycle-accurate pipeline model replays: the
-timing model never has to re-execute semantics, it only needs each
-instruction's class, register def/use sets, effective address and branch
-outcome.
+:class:`FunctionalSimulator` interprets an assembled
+:class:`~repro.isa.program.Program` one :class:`DynInstruction` record
+per retired instruction, re-deriving each instruction's class from its
+mnemonic on every step.  Like :mod:`repro.ecc.reference` and
+:mod:`repro.pipeline.reference_timing`, it is a test oracle: the
+production interpreter is :func:`repro.functional.interpreter.golden_pass`,
+and the tests prove both produce identical columns, final memory images
+and instruction limits.  It also feeds
+:class:`~repro.pipeline.reference_timing.ReferenceTimingPipeline`.  Its
+one production caller is the full faulty re-execution of
+:func:`repro.campaign.replay.run_injection`, which needs its pluggable
+memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
+from repro.functional.interpreter import ExecutionLimitExceeded, FunctionalTrace
 from repro.functional.memory import FlatMemory
 from repro.isa.instructions import INSTRUCTION_BYTES, Instruction, InstructionClass, Mnemonic
 from repro.isa.program import Program
@@ -23,10 +30,6 @@ from repro.isa.registers import (
     to_signed,
     to_unsigned,
 )
-
-
-class ExecutionLimitExceeded(RuntimeError):
-    """Raised when a program executes more instructions than allowed."""
 
 
 class SimulationFault(RuntimeError):
@@ -55,8 +58,6 @@ class DynInstruction:
         ECC fault-injection experiments; ignored by the timing model.
     branch_taken:
         Whether a control-transfer instruction redirected the PC.
-    next_pc:
-        Address of the dynamically following instruction.
     """
 
     index: int
@@ -66,7 +67,6 @@ class DynInstruction:
     size: int = 0
     value: int = 0
     branch_taken: bool = False
-    next_pc: int = 0
 
     @property
     def is_load(self) -> bool:
@@ -75,10 +75,6 @@ class DynInstruction:
     @property
     def is_store(self) -> bool:
         return self.instruction.is_store
-
-    @property
-    def is_memory(self) -> bool:
-        return self.instruction.klass.is_memory
 
     @property
     def destination_register(self) -> Optional[int]:
@@ -98,19 +94,12 @@ class DynInstruction:
 
 
 @dataclass
-class FunctionalTrace:
-    """The complete dynamic stream of a program run plus summary counters."""
+class ReferenceTrace:
+    """The dynamic stream of a reference run, one record per instruction."""
 
     program_name: str
     instructions: List[DynInstruction] = field(default_factory=list)
     halted: bool = False
-    #: The timing pre-pass caches of :mod:`repro.pipeline.timing`, filled
-    #: on demand; they take no part in equality and are not pickled.
-    static_facts: Dict[tuple, list] = field(default_factory=dict, compare=False, repr=False)
-    memory_tapes: Dict[object, object] = field(default_factory=dict, compare=False, repr=False)
-
-    def __getstate__(self):
-        return {**self.__dict__, "static_facts": {}, "memory_tapes": {}}
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -121,30 +110,34 @@ class FunctionalTrace:
     def __getitem__(self, index):
         return self.instructions[index]
 
-    @property
-    def dynamic_count(self) -> int:
-        return len(self.instructions)
+    def columns(self) -> FunctionalTrace:
+        """The same run as the production :class:`FunctionalTrace`."""
+        trace = FunctionalTrace(program_name=self.program_name, halted=self.halted)
+        for dyn in self.instructions:
+            trace.append(dyn.pc, dyn.instruction, dyn.address, dyn.branch_taken)
+        return trace
 
-    def count_class(self, klass: InstructionClass) -> int:
-        return sum(1 for dyn in self.instructions if dyn.klass is klass)
 
-    @property
-    def load_count(self) -> int:
-        return self.count_class(InstructionClass.LOAD)
-
-    @property
-    def store_count(self) -> int:
-        return self.count_class(InstructionClass.STORE)
-
-    @property
-    def load_fraction(self) -> float:
-        if not self.instructions:
-            return 0.0
-        return self.load_count / len(self.instructions)
-
-    def memory_addresses(self) -> List[int]:
-        """Effective addresses of all memory operations, in program order."""
-        return [dyn.address for dyn in self.instructions if dyn.address is not None]
+def reference_trace(trace: FunctionalTrace) -> ReferenceTrace:
+    """Records for a columnar trace that no program produced (synthetic
+    streams), so the reference timing engine can replay it."""
+    return ReferenceTrace(
+        program_name=trace.program_name,
+        instructions=[
+            DynInstruction(
+                index=index,
+                pc=pc,
+                instruction=instruction,
+                address=address,
+                size=instruction.memory_bytes,
+                branch_taken=bool(taken),
+            )
+            for index, (pc, instruction, address, taken) in enumerate(
+                zip(trace.pcs, trace.instructions, trace.addresses, trace.taken)
+            )
+        ],
+        halted=trace.halted,
+    )
 
 
 _BRANCH_PREDICATES = {
@@ -168,7 +161,7 @@ _BRANCH_PREDICATES = {
 
 
 class FunctionalSimulator:
-    """Interprets a program and produces its dynamic instruction stream."""
+    """Interprets a program and produces its dynamic instruction records."""
 
     def __init__(self, program: Program, *, max_instructions: int = 5_000_000) -> None:
         self.program = program
@@ -185,9 +178,9 @@ class FunctionalSimulator:
     # ------------------------------------------------------------------ #
     # execution loop                                                     #
     # ------------------------------------------------------------------ #
-    def run(self) -> FunctionalTrace:
+    def run(self) -> ReferenceTrace:
         """Run until HALT (or the instruction limit) and return the trace."""
-        trace = FunctionalTrace(program_name=self.program.name)
+        trace = ReferenceTrace(program_name=self.program.name)
         while not self.halted:
             dyn = self.step()
             trace.instructions.append(dyn)
@@ -255,7 +248,6 @@ class FunctionalSimulator:
             size=size,
             value=value,
             branch_taken=branch_taken,
-            next_pc=next_pc,
         )
         self.pc = next_pc
         self._retired += 1
@@ -349,7 +341,7 @@ class FunctionalSimulator:
         return address, size, value & ((1 << (8 * size)) - 1)
 
 
-def run_program(program: Program, *, max_instructions: int = 5_000_000) -> FunctionalTrace:
+def run_reference(program: Program, *, max_instructions: int = 5_000_000) -> ReferenceTrace:
     """Convenience wrapper: run ``program`` to completion, return its trace."""
     simulator = FunctionalSimulator(program, max_instructions=max_instructions)
     return simulator.run()

@@ -1,6 +1,6 @@
 """Cycle-accurate timing model of an NGMP/LEON4-class in-order core.
 
-The model replays the dynamic instruction stream produced by
+The model replays the columnar instruction stream produced by
 :mod:`repro.functional` through the 7-stage pipeline of Figure 1 of the
 paper (Fetch, Decode, Register Access, Execute, Memory, Exception,
 Write-Back), extended with the ECC stage when the active policy requires

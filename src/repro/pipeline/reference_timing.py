@@ -11,9 +11,12 @@ Like the codec references in :mod:`repro.ecc.reference`, nothing on a
 hot path should use this class; it exists for equivalence testing and as
 the baseline the perf harness measures speedups against.
 
-Unlike the optimized engine, which reads a per-trace memory tape, this
-engine drives a live :class:`~repro.memory.hierarchy.MemoryHierarchy`;
-hand it a fresh hierarchy per run.
+Unlike the optimized engine, which reads the columnar trace and its
+per-trace memory tape, this engine replays the object records of
+:mod:`repro.functional.reference` (``run_reference``, or
+``reference_trace`` for a synthetic stream) and drives a live
+:class:`~repro.memory.hierarchy.MemoryHierarchy`; hand it a fresh
+hierarchy per run.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Dict, Optional
 
 from repro.core.lookahead import LookaheadUnit
 from repro.core.policies import DataReadyStage, EccPolicy
-from repro.functional.simulator import DynInstruction, FunctionalTrace
+from repro.functional.reference import DynInstruction, ReferenceTrace
 from repro.isa.instructions import InstructionClass
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.write_buffer import WriteBuffer
@@ -49,7 +52,7 @@ class ReferenceTimingPipeline:
         self.lookahead_unit = LookaheadUnit()
 
     # ------------------------------------------------------------------ #
-    def run(self, trace: FunctionalTrace) -> PipelineResult:
+    def run(self, trace: ReferenceTrace) -> PipelineResult:
         """Time the whole ``trace`` and return the collected results."""
         policy = self.policy
         config = self.config

@@ -48,7 +48,7 @@ from typing import Dict, List, Optional
 
 from repro.core.lookahead import LookaheadDecision, LookaheadStatistics
 from repro.core.policies import EccPolicy
-from repro.functional.simulator import FunctionalTrace
+from repro.functional.interpreter import FunctionalTrace
 from repro.isa.instructions import InstructionClass
 from repro.isa.registers import REGISTER_COUNT
 from repro.memory.config import MemoryHierarchyConfig
@@ -146,10 +146,9 @@ def _static_info(instr, mul_extra: int, div_extra: int) -> tuple:
 def static_facts(trace: FunctionalTrace, mul_latency: int, div_latency: int) -> List[tuple]:
     """One shared fact tuple per dynamic instruction (cached on ``trace``).
 
-    The memo falls back from the instruction object to its operand
-    fields, all that :func:`_static_info` reads, so streams that build
-    one ``Instruction`` per dynamic instance (the synthetic generator)
-    still derive each distinct shape once.
+    Traces share their static instructions (one per pc for programs, one
+    per distinct shape for the synthetic generator), so the memo keyed by
+    instruction object derives each one once.
     """
     key = (mul_latency, div_latency)
     facts = trace.static_facts.get(key)
@@ -158,18 +157,12 @@ def static_facts(trace: FunctionalTrace, mul_latency: int, div_latency: int) -> 
     mul_extra = mul_latency - 1
     div_extra = div_latency - 1
     by_object: Dict[int, tuple] = {}
-    by_operands: Dict[tuple, tuple] = {}
     facts = []
     append = facts.append
-    for dyn in trace.instructions:
-        instr = dyn.instruction
+    for instr in trace.instructions:
         info = by_object.get(id(instr))
         if info is None:
-            operands = (instr.mnemonic, instr.rd, instr.rs1, instr.rs2, instr.uses_imm)
-            info = by_operands.get(operands)
-            if info is None:
-                info = by_operands[operands] = _static_info(instr, mul_extra, div_extra)
-            by_object[id(instr)] = info
+            info = by_object[id(instr)] = _static_info(instr, mul_extra, div_extra)
         append(info)
     trace.static_facts[key] = facts
     return facts
@@ -209,8 +202,7 @@ def memory_tape(trace: FunctionalTrace, config: MemoryHierarchyConfig) -> Memory
     data = []
     line_mask = ~(config.l1i.line_bytes - 1)
     fetched_line = None
-    for dyn in trace.instructions:
-        pc = dyn.pc
+    for pc, instr, address in zip(trace.pcs, trace.instructions, trace.addresses):
         if pc & line_mask == fetched_line:
             # The line fetched last is its set's MRU line: a hit whose
             # only other effect is an L1I hit count no tape reports.
@@ -218,11 +210,10 @@ def memory_tape(trace: FunctionalTrace, config: MemoryHierarchyConfig) -> Memory
         else:
             fetch_extra.append(fetch_cycles(pc))
             fetched_line = pc & line_mask
-        address = dyn.address
-        if address is not None and dyn.instruction.is_load:
+        if address is not None and instr.is_load:
             outcome = load_access(address)
             data.append(-1 if outcome.hit else outcome.extra_cycles)
-        elif address is not None and dyn.instruction.is_store:
+        elif address is not None and instr.is_store:
             data.append(store_access(address).store_drain_latency)
         else:
             data.append(0)
@@ -300,8 +291,9 @@ class TimingPipeline:
         st_operand = st_load_use = st_ecc_wait = st_mem_struct = 0
         st_dl1_miss = st_wb_full = st_wb_drain = st_redirect = st_icache = 0
 
-        stream = trace.instructions
-        n = len(stream)
+        instructions = trace.instructions
+        taken = trace.taken
+        n = len(instructions)
         record_window = config.chronogram_window
         infos = static_facts(trace, config.mul_latency, config.div_latency)
         fetch_extra = tape.fetch_extra
@@ -498,7 +490,7 @@ class TimingPipeline:
             if kind:
                 if kind == _KIND_BRANCH:
                     n_branches += 1
-                    if stream[i].branch_taken:
+                    if taken[i]:
                         n_taken += 1
                         redirect_cycle = f_end + 1 + taken_branch_penalty
                     else:
@@ -530,7 +522,7 @@ class TimingPipeline:
             # Chronogram recording                                       #
             # ---------------------------------------------------------- #
             if i < record_window:
-                entry = ChronogramEntry(index=i, label=stream[i].instruction.render())
+                entry = ChronogramEntry(index=i, label=instructions[i].render())
                 occupancy = entry.occupancy
                 occupancy[Stage.FETCH] = (f_start, f_end)
                 occupancy[Stage.DECODE] = (d_end, d_end)

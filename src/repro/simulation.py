@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
 from repro.core.policies import EccPolicy, EccPolicyKind, make_policy
-from repro.functional.simulator import FunctionalTrace, run_program
+from repro.functional.interpreter import FunctionalTrace, run_program
 from repro.isa.program import Program
 from repro.pipeline.chronogram import Chronogram
 from repro.pipeline.config import CoreConfig, PipelineConfig

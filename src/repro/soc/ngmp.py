@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
 from repro.core.policies import EccPolicy, EccPolicyKind
-from repro.functional.simulator import run_program
+from repro.functional.interpreter import run_program
 from repro.isa.program import Program
 from repro.memory.config import MemoryHierarchyConfig
 from repro.pipeline.config import CoreConfig, PipelineConfig

@@ -1,8 +1,9 @@
 """Synthetic dynamic-instruction-stream generator.
 
-The generator fabricates a :class:`~repro.functional.simulator.FunctionalTrace`
-directly — no assembly, no functional execution — with first-order
-statistics dialled in by configuration:
+The generator fills the columns of a
+:class:`~repro.functional.interpreter.FunctionalTrace` directly — no
+assembly, no functional execution — with first-order statistics dialled
+in by configuration:
 
 * fraction of loads and stores,
 * fraction of loads whose value is consumed at distance 1 or 2,
@@ -20,10 +21,10 @@ per-benchmark values.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
-from repro.functional.simulator import DynInstruction, FunctionalTrace
+from repro.functional.interpreter import FunctionalTrace
 from repro.isa.instructions import Instruction, Mnemonic
 from repro.workloads.table2_reference import Table2Row
 
@@ -80,113 +81,68 @@ class SyntheticWorkloadGenerator:
         cfg = self.config
         rng = random.Random(cfg.seed)
         trace = FunctionalTrace(program_name=name)
-        instructions: List[DynInstruction] = trace.instructions
+        shapes: Dict[tuple, Instruction] = {}
+
+        def emit(mnemonic, text, *, address=None, taken=False, **operands) -> None:
+            """Append one instruction at the next pc; each distinct shape
+            is one shared static instruction, as in a program."""
+            key = (mnemonic, text, *sorted(operands.items()))
+            instr = shapes.get(key)
+            if instr is None:
+                instr = shapes[key] = Instruction(mnemonic=mnemonic, text=text, **operands)
+            trace.append(_TEXT_BASE + 4 * len(trace), instr, address, taken)
 
         hot_addresses = [
             _DATA_BASE + line * cfg.line_bytes for line in range(cfg.hot_lines)
         ]
         cold_cursor = _COLD_BASE
-        pc = _TEXT_BASE
-        index = 0
         #: Registers reserved: r1-r4 address bases, r10-r19 data values,
         #: r20-r24 scratch for fillers.
         pending_consumers: List[tuple] = []  # (emit_at_index, register)
 
-        def alu_filler(dest: int, srcs: tuple) -> Instruction:
-            rs1 = srcs[0] if srcs else 20
-            rs2 = srcs[1] if len(srcs) > 1 else 0
-            return Instruction(
-                mnemonic=Mnemonic.ADD,
+        def alu_filler(dest: int, srcs: tuple) -> None:
+            emit(
+                Mnemonic.ADD,
+                "synthetic-alu",
                 rd=dest,
-                rs1=rs1,
-                rs2=rs2,
+                rs1=srcs[0] if srcs else 20,
+                rs2=srcs[1] if len(srcs) > 1 else 0,
                 uses_imm=len(srcs) < 2,
                 imm=1 if len(srcs) < 2 else 0,
-                address=pc,
-                text="synthetic-alu",
             )
 
-        while index < cfg.instructions:
+        while len(trace) < cfg.instructions:
             # Emit any scheduled consumer of an earlier load first so the
             # dependent-load distances come out as configured.
             consumer = next(
-                (c for c in pending_consumers if c[0] == index), None
+                (c for c in pending_consumers if c[0] == len(trace)), None
             )
             if consumer is not None:
                 pending_consumers.remove(consumer)
-                instr = alu_filler(20 + rng.randrange(5), (consumer[1],))
-                instructions.append(
-                    DynInstruction(
-                        index=index, pc=pc, instruction=instr, next_pc=pc + 4
-                    )
-                )
-                pc += 4
-                index += 1
+                alu_filler(20 + rng.randrange(5), (consumer[1],))
                 continue
 
             draw = rng.random()
             if draw < cfg.load_fraction:
-                index, pc, cold_cursor = self._emit_load(
-                    rng, instructions, index, pc, hot_addresses, cold_cursor,
-                    pending_consumers,
+                cold_cursor = self._emit_load(
+                    rng, emit, len(trace), hot_addresses, cold_cursor, pending_consumers
                 )
             elif draw < cfg.load_fraction + cfg.store_fraction:
                 address = rng.choice(hot_addresses)
-                instr = Instruction(
-                    mnemonic=Mnemonic.ST,
+                emit(
+                    Mnemonic.ST,
+                    "synthetic-store",
+                    address=address,
                     rd=10 + rng.randrange(10),
                     rs1=1,
                     imm=address - _DATA_BASE,
-                    uses_imm=True,
-                    address=pc,
-                    text="synthetic-store",
                 )
-                instructions.append(
-                    DynInstruction(
-                        index=index,
-                        pc=pc,
-                        instruction=instr,
-                        address=address,
-                        size=4,
-                        next_pc=pc + 4,
-                    )
-                )
-                pc += 4
-                index += 1
             elif draw < cfg.load_fraction + cfg.store_fraction + cfg.branch_fraction:
                 taken = rng.random() < cfg.taken_branch_fraction
-                instr = Instruction(
-                    mnemonic=Mnemonic.BNE,
-                    imm=-64 if taken else 8,
-                    uses_imm=True,
-                    address=pc,
-                    text="synthetic-branch",
-                )
-                next_pc = pc + instr.imm if taken else pc + 4
-                instructions.append(
-                    DynInstruction(
-                        index=index,
-                        pc=pc,
-                        instruction=instr,
-                        branch_taken=taken,
-                        next_pc=next_pc,
-                    )
-                )
-                pc += 4
-                index += 1
+                emit(Mnemonic.BNE, "synthetic-branch", taken=taken, imm=-64 if taken else 8)
             else:
                 dest = 20 + rng.randrange(5)
-                srcs = (20 + rng.randrange(5),)
-                instructions.append(
-                    DynInstruction(
-                        index=index,
-                        pc=pc,
-                        instruction=alu_filler(dest, srcs),
-                        next_pc=pc + 4,
-                    )
-                )
-                pc += 4
-                index += 1
+                alu_filler(dest, (20 + rng.randrange(5),))
         trace.halted = True
         return trace
 
@@ -194,13 +150,12 @@ class SyntheticWorkloadGenerator:
     def _emit_load(
         self,
         rng: random.Random,
-        instructions: List[DynInstruction],
+        emit,
         index: int,
-        pc: int,
         hot_addresses: List[int],
         cold_cursor: int,
         pending_consumers: List[tuple],
-    ):
+    ) -> int:
         cfg = self.config
         base_register = 1
         value_register = 10 + rng.randrange(10)
@@ -209,19 +164,13 @@ class SyntheticWorkloadGenerator:
         # load (the LAEC data hazard pattern).
         if rng.random() < cfg.address_from_previous_fraction:
             address_register = 5
-            producer = Instruction(
-                mnemonic=Mnemonic.ADD,
+            emit(
+                Mnemonic.ADD,
+                "synthetic-addrgen",
                 rd=address_register,
                 rs1=base_register,
                 imm=rng.randrange(0, 64) * 4,
-                uses_imm=True,
-                address=pc,
-                text="synthetic-addrgen",
             )
-            instructions.append(
-                DynInstruction(index=index, pc=pc, instruction=producer, next_pc=pc + 4)
-            )
-            pc += 4
             index += 1
             load_rs1 = address_register
         else:
@@ -233,30 +182,9 @@ class SyntheticWorkloadGenerator:
             address = cold_cursor
             cold_cursor += cfg.line_bytes
 
-        load = Instruction(
-            mnemonic=Mnemonic.LD,
-            rd=value_register,
-            rs1=load_rs1,
-            imm=0,
-            uses_imm=True,
-            address=pc,
-            text="synthetic-load",
-        )
-        instructions.append(
-            DynInstruction(
-                index=index,
-                pc=pc,
-                instruction=load,
-                address=address,
-                size=4,
-                next_pc=pc + 4,
-            )
-        )
-        load_index = index
-        pc += 4
-        index += 1
+        emit(Mnemonic.LD, "synthetic-load", address=address, rd=value_register, rs1=load_rs1)
 
         if rng.random() < cfg.dependent_load_fraction:
             distance = 1 if rng.random() < cfg.dependent_distance_1_fraction else 2
-            pending_consumers.append((load_index + distance, value_register))
-        return index, pc, cold_cursor
+            pending_consumers.append((index + distance, value_register))
+        return cold_cursor

@@ -115,7 +115,7 @@ class TestWcet:
     def test_write_policy_study_interprets_once(self, monkeypatch):
         import repro.analysis.wcet
         import repro.simulation
-        from repro.functional.simulator import run_program
+        from repro.functional import run_program
 
         calls = []
 

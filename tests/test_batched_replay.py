@@ -5,7 +5,8 @@ per-point ``run_injection`` over full grids — the analytical triage, the
 snapshot suffix-resume and the classic fallback are three routes to one
 answer, never three answers.  These tests pin that equivalence over:
 
-* the lean pre-decoded golden pass vs the functional simulator;
+* the production interpreter (``golden_pass``) vs the object reference
+  interpreter, every trace column on every kernel;
 * exhaustive synthetic grids engineered to hit every triage branch
   (crash, hang, subword read-modify-write, sign extension, protected
   policies with corrected / detected / writeback events);
@@ -32,7 +33,15 @@ from repro.campaign import (
     sample_fault_groups,
     sample_faults,
 )
-from repro.functional.simulator import FunctionalSimulator, run_program
+from repro.experiments.runner import cached_golden_run, clear_kernel_trace_cache
+from repro.functional.interpreter import (
+    SNAPSHOT_INTERVAL,
+    ExecutionLimitExceeded,
+    golden_pass,
+    run_program,
+)
+from repro.functional.reference import FunctionalSimulator, run_reference
+from repro.workloads import KERNEL_NAMES, build_kernel
 from repro.isa.assembler import assemble
 from repro.scenarios.spec import FaultSpec, SimulationSpec
 from repro.store import ResultStore, spec_hash
@@ -115,12 +124,51 @@ main:
 """
 
 
+#: Branches to their own fall-through (``ba``, ``bne`` taken and not),
+#: sign-extending sub-word loads that decide two of those branches, and
+#: ``call`` / ``jmpl``: the columns no kernel pins down on its own.
+CORNER_PROGRAM = """
+.data
+bytes:
+    .byte 0x80, 0x7F
+halves:
+    .half 0x8001
+.text
+main:
+    set bytes, r1
+    ldsb [r1], r2
+    set halves, r4
+    ldsh [r4], r5
+    ba next1
+next1:
+    cmp r2, r0
+    bne next2
+next2:
+    add r2, 128, r3
+    cmp r3, r0
+    bne next3
+next3:
+    set -32767, r6
+    cmp r5, r6
+    bne next4
+next4:
+    call helper
+    jmpl r7, 0, r0
+    halt
+helper:
+    set done, r7
+    ret
+done:
+    halt
+"""
+
+
 def _words_of(trace):
-    return sorted({d.address & ~3 for d in trace.instructions if d.address is not None})
+    return sorted({address & ~3 for address in trace.memory_addresses()})
 
 
 def _mem_ops(trace):
-    return sum(1 for d in trace.instructions if d.address is not None)
+    return len(trace.memory_addresses())
 
 
 def _grid(program_text, name, policies, *, bits, targets=("dl1", "l2")):
@@ -151,8 +199,9 @@ def _grid(program_text, name, policies, *, bits, targets=("dl1", "l2")):
 def _assert_equivalent(program, trace, specs):
     batch = run_injection_batch(specs, program=program)
     assert len(batch) == len(specs)
+    golden = golden_pass(program)
     for spec, batched in zip(specs, batch):
-        classic = run_injection(spec, program=program, trace=trace)
+        classic = run_injection(spec, golden=golden)
         assert batched.payload() == classic.payload(), (
             f"batched != classic for {spec.fault} under {spec.policy}"
         )
@@ -162,36 +211,52 @@ def _assert_equivalent(program, trace, specs):
 # lean golden pass                                                      #
 # --------------------------------------------------------------------- #
 class TestLeanGoldenPass:
-    @pytest.mark.parametrize("kernel", ["rspeed", "canrdr"])
-    def test_matches_functional_simulator(self, kernel):
-        from repro.campaign.lean_sim import golden_pass, memories_equal
-        from repro.workloads import build_kernel
+    @staticmethod
+    def _assert_matches_reference(program):
+        """Every column (pc, static instruction, address, taken), the op
+        count and the final memory image equal the object interpreter's."""
+        from repro.campaign.lean_sim import memories_equal
 
-        program = build_kernel(kernel, scale=0.05)
         golden = golden_pass(program)
-        trace = run_program(program)
-        assert golden.instructions == len(trace)
-        assert golden.pcs == [d.pc for d in trace.instructions]
-        assert golden.total_ops == _mem_ops(trace)
-
         simulator = FunctionalSimulator(program)
-        simulator.run()
-        final = {}
-        for page_number, data in simulator.memory._pages.items():
-            base = page_number << 12
-            for offset in range(0, len(data), 4):
-                word = int.from_bytes(data[offset : offset + 4], "little")
-                if word:
-                    final[base + offset] = word
-        assert memories_equal(golden.mem_final, final)
+        reference = simulator.run()
+        assert golden.instructions == len(reference)
+        assert golden.trace == reference.columns()
+        assert golden.total_ops == _mem_ops(golden.trace)
+        assert memories_equal(golden.mem_final, simulator.memory.words())
+        return golden.trace
+
+    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    def test_matches_functional_simulator(self, kernel):
+        self._assert_matches_reference(build_kernel(kernel, scale=0.4))
+
+    def test_control_and_subword_corners_match_every_column(self):
+        trace = self._assert_matches_reference(
+            assemble(CORNER_PROGRAM, name="corners")
+        )
+        control = [
+            (instr.mnemonic.value, bool(taken))
+            for instr, taken in zip(trace.instructions, trace.taken)
+            if instr.is_control
+        ]
+        assert control == [
+            ("ba", True),
+            ("bne", True),
+            ("bne", False),
+            ("bne", False),
+            ("call", True),
+            ("jmpl", True),
+            ("jmpl", True),
+        ]
+        # Each branch targets its own fall-through: only the taken
+        # column tells the taken ones apart.
+        slots = [(pc - trace.pcs[0]) // 4 for pc in trace.pcs]
+        assert slots == list(range(14)) + [16, 17, 14, 18]
 
     def test_store_history_reconstructs_values_over_time(self):
-        from repro.campaign.lean_sim import golden_pass
-
         program = assemble(WRITEBACK_PROGRAM, name="wb_hist")
         golden = golden_pass(program)
-        trace = run_program(program)
-        dst = next(d.address for d in trace.instructions if d.is_store) & ~3
+        dst = program.symbol("dst")
         # Before the first store the word is its initial value; after
         # the last memory op it is the stored value.
         assert golden.value_at(dst, 1) == 0
@@ -200,9 +265,7 @@ class TestLeanGoldenPass:
     def test_snapshot_before_equals_bisect_over_snapshot_indices(self):
         import bisect
 
-        from repro.campaign.replay import lean_golden_for_kernel
-
-        golden = lean_golden_for_kernel("canrdr", 0.4)
+        golden = cached_golden_run("canrdr", 0.4)
         indices = [snap.index for snap in golden.snapshots]
         assert len(indices) > 2
         for instr_index in range(golden.instructions + 1):
@@ -216,10 +279,9 @@ class TestLeanGoldenPass:
         the nearest snapshot, whichever of the two is later."""
         import random
 
-        from repro.campaign.lean_sim import SNAPSHOT_INTERVAL, golden_state_at
-        from repro.campaign.replay import lean_golden_for_kernel
+        from repro.campaign.lean_sim import golden_state_at
 
-        golden = lean_golden_for_kernel(kernel, 0.4)
+        golden = cached_golden_run(kernel, 0.4)
         rng = random.Random(2019)
         for _ in range(12):
             start = rng.randrange(golden.instructions)
@@ -233,9 +295,7 @@ class TestLeanGoldenPass:
 
     @pytest.mark.parametrize("kernel", ["canrdr", "matrix"])
     def test_word_op_index_lists_every_op_once_in_order(self, kernel):
-        from repro.campaign.replay import lean_golden_for_kernel
-
-        golden = lean_golden_for_kernel(kernel, 0.1)
+        golden = cached_golden_run(kernel, 0.1)
         index = golden.word_ops()
         assert golden.word_ops() is index  # built once, then cached
         seen = []
@@ -255,18 +315,15 @@ class TestHaltCountsAgainstTheLimit:
 
     @pytest.mark.parametrize("limit, halts", [(2, False), (3, True)])
     def test_lean_and_object_interpreters_agree(self, limit, halts):
-        from repro.campaign.lean_sim import golden_pass
-        from repro.functional.simulator import ExecutionLimitExceeded
-
         program = assemble("main:\n    set 1, r1\n    set 2, r2\n    halt\n")
         if halts:
-            assert golden_pass(program, max_instructions=limit).instructions == 3
             assert len(run_program(program, max_instructions=limit)) == 3
+            assert len(run_reference(program, max_instructions=limit)) == 3
         else:
             with pytest.raises(ExecutionLimitExceeded):
-                golden_pass(program, max_instructions=limit)
-            with pytest.raises(ExecutionLimitExceeded):
                 run_program(program, max_instructions=limit)
+            with pytest.raises(ExecutionLimitExceeded):
+                run_reference(program, max_instructions=limit)
 
     @pytest.mark.parametrize("limit, outcome", [(16, "detected"), (17, "sdc")])
     def test_resume_and_full_replay_agree_at_the_hang_boundary(self, limit, outcome):
@@ -615,19 +672,17 @@ class TestTimelineDeltaWalk:
         walk proves the point at a budget of exactly the instructions
         from the diverging load to the end, and streams one below."""
         from repro.campaign import triage
-        from repro.campaign.lean_sim import golden_pass
 
         program = assemble(CLEAN_TAIL_PROGRAM, name="clean_tail")
-        trace = run_program(program)
         golden = golden_pass(program)
         needed = golden.instructions - golden.op_instr[1]
         spec = SimulationSpec(
             policy="no-ecc",
             fault=FaultSpec(
-                target="dl1", word_address=_words_of(trace)[0], bit=3, at_access=2
+                target="dl1", word_address=_words_of(golden.trace)[0], bit=3, at_access=2
             ),
         )
-        reference = run_injection(spec, program=program, trace=trace).payload()
+        reference = run_injection(spec, golden=golden).payload()
         modes = {}
         for budget in (needed, needed - 1):
             monkeypatch.setattr(triage, "TIMING_WALK_BUDGET", budget)
@@ -865,11 +920,10 @@ class TestBatchedCampaign:
     def test_campaign_hot_path_never_runs_the_object_interpreter(
         self, tmp_path, monkeypatch
     ):
-        """Cold and resumed campaigns sample and replay from the lean
-        golden run alone: with the object interpreter's trace cache
-        rigged to raise, both still match an unpatched run."""
-        from repro.campaign import replay, sampling
-        from repro.experiments import runner
+        """Cold and resumed campaigns sample and replay from the golden
+        run alone: with the object interpreter rigged to raise, both
+        still match an unpatched run."""
+        from repro.campaign import sampling
 
         reference = run_campaign(config())
 
@@ -877,8 +931,8 @@ class TestBatchedCampaign:
             raise AssertionError("object interpreter on the campaign path")
 
         sampling._SPACE_CACHE.clear()
-        replay._LEAN_GOLDEN_CACHE.clear()
-        monkeypatch.setattr(runner, "cached_kernel_trace", forbidden)
+        clear_kernel_trace_cache()
+        monkeypatch.setattr(FunctionalSimulator, "step", forbidden)
         with ResultStore(tmp_path / "lean.sqlite") as store:
             cold = run_campaign(config(), store=store, resume=True)
             resumed = run_campaign(config(), store=store, resume=True)
@@ -899,13 +953,11 @@ class TestGoldenTimelines:
     def test_cached_lookups_equal_fresh_walks(
         self, write_back, ways, write_allocate
     ):
-        from repro.campaign.lean_sim import golden_pass
         from repro.campaign.timeline import (
             CacheGeometry,
             build_timelines,
             golden_timelines,
         )
-        from repro.workloads import build_kernel
 
         golden = golden_pass(build_kernel("canrdr", scale=0.1))
         # Two sets: this kernel then evicts clean and dirty lines.
@@ -946,7 +998,7 @@ class TestGoldenTimelines:
             batches.append(len(specs))
             return real_batch(specs, **kwargs)
 
-        replay._LEAN_GOLDEN_CACHE.clear()
+        clear_kernel_trace_cache()
         monkeypatch.setattr(timeline, "build_timelines", counting_walk)
         monkeypatch.setattr(replay, "run_injection_batch", counting_batch)
         # no-ecc/extra-cycle share the write-back DL1; wt-parity's DL1

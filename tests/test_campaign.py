@@ -19,7 +19,7 @@ from repro.memory.l2_cache import SharedL2Cache
 from repro.memory.main_memory import MainMemory
 from repro.scenarios import FaultSpec, SimulationSpec
 from repro.store import ResultStore
-from repro.workloads import KERNEL_NAMES
+from repro.workloads import KERNEL_NAMES, build_kernel
 
 #: The kernels of the benchmark's campaign grid.
 BENCH_KERNELS = ("aifirf", "canrdr", "matrix", "tblook")
@@ -90,19 +90,16 @@ class TestCacheInjectionHooks:
 # --------------------------------------------------------------------- #
 def _load_after_store_point(kernel: str, scale: float):
     """A fault point aimed at a word that is stored then loaded again."""
-    from repro.experiments.runner import cached_kernel_trace
+    from repro.experiments.runner import cached_golden_run
 
-    _, trace = cached_kernel_trace(kernel, scale)
+    golden = cached_golden_run(kernel, scale)
     stored = set()
-    ordinal = 0
-    for dyn in trace.instructions:
-        if dyn.address is None:
-            continue
-        ordinal += 1
-        word = dyn.address & ~0x3
-        if dyn.is_store:
+    for ordinal, (word, is_store, size) in enumerate(
+        zip(golden.op_wa, golden.op_store, golden.op_size), 1
+    ):
+        if is_store:
             stored.add(word)
-        elif word in stored and dyn.size == 4:
+        elif word in stored and size == 4:
             return word, ordinal
     raise AssertionError(f"{kernel} has no load-after-store pattern")
 
@@ -213,7 +210,7 @@ class TestArchitecturalReplay:
         # indirect jump outside the text segment: the machine traps, the
         # outcome is DETECTED (never silent), and the partial dynamic
         # stream is what gets reported/timed.
-        from repro.functional.simulator import run_program
+        from repro.functional import run_program
         from repro.isa.assembler import assemble
         from repro.simulation import simulate_spec
 
@@ -238,13 +235,13 @@ target:
             name="jump_via_ptr",
         )
         trace = run_program(program)
-        ptr_word = next(d.address for d in trace.instructions if d.is_store) & ~0x3
+        ptr_word = program.symbol("ptr")
         # Inject before the *third* DL1 access (the second load of ptr).
         spec = SimulationSpec(
             policy="no-ecc",
             fault=FaultSpec(word_address=ptr_word, bit=30, at_access=3),
         )
-        injection = run_injection(spec, program=program, trace=trace)
+        injection = run_injection(spec, program=program)
         assert "crash" in injection.events
         assert injection.outcome is ArchOutcome.DETECTED
         assert 0 < injection.faulty_instructions < len(trace)
@@ -370,14 +367,14 @@ class TestSampling:
     def test_fault_space_matches_the_object_interpreter(
         self, kernel, scale, monkeypatch
     ):
-        """The fault space read off the lean golden run equals one built
+        """The fault space read off the golden run equals one built
         from the object interpreter's address stream, so the sampled
         points (and every campaign summary) cannot move."""
         from repro.campaign import clear_sample_cursors, kernel_fault_space
         from repro.campaign import sampling
-        from repro.experiments.runner import cached_kernel_trace
+        from repro.functional.reference import run_reference
 
-        _, trace = cached_kernel_trace(kernel, scale)
+        trace = run_reference(build_kernel(kernel, scale=scale))
         seen = set()
         first_touch, distinct_before = [], [0]
         for dyn in trace.instructions:

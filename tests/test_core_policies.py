@@ -20,7 +20,7 @@ from repro.core.policies import (
     figure8_policies,
     make_policy,
 )
-from repro.functional import run_program
+from repro.functional.reference import run_reference
 from repro.isa.assembler import assemble
 from repro.memory.config import WritePolicy
 
@@ -82,7 +82,7 @@ class TestPolicyDefinitions:
 
 
 def _trace(source: str):
-    return run_program(assemble(source)).instructions
+    return run_reference(assemble(source)).instructions
 
 
 class TestHazardPredicates:

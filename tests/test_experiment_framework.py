@@ -150,8 +150,8 @@ class TestKernelTraceCacheCap:
                 cached_kernel_trace("rspeed", scale)
             assert kernel_trace_cache_size() == 3
             # oldest entry (0.01) was evicted, newest still present
-            assert ("rspeed", 0.01) not in runner_module._KERNEL_CACHE
-            assert ("rspeed", 0.04) in runner_module._KERNEL_CACHE
+            assert ("rspeed", 0.01) not in runner_module._GOLDEN_CACHE
+            assert ("rspeed", 0.04) in runner_module._GOLDEN_CACHE
         finally:
             runner_module.KERNEL_TRACE_CACHE_MAX_ENTRIES = original
             clear_kernel_trace_cache()

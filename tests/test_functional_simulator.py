@@ -1,18 +1,19 @@
-"""Tests for the functional (architectural) simulator."""
+"""Tests for the reference (object) interpreter's architectural semantics.
+
+The production interpreter is pinned to it column by column in
+``tests/test_batched_replay.py::TestLeanGoldenPass``.
+"""
 
 import pytest
 
 from repro.functional.memory import FlatMemory, MemoryAccessError
-from repro.functional.simulator import (
-    ExecutionLimitExceeded,
-    FunctionalSimulator,
-    run_program,
-)
+from repro.functional import ExecutionLimitExceeded
+from repro.functional.reference import FunctionalSimulator, run_reference
 from repro.isa.assembler import assemble
 
 
 def _run(source: str, **kwargs):
-    return run_program(assemble(source), **kwargs)
+    return run_reference(assemble(source), **kwargs)
 
 
 class TestFlatMemory:

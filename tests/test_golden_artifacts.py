@@ -14,7 +14,8 @@ The paper-shape checks then assert the paper's claims against each
 experiment's structured result, including Figure 8's per-policy
 fidelity as a tolerance against the paper's averages.  Two cheap
 artefacts are also regenerated through ``cli.main`` so the CLI plumbing
-stays covered.
+stays covered.  The registry build runs with the object (reference)
+interpreter rigged to raise.
 """
 
 import pathlib
@@ -23,6 +24,7 @@ import pytest
 
 from repro import __main__ as cli
 from repro.core.policies import EccPolicyKind
+from repro.functional.reference import FunctionalSimulator
 from repro.experiments import (
     ExperimentContext,
     ablation_hazards,
@@ -53,12 +55,22 @@ GOLDEN_CASES = [
 
 @pytest.fixture(scope="module")
 def outputs():
-    """Every registered experiment's output, keyed by artefact stem."""
+    """Every registered experiment's output, keyed by artefact stem.
+
+    Built with the object interpreter rigged to raise: the paper path
+    runs the production interpreter only.
+    """
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("object interpreter on the paper path")
+
     context = ExperimentContext()
-    return {
-        experiment.artifact: experiment.execute(context)
-        for experiment in all_experiments()
-    }
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FunctionalSimulator, "step", forbidden)
+        return {
+            experiment.artifact: experiment.execute(context)
+            for experiment in all_experiments()
+        }
 
 
 def test_every_golden_file_has_an_experiment():

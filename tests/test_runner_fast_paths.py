@@ -60,7 +60,7 @@ class TestTraceCache:
         # would still be the first to go.
         _, trace_a = cached_kernel_trace("rspeed", 0.01)
         cached_kernel_trace("rspeed", 0.04)  # D evicts B, not A
-        keys = list(runner._KERNEL_CACHE)
+        keys = list(runner._GOLDEN_CACHE)
         assert ("rspeed", 0.01) in keys
         assert ("rspeed", 0.02) not in keys
         # A must still be the cached object, not a rebuild.
@@ -79,7 +79,7 @@ class TestTraceCache:
             cached_kernel_trace("rspeed", scale)
         cached_kernel_trace("rspeed", 0.04)
         cached_kernel_trace("rspeed", 0.05)
-        keys = list(runner._KERNEL_CACHE)
+        keys = list(runner._GOLDEN_CACHE)
         # The two least recently used (0.03 then 0.02) were evicted.
         assert ("rspeed", 0.03) not in keys
         assert ("rspeed", 0.02) not in keys

@@ -60,7 +60,7 @@ class TestSoC:
     def test_write_policy_comparison_interprets_once(self, small_program, monkeypatch):
         import repro.simulation
         import repro.soc.ngmp
-        from repro.functional.simulator import run_program
+        from repro.functional import run_program
 
         calls = []
 

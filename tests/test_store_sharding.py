@@ -288,6 +288,25 @@ class TestMergeCli:
             assert len(store) == 3
             assert json.loads(json.dumps(store.get("shared"))) == {"n": "same"}
 
+    def test_stray_campaign_shard_merges_verifies_and_resumes(self, tmp_path):
+        """A full campaign store folded into a partial one through the
+        CLI verifies clean, and the full campaign then resumes from it
+        without simulating, to the same summary."""
+        full_path = tmp_path / "full.sqlite"
+        with ResultStore(full_path) as store:
+            full = run_campaign(config(), store=store)
+        merged_path = tmp_path / "merged.sqlite"
+        with ResultStore(merged_path) as store:
+            run_campaign(config(policies=("no-ecc",)), store=store)
+        merge = self._run(merged_path, "--merge", full_path)
+        assert merge.returncode == 0, merge.stderr
+        assert "merged" in merge.stdout
+        assert self._run(merged_path, "--verify").returncode == 0
+        with ResultStore(merged_path) as store:
+            resumed = run_campaign(config(), store=store, resume=True)
+        assert resumed.simulated == 0
+        assert resumed.render() == full.render()
+
     def test_store_merge_missing_shard_is_a_clean_error(self, tmp_path):
         result = self._run(tmp_path / "c.sqlite", "--merge", tmp_path / "no.db")
         assert result.returncode == 2

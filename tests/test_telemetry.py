@@ -515,13 +515,14 @@ class TestSupervisorAgreement:
     def test_golden_phase_is_timed_once_per_kernel_and_outside_sampling(
         self, tmp_path
     ):
-        """The sampler reads the lean golden run; deriving it must be
+        """The sampler reads the golden run; deriving it must be
         timed as `golden` exactly once per (kernel, scale) and never
         inside the `sampling` timer, so phases do not double-count."""
-        from repro.campaign import replay, sampling
+        from repro.campaign import sampling
+        from repro.experiments.runner import clear_kernel_trace_cache
 
         sampling._SPACE_CACHE.clear()
-        replay._LEAN_GOLDEN_CACHE.clear()
+        clear_kernel_trace_cache()
         path = tmp_path / "phases.trace"
         grid = config(kernels=("rspeed", "canrdr"), scales=(0.05, 0.1), trials=4)
         run_campaign(grid, telemetry=Telemetry(path))

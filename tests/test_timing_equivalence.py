@@ -2,8 +2,10 @@
 
 Every kernel is replayed under every Figure 8 policy (plus the
 write-through parity scheme) through both the optimized
-:class:`~repro.pipeline.timing.TimingPipeline` and the preserved seed
-engine :class:`~repro.pipeline.reference_timing.ReferenceTimingPipeline`.
+:class:`~repro.pipeline.timing.TimingPipeline`, reading the production
+interpreter's columnar trace, and the preserved seed engine
+:class:`~repro.pipeline.reference_timing.ReferenceTimingPipeline`,
+reading the object interpreter's records of the same run.
 Total cycles, the full stall breakdown, look-ahead statistics, hierarchy
 counters and chronograms must all match — this is what guarantees that
 none of the paper's reported numbers moved.  The fast engine reads the
@@ -21,7 +23,8 @@ from dataclasses import replace
 import pytest
 
 from repro.core.policies import EccPolicyKind, make_policy
-from repro.functional.simulator import run_program
+from repro.functional.interpreter import run_program
+from repro.functional.reference import reference_trace, run_reference
 from repro.memory.config import MemoryHierarchyConfig
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.config import CoreConfig, PipelineConfig
@@ -45,8 +48,11 @@ ALL_POLICIES = POLICIES + [EccPolicyKind.WT_PARITY]
 
 
 def _run_both(
-    policy_kind, trace, *, chronogram_window=0, pipeline_config=None, hierarchy=None
+    policy_kind, traces, *, chronogram_window=0, pipeline_config=None, hierarchy=None
 ):
+    """Time ``traces = (columnar trace, reference records)`` of one run
+    through the fast and the reference engine."""
+    trace, records = traces
     policy = make_policy(policy_kind)
     core_config = CoreConfig().with_policy(policy)
     config = pipeline_config or core_config.pipeline
@@ -55,7 +61,7 @@ def _run_both(
     hierarchy = hierarchy or core_config.resolved_hierarchy_config()
     reference = ReferenceTimingPipeline(
         policy, MemoryHierarchy(hierarchy), config
-    ).run(trace)
+    ).run(records)
     optimized = TimingPipeline(policy, hierarchy, config).run(trace)
     return reference, optimized
 
@@ -73,13 +79,16 @@ def _assert_identical(reference, optimized, label):
     assert optimized.bus_contention_cycles == reference.bus_contention_cycles, label
 
 
+def _both_interpreters(program):
+    return run_program(program), run_reference(program)
+
+
 @pytest.fixture(scope="module")
 def kernel_traces():
-    traces = {}
-    for name in KERNEL_NAMES:
-        program = build_kernel(name, scale=SCALE)
-        traces[name] = run_program(program)
-    return traces
+    return {
+        name: _both_interpreters(build_kernel(name, scale=SCALE))
+        for name in KERNEL_NAMES
+    }
 
 
 @pytest.mark.parametrize("policy_kind", POLICIES, ids=lambda kind: kind.value)
@@ -142,12 +151,13 @@ def test_non_default_hierarchy_identical(kernel_traces, hierarchy):
 def test_latency_change_rederives_static_facts():
     """One trace timed under ``mul_latency=2`` and then ``5``: the
     static-fact cache must key on the latencies, not only the trace."""
-    trace = run_program(build_kernel("matrix", scale=SCALE))
+    traces = _both_interpreters(build_kernel("matrix", scale=SCALE))
+    trace = traces[0]
     cycles = []
     for mul_latency in (2, 5):
         config = PipelineConfig(mul_latency=mul_latency)
         reference, optimized = _run_both(
-            EccPolicyKind.LAEC, trace, pipeline_config=config
+            EccPolicyKind.LAEC, traces, pipeline_config=config
         )
         _assert_identical(reference, optimized, f"mul_latency={mul_latency}")
         cycles.append(optimized.cycles)
@@ -170,12 +180,13 @@ A2_TRACES = [
     "parameter,value", A2_TRACES, ids=[f"{p}={v}" for p, v in A2_TRACES]
 )
 def test_engines_identical_on_ablation_synthetic_traces(parameter, value):
-    """The Ablation A2 streams (one ``Instruction`` object per dynamic
-    instruction) under every policy, at the artifact's trace length."""
+    """The Ablation A2 streams (one shared ``Instruction`` per distinct
+    shape) under every policy, at the artifact's trace length."""
     config = replace(SyntheticStreamConfig(instructions=8000), **{parameter: value})
     trace = SyntheticWorkloadGenerator(config).generate(name="a2")
+    traces = (trace, reference_trace(trace))
     for policy_kind in ALL_POLICIES:
-        reference, optimized = _run_both(policy_kind, trace)
+        reference, optimized = _run_both(policy_kind, traces)
         _assert_identical(reference, optimized, f"{parameter}={value}/{policy_kind.value}")
 
 
@@ -213,8 +224,9 @@ def test_repeated_runs_are_independent(kernel_traces, policy_kind):
     pipeline = TimingPipeline(
         policy, core_config.resolved_hierarchy_config(), core_config.pipeline
     )
-    first = pipeline.run(kernel_traces["matrix"])
+    trace = kernel_traces["matrix"][0]
+    first = pipeline.run(trace)
     snapshot = copy.deepcopy(first)
-    second = pipeline.run(kernel_traces["matrix"])
+    second = pipeline.run(trace)
     assert second == snapshot
     assert first == snapshot

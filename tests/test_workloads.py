@@ -78,23 +78,29 @@ class TestSyntheticGenerator:
         trace = self._trace()
         assert abs(trace.dynamic_count - 4000) <= 2
 
+    def test_static_instructions_are_shared_per_shape(self):
+        trace = self._trace()
+        shapes = {id(instr) for instr in trace.instructions}
+        assert len(shapes) == len(set(trace.instructions)) < len(trace) // 10
+        assert trace.pcs == [trace.pcs[0] + 4 * i for i in range(len(trace))]
+
     def test_load_fraction_close_to_target(self):
         trace = self._trace(load_fraction=0.3)
         assert trace.load_fraction == pytest.approx(0.3, abs=0.07)
 
     def test_dependent_fraction_controllable(self):
         from repro.core.hazards import is_dependent_load
+        from repro.functional.reference import reference_trace
 
         low = self._trace(dependent_load_fraction=0.1)
         high = self._trace(dependent_load_fraction=0.9)
 
         def dependent_share(trace):
-            loads = [d.index for d in trace if d.is_load]
+            records = reference_trace(trace).instructions
+            loads = [d.index for d in records if d.is_load]
             if not loads:
                 return 0.0
-            flagged = sum(
-                1 for i in loads if is_dependent_load(trace.instructions, i)
-            )
+            flagged = sum(1 for i in loads if is_dependent_load(records, i))
             return flagged / len(loads)
 
         assert dependent_share(high) > dependent_share(low) + 0.4
