@@ -56,12 +56,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.campaign.lean_sim import memories_equal
 from repro.core.policies import EccPolicy, EccPolicyKind
 from repro.ecc.codec import DecodeResult, DecodeStatus, EccCode, get_code
 from repro.functional.interpreter import FunctionalTrace, GoldenRun, golden_pass
 from repro.functional.memory import FlatMemory, MemoryAccessError
-from repro.functional.reference import FunctionalSimulator, SimulationFault
 from repro.isa.program import Program
 from repro.memory.cache import SetAssociativeCache
 from repro.memory.config import MemoryHierarchyConfig, WritePolicy
@@ -462,6 +460,8 @@ def _full_replay(
     replays.  The returned trace is partial (and an event records why)
     when the corrupted execution crashed or ran away.
     """
+    from repro.functional.reference import FunctionalSimulator, SimulationFault
+
     model = _build_model(spec, program)
     _arm(model, fault)
     if fault.target == "l2":
@@ -563,6 +563,8 @@ def run_injection(
     clean run; otherwise ``program`` is interpreted, or the named kernel
     is fetched from the shared per-process golden-run cache.
     """
+    from repro.campaign.lean_sim import memories_equal
+
     fault = spec.fault
     if fault is None:
         raise ValueError("run_injection needs a spec with a FaultSpec armed")
@@ -664,7 +666,7 @@ def _run_residue(
     spec: SimulationSpec, golden, geometry, plan
 ) -> ArchInjectionResult:
     """Execute one diverging fault via snapshot suffix-resume."""
-    from repro.campaign.lean_sim import replay_set_state, resume_faulty
+    from repro.campaign.lean_sim import memories_equal, replay_set_state, resume_faulty
 
     fault = spec.fault
     wa = fault.word_address & ~0x3

@@ -302,9 +302,9 @@ class GoldenRun:
     program: Program
     table: Dict[int, tuple]
     pcs: List[int]
-    #: Whether each retired instruction redirected the PC (see
-    #: :class:`FunctionalTrace`).
-    taken: bytearray
+    #: Retired-instruction indices of the control transfers that
+    #: redirected the PC: the trace's ``taken`` column, kept sparse.
+    taken_at: array
     #: Per memory operation (1-based ordinal ``i`` lives at index ``i-1``):
     op_instr: List[int]  #: retired-instruction index of the op
     op_wa: List[int]  #: word address touched
@@ -316,7 +316,6 @@ class GoldenRun:
     snapshots: List[Snapshot]
     mem_init: Dict[int, int]
     mem_final: Dict[int, int]
-    max_instructions: int
     #: CacheGeometry -> per-word event timelines, filled on demand by
     #: :func:`repro.campaign.timeline.golden_timelines`.
     timelines: Dict[object, Dict[int, list]] = field(default_factory=dict)
@@ -333,21 +332,24 @@ class GoldenRun:
     def trace(self) -> FunctionalTrace:
         """The run as a :class:`FunctionalTrace`, assembled on first use.
 
-        It shares the ``pcs`` and ``taken`` columns; the instruction and
-        address columns follow from the pcs and the op stream, so a
-        campaign that never times the run never holds them.
+        It shares the ``pcs`` column; the other columns follow from the
+        pcs, the op stream and ``taken_at``, so a campaign that never
+        times the run never holds them.
         """
         if self.columns is None:
             static = {ins.address: ins for ins in self.program.instructions}
             addresses: List[Optional[int]] = [None] * len(self.pcs)
             for index, wa, shift in zip(self.op_instr, self.op_wa, self.op_shift):
                 addresses[index] = wa | shift >> 3
+            taken = bytearray(len(self.pcs))
+            for index in self.taken_at:
+                taken[index] = 1
             self.columns = FunctionalTrace(
                 program_name=self.program.name,
                 pcs=self.pcs,
                 instructions=[static[pc] for pc in self.pcs],
                 addresses=addresses,
-                taken=self.taken,
+                taken=taken,
                 halted=True,
             )
         return self.columns
@@ -400,7 +402,7 @@ def golden_pass(
     n = z = v = c = False
     pc = program.entry
     pcs: List[int] = []
-    flags = bytearray()
+    taken_at = array("I")
     op_instr: List[int] = []
     op_wa: List[int] = []
     op_store: List[bool] = []
@@ -412,7 +414,7 @@ def golden_pass(
     tget = table.get
     mget = mem.get
     pcs_append = pcs.append
-    flags_append = flags.append
+    taken_append = taken_at.append
 
     while True:
         if retired % SNAPSHOT_INTERVAL == 0:
@@ -430,7 +432,6 @@ def golden_pass(
             raise LeanExecutionError(f"golden PC outside text segment: {pc:#x}")
         op, rd, rs1, rs2, imm, imm_u, uses_imm, size, fall, target, sx = t
         next_pc = fall
-        taken = False
         if op < 18:
             a = regs[rs1]
             b = imm_u if uses_imm else regs[rs2]
@@ -579,21 +580,21 @@ def golden_pass(
                 taken = v
             if taken:
                 next_pc = target
+                taken_append(retired)
         elif op == _OP_CALL:
             if rd:
                 regs[rd] = pc + INSTRUCTION_BYTES
             next_pc = target
-            taken = True
+            taken_append(retired)
         elif op == _OP_JUMP:
             jump_target = (regs[rs1] + imm) & _M32
             if rd:
                 regs[rd] = pc + INSTRUCTION_BYTES
             next_pc = jump_target
-            taken = True
+            taken_append(retired)
         # _OP_NOP and _OP_HALT fall through: HALT retires (and counts
         # against the limit) like any other instruction.
         pcs_append(pc)
-        flags_append(taken)
         retired += 1
         if retired > max_instructions:
             raise ExecutionLimitExceeded(
@@ -608,7 +609,7 @@ def golden_pass(
         program=program,
         table=table,
         pcs=pcs,
-        taken=flags,
+        taken_at=taken_at,
         op_instr=op_instr,
         op_wa=op_wa,
         op_store=op_store,
@@ -618,7 +619,6 @@ def golden_pass(
         snapshots=snapshots,
         mem_init=mem_init,
         mem_final=mem,
-        max_instructions=max_instructions,
     )
 
 
