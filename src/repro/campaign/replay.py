@@ -26,11 +26,10 @@ One injection run works in three layers:
    history already know every architecturally correct load value, so
    the replay first just streams the golden memory operations through
    the content model and compares what a load *observes* against the
-   golden value.  While
-   they agree the rest of the machine state cannot have diverged, so no
-   re-execution is needed — the vast majority of sampled faults
-   (masked, corrected, detected-and-refetched) finish here at memory-op
-   speed.
+   golden value.  While they agree the rest of the machine state cannot
+   have diverged, so no re-execution is needed — the vast majority of
+   sampled faults (masked, corrected, detected-and-refetched) finish
+   here at memory-op speed.
 
 3. **Divergent re-execution**: the first load that returns a corrupted
    value invalidates the golden stream, so the run is re-executed from
