@@ -213,6 +213,11 @@ def test_prepass_is_not_compared_or_pickled():
     restored = pickle.loads(pickle.dumps(timed))
     assert restored == timed
     assert restored.memory_tapes == {} and restored.static_facts == {}
+    # Columns only: no golden-run state (snapshots, store history) travels.
+    assert sorted(restored.__dict__) == [
+        "addresses", "halted", "instructions", "memory_tapes",
+        "pcs", "program_name", "static_facts", "taken",
+    ]
 
 
 @pytest.mark.parametrize("policy_kind", ALL_POLICIES, ids=lambda kind: kind.value)
