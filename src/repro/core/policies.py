@@ -212,8 +212,19 @@ _ALIASES = {
 
 
 def make_policy(kind: Union[str, EccPolicyKind, EccPolicy]) -> EccPolicy:
-    """Build a policy from a kind, a name string, or pass through a policy."""
+    """Build a policy from a kind, a name string, or pass through a policy.
+
+    A policy instance passes through only when it equals its kind's
+    factory-built policy: the result store keys a spec by the policy's
+    kind alone, so a hand-modified policy would share (and be served)
+    the results of the real one.
+    """
     if isinstance(kind, EccPolicy):
+        if kind != _FACTORIES[kind.kind]():
+            raise ValueError(
+                f"{kind.display_name!r} differs from the {kind.kind.value!r} policy; "
+                "only the five built-in policies are supported"
+            )
         return kind
     if isinstance(kind, EccPolicyKind):
         return _FACTORIES[kind]()

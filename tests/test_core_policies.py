@@ -1,5 +1,7 @@
 """Tests for the ECC deployment policies and the look-ahead unit."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.hazards import (
@@ -66,6 +68,17 @@ class TestPolicyDefinitions:
     def test_make_policy_unknown(self):
         with pytest.raises(ValueError):
             make_policy("secded-everywhere")
+
+    def test_make_policy_rejects_a_modified_policy(self):
+        # The store keys a spec by its policy kind, so a hand-built
+        # variant would silently be served the built-in policy's rows.
+        modified = dataclasses.replace(
+            LaecPolicy(), dl1_code_name="parity", load_hit_memory_cycles=3
+        )
+        with pytest.raises(ValueError, match="laec"):
+            make_policy(modified)
+        for policy in all_policies():
+            assert make_policy(policy) is policy
 
     def test_figure8_policy_set(self):
         kinds = [p.kind for p in figure8_policies()]
