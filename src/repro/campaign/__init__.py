@@ -5,9 +5,12 @@ actually argues about: soft errors landing in *live* DL1/L2 lines during
 real kernel runs, observed end to end — masking, correction, detection,
 propagation into the memory image (SDC) and pure timing deviations.
 
-* :mod:`repro.campaign.replay` — one injection: arm a
-  :class:`~repro.scenarios.spec.FaultSpec` in the cache arrays, replay
-  the kernel, classify architecturally against the golden run.
+* :mod:`repro.campaign.replay` — the injection engine: classify a
+  batch of :class:`~repro.scenarios.spec.FaultSpec` points against a
+  shared golden run, by analytical triage (:mod:`repro.campaign.triage`)
+  and snapshot resume (:mod:`repro.campaign.lean_sim`).  The full
+  re-execution it replaces is the test oracle
+  :mod:`repro.campaign.reference`.
 * :mod:`repro.campaign.sampling` — deterministic stratified sampling of
   (injection cycle × cache word × bit) points per stratum of the sweep
   grid (kernel × policy × target × scenario × scale), with an O(N)
@@ -66,11 +69,9 @@ from repro.campaign.errors import (
 from repro.campaign.replay import (
     ArchInjectionResult,
     ArchOutcome,
-    Dl1ContentModel,
     RawWordCode,
     dl1_code_for_policy,
     l2_code_for_policy,
-    run_injection,
     run_injection_batch,
     simulate_faulty_spec,
     warm_lean_golden,
@@ -104,7 +105,6 @@ __all__ = [
     "CampaignResult",
     "ChaosDirective",
     "ChaosPlan",
-    "Dl1ContentModel",
     "KernelFaultSpace",
     "PointTimeout",
     "QuarantinedPoint",
@@ -124,7 +124,6 @@ __all__ = [
     "point_draw_count",
     "reset_draw_count",
     "run_campaign",
-    "run_injection",
     "run_injection_batch",
     "replay_group_key",
     "sample_fault_groups",

@@ -389,7 +389,7 @@ def _simulate_batch(
 
     Returns an envelope ``{"results", "pid", "phases", "persisted"}``;
     ``results`` is ``(payload, replay_mode)`` per spec, in input order —
-    the mode string feeds the ``analytical=/streamed=/full=`` counters —
+    the mode string feeds the ``analytical=/streamed=`` counters —
     and the drained metrics snapshot carries this job's phase timings
     and counters back to the campaign process (none if it raises).
 
@@ -626,7 +626,7 @@ class _PointSupervisor:
         global index.  ``quarantined`` values are ``(final_error,
         attempts)`` (with ``config.quarantine=False`` the final error is
         raised instead); ``modes`` maps each completed point to its
-        replay mode (``analytical`` / ``streamed`` / ``full``);
+        replay mode (``analytical`` / ``streamed``);
         ``persisted`` holds the indices whose rows a worker already
         wrote to its own store shard (the engine must not write them
         again).

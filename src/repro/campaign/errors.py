@@ -153,13 +153,11 @@ class SupervisorStats:
     quarantined: int = 0
     #: Replay-mode composition of the completed points: classified
     #: analytically from the golden timeline (zero re-execution),
-    #: executed via snapshot suffix-resume ("streamed"), executed via
-    #: the classic full per-point replay, or satisfied from the result
-    #: store.  ``analytical + streamed + full + store_hits`` equals the
-    #: number of non-quarantined points the campaign resolved.
+    #: executed via snapshot suffix-resume ("streamed"), or satisfied
+    #: from the result store.  ``analytical + streamed + store_hits``
+    #: equals the number of non-quarantined points the campaign resolved.
     analytical: int = 0
     streamed: int = 0
-    full: int = 0
     store_hits: int = 0
     extra: Dict[str, int] = field(default_factory=dict)
 
@@ -169,8 +167,6 @@ class SupervisorStats:
             self.analytical += 1
         elif mode == "streamed":
             self.streamed += 1
-        else:
-            self.full += 1
 
     def record(self, error: CampaignError) -> None:
         if isinstance(error, PointTimeout):

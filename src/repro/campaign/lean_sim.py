@@ -21,8 +21,8 @@ pre-decoded tables:
   golden register/memory state and one set's cache metadata at any
   point of the run, for triage and resume.
 
-Semantics are bit-identical to the `FunctionalSimulator` +
-`Dl1ContentModel` pair; the differential tests in
+Semantics are bit-identical to the full re-execution of the test
+oracle :mod:`repro.campaign.reference`; the differential tests in
 ``tests/test_batched_replay.py`` pin the equivalence over full grids.
 """
 
@@ -37,7 +37,7 @@ from repro.functional.interpreter import (  # the shared decode tables
     _OP_XORCC, _OP_SMUL, _OP_UMUL, _OP_SDIV, _OP_LOAD, _OP_STORE, _OP_BA,
     _OP_BN, _OP_BE, _OP_BNE, _OP_BG, _OP_BLE, _OP_BGE, _OP_BL, _OP_BGU,
     _OP_BLEU, _OP_BCC, _OP_BCS, _OP_BPOS, _OP_BNEG, _OP_BVC, _OP_CALL,
-    _OP_JUMP, _OP_HALT, GoldenRun,
+    _OP_JUMP, _OP_HALT, FunctionalTrace, GoldenRun,
 )
 from repro.isa.instructions import INSTRUCTION_BYTES
 
@@ -312,6 +312,8 @@ class FaultyRunResult:
     #: Final architectural memory image (word dict), flush semantics applied.
     final_mem: Dict[int, int]
     halted: bool
+    #: The whole faulty run, golden prefix included (when recorded).
+    trace: Optional[FunctionalTrace] = None
 
 
 def resume_faulty(
@@ -326,6 +328,7 @@ def resume_faulty(
     line_bits: int,
     set_mask: int,
     limit: int,
+    record: bool = False,
 ) -> FaultyRunResult:
     """Re-execute a diverged injection from the nearest golden snapshot.
 
@@ -336,6 +339,11 @@ def resume_faulty(
     (0 when the corruption lives only below the DL1), ``backing_value``
     the word's below-DL1 copy, ``resident``/``set_state`` the golden
     metadata of the word's set right before the diverging op.
+
+    ``record`` also returns the faulty run as a :class:`FunctionalTrace`:
+    the golden columns up to the snapshot, then what the resume retired
+    (taken control transfers and memory addresses recorded sparsely, as
+    :func:`~repro.functional.interpreter.golden_pass` does).
     """
     program = golden.program
     table = golden.table
@@ -360,6 +368,9 @@ def resume_faulty(
     tget = table.get
     mget = mem.get
     set_access = set_state.access
+    rec_pcs: List[int] = []
+    rec_taken: List[int] = []
+    rec_addresses: List[Tuple[int, int]] = []
 
     while True:
         if not faulty and retired == divergence_instr:
@@ -471,6 +482,8 @@ def resume_faulty(
                     raw |= 0xFFFF0000
             if rd:
                 regs[rd] = raw
+            if record:
+                rec_addresses.append((retired, address))
         elif op == _OP_STORE:
             address = (regs[rs1] + (imm if uses_imm else regs[rs2])) & _M32
             if address & (size - 1):
@@ -495,6 +508,8 @@ def resume_faulty(
                 shift = (address & 0x3) * 8
                 mask = ((1 << (8 * size)) - 1) << shift
                 mem[wa] = (mget(wa, 0) & ~mask) | ((value << shift) & mask)
+            if record:
+                rec_addresses.append((retired, address))
         elif op < 36:
             if op == _OP_BA:
                 taken = True
@@ -530,21 +545,29 @@ def resume_faulty(
                 taken = v
             if taken:
                 next_pc = target
+                if record:
+                    rec_taken.append(retired)
         elif op == _OP_CALL:
             if rd:
                 regs[rd] = pc + INSTRUCTION_BYTES
             next_pc = target
+            if record:
+                rec_taken.append(retired)
         elif op == _OP_JUMP:
             jump_target = (regs[rs1] + imm) & _M32
             if rd:
                 regs[rd] = pc + INSTRUCTION_BYTES
             next_pc = jump_target
+            if record:
+                rec_taken.append(retired)
         # _OP_NOP and _OP_HALT fall through: a HALT past the limit is a
         # hang, as in the object interpreter's re-execution.
         if faulty and stream_match and (
             retired >= golden_len or pcs[retired] != pc
         ):
             stream_match = False
+        if record:
+            rec_pcs.append(pc)
         retired += 1
         if retired > limit:
             extra_events.append("hang")
@@ -575,6 +598,37 @@ def resume_faulty(
         stream_matches_golden=stream_match and halted and not extra_events,
         extra_events=extra_events,
         final_mem=mem,
+        halted=halted,
+        trace=_faulty_trace(golden, snap.index, rec_pcs, rec_taken, rec_addresses, halted)
+        if record
+        else None,
+    )
+
+
+def _faulty_trace(
+    golden: GoldenRun,
+    start: int,
+    pcs: List[int],
+    taken_at: List[int],
+    addresses_at: List[Tuple[int, int]],
+    halted: bool,
+) -> FunctionalTrace:
+    """The golden columns before instruction ``start``, then the resumed
+    instructions ``pcs`` with their sparse taken indices and addresses."""
+    prefix = golden.trace
+    static = {ins.address: ins for ins in golden.program.instructions}
+    addresses = prefix.addresses[:start] + [None] * len(pcs)
+    for index, address in addresses_at:
+        addresses[index] = address
+    taken = prefix.taken[:start] + bytearray(len(pcs))
+    for index in taken_at:
+        taken[index] = 1
+    return FunctionalTrace(
+        program_name=golden.program.name,
+        pcs=prefix.pcs[:start] + pcs,
+        instructions=prefix.instructions[:start] + [static[pc] for pc in pcs],
+        addresses=addresses,
+        taken=taken,
         halted=halted,
     )
 

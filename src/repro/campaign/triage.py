@@ -30,21 +30,24 @@ otherwise jumps from one access of a corrupted word to the next.  Only
 a walk that gives up yields a :class:`ResiduePlan`, re-run from the
 nearest golden snapshot by :func:`repro.campaign.lean_sim.resume_faulty`.
 
-Any situation outside the proven decision tree (non-LRU replacement,
-detected-uncorrectable on a write-back policy, raw words under
-write-through…) returns ``None`` → the caller falls back to the classic
-per-point :func:`repro.campaign.replay.run_injection`, so correctness
-never depends on triage coverage.
+Every verdict is one of the two: the tree is total over the inputs the
+system can build — the five policies of :mod:`repro.core.policies`
+(parity only under write-through, raw words only under write-back, a
+SECDED L2 or an unprotected one), LRU replacement, lines of at least
+one word.  Under those inputs a single-bit flip always changes a raw
+word, SECDED corrects every single-bit flip, and a write-through
+timeline has no dirty or line-store events (``tests/test_triage_inputs.py``).
 
-The equivalence of every branch against the executed path is pinned by
-the full-grid differential tests in ``tests/test_batched_replay.py``.
+The equivalence of every branch against the full re-execution oracle
+(:mod:`repro.campaign.reference`) is pinned by the full-grid
+differential tests in ``tests/test_batched_replay.py``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.campaign.lean_sim import _alu_eval, _branch_taken, golden_state_at
 from repro.campaign.timeline import (
@@ -71,7 +74,7 @@ from repro.functional.interpreter import (
     GoldenRun,
 )
 from repro.isa.instructions import INSTRUCTION_BYTES
-from repro.memory.config import CacheConfig, ReplacementPolicy, WritePolicy
+from repro.memory.config import CacheConfig, WritePolicy
 from repro.telemetry.metrics import inc
 
 
@@ -90,6 +93,9 @@ class AnalyticOutcome:
     #: Faulty-minus-golden retired-instruction count; nonzero only for
     #: walk-proved stream deviations (NOP-reconvergent branch flips).
     instruction_delta: int = 0
+    #: For a walk-proved divergence: the resume plan that re-executes it,
+    #: which a faulty ``simulate_spec`` runs to record the faulty trace.
+    plan: Optional["ResiduePlan"] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -109,15 +115,12 @@ class ResiduePlan:
     dirty_at_injection: bool  #: payload flag (state when the flip landed)
 
 
-#: Triage verdicts: fully classified, needs execution, or out of the
-#: proven tree (``None`` → classic per-point fallback).
-Verdict = Optional[Union[AnalyticOutcome, ResiduePlan]]
+#: Triage verdicts: fully classified, or needs execution.
+Verdict = Union[AnalyticOutcome, ResiduePlan]
 
 
-def geometry_for(config: CacheConfig) -> Optional[CacheGeometry]:
-    """Timeline/resume geometry for a DL1 config; None if unsupported."""
-    if config.replacement is not ReplacementPolicy.LRU:
-        return None
+def geometry_for(config: CacheConfig) -> CacheGeometry:
+    """Timeline/resume geometry of a DL1 config."""
     return CacheGeometry(
         line_bits=config.line_bytes.bit_length() - 1,
         set_bits=config.sets.bit_length() - 1,
@@ -188,8 +191,9 @@ def _walk_corrected(
 
 def _walk_detected_wt(
     events: Sequence[Event], start: int
-) -> Optional[Tuple[str, Tuple[str, ...]]]:
-    """Parity flip under write-through: first read refetches clean data."""
+) -> Tuple[str, Tuple[str, ...]]:
+    """Parity flip under write-through (never dirty): first read
+    refetches clean data."""
     for ord_, kind, a, _b in events[start:]:
         if kind == EV_LOAD:
             return "detected", ("load_detected_refetch",)
@@ -199,8 +203,6 @@ def _walk_detected_wt(
             return "detected", ("load_detected_refetch",)  # RMW decode
         if kind == EV_EVICT_CLEAN or kind == EV_END_DISCARD:
             return "masked", ()
-        if kind in (EV_EVICT_DIRTY, EV_END_FLUSH, EV_LINE_STORE):
-            return None  # dirty line under WT: outside the proven tree
     return "masked", ()
 
 
@@ -575,6 +577,15 @@ def _walk_raw(
         if kind == EV_LOAD:
             load_mask = subword_mask(a, b)
             if resident and cache_mask & load_mask:
+                plan = ResiduePlan(
+                    divergence_op=ord_,
+                    divergence_instr=golden.op_instr[ord_ - 1],
+                    cache_xor=cache_mask,
+                    backing_value=_golden_backing(golden, wa, last_sync)
+                    ^ backing_mask,
+                    resident_before=resident_at_fill_ord != ord_,
+                    dirty_at_injection=dirty_at_injection,
+                )
                 proved = _walk_divergent(
                     golden,
                     wa,
@@ -584,17 +595,10 @@ def _walk_raw(
                     backing_mask=backing_mask,
                     dirty_at_injection=dirty_at_injection,
                 )
-                if proved is not None:
-                    return proved
-                return ResiduePlan(
-                    divergence_op=ord_,
-                    divergence_instr=golden.op_instr[ord_ - 1],
-                    cache_xor=cache_mask,
-                    backing_value=_golden_backing(golden, wa, last_sync)
-                    ^ backing_mask,
-                    resident_before=resident_at_fill_ord != ord_,
-                    dirty_at_injection=dirty_at_injection,
-                )
+                if proved is None:
+                    return plan
+                proved.plan = plan
+                return proved
         elif kind == EV_STORE:
             if a == 4:
                 cache_mask = 0
@@ -612,7 +616,7 @@ def _walk_raw(
     if backing_mask:
         # Survived to the final architectural image without ever being
         # read: silent data corruption, with no error event and no
-        # divergence (the classic path reaches the same verdict with
+        # divergence (the reference oracle reaches the same verdict with
         # `state_match=False, events=[], diverged=False`).
         return AnalyticOutcome(
             outcome="sdc",
@@ -665,22 +669,15 @@ def triage_dl1(
             dirty_at_injection=dirty, events=evs,
         )
     if decode.status is DecodeStatus.DETECTED_UNCORRECTABLE:
-        if geometry.write_back or dirty:
-            return None  # detected on dirty data: classic path decides
-        walked = _walk_detected_wt(events, start)
-        if walked is None:
-            return None
-        outcome, evs = walked
+        # Parity: a write-through DL1, whose lines are never dirty.
+        outcome, evs = _walk_detected_wt(events, start)
         return AnalyticOutcome(
             outcome=outcome, triggered=True, resident=True,
             dirty_at_injection=dirty, events=evs,
         )
-    # CLEAN decode: a raw, unprotected word.
-    if not geometry.write_back:
-        return None  # raw words under write-through: unproven combination
+    # CLEAN decode: a raw, unprotected word (write-back), and the flip
+    # changed it.
     mask = (decode.data ^ golden_value) & 0xFFFFFFFF
-    if mask == 0:
-        return None  # a "flip" the decode cannot see: defer to classic
     return _walk_raw(
         golden, wa, events, start,
         cache_mask=mask, backing_mask=0, resident=True,
@@ -700,11 +697,12 @@ def triage_l2(
     """Classify one L2-targeted flip.
 
     ``decode`` is the L2 code's decode of the corrupted codeword that
-    :meth:`Dl1ContentModel.inject_l2_fault` would have planted (encoded
+    :meth:`repro.campaign.reference.Dl1ContentModel.inject_l2_fault`
+    would have planted (encoded
     from ``golden_backing_value``, the backing copy at injection time).
     """
     total_ops = golden.total_ops
-    # The classic path's `triggered` is `total_ops >= at_access` even in
+    # The oracle's `triggered` is `total_ops >= at_access` even in
     # the degenerate at_access < 1 case where the injection hook never
     # fires; replicate both the flag and the no-corruption behaviour.
     triggered = total_ops >= at_access
@@ -737,24 +735,20 @@ def triage_l2(
                     outcome="corrected", triggered=True, resident=True,
                     dirty_at_injection=False, events=("l2_corrected",),
                 )
-            if decode.status is DecodeStatus.CLEAN:
-                if not write_back:
-                    return None
-                mask = (decode.data ^ golden_backing_value) & 0xFFFFFFFF
-                if mask == 0:
-                    return None
-                # The corrupt word is now both in the backing store and
-                # in the freshly filled line: join the raw mask walk at
-                # this fill (which re-processes the fill event itself).
-                verdict = _walk_raw(
-                    golden, wa, events, index,
-                    cache_mask=0, backing_mask=mask, resident=False,
-                    last_sync=last_sync, dirty_at_injection=False,
-                )
-                if isinstance(verdict, AnalyticOutcome):
-                    verdict.resident = True  # L2 flips always hit live data
-                return verdict
-            return None  # detected-uncorrectable L2 read: classic decides
+            # Otherwise CLEAN (SECDED corrects every single-bit flip): the
+            # unprotected baseline's raw L2 word, under a write-back DL1.
+            # The corrupt word is now both in the backing store and in
+            # the freshly filled line: join the raw mask walk at this
+            # fill (which re-processes the fill event itself).
+            verdict = _walk_raw(
+                golden, wa, events, index,
+                cache_mask=0,
+                backing_mask=(decode.data ^ golden_backing_value) & 0xFFFFFFFF,
+                resident=False, last_sync=last_sync, dirty_at_injection=False,
+            )
+            if isinstance(verdict, AnalyticOutcome):
+                verdict.resident = True  # L2 flips always hit live data
+            return verdict
     # The corrupt codeword is never read nor overwritten: it stays in
     # the L2 array, the architectural backing image is untouched.
     return AnalyticOutcome(

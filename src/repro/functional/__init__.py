@@ -19,11 +19,9 @@ from repro.functional.interpreter import (
     golden_pass,
     run_program,
 )
-from repro.functional.memory import FlatMemory
 
 __all__ = [
     "ExecutionLimitExceeded",
-    "FlatMemory",
     "FunctionalTrace",
     "GoldenRun",
     "golden_pass",

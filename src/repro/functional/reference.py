@@ -8,10 +8,10 @@ mnemonic on every step.  Like :mod:`repro.ecc.reference` and
 production interpreter is :func:`repro.functional.interpreter.golden_pass`,
 and the tests prove both produce identical columns, final memory images
 and instruction limits.  It also feeds
-:class:`~repro.pipeline.reference_timing.ReferenceTimingPipeline`.  Its
-one production caller is the full faulty re-execution of
-:func:`repro.campaign.replay.run_injection`, which needs its pluggable
-memory.
+:class:`~repro.pipeline.reference_timing.ReferenceTimingPipeline` and,
+through its pluggable memory, the full faulty re-execution of the
+fault-injection oracle :func:`repro.campaign.reference.run_injection`.
+Nothing on a production path runs it.
 """
 
 from __future__ import annotations

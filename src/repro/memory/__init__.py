@@ -3,20 +3,13 @@
 The hierarchy mirrors the NGMP organisation used in the paper's
 evaluation: each core has private L1 instruction and data caches; all
 cores share a bus to a unified L2; the L2 connects to off-chip memory.
-Only *timing* is modelled here — architectural data values live in the
-functional simulator — but the DL1 optionally keeps an ECC-encoded
-shadow of stored words so the fault-injection experiments can corrupt
-and decode real cache contents.
+Only *timing* is modelled here: architectural data values live in the
+functional interpreter.
 """
 
 from repro.memory.bus import CONTENTION_MODES, Bus, ContentionModel
 from repro.memory.cache import CacheAccessResult, SetAssociativeCache
-from repro.memory.config import (
-    CacheConfig,
-    MemoryHierarchyConfig,
-    ReplacementPolicy,
-    WritePolicy,
-)
+from repro.memory.config import CacheConfig, MemoryHierarchyConfig, WritePolicy
 from repro.memory.hierarchy import DataAccessOutcome, MemoryHierarchy
 from repro.memory.l2_cache import SharedL2Cache
 from repro.memory.main_memory import MainMemory
@@ -32,7 +25,6 @@ __all__ = [
     "MainMemory",
     "MemoryHierarchy",
     "MemoryHierarchyConfig",
-    "ReplacementPolicy",
     "SetAssociativeCache",
     "SharedL2Cache",
     "WriteBuffer",

@@ -2,26 +2,18 @@
 
 The cache tracks tags, valid and dirty bits only: its job is to decide
 hits, misses and dirty evictions so the hierarchy can charge the right
-latencies.  An optional per-word ECC shadow array (used by the DL1 when
-fault injection is enabled) stores encoded words so reliability
-experiments can corrupt and decode genuine cache contents.
-
-For architectural fault-injection campaigns (:mod:`repro.campaign`) the
-cache also exposes *injection hooks*: :meth:`SetAssociativeCache.arm_fault`
-arms one single-event upset that lands right before the N-th access
-after arming, flipping one bit of the stored codeword of a resident
-word.  The trigger is a single predictable branch on the access path, so
-unarmed runs (every ordinary timing simulation) pay nothing for it.
+latencies.  Replacement is LRU.  It holds no data: architectural values
+live in the functional interpreter, and a fault campaign tracks the one
+faulted word analytically (:mod:`repro.campaign.triage`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.ecc.codec import EccCode
 from repro.memory.config import CacheConfig, WritePolicy
-from repro.memory.replacement import make_replacement_state
+from repro.memory.replacement import LruState
 
 
 @dataclass(frozen=True)
@@ -43,25 +35,6 @@ class CacheAccessResult:
     @property
     def miss(self) -> bool:
         return not self.hit
-
-
-@dataclass
-class ArmedFault:
-    """One armed single-event upset plus what happened when it landed."""
-
-    word_address: int
-    bit: int
-    #: 1-based ordinal (counted from arming) of the access right before
-    #: which the upset lands.
-    at_access: int
-    triggered: bool = False
-    #: Whether the word's line was valid in the array when the fault landed.
-    resident: bool = False
-    #: Whether that line was dirty at that moment.
-    dirty: bool = False
-    #: Whether a stored codeword was actually corrupted (requires the
-    #: word to be resident *and* present in the ECC shadow array).
-    flipped: bool = False
 
 
 @dataclass
@@ -122,27 +95,17 @@ class CacheStatistics:
 
 
 class SetAssociativeCache:
-    """A set-associative cache with configurable write/replacement policy."""
+    """A set-associative LRU cache with a configurable write policy."""
 
-    def __init__(self, config: CacheConfig, *, ecc_code: Optional[EccCode] = None) -> None:
+    def __init__(self, config: CacheConfig) -> None:
         self.config = config
         self.line_bits = config.line_bytes.bit_length() - 1
         self.set_bits = config.sets.bit_length() - 1
         self._sets: List[List[_CacheLine]] = [
             [_CacheLine() for _ in range(config.ways)] for _ in range(config.sets)
         ]
-        self._replacement = [
-            make_replacement_state(config.replacement, config.ways, seed=index)
-            for index in range(config.sets)
-        ]
+        self._replacement = [LruState(config.ways) for _ in range(config.sets)]
         self.stats = CacheStatistics()
-        # Optional ECC shadow: word address -> stored codeword.
-        self.ecc_code = ecc_code
-        self._ecc_array: Dict[int, int] = {}
-        # Armed single-event upset (see arm_fault); None keeps the access
-        # path trigger-free apart from one predictable branch.
-        self._armed_fault: Optional[ArmedFault] = None
-        self._accesses_since_arm = 0
 
     # ------------------------------------------------------------------ #
     # address helpers                                                    #
@@ -176,11 +139,6 @@ class SetAssociativeCache:
         Returns the timing-relevant outcome; the caller (hierarchy) is
         responsible for charging miss and writeback latencies.
         """
-        armed = self._armed_fault
-        if armed is not None:
-            self._accesses_since_arm += 1
-            if not armed.triggered and self._accesses_since_arm >= armed.at_access:
-                self._trigger_fault(armed)
         tag, set_index, _ = self.split_address(address)
         lines = self._sets[set_index]
         replacement = self._replacement[set_index]
@@ -246,111 +204,5 @@ class SetAssociativeCache:
             1 for lines in self._sets for line in lines if line.valid and line.dirty
         )
 
-    def dirty_line_addresses(self) -> List[int]:
-        """Line addresses of every valid dirty line (sorted)."""
-        addresses = []
-        for set_index, lines in enumerate(self._sets):
-            for line in lines:
-                if line.valid and line.dirty:
-                    addresses.append(self._rebuild_address(line.tag, set_index))
-        return sorted(addresses)
-
-    def line_is_dirty(self, address: int) -> bool:
-        """Whether the valid line holding ``address`` is dirty."""
-        tag, set_index, _ = self.split_address(address)
-        return any(
-            line.valid and line.tag == tag and line.dirty
-            for line in self._sets[set_index]
-        )
-
     def valid_line_count(self) -> int:
         return sum(1 for lines in self._sets for line in lines if line.valid)
-
-    # ------------------------------------------------------------------ #
-    # optional ECC shadow array                                          #
-    # ------------------------------------------------------------------ #
-    def ecc_store_word(self, address: int, value: int) -> None:
-        """Store an ECC-encoded shadow copy of ``value`` at word ``address``."""
-        if self.ecc_code is None:
-            return
-        word_address = address & ~0x3
-        self._ecc_array[word_address] = self.ecc_code.encode(
-            value & ((1 << self.ecc_code.data_bits) - 1)
-        )
-
-    def ecc_load_word(self, address: int):
-        """Decode the shadow codeword at ``address`` (None if never stored)."""
-        if self.ecc_code is None:
-            return None
-        word_address = address & ~0x3
-        codeword = self._ecc_array.get(word_address)
-        if codeword is None:
-            return None
-        return self.ecc_code.decode(codeword)
-
-    def ecc_flip_bit(self, address: int, bit: int) -> bool:
-        """Flip one bit of the stored codeword (returns False if absent)."""
-        if self.ecc_code is None:
-            return False
-        word_address = address & ~0x3
-        if word_address not in self._ecc_array:
-            return False
-        self._ecc_array[word_address] ^= 1 << bit
-        return True
-
-    def ecc_resident_words(self):
-        """Word addresses currently holding an ECC shadow entry."""
-        return sorted(self._ecc_array)
-
-    def ecc_load_raw(self, address: int) -> Optional[int]:
-        """The stored (possibly corrupted) codeword at ``address``, undecoded."""
-        return self._ecc_array.get(address & ~0x3)
-
-    def ecc_take_word(self, address: int) -> Optional[int]:
-        """Remove and return the raw codeword at ``address`` (eviction)."""
-        return self._ecc_array.pop(address & ~0x3, None)
-
-    # ------------------------------------------------------------------ #
-    # fault-injection hooks (architectural campaigns)                    #
-    # ------------------------------------------------------------------ #
-    def arm_fault(self, word_address: int, bit: int, at_access: int) -> ArmedFault:
-        """Arm one single-event upset against this cache's data array.
-
-        The upset lands immediately *before* the ``at_access``-th access
-        (1-based, counted from this call), flipping ``bit`` of the
-        stored codeword at ``word_address`` — but only if that word's
-        line is resident at that moment; a flip landing on an invalid
-        line (or on a physical location holding another tag) corrupts no
-        live data and the returned record says so.  Only one fault can
-        be armed at a time; re-arming replaces the previous fault.
-        """
-        if self.ecc_code is not None and not 0 <= bit < self.ecc_code.total_bits:
-            raise ValueError(
-                f"bit {bit} outside the {self.ecc_code.total_bits}-bit codeword"
-            )
-        armed = ArmedFault(
-            word_address=word_address & ~0x3, bit=bit, at_access=at_access
-        )
-        self._armed_fault = armed
-        self._accesses_since_arm = 0
-        return armed
-
-    def armed_fault(self) -> Optional[ArmedFault]:
-        """The currently armed fault record (also after it triggered)."""
-        return self._armed_fault
-
-    def disarm_fault(self) -> None:
-        self._armed_fault = None
-        self._accesses_since_arm = 0
-
-    def _trigger_fault(self, armed: ArmedFault) -> None:
-        armed.triggered = True
-        tag, set_index, _ = self.split_address(armed.word_address)
-        for line in self._sets[set_index]:
-            if line.valid and line.tag == tag:
-                armed.resident = True
-                armed.dirty = line.dirty
-                break
-        if armed.resident and armed.word_address in self._ecc_array:
-            self._ecc_array[armed.word_address] ^= 1 << armed.bit
-            armed.flipped = True

@@ -23,22 +23,13 @@ class WritePolicy(enum.Enum):
     WRITE_THROUGH = "write-through"
 
 
-class ReplacementPolicy(enum.Enum):
-    """Cache replacement policy."""
-
-    LRU = "lru"
-    FIFO = "fifo"
-    RANDOM = "random"
-
-
 @dataclass(frozen=True)
 class CacheConfig:
-    """Geometry and policies of one cache level."""
+    """Geometry and write policy of one cache level (replacement is LRU)."""
 
     size_bytes: int = 16 * 1024
     line_bytes: int = 32
     ways: int = 4
-    replacement: ReplacementPolicy = ReplacementPolicy.LRU
     write_policy: WritePolicy = WritePolicy.WRITE_BACK
     write_allocate: bool = True
     name: str = "cache"
@@ -53,6 +44,10 @@ class CacheConfig:
             )
         if self.line_bytes & (self.line_bytes - 1):
             raise ValueError("line size must be a power of two")
+        if self.line_bytes < 4:
+            raise ValueError(
+                f"{self.name}: a {self.line_bytes}-byte line cannot hold a 32-bit word"
+            )
         sets = self.size_bytes // (self.line_bytes * self.ways)
         if sets & (sets - 1):
             raise ValueError("number of sets must be a power of two")

@@ -13,10 +13,7 @@ L2 traffic.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.ecc.codec import EccCode
-from repro.memory.cache import ArmedFault, SetAssociativeCache
+from repro.memory.cache import SetAssociativeCache
 from repro.memory.config import CacheConfig
 from repro.memory.main_memory import MainMemory
 
@@ -30,9 +27,8 @@ class SharedL2Cache:
         memory: MainMemory,
         *,
         hit_latency: int = 4,
-        ecc_code: Optional[EccCode] = None,
     ) -> None:
-        self.cache = SetAssociativeCache(config, ecc_code=ecc_code)
+        self.cache = SetAssociativeCache(config)
         self.memory = memory
         self.hit_latency = hit_latency
 
@@ -47,27 +43,6 @@ class SharedL2Cache:
                 # credit for writes, conservatively).
                 cycles += self.memory.access_latency // 2
         return cycles
-
-    # ------------------------------------------------------------------ #
-    # fault-injection hooks (architectural campaigns)                    #
-    # ------------------------------------------------------------------ #
-    def arm_fault(self, word_address: int, bit: int, at_access: int) -> ArmedFault:
-        """Arm one single-event upset against the L2 data array.
-
-        Delegates to the underlying
-        :meth:`~repro.memory.cache.SetAssociativeCache.arm_fault`: the
-        upset lands before the ``at_access``-th L2 access after arming,
-        flipping a bit of an ECC-shadow codeword the caller has stored
-        (``self.cache.ecc_store_word``).  This is the timing-hierarchy
-        counterpart of the content-model path the campaign replay uses
-        for L2 faults (:meth:`repro.campaign.replay.Dl1ContentModel.
-        inject_l2_fault`); because the paper's L2 is SECDED-protected, a
-        single flip here is always corrected on the next decode.
-        """
-        return self.cache.arm_fault(word_address, bit, at_access)
-
-    def armed_fault(self) -> Optional[ArmedFault]:
-        return self.cache.armed_fault()
 
     @property
     def stats(self):

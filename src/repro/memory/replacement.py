@@ -1,100 +1,34 @@
-"""Replacement policy implementations for set-associative caches.
+"""LRU replacement state for one set of a set-associative cache.
 
-Each policy manages the eviction order of one cache *set*.  Policies are
-deliberately tiny state machines so they can be tested exhaustively and
-swapped freely in the cache configuration.
+A deliberately tiny state machine so it can be tested exhaustively.
+LRU is the only replacement policy the modelled DL1, L1I and L2 use.
 """
 
 from __future__ import annotations
 
-import random
-from typing import List, Optional
-
-from repro.memory.config import ReplacementPolicy
+from typing import List
 
 
-class ReplacementState:
-    """Base class: one instance per cache set."""
-
-    def __init__(self, ways: int) -> None:
-        self.ways = ways
-
-    def touch(self, way: int) -> None:
-        """Record a hit on ``way``."""
-
-    def fill(self, way: int) -> None:
-        """Record that ``way`` was (re)filled."""
-
-    def victim(self, valid: List[bool]) -> int:
-        """Return the way to evict.  Invalid ways are always preferred."""
-        raise NotImplementedError
-
-
-class LruState(ReplacementState):
+class LruState:
     """True LRU: maintain the recency order of all ways in the set."""
 
     def __init__(self, ways: int) -> None:
-        super().__init__(ways)
+        self.ways = ways
         # Most-recently-used first.
         self._order: List[int] = list(range(ways))
 
     def touch(self, way: int) -> None:
+        """Record a hit on ``way``."""
         self._order.remove(way)
         self._order.insert(0, way)
 
     def fill(self, way: int) -> None:
+        """Record that ``way`` was (re)filled."""
         self.touch(way)
 
     def victim(self, valid: List[bool]) -> int:
+        """Return the way to evict.  Invalid ways are always preferred."""
         for way, is_valid in enumerate(valid):
             if not is_valid:
                 return way
         return self._order[-1]
-
-
-class FifoState(ReplacementState):
-    """FIFO: evict the way that was filled the longest ago."""
-
-    def __init__(self, ways: int) -> None:
-        super().__init__(ways)
-        self._fill_order: List[int] = []
-
-    def fill(self, way: int) -> None:
-        if way in self._fill_order:
-            self._fill_order.remove(way)
-        self._fill_order.append(way)
-
-    def victim(self, valid: List[bool]) -> int:
-        for way, is_valid in enumerate(valid):
-            if not is_valid:
-                return way
-        if self._fill_order:
-            return self._fill_order[0]
-        return 0
-
-
-class RandomState(ReplacementState):
-    """Pseudo-random replacement with a per-set deterministic stream."""
-
-    def __init__(self, ways: int, seed: int = 0) -> None:
-        super().__init__(ways)
-        self._rng = random.Random(seed)
-
-    def victim(self, valid: List[bool]) -> int:
-        for way, is_valid in enumerate(valid):
-            if not is_valid:
-                return way
-        return self._rng.randrange(self.ways)
-
-
-def make_replacement_state(
-    policy: ReplacementPolicy, ways: int, *, seed: Optional[int] = None
-) -> ReplacementState:
-    """Factory used by :class:`repro.memory.cache.SetAssociativeCache`."""
-    if policy is ReplacementPolicy.LRU:
-        return LruState(ways)
-    if policy is ReplacementPolicy.FIFO:
-        return FifoState(ways)
-    if policy is ReplacementPolicy.RANDOM:
-        return RandomState(ways, seed=seed or 0)
-    raise ValueError(f"unknown replacement policy {policy}")

@@ -104,7 +104,7 @@ def simulate_spec(
     Two opt-in layers sit in front of the plain run:
 
     * a spec with an armed :class:`~repro.scenarios.FaultSpec` is routed
-      through the architectural fault-injection replay
+      through the campaign's fault-injection engine
       (:mod:`repro.campaign.replay`) — the returned result then times
       the dynamic stream the *faulty* machine actually executed and
       carries the injection classification in ``result.injection``;

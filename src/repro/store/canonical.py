@@ -23,12 +23,7 @@ import json
 from typing import Any, Dict, Optional, Union
 
 from repro.core.policies import EccPolicy, EccPolicyKind, make_policy
-from repro.memory.config import (
-    CacheConfig,
-    MemoryHierarchyConfig,
-    ReplacementPolicy,
-    WritePolicy,
-)
+from repro.memory.config import CacheConfig, MemoryHierarchyConfig, WritePolicy
 from repro.pipeline.config import PipelineConfig
 from repro.scenarios.interference import InterferenceScenario
 from repro.scenarios.spec import FaultSpec, SimulationSpec
@@ -46,7 +41,8 @@ def _cache_config_dict(config: CacheConfig) -> Dict[str, Any]:
         "size_bytes": config.size_bytes,
         "line_bytes": config.line_bytes,
         "ways": config.ways,
-        "replacement": config.replacement.value,
+        # Every cache is LRU; the key stays so spec hashes do not move.
+        "replacement": "lru",
         "write_policy": config.write_policy.value,
         "write_allocate": config.write_allocate,
         "name": config.name,
@@ -145,11 +141,14 @@ def spec_hash(spec: SimulationSpec) -> str:
 # decoding                                                               #
 # ---------------------------------------------------------------------- #
 def _cache_config_from(payload: Dict[str, Any]) -> CacheConfig:
+    if payload["replacement"] != "lru":
+        raise ValueError(
+            f"replacement {payload['replacement']!r} not supported (caches are LRU)"
+        )
     return CacheConfig(
         size_bytes=payload["size_bytes"],
         line_bytes=payload["line_bytes"],
         ways=payload["ways"],
-        replacement=ReplacementPolicy(payload["replacement"]),
         write_policy=WritePolicy(payload["write_policy"]),
         write_allocate=payload["write_allocate"],
         name=payload["name"],

@@ -86,7 +86,6 @@ def format_stats_line(result, elapsed: float) -> str:
         f"store-misses={result.store_misses} "
         f"analytical={stats.analytical} "
         f"streamed={stats.streamed} "
-        f"full={stats.full} "
         f"store_hits={stats.store_hits} "
         f"quarantined={result.quarantined_points} "
         f"retries={stats.retries} "

@@ -1,9 +1,10 @@
 """Differential equivalence of the batched replay backend.
 
-``run_injection_batch`` must be *payload byte-identical* to the classic
-per-point ``run_injection`` over full grids — the analytical triage, the
-snapshot suffix-resume and the classic fallback are three routes to one
-answer, never three answers.  These tests pin that equivalence over:
+``run_injection_batch`` must be *payload byte-identical* to the full
+per-point re-execution of the oracle ``repro.campaign.reference.run_injection``
+over full grids — the analytical triage, the timeline-delta walk and
+the snapshot suffix-resume are three routes to one answer, never three
+answers.  These tests pin that equivalence over:
 
 * the production interpreter (``golden_pass``) vs the object reference
   interpreter, every trace column on every kernel;
@@ -28,11 +29,11 @@ from repro.campaign import (
     parse_chaos,
     replay_group_key,
     run_campaign,
-    run_injection,
     run_injection_batch,
     sample_fault_groups,
     sample_faults,
 )
+from repro.campaign.reference import run_injection
 from repro.experiments.runner import cached_golden_run, clear_kernel_trace_cache
 from repro.functional.interpreter import (
     SNAPSHOT_INTERVAL,
@@ -387,7 +388,7 @@ class TestSyntheticGridEquivalence:
             WRITEBACK_PROGRAM, "wb_prog2", ("no-ecc",), bits=(0,)
         )
         for result in run_injection_batch(specs, program=program):
-            assert result.replay_mode in ("analytical", "streamed", "full")
+            assert result.replay_mode in ("analytical", "streamed")
             assert "replay_mode" not in result.payload()
 
 
@@ -713,6 +714,130 @@ class TestKernelGridEquivalence:
 
 
 # --------------------------------------------------------------------- #
+# faulty simulate_spec: the campaign's engine, the oracle's answer      #
+# --------------------------------------------------------------------- #
+def _assert_faulty_simulation_matches_the_oracle(spec, program=None):
+    """``simulate_spec`` of a faulty spec equals the oracle composition:
+    ``run_injection(keep_trace=True)`` timed by ``simulate_spec``."""
+    from repro.simulation import simulate_spec
+
+    golden = (
+        golden_pass(program)
+        if program is not None
+        else cached_golden_run(spec.kernel, spec.scale)
+    )
+    oracle = run_injection(spec, golden=golden, keep_trace=True)
+    timed = oracle.faulty_trace if oracle.faulty_trace is not None else golden.trace
+    expected = simulate_spec(spec.with_fault(None), program=golden.program, trace=timed)
+    result = simulate_spec(spec, program=program)
+    assert result.injection.payload() == oracle.payload(), spec.fault
+    assert result.trace == timed, spec.fault
+    assert result.cycles == expected.cycles
+    assert result.instructions == expected.instructions
+    assert result.stats.as_dict() == expected.stats.as_dict()
+    return oracle
+
+
+#: A fresh process runs a campaign over both targets and faulty
+#: simulate_spec calls (a corrected point, a streamed diverging point,
+#: a crash), then lists the oracle modules it imported.
+ONE_ENGINE_SCRIPT = """
+import sys
+from repro.campaign import CampaignConfig, run_campaign, run_injection_batch, sample_faults
+from repro.isa.assembler import assemble
+from repro.scenarios.spec import FaultSpec, SimulationSpec
+from repro.simulation import simulate_spec
+
+result = run_campaign(CampaignConfig(
+    kernels=("rspeed",), policies=("no-ecc", "extra-cycle"), scale=0.1,
+    trials=8, batch=4, seed=2019, targets=("dl1", "l2"),
+))
+assert result.stats.analytical + result.stats.streamed == result.points > 0
+pool = [
+    SimulationSpec(kernel="puwmod", scale=0.1, policy="no-ecc", fault=fault)
+    for fault in sample_faults("puwmod", 0.1, "no-ecc", 40, seed=11)
+]
+streamed = next(
+    spec for spec, point in zip(pool, run_injection_batch(pool))
+    if point.replay_mode == "streamed"
+)
+assert simulate_spec(streamed).injection.diverged
+corrected = SimulationSpec(
+    kernel="rspeed", scale=0.1, policy="laec",
+    fault=FaultSpec(word_address=%(word)d, bit=3, at_access=%(at)d),
+)
+assert simulate_spec(corrected).injection.outcome.value == "corrected"
+program = assemble(%(crash)r, name="crash_prog")
+crash = SimulationSpec(
+    policy="no-ecc",
+    fault=FaultSpec(word_address=program.symbol("ptr"), bit=30, at_access=3),
+)
+assert "crash" in simulate_spec(crash, program=program).injection.events
+print(sorted(
+    name for name in sys.modules
+    if name in ("repro.functional.reference", "repro.campaign.reference")
+))
+"""
+
+
+class TestFaultySimulateSpec:
+    def test_crash_and_hang_grids_match_the_oracle(self):
+        outcomes = set()
+        for text, name, policies, bits in (
+            (CRASH_PROGRAM, "crash_prog", ("no-ecc", "laec"), (7, 30, 33)),
+            (HANG_PROGRAM, "hang_prog", ("no-ecc",), (2, 29, 31)),
+        ):
+            program, _trace, specs = _grid(text, name, policies, bits=bits)
+            for spec in specs:
+                oracle = _assert_faulty_simulation_matches_the_oracle(spec, program)
+                outcomes.update(
+                    event for event in oracle.events if event in ("crash", "hang")
+                )
+        assert outcomes == {"crash", "hang"}
+
+    def test_diverging_kernel_points_match_the_oracle(self):
+        modes = set()
+        for kernel, target in itertools.product(("rspeed", "puwmod"), ("dl1", "l2")):
+            specs = [
+                SimulationSpec(kernel=kernel, scale=0.1, policy="no-ecc", fault=fault)
+                for fault in sample_faults(kernel, 0.1, "no-ecc", 40, seed=11, target=target)
+            ]
+            for spec, point in zip(specs, run_injection_batch(specs)):
+                if point.diverged:
+                    modes.add(point.replay_mode)
+                    _assert_faulty_simulation_matches_the_oracle(spec)
+        # Both the walk-proved and the streamed divergences resume with
+        # recording on.
+        assert modes == {"analytical", "streamed"}
+
+    def test_production_never_imports_an_oracle(self):
+        import os
+        import subprocess
+        import sys
+
+        golden = cached_golden_run("rspeed", 0.1)
+        stored = set()
+        for at_access, (word, is_store) in enumerate(zip(golden.op_wa, golden.op_store), 1):
+            if is_store:
+                stored.add(word)
+            elif word in stored:
+                break  # a load of a dirty word: SECDED corrects the flip
+        script = ONE_ENGINE_SCRIPT % {"word": word, "at": at_access, "crash": CRASH_PROGRAM}
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        environment = dict(os.environ)
+        environment["PYTHONPATH"] = src + os.pathsep + environment.get("PYTHONPATH", "")
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            env=environment,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "[]"
+
+
+# --------------------------------------------------------------------- #
 # group-ordered emission                                                #
 # --------------------------------------------------------------------- #
 class TestGroupedSampling:
@@ -798,7 +923,7 @@ class TestBatchedCampaign:
         result = run_campaign(config())
         stats = result.stats
         assert (
-            stats.analytical + stats.streamed + stats.full + stats.store_hits
+            stats.analytical + stats.streamed + stats.store_hits
             == result.points
         )
         # The triage pass must actually eliminate work.
@@ -821,7 +946,7 @@ class TestBatchedCampaign:
         assert walked.stats.streamed < streamed.stats.streamed
         assert (
             streamed.stats.analytical + streamed.stats.streamed
-            + streamed.stats.full + streamed.stats.store_hits
+            + streamed.stats.store_hits
             == streamed.points
         )
 
@@ -841,7 +966,7 @@ class TestBatchedCampaign:
 
     def test_benchmark_grid_mode_counts(self, capsys):
         """The benchmark's reference grid at seed 2019: the walk proves
-        all but 8 of the 768 points, and none falls back to ``full``."""
+        all but 8 of the 768 points, and the other 8 stream."""
         from repro import __main__ as cli
 
         code = cli.main(
@@ -852,7 +977,7 @@ class TestBatchedCampaign:
             ]
         )
         assert code == 0
-        assert "analytical=760 streamed=8 full=0" in capsys.readouterr().err
+        assert "analytical=760 streamed=8 store_hits=0" in capsys.readouterr().err
 
     def test_walk_counters_account_for_every_walk(self, monkeypatch):
         """Every streamed point is one walk bail-out, and pool workers
@@ -912,7 +1037,7 @@ class TestBatchedCampaign:
         assert warm.simulated == 0
         assert warm.stats.store_hits == warm.points == cold.points
         assert (
-            warm.stats.analytical + warm.stats.streamed + warm.stats.full == 0
+            warm.stats.analytical + warm.stats.streamed == 0
         )
         assert warm.render() == cold.render()
 
@@ -936,7 +1061,7 @@ class TestBatchedCampaign:
         with ResultStore(tmp_path / "lean.sqlite") as store:
             cold = run_campaign(config(), store=store, resume=True)
             resumed = run_campaign(config(), store=store, resume=True)
-        assert cold.stats.full == resumed.stats.full == 0
+        assert cold.stats.analytical + cold.stats.streamed == cold.points
         assert resumed.stats.store_hits == resumed.points
         assert cold.render() == resumed.render() == reference.render()
 
@@ -1020,7 +1145,7 @@ class TestChaosUnderBatching:
         # Counters still account for every point.
         stats = crashed.stats
         assert (
-            stats.analytical + stats.streamed + stats.full + stats.store_hits
+            stats.analytical + stats.streamed + stats.store_hits
             == crashed.points
         )
 
@@ -1043,7 +1168,7 @@ class TestChaosUnderBatching:
         assert chaotic.stats.retries == 1
         # The retried point counts under its real replay mode.
         stats = chaotic.stats
-        assert stats.analytical + stats.streamed + stats.full == chaotic.points
+        assert stats.analytical + stats.streamed == chaotic.points
 
     def test_failed_group_is_split_and_only_the_poison_point_charged(
         self, monkeypatch

@@ -8,15 +8,13 @@ from repro.campaign import (
     ArchOutcome,
     CampaignConfig,
     run_campaign,
-    run_injection,
     sample_faults,
     simulate_faulty_spec,
 )
-from repro.ecc import HsiaoSecDedCode, get_code
+from repro.campaign.reference import ShadowCache, run_injection
+from repro.ecc import HsiaoSecDedCode
 from repro.memory.cache import SetAssociativeCache
 from repro.memory.config import CacheConfig
-from repro.memory.l2_cache import SharedL2Cache
-from repro.memory.main_memory import MainMemory
 from repro.scenarios import FaultSpec, SimulationSpec
 from repro.store import ResultStore
 from repro.workloads import KERNEL_NAMES, build_kernel
@@ -26,13 +24,13 @@ BENCH_KERNELS = ("aifirf", "canrdr", "matrix", "tblook")
 
 
 # --------------------------------------------------------------------- #
-# injection hooks in the cache model                                    #
+# injection hooks of the oracle's shadow cache                          #
 # --------------------------------------------------------------------- #
 class TestCacheInjectionHooks:
     def _cache(self):
-        return SetAssociativeCache(
+        return ShadowCache(
             CacheConfig(size_bytes=1024, line_bytes=32, ways=2, name="dl1"),
-            ecc_code=HsiaoSecDedCode(),
+            HsiaoSecDedCode(),
         )
 
     def test_fault_triggers_at_the_armed_ordinal(self):
@@ -44,7 +42,7 @@ class TestCacheInjectionHooks:
         assert not armed.triggered
         cache.access(0x40)
         assert armed.triggered and armed.resident and armed.flipped
-        decoded = cache.ecc_load_word(0x40)
+        decoded = cache.ecc_code.decode(cache.ecc_load_raw(0x40))
         assert decoded.corrected
         assert decoded.data == 0x1234
 
@@ -68,21 +66,6 @@ class TestCacheInjectionHooks:
         result = cache.access(0x80)  # same set, evicts the clean 0x0 line
         assert result.evicted_address == 0x0
         assert not result.writeback
-
-    def test_l2_hook_delegates_and_corrects(self):
-        l2 = SharedL2Cache(
-            CacheConfig(size_bytes=2048, line_bytes=32, ways=2, name="l2"),
-            MainMemory(access_latency=10),
-            ecc_code=get_code("secded"),
-        )
-        l2.cache.ecc_store_word(0x100, 0xBEEF)
-        l2.access_cycles(0x100)
-        armed = l2.arm_fault(0x100, bit=7, at_access=1)
-        l2.access_cycles(0x100)
-        assert armed.triggered and armed.flipped
-        assert l2.armed_fault() is armed
-        decoded = l2.cache.ecc_load_word(0x100)
-        assert decoded.corrected and decoded.data == 0xBEEF
 
 
 # --------------------------------------------------------------------- #
@@ -146,7 +129,8 @@ class TestArchitecturalReplay:
         # codeword; overwriting the backing word (write-through store or
         # dirty writeback) must drop it, or a later refill would
         # "correct" back to the stale pre-store value.
-        from repro.campaign.replay import Dl1ContentModel, dl1_code_for_policy
+        from repro.campaign.reference import Dl1ContentModel
+        from repro.campaign.replay import dl1_code_for_policy, l2_code_for_policy
         from repro.core.policies import make_policy
         from repro.functional.memory import FlatMemory
         from repro.memory.config import MemoryHierarchyConfig
@@ -155,7 +139,12 @@ class TestArchitecturalReplay:
         hierarchy = MemoryHierarchyConfig().with_write_through_l1d()
         backing = FlatMemory()
         backing.write(0x1000, 0x11111111, 4)
-        model = Dl1ContentModel(hierarchy, dl1_code_for_policy(policy), backing)
+        model = Dl1ContentModel(
+            hierarchy,
+            dl1_code_for_policy(policy),
+            backing,
+            l2_code=l2_code_for_policy(policy),
+        )
         assert model.load(0x1000, 4) == 0x11111111  # line resident
         model.inject_l2_fault(0x1000, bit=5)
         model.store(0x1000, 0x22222222, 4)  # write-through supersedes

@@ -1,12 +1,13 @@
-"""Tests for the set-associative cache, replacement policies and write buffer."""
+"""Tests for the set-associative cache, LRU replacement and write buffer."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.campaign.reference import ShadowCache
 from repro.ecc import HsiaoSecDedCode
 from repro.memory.cache import SetAssociativeCache
-from repro.memory.config import CacheConfig, ReplacementPolicy, WritePolicy
-from repro.memory.replacement import FifoState, LruState, RandomState
+from repro.memory.config import CacheConfig, WritePolicy
+from repro.memory.replacement import LruState
 from repro.memory.write_buffer import WriteBuffer
 
 
@@ -27,6 +28,11 @@ class TestGeometry:
             CacheConfig(size_bytes=1000, line_bytes=32, ways=4)
         with pytest.raises(ValueError):
             CacheConfig(size_bytes=1024, line_bytes=24, ways=2)
+
+    def test_line_must_hold_a_word(self):
+        with pytest.raises(ValueError, match="32-bit word"):
+            CacheConfig(size_bytes=1024, line_bytes=2, ways=2)
+        assert CacheConfig(size_bytes=1024, line_bytes=4, ways=2).sets == 128
 
     def test_address_split_round_trip(self):
         cache = _small_cache()
@@ -103,28 +109,30 @@ class TestHitMiss:
 
 
 class TestEccShadow:
+    """The ECC shadow array of the fault-injection oracle's cache."""
+
+    def _cache(self) -> ShadowCache:
+        return ShadowCache(
+            CacheConfig(size_bytes=1024, line_bytes=32, ways=2), HsiaoSecDedCode()
+        )
+
     def test_store_load_round_trip(self):
-        cache = _small_cache()
-        cache.ecc_code = HsiaoSecDedCode()
+        cache = self._cache()
         cache.ecc_store_word(0x100, 0xDEADBEEF)
-        result = cache.ecc_load_word(0x100)
-        assert result is not None and result.data == 0xDEADBEEF
+        result = cache.ecc_code.decode(cache.ecc_load_raw(0x102))
+        assert result.data == 0xDEADBEEF and not result.corrected
+        assert cache.ecc_take_word(0x100) is not None
+        assert cache.ecc_load_raw(0x100) is None
 
     def test_flip_and_correct(self):
-        cache = SetAssociativeCache(
-            CacheConfig(size_bytes=1024, line_bytes=32, ways=2),
-            ecc_code=HsiaoSecDedCode(),
-        )
+        cache = self._cache()
+        cache.access(0x40, is_write=True)  # resident and dirty
         cache.ecc_store_word(0x40, 0x12345678)
-        assert cache.ecc_flip_bit(0x40, 5)
-        result = cache.ecc_load_word(0x40)
+        armed = cache.arm_fault(0x40, bit=5, at_access=1)
+        cache.access(0x80)
+        assert armed.flipped and armed.dirty
+        result = cache.ecc_code.decode(cache.ecc_load_raw(0x40))
         assert result.corrected and result.data == 0x12345678
-
-    def test_without_code_is_noop(self):
-        cache = _small_cache()
-        cache.ecc_store_word(0x40, 1)
-        assert cache.ecc_load_word(0x40) is None
-        assert not cache.ecc_flip_bit(0x40, 0)
 
 
 class TestReplacementStates:
@@ -138,27 +146,6 @@ class TestReplacementStates:
         state.fill(1)
         state.touch(0)
         assert state.victim([True, True]) == 1
-
-    def test_fifo_ignores_touches(self):
-        state = FifoState(2)
-        state.fill(0)
-        state.fill(1)
-        state.touch(0)
-        assert state.victim([True, True]) == 0
-
-    def test_random_is_deterministic_per_seed(self):
-        a = RandomState(4, seed=3)
-        b = RandomState(4, seed=3)
-        valid = [True] * 4
-        assert [a.victim(valid) for _ in range(10)] == [
-            b.victim(valid) for _ in range(10)
-        ]
-
-    def test_replacement_policy_selection(self):
-        for policy in ReplacementPolicy:
-            cache = _small_cache(replacement=policy)
-            cache.access(0x0)
-            assert cache.access(0x0).hit
 
 
 class TestWriteBuffer:

@@ -113,3 +113,11 @@ class TestHashDiscrimination:
         payload["v"] = 99
         with pytest.raises(ValueError):
             spec_from_canonical(payload)
+
+    def test_replacement_key_is_lru_and_nothing_else_decodes(self):
+        payload = canonical_dict(SimulationSpec(kernel="matrix"))
+        for level in ("l1d", "l1i", "l2"):
+            assert payload["hierarchy"][level]["replacement"] == "lru"
+        payload["hierarchy"]["l1d"]["replacement"] = "fifo"
+        with pytest.raises(ValueError, match="fifo"):
+            spec_from_canonical(payload)
