@@ -1,10 +1,16 @@
-"""Setuptools entry point.
+"""Setuptools entry point: ``pip install -e .`` installs ``repro`` from ``src/``.
 
-Kept alongside ``pyproject.toml`` so that editable installs work in
-offline environments whose setuptools lacks PEP 660 support (no
-``wheel`` package available).
+There is no ``pyproject.toml``; this file is the one place the package
+is declared.  The library needs only the standard library.  The test
+suite needs ``pytest`` and ``hypothesis`` (``pip install -e .[test]``).
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    extras_require={"test": ["pytest", "hypothesis"]},
+)
