@@ -4,15 +4,14 @@ Run with::
 
     python examples/ecc_protected_cache.py
 
-The script stores words from a real kernel run into a DL1 model equipped
-with an ECC shadow array, injects single- and double-bit soft errors and
-shows how each code behaves — the reliability argument that makes the
-paper's write-back DL1 viable in a safety-critical system.
+The script first flips one bit of a dirty DL1 word during a real kernel
+run, under LAEC's SECDED and under the unprotected baseline, then
+compares the codes on isolated codewords and at array level — the
+reliability argument that makes the paper's write-back DL1 viable in a
+safety-critical system.
 """
 
 from __future__ import annotations
-
-import random
 
 from repro.analysis.reporting import Table
 from repro.ecc import (
@@ -24,41 +23,40 @@ from repro.ecc import (
     ParityCode,
     ReliabilityModel,
 )
-from repro.ecc.codec import DecodeStatus
-from repro.functional import golden_pass
-from repro.memory.cache import SetAssociativeCache
-from repro.memory.config import CacheConfig
-from repro.workloads import build_kernel
+from repro.experiments.runner import cached_golden_run
+from repro.scenarios import FaultSpec, SimulationSpec
+from repro.simulation import simulate_spec
 
 
 def cache_level_demo() -> None:
-    """Store kernel data into an ECC-protected DL1 and corrupt one bit."""
-    print("=== SECDED-protected DL1 (16 KiB, 4-way, 32 B lines) ===")
-    cache = SetAssociativeCache(
-        CacheConfig(size_bytes=16 * 1024, line_bytes=32, ways=4, name="dl1"),
-        ecc_code=HsiaoSecDedCode(),
-    )
-    golden = golden_pass(build_kernel("iirflt", scale=0.1))
-    stores = [
-        (word_address, golden.value_at(word_address, ordinal + 1))  # the word just written
-        for ordinal, (word_address, is_store) in enumerate(
-            zip(golden.op_wa, golden.op_store), 1
+    """Flip one bit of a dirty DL1 word of iirflt under LAEC and no-ecc."""
+    print("=== One bit flip in a dirty DL1 word of iirflt (scale 0.1) ===")
+    golden = cached_golden_run("iirflt", 0.1)
+    # The first load of a word the kernel stored earlier: under a
+    # write-back DL1 its line is dirty, so the DL1 holds the only copy.
+    stored = set()
+    for at_access, (word_address, is_store) in enumerate(
+        zip(golden.op_wa, golden.op_store), 1
+    ):
+        if is_store:
+            stored.add(word_address)
+        elif word_address in stored:
+            break
+    fault = FaultSpec(target="dl1", word_address=word_address, bit=5, at_access=at_access)
+    print(f"flip bit 5 of {word_address:#010x} right before memory op {at_access}")
+    clean = simulate_spec(SimulationSpec(kernel="iirflt", scale=0.1, policy="laec"))
+    print(f"  fault-free laec run: {clean.cycles} cycles")
+    for policy in ("laec", "no-ecc"):
+        result = simulate_spec(
+            SimulationSpec(kernel="iirflt", scale=0.1, policy=policy, fault=fault)
         )
-        if is_store
-    ][:64]
-    for word_address, word in stores:
-        cache.access(word_address, is_write=True)
-        cache.ecc_store_word(word_address, word)
-    print(f"stored {len(stores)} dirty words from the iirflt kernel")
-
-    rng = random.Random(42)
-    victim = rng.choice(cache.ecc_resident_words())
-    cache.ecc_flip_bit(victim, rng.randrange(39))
-    result = cache.ecc_load_word(victim)
-    print(
-        f"flipped one bit at {victim:#010x}: status={result.status.value}, "
-        f"data restored={result.status is DecodeStatus.CORRECTED}"
-    )
+        injection = result.injection
+        print(
+            f"  {policy:7s} dirty={injection.dirty_at_injection} "
+            f"outcome={injection.outcome.value} "
+            f"events={','.join(injection.events) or '-'} "
+            f"cycles={result.cycles}"
+        )
     print()
 
 
