@@ -46,11 +46,8 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.reporting import Table
 from repro.campaign.errors import (
@@ -78,6 +75,11 @@ from repro.telemetry import flight as _flight
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import trace as _trace
 from repro.telemetry.console import format_heartbeat, format_quarantine_footer, get_console
+
+if TYPE_CHECKING:
+    # A serial campaign never starts a pool: the process-pool machinery
+    # (and multiprocessing behind it) is imported where a pool starts.
+    from concurrent.futures import ProcessPoolExecutor
 
 #: The four DL1 deployments compared in Figure 8, in paper order.
 FIGURE8_POLICY_VALUES = ("no-ecc", "extra-cycle", "extra-stage", "laec")
@@ -552,6 +554,8 @@ class _PointSupervisor:
             # golden artefacts once at spawn, so shards stop re-warming
             # traces on every job (and a respawned pool re-warms exactly
             # once, not per batch).
+            from concurrent.futures import ProcessPoolExecutor
+
             from repro.campaign.replay import warm_lean_golden
 
             self._executor = ProcessPoolExecutor(
@@ -781,6 +785,9 @@ class _PointSupervisor:
                 else:
                     yield group, batch, None
             return
+        from concurrent.futures import TimeoutError as FuturesTimeoutError
+        from concurrent.futures.process import BrokenProcessPool
+
         hang = self.chaos.hang_seconds if self.chaos is not None else 0.0
         timeout = self.config.point_timeout
         waves = [[group] for group in groups] if self._isolating else [groups]

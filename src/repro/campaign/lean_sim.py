@@ -12,10 +12,11 @@ pre-decoded tables:
   nearest golden snapshot instead of from scratch.  The prefix up to
   the divergence point is golden by construction (the triage pass
   proved no corrupted value was architecturally visible before it), so
-  only ``divergence → end`` runs with fault tracking: a one-set cache
-  metadata model (:class:`OneSetModel`; the faulted word's set is the
-  only set whose state is architecturally observable) decides when the
-  corrupted cache copy is written back, discarded or re-imported.
+  only ``divergence → end`` runs with fault tracking: the faulted
+  word's set, an :class:`~repro.memory.cache.LruSet` like every set of
+  the timing caches, decides when the corrupted cache copy is written
+  back, discarded or re-imported (it is the only set whose state is
+  architecturally observable).
 
 * :func:`golden_state_at` and :func:`replay_set_state` rebuild the
   golden register/memory state and one set's cache metadata at any
@@ -40,6 +41,7 @@ from repro.functional.interpreter import (  # the shared decode tables
     _OP_JUMP, _OP_HALT, FunctionalTrace, GoldenRun,
 )
 from repro.isa.instructions import INSTRUCTION_BYTES
+from repro.memory.cache import LruSet
 
 
 def _alu_eval(op: int, a: int, b: int, imm_u: int):
@@ -204,81 +206,6 @@ def golden_state_at(
     return regs, mem
 
 
-# ---------------------------------------------------------------------- #
-# one-set cache metadata model (faulted word's set only)                  #
-# ---------------------------------------------------------------------- #
-class OneSetModel:
-    """Exact LRU/write-policy replica of one :class:`SetAssociativeCache` set.
-
-    During a diverged faulty suffix only the faulted word's set has
-    architecturally observable state (whether the corrupted cache copy
-    is resident, dirty, written back or discarded); every other set's
-    metadata cannot influence any load value or the final memory image.
-    """
-
-    __slots__ = ("ways", "tags", "valid", "dirty", "order", "write_allocate", "write_back")
-
-    def __init__(self, ways: int, *, write_allocate: bool, write_back: bool) -> None:
-        self.ways = ways
-        self.tags = [0] * ways  # line addresses (unique within the set)
-        self.valid = [False] * ways
-        self.dirty = [False] * ways
-        self.order: List[int] = list(range(ways))  # MRU first
-        self.write_allocate = write_allocate
-        self.write_back = write_back
-
-    def _touch(self, way: int) -> None:
-        order = self.order
-        order.remove(way)
-        order.insert(0, way)
-
-    def access(self, line_address: int, is_write: bool):
-        """Mirror of ``SetAssociativeCache.access`` for this set.
-
-        Returns ``(evicted_line, evicted_dirty, filled)``:
-        ``evicted_line`` is the valid victim's line address (or None).
-        """
-        tags = self.tags
-        valid = self.valid
-        for way in range(self.ways):
-            if valid[way] and tags[way] == line_address:
-                self._touch(way)
-                if is_write and self.write_back:
-                    self.dirty[way] = True
-                return None, False, False
-        if is_write and not self.write_allocate:
-            return None, False, False
-        victim = -1
-        for way in range(self.ways):
-            if not valid[way]:
-                victim = way
-                break
-        if victim < 0:
-            victim = self.order[-1]
-        evicted_line: Optional[int] = None
-        evicted_dirty = False
-        if valid[victim]:
-            evicted_line = tags[victim]
-            evicted_dirty = self.dirty[victim]
-        valid[victim] = True
-        self.dirty[victim] = bool(is_write and self.write_back)
-        tags[victim] = line_address
-        self._touch(victim)
-        return evicted_line, evicted_dirty, True
-
-    def resident(self, line_address: int) -> bool:
-        return any(
-            self.valid[way] and self.tags[way] == line_address
-            for way in range(self.ways)
-        )
-
-    def line_dirty(self, line_address: int) -> bool:
-        return any(
-            self.valid[way] and self.tags[way] == line_address and self.dirty[way]
-            for way in range(self.ways)
-        )
-
-
 def replay_set_state(
     golden: GoldenRun,
     *,
@@ -289,9 +216,9 @@ def replay_set_state(
     write_allocate: bool,
     write_back: bool,
     until_op: int,
-) -> OneSetModel:
+) -> LruSet:
     """Golden metadata state of one set right before op ``until_op`` (1-based)."""
-    model = OneSetModel(ways, write_allocate=write_allocate, write_back=write_back)
+    model = LruSet(ways, write_allocate=write_allocate, write_back=write_back)
     line_mask = ~((1 << line_bits) - 1)
     op_wa = golden.op_wa
     op_store = golden.op_store
@@ -324,7 +251,7 @@ def resume_faulty(
     cache_xor: int,
     backing_value: int,
     resident: bool,
-    set_state: OneSetModel,
+    set_state: LruSet,
     line_bits: int,
     set_mask: int,
     limit: int,

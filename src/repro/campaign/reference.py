@@ -5,8 +5,9 @@
 layers:
 
 1. **Content model** (:class:`Dl1ContentModel`): a
-   :class:`ShadowCache` (the timing cache's tag/valid/dirty machinery
-   plus an ECC shadow array holding the encoded word contents of every
+   :class:`ShadowCache` (the tag/valid/dirty machinery of the object
+   cache :class:`~repro.memory.reference_cache.ReferenceCache` plus an
+   ECC shadow array holding the encoded word contents of every
    resident line) and a backing
    :class:`~repro.functional.memory.FlatMemory` standing in for L2 +
    DRAM.  Every load/store goes through the array: fills copy encoded
@@ -48,8 +49,8 @@ from repro.ecc.codec import DecodeStatus, EccCode
 from repro.functional.interpreter import FunctionalTrace, GoldenRun
 from repro.functional.memory import FlatMemory, MemoryAccessError
 from repro.isa.program import Program
-from repro.memory.cache import CacheAccessResult, SetAssociativeCache
 from repro.memory.config import CacheConfig, MemoryHierarchyConfig, WritePolicy
+from repro.memory.reference_cache import CacheAccessResult, ReferenceCache
 from repro.scenarios.spec import FaultSpec, SimulationSpec
 
 
@@ -75,8 +76,8 @@ class ArmedFault:
     flipped: bool = False
 
 
-class ShadowCache(SetAssociativeCache):
-    """A timing cache plus an ECC shadow array and one armable upset.
+class ShadowCache(ReferenceCache):
+    """The object cache plus an ECC shadow array and one armable upset.
 
     The shadow maps word address -> stored codeword of ``ecc_code``.  An
     armed fault lands right before the N-th access after arming,
@@ -177,7 +178,7 @@ class ShadowCache(SetAssociativeCache):
 class Dl1ContentModel:
     """Data-carrying DL1 + below-L1 backing store for one core.
 
-    The tag/valid/dirty machinery is the timing cache's; the
+    The tag/valid/dirty machinery is the object cache's; the
     :class:`ShadowCache` array holds the encoded word contents of every
     resident line.  ``backing`` models everything below the DL1 (L2 +
     memory) at architectural granularity.

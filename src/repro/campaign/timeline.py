@@ -27,9 +27,10 @@ pure-NOP reconvergence), these per-word event timelines remain valid
 cache/backing masks can keep evolving analytically instead of streaming
 the point through ``resume_faulty``.
 
-The per-set metadata model is :class:`~repro.campaign.lean_sim.OneSetModel`,
-the same replica of ``SetAssociativeCache`` set behaviour the faulty
-resume path uses, so the two stay in lock-step by construction.
+The per-set metadata model is :class:`~repro.memory.cache.LruSet`, the
+set of the timing caches, which the faulty resume path uses too, so
+the timing model, the timelines and the resume stay in lock-step by
+construction.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
-from repro.campaign.lean_sim import OneSetModel
 from repro.functional.interpreter import GoldenRun
+from repro.memory.cache import LruSet
 
 # Event kinds, ordered as appended while processing one op:
 # evictions precede fills precede the data access itself (mirroring
@@ -109,7 +110,7 @@ def build_timelines(
     for wa in timelines:
         lines.setdefault(wa & line_mask, []).append(wa)
 
-    sets: Dict[int, OneSetModel] = {}
+    sets: Dict[int, LruSet] = {}
     op_wa = golden.op_wa
     op_store = golden.op_store
     op_size = golden.op_size
@@ -123,7 +124,7 @@ def build_timelines(
         set_index = (wa >> line_bits) & set_mask
         model = sets.get(set_index)
         if model is None:
-            model = OneSetModel(
+            model = LruSet(
                 geometry.ways,
                 write_allocate=geometry.write_allocate,
                 write_back=write_back,

@@ -25,7 +25,6 @@ Two fast paths keep repeated campaigns cheap (see PERFORMANCE.md):
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -251,6 +250,8 @@ class ExperimentRunner:
             restored = {name: {} for name in self.kernels}
         tasks = [(name, self.scale, missing[name]) for name in self.kernels if name in missing]
         if tasks:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as executor:
                 # ``map`` preserves submission order, so results land in
                 # ``self.kernels`` order no matter which worker finishes

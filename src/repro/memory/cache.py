@@ -1,47 +1,81 @@
 """Set-associative cache timing model.
 
-The cache tracks tags, valid and dirty bits only: its job is to decide
-hits, misses and dirty evictions so the hierarchy can charge the right
-latencies.  Replacement is LRU.  It holds no data: architectural values
-live in the functional interpreter, and a fault campaign tracks the one
-faulted word analytically (:mod:`repro.campaign.triage`).
+The cache tracks which lines each set holds, their LRU order and which
+are dirty: its job is to decide hits, misses and dirty evictions so the
+hierarchy can charge the right latencies.  It holds no data:
+architectural values live in the functional interpreter, and a fault
+campaign tracks the one faulted word analytically
+(:mod:`repro.campaign.triage`).
+
+One set is an :class:`LruSet`: its resident line addresses, most
+recently used first, and the subset of them that is dirty.  No
+production path ever invalidates a line, so a set fills while it holds
+fewer than ``ways`` lines and otherwise evicts its LRU line, the last
+in the list; way numbers are never observable.  The same class is the
+one-set metadata model of the fault campaign (the triage timelines of
+:mod:`repro.campaign.timeline` and the faulty resume of
+:mod:`repro.campaign.lean_sim`), so the memory tape and campaign triage
+run on one set implementation.  :class:`SetAssociativeCache` creates a
+set on its first access: most L2 sets are never touched.
+
+The seed object cache is the test oracle
+:class:`repro.memory.reference_cache.ReferenceCache`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.memory.config import CacheConfig, WritePolicy
-from repro.memory.replacement import LruState
 
 
-@dataclass(frozen=True)
-class CacheAccessResult:
-    """Outcome of one cache access (timing view)."""
+class LruSet:
+    """One LRU set: resident line addresses (MRU first) and the dirty ones."""
 
-    hit: bool
-    set_index: int
-    tag: int
-    way: int
-    writeback: bool = False
-    writeback_address: Optional[int] = None
-    allocated: bool = False
-    #: Line address of the valid victim this access replaced (set for
-    #: clean evictions too, unlike ``writeback_address``); ``None`` when
-    #: the fill used an invalid way or no line was brought in.
-    evicted_address: Optional[int] = None
+    __slots__ = ("lines", "dirty", "ways", "write_allocate", "write_back")
 
-    @property
-    def miss(self) -> bool:
-        return not self.hit
+    def __init__(self, ways: int, *, write_allocate: bool, write_back: bool) -> None:
+        self.lines: List[int] = []
+        self.dirty: Set[int] = set()
+        self.ways = ways
+        self.write_allocate = write_allocate
+        self.write_back = write_back
 
+    def access(self, line: int, is_write: bool) -> Tuple[Optional[int], bool, bool]:
+        """One load or store to ``line``.
 
-@dataclass
-class _CacheLine:
-    valid: bool = False
-    dirty: bool = False
-    tag: int = 0
+        Returns ``(evicted_line, evicted_dirty, filled)``: the line this
+        access evicted (None when the set had room or nothing was
+        brought in), whether it was dirty, and whether ``line`` was
+        filled (a miss that allocated).
+        """
+        lines = self.lines
+        if line in lines:
+            if lines[0] != line:
+                lines.remove(line)
+                lines.insert(0, line)
+            if is_write and self.write_back:
+                self.dirty.add(line)
+            return None, False, False
+        if is_write and not self.write_allocate:
+            return None, False, False
+        lines.insert(0, line)
+        if is_write and self.write_back:
+            self.dirty.add(line)
+        if len(lines) > self.ways:
+            evicted = lines.pop()
+            if evicted in self.dirty:
+                self.dirty.remove(evicted)
+                return evicted, True, True
+            return evicted, False, True
+        return None, False, True
+
+    def resident(self, line: int) -> bool:
+        return line in self.lines
+
+    def line_dirty(self, line: int) -> bool:
+        return line in self.dirty
 
 
 @dataclass
@@ -95,114 +129,58 @@ class CacheStatistics:
 
 
 class SetAssociativeCache:
-    """A set-associative LRU cache with a configurable write policy."""
+    """A set-associative LRU cache with a configurable write policy.
+
+    ``sets`` maps a set index to its :class:`LruSet`, created on the
+    set's first access.
+    """
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
         self.line_bits = config.line_bytes.bit_length() - 1
-        self.set_bits = config.sets.bit_length() - 1
-        self._sets: List[List[_CacheLine]] = [
-            [_CacheLine() for _ in range(config.ways)] for _ in range(config.sets)
-        ]
-        self._replacement = [LruState(config.ways) for _ in range(config.sets)]
+        self.sets: Dict[int, LruSet] = {}
         self.stats = CacheStatistics()
-
-    # ------------------------------------------------------------------ #
-    # address helpers                                                    #
-    # ------------------------------------------------------------------ #
-    def split_address(self, address: int) -> tuple:
-        """Return ``(tag, set_index, offset)`` for ``address``."""
-        offset = address & (self.config.line_bytes - 1)
-        set_index = (address >> self.line_bits) & (self.config.sets - 1)
-        tag = address >> (self.line_bits + self.set_bits)
-        return tag, set_index, offset
+        self._line_mask = ~(config.line_bytes - 1)
+        self._set_mask = config.sets - 1
+        self._write_back = config.write_policy is WritePolicy.WRITE_BACK
 
     def line_address(self, address: int) -> int:
-        return address & ~(self.config.line_bytes - 1)
+        return address & self._line_mask
 
-    def _rebuild_address(self, tag: int, set_index: int) -> int:
-        return (tag << (self.line_bits + self.set_bits)) | (set_index << self.line_bits)
-
-    # ------------------------------------------------------------------ #
-    # lookup / access                                                    #
-    # ------------------------------------------------------------------ #
-    def probe(self, address: int) -> bool:
-        """Return True if ``address`` currently hits, without side effects."""
-        tag, set_index, _ = self.split_address(address)
-        return any(
-            line.valid and line.tag == tag for line in self._sets[set_index]
-        )
-
-    def access(self, address: int, *, is_write: bool = False) -> CacheAccessResult:
+    def access(self, address: int, *, is_write: bool = False) -> Tuple[bool, Optional[int]]:
         """Perform a load/store lookup, allocating on miss per the config.
 
-        Returns the timing-relevant outcome; the caller (hierarchy) is
-        responsible for charging miss and writeback latencies.
+        Returns ``(hit, writeback_line)``: ``writeback_line`` is the
+        dirty victim's line address, or None.  The caller (hierarchy)
+        is responsible for charging miss and writeback latencies.
         """
-        tag, set_index, _ = self.split_address(address)
-        lines = self._sets[set_index]
-        replacement = self._replacement[set_index]
-        for way, line in enumerate(lines):
-            if line.valid and line.tag == tag:
-                replacement.touch(way)
-                if is_write:
-                    self.stats.write_hits += 1
-                    if self.config.write_policy is WritePolicy.WRITE_BACK:
-                        line.dirty = True
-                else:
-                    self.stats.read_hits += 1
-                return CacheAccessResult(
-                    hit=True, set_index=set_index, tag=tag, way=way
-                )
-        # Miss.
-        if is_write:
-            self.stats.write_misses += 1
-        else:
-            self.stats.read_misses += 1
-        allocate = not is_write or self.config.write_allocate
-        if not allocate:
-            # Write-around: no line is brought in.
-            return CacheAccessResult(
-                hit=False, set_index=set_index, tag=tag, way=-1, allocated=False
+        line = address & self._line_mask
+        set_index = (address >> self.line_bits) & self._set_mask
+        lru = self.sets.get(set_index)
+        if lru is None:
+            lru = self.sets[set_index] = LruSet(
+                self.config.ways,
+                write_allocate=self.config.write_allocate,
+                write_back=self._write_back,
             )
-        victim_way = replacement.victim([line.valid for line in lines])
-        victim = lines[victim_way]
-        writeback = bool(victim.valid and victim.dirty)
-        evicted_address = (
-            self._rebuild_address(victim.tag, set_index) if victim.valid else None
-        )
-        writeback_address = evicted_address if writeback else None
-        if writeback:
-            self.stats.writebacks += 1
-        victim.valid = True
-        victim.dirty = bool(
-            is_write and self.config.write_policy is WritePolicy.WRITE_BACK
-        )
-        victim.tag = tag
-        replacement.fill(victim_way)
-        self.stats.fills += 1
-        return CacheAccessResult(
-            hit=False,
-            set_index=set_index,
-            tag=tag,
-            way=victim_way,
-            writeback=writeback,
-            writeback_address=writeback_address,
-            allocated=True,
-            evicted_address=evicted_address,
-        )
-
-    def invalidate_all(self) -> None:
-        """Invalidate every line (keeps statistics)."""
-        for lines in self._sets:
-            for line in lines:
-                line.valid = False
-                line.dirty = False
-
-    def dirty_line_count(self) -> int:
-        return sum(
-            1 for lines in self._sets for line in lines if line.valid and line.dirty
-        )
-
-    def valid_line_count(self) -> int:
-        return sum(1 for lines in self._sets for line in lines if line.valid)
+        evicted, evicted_dirty, filled = lru.access(line, is_write)
+        stats = self.stats
+        if filled:
+            if is_write:
+                stats.write_misses += 1
+            else:
+                stats.read_misses += 1
+            stats.fills += 1
+            if evicted_dirty:
+                stats.writebacks += 1
+                return False, evicted
+            return False, None
+        if not is_write:
+            stats.read_hits += 1
+            return True, None
+        if lru.lines and lru.lines[0] == line:  # a hit leaves its line MRU
+            stats.write_hits += 1
+            return True, None
+        # Write-around: no line is brought in.
+        stats.write_misses += 1
+        return False, None

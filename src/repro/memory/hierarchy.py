@@ -66,8 +66,8 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------ #
     def instruction_fetch_cycles(self, pc: int) -> int:
         """Extra fetch cycles beyond the single-cycle L1I hit (0 on a hit)."""
-        result = self.l1i.access(pc, is_write=False)
-        if result.hit:
+        hit, _ = self.l1i.access(pc)
+        if hit:
             return 0
         return self.bus.transaction_cycles("line") + self.l2.access_cycles(
             self.l1i.line_address(pc)
@@ -78,11 +78,13 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------ #
     def load_access(self, address: int) -> DataAccessOutcome:
         """Timing of one load (hit/miss decision plus miss penalty)."""
-        result = self.l1d.access(address, is_write=False)
-        if result.hit:
+        hit, writeback_line = self.l1d.access(address)
+        if hit:
             return DataAccessOutcome(hit=True)
-        extra = self._miss_penalty(address, result.writeback, result.writeback_address)
-        return DataAccessOutcome(hit=False, extra_cycles=extra, caused_writeback=result.writeback)
+        extra = self._miss_penalty(address, writeback_line)
+        return DataAccessOutcome(
+            hit=False, extra_cycles=extra, caused_writeback=writeback_line is not None
+        )
 
     def store_access(self, address: int) -> DataAccessOutcome:
         """Timing of one store as seen by the write buffer.
@@ -93,37 +95,30 @@ class MemoryHierarchy:
         pushes the word to the L2 over the bus regardless of hit/miss.
         """
         write_back = self.config.l1d.write_policy is WritePolicy.WRITE_BACK
-        result = self.l1d.access(address, is_write=True)
+        hit, writeback_line = self.l1d.access(address, is_write=True)
         if write_back:
-            if result.hit:
+            if hit:
                 return DataAccessOutcome(hit=True, store_drain_latency=1)
-            extra = self._miss_penalty(
-                address, result.writeback, result.writeback_address
-            )
+            extra = self._miss_penalty(address, writeback_line)
             return DataAccessOutcome(
                 hit=False,
                 store_drain_latency=1 + extra,
-                caused_writeback=result.writeback,
+                caused_writeback=writeback_line is not None,
             )
         # Write-through: the DL1 lookup only decides whether the line is
         # also updated locally; the drain always pays a bus + L2 word write.
         drain = self.bus.transaction_cycles("word") + self.config.store_through_latency
-        return DataAccessOutcome(hit=result.hit, store_drain_latency=drain)
+        return DataAccessOutcome(hit=hit, store_drain_latency=drain)
 
-    def _miss_penalty(
-        self,
-        address: int,
-        writeback: bool,
-        writeback_address: Optional[int],
-    ) -> int:
+    def _miss_penalty(self, address: int, writeback_line: Optional[int]) -> int:
         cycles = self.bus.transaction_cycles("line")
         cycles += self.l2.access_cycles(self.l1d.line_address(address))
-        if writeback and writeback_address is not None:
+        if writeback_line is not None:
             # Dirty victim: the write-back occupies the bus and the L2
             # write port before the fill can complete (no write buffer
             # between L1 and L2 in this simple model).
             cycles += self.bus.transaction_cycles("line")
-            cycles += self.l2.access_cycles(writeback_address, is_write=True) // 2
+            cycles += self.l2.access_cycles(writeback_line, is_write=True) // 2
         return cycles
 
     # ------------------------------------------------------------------ #

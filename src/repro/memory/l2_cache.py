@@ -34,11 +34,11 @@ class SharedL2Cache:
 
     def access_cycles(self, address: int, *, is_write: bool = False) -> int:
         """Cycles spent in the L2 (and memory, on an L2 miss) for a request."""
-        result = self.cache.access(address, is_write=is_write)
+        hit, writeback_line = self.cache.access(address, is_write=is_write)
         cycles = self.hit_latency
-        if result.miss:
+        if not hit:
             cycles += self.memory.access_cycles(address)
-            if result.writeback and result.writeback_address is not None:
+            if writeback_line is not None:
                 # Dirty L2 victim: charge the memory write (no row reuse
                 # credit for writes, conservatively).
                 cycles += self.memory.access_latency // 2

@@ -82,15 +82,18 @@ class SyntheticWorkloadGenerator:
         rng = random.Random(cfg.seed)
         trace = FunctionalTrace(program_name=name)
         shapes: Dict[tuple, Instruction] = {}
+        emitted = 0
 
         def emit(mnemonic, text, *, address=None, taken=False, **operands) -> None:
             """Append one instruction at the next pc; each distinct shape
             is one shared static instruction, as in a program."""
+            nonlocal emitted
             key = (mnemonic, text, *sorted(operands.items()))
             instr = shapes.get(key)
             if instr is None:
                 instr = shapes[key] = Instruction(mnemonic=mnemonic, text=text, **operands)
-            trace.append(_TEXT_BASE + 4 * len(trace), instr, address, taken)
+            trace.append(_TEXT_BASE + 4 * emitted, instr, address, taken)
+            emitted += 1
 
         hot_addresses = [
             _DATA_BASE + line * cfg.line_bytes for line in range(cfg.hot_lines)
@@ -98,7 +101,13 @@ class SyntheticWorkloadGenerator:
         cold_cursor = _COLD_BASE
         #: Registers reserved: r1-r4 address bases, r10-r19 data values,
         #: r20-r24 scratch for fillers.
-        pending_consumers: List[tuple] = []  # (emit_at_index, register)
+        #: Emission index -> value register of the load whose consumer is
+        #: due there.  The first load to claim an index wins; a later one
+        #: due at the same index is dropped, and so is a consumer whose
+        #: index falls on the load of a two-instruction (address-producing
+        #: instruction + load) step.  Both are part of the streams the A2
+        #: artefact was generated from.
+        pending_consumers: Dict[int, int] = {}
 
         def alu_filler(dest: int, srcs: tuple) -> None:
             emit(
@@ -111,21 +120,18 @@ class SyntheticWorkloadGenerator:
                 imm=1 if len(srcs) < 2 else 0,
             )
 
-        while len(trace) < cfg.instructions:
+        while emitted < cfg.instructions:
             # Emit any scheduled consumer of an earlier load first so the
             # dependent-load distances come out as configured.
-            consumer = next(
-                (c for c in pending_consumers if c[0] == len(trace)), None
-            )
+            consumer = pending_consumers.pop(emitted, None)
             if consumer is not None:
-                pending_consumers.remove(consumer)
-                alu_filler(20 + rng.randrange(5), (consumer[1],))
+                alu_filler(20 + rng.randrange(5), (consumer,))
                 continue
 
             draw = rng.random()
             if draw < cfg.load_fraction:
                 cold_cursor = self._emit_load(
-                    rng, emit, len(trace), hot_addresses, cold_cursor, pending_consumers
+                    rng, emit, emitted, hot_addresses, cold_cursor, pending_consumers
                 )
             elif draw < cfg.load_fraction + cfg.store_fraction:
                 address = rng.choice(hot_addresses)
@@ -154,7 +160,7 @@ class SyntheticWorkloadGenerator:
         index: int,
         hot_addresses: List[int],
         cold_cursor: int,
-        pending_consumers: List[tuple],
+        pending_consumers: Dict[int, int],
     ) -> int:
         cfg = self.config
         base_register = 1
@@ -186,5 +192,5 @@ class SyntheticWorkloadGenerator:
 
         if rng.random() < cfg.dependent_load_fraction:
             distance = 1 if rng.random() < cfg.dependent_distance_1_fraction else 2
-            pending_consumers.append((index + distance, value_register))
+            pending_consumers.setdefault(index + distance, value_register)
         return cold_cursor

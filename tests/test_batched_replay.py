@@ -775,7 +775,11 @@ crash = SimulationSpec(
 assert "crash" in simulate_spec(crash, program=program).injection.events
 print(sorted(
     name for name in sys.modules
-    if name in ("repro.functional.reference", "repro.campaign.reference")
+    if name in (
+        "repro.functional.reference",
+        "repro.campaign.reference",
+        "repro.memory.reference_cache",
+    )
 ))
 """
 

@@ -13,8 +13,8 @@ from repro.campaign import (
 )
 from repro.campaign.reference import ShadowCache, run_injection
 from repro.ecc import HsiaoSecDedCode
-from repro.memory.cache import SetAssociativeCache
 from repro.memory.config import CacheConfig
+from repro.memory.reference_cache import ReferenceCache
 from repro.scenarios import FaultSpec, SimulationSpec
 from repro.store import ResultStore
 from repro.workloads import KERNEL_NAMES, build_kernel
@@ -61,7 +61,7 @@ class TestCacheInjectionHooks:
 
     def test_access_reports_clean_evictions(self):
         config = CacheConfig(size_bytes=64, line_bytes=32, ways=1, name="tiny")
-        cache = SetAssociativeCache(config)
+        cache = ReferenceCache(config)
         cache.access(0x0)
         result = cache.access(0x80)  # same set, evicts the clean 0x0 line
         assert result.evicted_address == 0x0

@@ -1,4 +1,9 @@
-"""Tests for the set-associative cache, LRU replacement and write buffer."""
+"""Tests for the set-associative cache, LRU replacement and write buffer.
+
+The hit/miss behaviour is asserted on both the production cache (flat
+:class:`~repro.memory.cache.LruSet` sets) and its oracle
+:class:`~repro.memory.reference_cache.ReferenceCache` (the object cache).
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,14 +12,43 @@ from repro.campaign.reference import ShadowCache
 from repro.ecc import HsiaoSecDedCode
 from repro.memory.cache import SetAssociativeCache
 from repro.memory.config import CacheConfig, WritePolicy
-from repro.memory.replacement import LruState
+from repro.memory.reference_cache import LruState, ReferenceCache
 from repro.memory.write_buffer import WriteBuffer
 
+#: The production cache and its oracle; TestHitMiss runs on both.
+CACHE_KINDS = (SetAssociativeCache, ReferenceCache)
 
-def _small_cache(**overrides) -> SetAssociativeCache:
+
+def _small_cache(kind=SetAssociativeCache, **overrides):
     defaults = dict(size_bytes=1024, line_bytes=32, ways=2, name="test")
     defaults.update(overrides)
-    return SetAssociativeCache(CacheConfig(**defaults))
+    return kind(CacheConfig(**defaults))
+
+
+def _access(cache, address, *, is_write=False):
+    """``(hit, writeback_line)`` of one access on either cache."""
+    if isinstance(cache, ReferenceCache):
+        result = cache.access(address, is_write=is_write)
+        return result.hit, result.writeback_address
+    return cache.access(address, is_write=is_write)
+
+
+def _lru_set(cache, address):
+    """The production cache's set holding ``address`` (None if never touched)."""
+    return cache.sets.get((address >> cache.line_bits) & (cache.config.sets - 1))
+
+
+def _resident(cache, address) -> bool:
+    if isinstance(cache, ReferenceCache):
+        return cache.probe(address)
+    lru = _lru_set(cache, address)
+    return lru is not None and lru.resident(cache.line_address(address))
+
+
+def _dirty_lines(cache) -> int:
+    if isinstance(cache, ReferenceCache):
+        return cache.dirty_line_count()
+    return sum(len(lru.dirty) for lru in cache.sets.values())
 
 
 class TestGeometry:
@@ -35,7 +69,7 @@ class TestGeometry:
         assert CacheConfig(size_bytes=1024, line_bytes=4, ways=2).sets == 128
 
     def test_address_split_round_trip(self):
-        cache = _small_cache()
+        cache = _small_cache(ReferenceCache)
         tag, set_index, offset = cache.split_address(0x40100124)
         assert offset == 0x4
         reconstructed = cache._rebuild_address(tag, set_index) + offset
@@ -44,68 +78,78 @@ class TestGeometry:
 
 class TestHitMiss:
     def test_first_access_misses_then_hits(self):
-        cache = _small_cache()
-        assert cache.access(0x1000).miss
-        assert cache.access(0x1000).hit
-        assert cache.access(0x101C).hit  # same 32-byte line
+        for kind in CACHE_KINDS:
+            cache = _small_cache(kind)
+            assert not _access(cache, 0x1000)[0]
+            assert _access(cache, 0x1000)[0]
+            assert _access(cache, 0x101C)[0]  # same 32-byte line
 
     def test_lru_eviction_within_set(self):
-        cache = _small_cache()  # 2-way, 16 sets, 32B lines -> set stride 512
-        a, b, c = 0x0, 0x200, 0x400  # all map to set 0
-        cache.access(a)
-        cache.access(b)
-        cache.access(a)          # a is now most recently used
-        result = cache.access(c)  # evicts b
-        assert result.miss
-        assert cache.probe(a)
-        assert not cache.probe(b)
+        for kind in CACHE_KINDS:
+            cache = _small_cache(kind)  # 2-way, 16 sets, 32B lines -> set stride 512
+            a, b, c = 0x0, 0x200, 0x400  # all map to set 0
+            _access(cache, a)
+            _access(cache, b)
+            _access(cache, a)          # a is now most recently used
+            hit, _ = _access(cache, c)  # evicts b
+            assert not hit
+            assert _resident(cache, a)
+            assert not _resident(cache, b)
 
     def test_write_back_marks_dirty_and_writes_back(self):
-        cache = _small_cache(write_policy=WritePolicy.WRITE_BACK)
-        cache.access(0x0, is_write=True)
-        assert cache.dirty_line_count() == 1
-        cache.access(0x200)
-        result = cache.access(0x400)  # evicts the dirty line at 0x0
-        assert result.writeback
-        assert result.writeback_address == 0x0
+        for kind in CACHE_KINDS:
+            cache = _small_cache(kind, write_policy=WritePolicy.WRITE_BACK)
+            _access(cache, 0x0, is_write=True)
+            assert _dirty_lines(cache) == 1
+            _access(cache, 0x200)
+            hit, writeback_line = _access(cache, 0x400)  # evicts the dirty line at 0x0
+            assert not hit
+            assert writeback_line == 0x0
 
     def test_write_through_never_dirty(self):
-        cache = _small_cache(write_policy=WritePolicy.WRITE_THROUGH)
-        cache.access(0x0, is_write=True)
-        assert cache.dirty_line_count() == 0
+        for kind in CACHE_KINDS:
+            cache = _small_cache(kind, write_policy=WritePolicy.WRITE_THROUGH)
+            _access(cache, 0x0, is_write=True)
+            assert _dirty_lines(cache) == 0
 
     def test_write_no_allocate(self):
-        cache = _small_cache(write_allocate=False)
-        result = cache.access(0x3000, is_write=True)
+        for kind in CACHE_KINDS:
+            cache = _small_cache(kind, write_allocate=False)
+            hit, _ = _access(cache, 0x3000, is_write=True)
+            assert not hit
+            assert not _resident(cache, 0x3000)
+        result = _small_cache(ReferenceCache, write_allocate=False).access(
+            0x3000, is_write=True
+        )
         assert result.miss and not result.allocated
-        assert not cache.probe(0x3000)
 
     def test_invalidate_all(self):
-        cache = _small_cache()
+        # Only the oracle can invalidate: no production path ever does.
+        cache = _small_cache(ReferenceCache)
         cache.access(0x0)
         cache.invalidate_all()
         assert cache.valid_line_count() == 0
 
     def test_statistics(self):
-        cache = _small_cache()
-        cache.access(0x0)
-        cache.access(0x0)
-        cache.access(0x40, is_write=True)
-        stats = cache.stats
-        assert stats.accesses == 3
-        assert stats.read_hits == 1 and stats.read_misses == 1
-        assert stats.write_misses == 1
-        assert 0 < stats.hit_rate < 1
+        for kind in CACHE_KINDS:
+            cache = _small_cache(kind)
+            _access(cache, 0x0)
+            _access(cache, 0x0)
+            _access(cache, 0x40, is_write=True)
+            stats = cache.stats
+            assert stats.accesses == 3
+            assert stats.read_hits == 1 and stats.read_misses == 1
+            assert stats.write_misses == 1
+            assert 0 < stats.hit_rate < 1
 
     @given(st.lists(st.integers(min_value=0, max_value=0xFFFF), min_size=1, max_size=200))
     @settings(max_examples=25)
     def test_second_access_to_same_line_always_hits(self, addresses):
-        cache = SetAssociativeCache(
-            CacheConfig(size_bytes=16 * 1024, line_bytes=32, ways=4)
-        )
-        for address in addresses:
-            cache.access(address)
-            assert cache.access(address).hit
+        for kind in CACHE_KINDS:
+            cache = kind(CacheConfig(size_bytes=16 * 1024, line_bytes=32, ways=4))
+            for address in addresses:
+                _access(cache, address)
+                assert _access(cache, address)[0]
 
 
 class TestEccShadow:

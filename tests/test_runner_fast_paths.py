@@ -115,3 +115,51 @@ class TestParallelRunner:
     def test_run_all_caches_run_set(self):
         runner = ExperimentRunner(scale=0.1, kernels=["matrix"], max_workers=2)
         assert runner.run_all() is runner.run_all()
+
+
+#: A fresh process times two kernels through ``ExperimentContext.run_set``
+#: and runs a serial one-kernel campaign, then lists the test oracles and
+#: process-pool modules it imported.
+SERIAL_PAPER_PATH_SCRIPT = """
+import sys
+from repro.campaign import CampaignConfig, run_campaign
+from repro.experiments import ExperimentContext
+from repro.experiments.runner import ExperimentRunner
+
+context = ExperimentContext(
+    scale=0.1, _runner=ExperimentRunner(scale=0.1, kernels=("canrdr", "matrix"))
+)
+assert len(context.run_set().results) == 2
+result = run_campaign(CampaignConfig(
+    kernels=("rspeed",), policies=("no-ecc", "laec"), scale=0.1,
+    trials=4, batch=4, seed=2019,
+))
+assert result.points > 0
+print(sorted(name for name in sys.modules if name in (
+    "repro.memory.reference_cache",
+    "repro.pipeline.reference_timing",
+    "repro.functional.reference",
+    "repro.campaign.reference",
+    "multiprocessing",
+    "concurrent.futures.process",
+)))
+"""
+
+
+def test_serial_paper_path_imports_no_oracle_and_no_process_pool():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    environment = dict(os.environ)
+    environment["PYTHONPATH"] = src + os.pathsep + environment.get("PYTHONPATH", "")
+    completed = subprocess.run(
+        [sys.executable, "-c", SERIAL_PAPER_PATH_SCRIPT],
+        env=environment,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "[]"
