@@ -54,14 +54,6 @@ class PolicyComparison:
             return 0.0
         return sum(self.increase(b, policy) for b in benchmarks) / len(benchmarks)
 
-    def normalised_geomean(self, policy: str) -> float:
-        """Geometric mean of normalised execution times (1.0 = baseline)."""
-        ratios = [
-            self.cycles[b][policy] / self.cycles[b][self.baseline_policy]
-            for b in self.benchmarks()
-        ]
-        return geometric_mean(ratios)
-
     def improvement_over(self, policy: str, other: str) -> float:
         """Average reduction in overhead of ``policy`` relative to ``other``.
 

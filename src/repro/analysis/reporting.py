@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Union
 
 Cell = Union[str, int, float]
 
@@ -41,9 +41,6 @@ class Table:
 
     def render(self, *, float_format: str = "{:.2f}") -> str:
         return render_table(self, float_format=float_format)
-
-    def to_csv(self) -> str:
-        return render_csv(self)
 
 
 def render_table(table: Table, *, float_format: str = "{:.2f}") -> str:

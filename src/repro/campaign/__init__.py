@@ -8,8 +8,8 @@ propagation into the memory image (SDC) and pure timing deviations.
 * :mod:`repro.campaign.replay` — the injection engine: classify a
   batch of :class:`~repro.scenarios.spec.FaultSpec` points against a
   shared golden run, by analytical triage (:mod:`repro.campaign.triage`)
-  and snapshot resume (:mod:`repro.campaign.lean_sim`).  The full
-  re-execution it replaces is the test oracle
+  and snapshot resume on :func:`repro.functional.interpreter.execute`.
+  The full re-execution it replaces is the test oracle
   :mod:`repro.campaign.reference`.
 * :mod:`repro.campaign.sampling` — deterministic stratified sampling of
   (injection cycle × cache word × bit) points per stratum of the sweep

@@ -37,13 +37,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.campaign.lean_sim import memories_equal
 from repro.campaign.replay import (
     ArchInjectionResult,
     _classify,
     _golden_for,
     dl1_code_for_policy,
     l2_code_for_policy,
+    memories_equal,
 )
 from repro.ecc.codec import DecodeStatus, EccCode
 from repro.functional.interpreter import FunctionalTrace, GoldenRun

@@ -26,10 +26,12 @@ through three steps:
    re-execution — the vast majority of sampled faults.
 
 3. **Snapshot resume**: a point whose corrupted value reaches a load the
-   walk cannot follow is re-executed from the nearest golden snapshot
-   by :func:`repro.campaign.lean_sim.resume_faulty`, and classified by
-   diffing the final memory image and the pc stream against the golden
-   run.
+   walk cannot follow is re-executed on the one interpreter,
+   :func:`repro.functional.interpreter.execute`: golden from the nearest
+   snapshot to the diverging load, then faulty to HALT, a crash or the
+   instruction limit with the faulted word's DL1 set watched.  It is
+   classified by diffing the final memory image and the pc stream
+   against the golden run.
 
 The full re-execution on the object interpreter over a data-carrying
 cache model is the test oracle :mod:`repro.campaign.reference`.
@@ -46,13 +48,26 @@ from __future__ import annotations
 
 import enum
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.policies import EccPolicy, EccPolicyKind
 from repro.ecc.codec import DecodeResult, DecodeStatus, EccCode, get_code
-from repro.functional.interpreter import FunctionalTrace, GoldenRun, golden_pass
+from repro.functional.interpreter import (
+    CRASH,
+    HALTED,
+    LIMIT,
+    FunctionalTrace,
+    GoldenRun,
+    Snapshot,
+    Watch,
+    assemble_trace,
+    execute,
+    golden_pass,
+)
 from repro.isa.program import Program
+from repro.memory.cache import LruSet
 from repro.scenarios.spec import SimulationSpec
 from repro.telemetry.metrics import observe_phase, phase_timer
 
@@ -179,22 +194,6 @@ class ArchInjectionResult:
             "faulty_instructions": self.faulty_instructions,
         }
 
-    @classmethod
-    def from_payload(
-        cls, spec: SimulationSpec, payload: Dict[str, object]
-    ) -> "ArchInjectionResult":
-        return cls(
-            spec=spec,
-            outcome=ArchOutcome(payload["outcome"]),
-            triggered=bool(payload["triggered"]),
-            resident=bool(payload["resident"]),
-            dirty_at_injection=bool(payload["dirty_at_injection"]),
-            diverged=bool(payload["diverged"]),
-            events=tuple(payload.get("events", ())),
-            golden_instructions=int(payload.get("golden_instructions", 0)),
-            faulty_instructions=int(payload.get("faulty_instructions", 0)),
-        )
-
 
 # ---------------------------------------------------------------------- #
 # golden references                                                      #
@@ -217,7 +216,7 @@ def _classify(
     *,
     triggered: bool,
     live: bool,
-    events: List[str],
+    events: Sequence[str],
     diverged: bool,
     stream_match: bool,
     state_match: bool,
@@ -274,17 +273,54 @@ def _analytic_result(
     )
 
 
+def replay_set_state(
+    golden: GoldenRun,
+    *,
+    set_index: int,
+    line_bits: int,
+    set_mask: int,
+    ways: int,
+    write_allocate: bool,
+    write_back: bool,
+    until_op: int,
+) -> LruSet:
+    """Golden metadata state of one set right before op ``until_op`` (1-based)."""
+    model = LruSet(ways, write_allocate=write_allocate, write_back=write_back)
+    line_mask = ~((1 << line_bits) - 1)
+    op_wa = golden.op_wa
+    op_store = golden.op_store
+    for position in range(min(until_op - 1, len(op_wa))):
+        wa = op_wa[position]
+        if (wa >> line_bits) & set_mask == set_index:
+            model.access(wa & line_mask, op_store[position])
+    return model
+
+
+def memories_equal(mine: Dict[int, int], theirs: Dict[int, int]) -> bool:
+    """Word-dict equality with absent-means-zero semantics."""
+    for wa, value in mine.items():
+        if value != theirs.get(wa, 0):
+            return False
+    for wa, value in theirs.items():
+        if value and wa not in mine:
+            return False
+    return True
+
+
 def _run_residue(
     spec: SimulationSpec, golden, geometry, plan, *, record: bool = False
 ) -> ArchInjectionResult:
-    """Execute one diverging fault via snapshot suffix-resume.
+    """Execute one diverging fault from the nearest golden snapshot.
 
-    ``record`` keeps the faulty run's trace in ``faulty_trace``.
+    The run up to the diverging load is golden by construction (triage
+    proved no corrupted value was visible before it), so it replays from
+    the snapshot without fault tracking; the faulted word is then patched
+    in and the rest runs with its DL1 set watched.  ``record`` keeps the
+    faulty run's trace in ``faulty_trace``.
     """
-    from repro.campaign.lean_sim import memories_equal, replay_set_state, resume_faulty
-
     fault = spec.fault
     wa = fault.word_address & ~0x3
+    divergence = plan.divergence_instr
     set_state = replay_set_state(
         golden,
         set_index=(wa >> geometry.line_bits) & geometry.set_mask,
@@ -297,28 +333,64 @@ def _run_residue(
     )
     golden_len = golden.instructions
     limit = min(spec.max_instructions, 4 * golden_len + 10_000)
-    run = resume_faulty(
-        golden,
-        divergence_instr=plan.divergence_instr,
-        fault_wa=wa,
-        cache_xor=plan.cache_xor,
-        backing_value=plan.backing_value,
-        resident=plan.resident_before,
-        set_state=set_state,
-        line_bits=geometry.line_bits,
-        set_mask=geometry.set_mask,
-        limit=limit,
-        record=record,
+    watch = Watch(
+        wa, plan.backing_value, set_state,
+        geometry.line_bits, geometry.set_mask, golden.pcs,
     )
-    state_match = memories_equal(run.final_mem, golden.mem_final)
+    start = golden.snapshot_before(divergence)
+    run = None
+    if start.index < divergence:
+        lead = execute(golden.table, start, min(divergence - 1, limit), record=False)
+        start = lead.state
+        if start.index > limit:  # the run hangs before the fault is visible
+            run = lead
+    if run is None:
+        mem = dict(start.mem)
+        if plan.resident_before:
+            mem[wa] = mem.get(wa, 0) ^ plan.cache_xor
+        else:
+            mem[wa] = plan.backing_value
+        run = execute(
+            golden.table, Snapshot(start.index, start.pc, start.regs, start.cc, mem),
+            limit, record=record, watch=watch,
+        )
+
+    # End-of-run flush semantics for the faulted word: dirty resident
+    # lines are written back (the corrupted cache copy becomes the
+    # final value), clean resident copies are discarded (the backing
+    # copy is final).  Every other word's cache and backing copies are
+    # architecturally identical, so the run's memory already is the
+    # final image.
+    final_mem = run.state.mem
+    w_line = wa & ~((1 << geometry.line_bits) - 1)
+    if not (set_state.resident(w_line) and set_state.line_dirty(w_line)):
+        final_mem[wa] = watch.backing
+
+    events = {HALTED: (), CRASH: ("crash",), LIMIT: ("hang",)}[run.status]
+    faulty_trace = None
+    if record:
+        resumed = start.index
+        matched = run.pcs == golden.pcs[resumed:]
+        ops = bisect_left(golden.op_instr, resumed)
+        faulty_trace = assemble_trace(
+            golden.program,
+            golden.pcs[:resumed] + run.pcs,
+            golden.taken_at[:bisect_left(golden.taken_at, resumed)] + run.taken_at,
+            golden.op_instr[:ops] + run.op_instr,
+            golden.op_wa[:ops] + run.op_wa,
+            golden.op_shift[:ops] + run.op_shift,
+            halted=run.status == HALTED,
+        )
+    else:
+        matched = run.stream_match and run.state.index == golden_len
     is_l2 = fault.target == "l2"
     outcome = _classify(
         triggered=True,
         live=True,
-        events=run.extra_events,
+        events=events,
         diverged=True,
-        stream_match=run.stream_matches_golden,
-        state_match=state_match,
+        stream_match=run.status == HALTED and matched,
+        state_match=memories_equal(final_mem, golden.mem_final),
     )
     return ArchInjectionResult(
         spec=spec,
@@ -327,10 +399,10 @@ def _run_residue(
         resident=True,
         dirty_at_injection=False if is_l2 else plan.dirty_at_injection,
         diverged=True,
-        events=tuple(run.extra_events),
+        events=events,
         golden_instructions=golden_len,
-        faulty_instructions=run.faulty_instructions,
-        faulty_trace=run.trace,
+        faulty_instructions=run.state.index,
+        faulty_trace=faulty_trace,
         replay_mode="streamed",
     )
 

@@ -25,7 +25,7 @@ proves the faulty PC stream equal to the golden one (or equal modulo a
 pure-NOP reconvergence), these per-word event timelines remain valid
 *past* the first corrupted-value load, so the faulted word's
 cache/backing masks can keep evolving analytically instead of streaming
-the point through ``resume_faulty``.
+the point through the snapshot resume (:mod:`repro.campaign.replay`).
 
 The per-set metadata model is :class:`~repro.memory.cache.LruSet`, the
 set of the timing caches, which the faulty resume path uses too, so

@@ -28,7 +28,7 @@ is followed by the sparse timeline-delta walk (:func:`_walk_divergent`),
 which interprets only while a register or the flags are corrupted and
 otherwise jumps from one access of a corrupted word to the next.  Only
 a walk that gives up yields a :class:`ResiduePlan`, re-run from the
-nearest golden snapshot by :func:`repro.campaign.lean_sim.resume_faulty`.
+nearest golden snapshot by :func:`repro.campaign.replay._run_residue`.
 
 Every verdict is one of the two: the tree is total over the inputs the
 system can build — the five policies of :mod:`repro.core.policies`
@@ -47,9 +47,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.campaign.lean_sim import _alu_eval, _branch_taken, golden_state_at
 from repro.campaign.timeline import (
     EV_END_DISCARD,
     EV_END_FLUSH,
@@ -64,18 +63,179 @@ from repro.campaign.timeline import (
     subword_mask,
 )
 from repro.ecc.codec import DecodeResult, DecodeStatus
-from repro.functional.interpreter import (
-    _M32,
-    _OP_CALL,
-    _OP_JUMP,
-    _OP_LOAD,
-    _OP_NOP,
-    _OP_STORE,
-    GoldenRun,
+from repro.functional.interpreter import (  # the shared decode tables
+    _M32, _SIGN, _OP_ADD, _OP_SET, _OP_SUB, _OP_ADDCC, _OP_SUBCC, _OP_SLL,
+    _OP_SRL, _OP_SRA, _OP_AND, _OP_OR, _OP_XOR, _OP_ANDCC, _OP_ORCC,
+    _OP_XORCC, _OP_SMUL, _OP_UMUL, _OP_SDIV, _OP_LOAD, _OP_STORE, _OP_BA,
+    _OP_BN, _OP_BE, _OP_BNE, _OP_BG, _OP_BLE, _OP_BGE, _OP_BL, _OP_BGU,
+    _OP_BLEU, _OP_BCC, _OP_BCS, _OP_BPOS, _OP_BNEG, _OP_BVC, _OP_CALL,
+    _OP_JUMP, _OP_NOP, GoldenRun,
 )
 from repro.isa.instructions import INSTRUCTION_BYTES
 from repro.memory.config import CacheConfig, WritePolicy
 from repro.telemetry.metrics import inc
+
+
+def _alu_eval(op: int, a: int, b: int, imm_u: int):
+    """One ALU op on 32-bit operands -> ``(result, flags)``.
+
+    ``flags`` is the resulting ``(n, z, v, c)`` tuple for cc-setting ops
+    and None otherwise.  Bit-identical to the inline dispatch of
+    :func:`repro.functional.interpreter.execute`; used where one op must
+    be evaluated for *two* operand sets (the timeline-delta walk runs
+    every tainted op once with golden and once with faulty values).
+    """
+    if op == _OP_ADD:
+        return (a + b) & _M32, None
+    if op == _OP_SET:
+        return imm_u, None
+    if op == _OP_SUB:
+        return (a - b) & _M32, None
+    if op == _OP_ADDCC:
+        total = a + b
+        r = total & _M32
+        v = ((a ^ r) & (b ^ r) & _SIGN) != 0
+        return r, (r >= _SIGN, r == 0, v, total > _M32)
+    if op == _OP_SUBCC:
+        total = a - b
+        r = total & _M32
+        v = ((a ^ b) & (a ^ r) & _SIGN) != 0
+        return r, (r >= _SIGN, r == 0, v, a < b)
+    if op == _OP_SLL:
+        return (a << (b & 31)) & _M32, None
+    if op == _OP_SRL:
+        return a >> (b & 31), None
+    if op == _OP_SRA:
+        sa = a - 0x100000000 if a & _SIGN else a
+        return (sa >> (b & 31)) & _M32, None
+    if op == _OP_AND:
+        return a & b, None
+    if op == _OP_OR:
+        return a | b, None
+    if op == _OP_XOR:
+        return a ^ b, None
+    if op == _OP_ANDCC:
+        r = a & b
+        return r, (r >= _SIGN, r == 0, False, False)
+    if op == _OP_ORCC:
+        r = a | b
+        return r, (r >= _SIGN, r == 0, False, False)
+    if op == _OP_XORCC:
+        r = a ^ b
+        return r, (r >= _SIGN, r == 0, False, False)
+    if op == _OP_SMUL:
+        sa = a - 0x100000000 if a & _SIGN else a
+        sb = b - 0x100000000 if b & _SIGN else b
+        return (sa * sb) & _M32, None
+    if op == _OP_UMUL:
+        return (a * b) & _M32, None
+    if op == _OP_SDIV:
+        if b == 0:
+            return _M32, None
+        sa = a - 0x100000000 if a & _SIGN else a
+        sb = b - 0x100000000 if b & _SIGN else b
+        return (int(sa / sb) if sb else 0) & _M32, None
+    # _OP_UDIV
+    return (_M32 if b == 0 else (a // b) & _M32), None
+
+
+def _branch_taken(op: int, n: bool, z: bool, v: bool, c: bool) -> bool:
+    """Branch direction of ``op`` under condition codes ``(n, z, v, c)``."""
+    if op == _OP_BA:
+        return True
+    if op == _OP_BN:
+        return False
+    if op == _OP_BE:
+        return z
+    if op == _OP_BNE:
+        return not z
+    if op == _OP_BG:
+        return not (z or (n != v))
+    if op == _OP_BLE:
+        return z or (n != v)
+    if op == _OP_BGE:
+        return n == v
+    if op == _OP_BL:
+        return n != v
+    if op == _OP_BGU:
+        return not (c or z)
+    if op == _OP_BLEU:
+        return c or z
+    if op == _OP_BCC:
+        return not c
+    if op == _OP_BCS:
+        return c
+    if op == _OP_BPOS:
+        return not n
+    if op == _OP_BNEG:
+        return n
+    if op == _OP_BVC:
+        return not v
+    return v  # _OP_BVS
+
+
+def golden_state_at(
+    golden: GoldenRun,
+    instr_index: int,
+    state: Optional[Tuple[int, List[int], Dict[int, int]]] = None,
+) -> Tuple[List[int], Dict[int, int]]:
+    """Exact golden ``(registers, memory)`` right before retiring
+    instruction ``instr_index``, rebuilt from the nearest snapshot.
+
+    An exact golden ``state = (index, registers, memory)`` with ``index``
+    in ``[snapshot, instr_index]`` is advanced in place instead.
+
+    Control flow is taken from the recorded PC stream, so only data
+    effects (ALU results, loads, stores, link writes) are replayed —
+    branch conditions never need evaluating.  Condition codes are not
+    reconstructed: callers that need flags recompute them from operand
+    values at the defining op.
+    """
+    snap = golden.snapshot_before(instr_index)
+    if state is not None and snap.index <= state[0] <= instr_index:
+        start, regs, mem = state
+    else:
+        start, regs, mem = snap.index, list(snap.regs), dict(snap.mem)
+    pcs = golden.pcs
+    table = golden.table
+    mget = mem.get
+    for index in range(start, instr_index):
+        pc = pcs[index]
+        op, rd, rs1, rs2, imm, imm_u, uses_imm, size, _fall, _target, sx = table[pc]
+        if op < 18:
+            if rd:
+                regs[rd], _flags = _alu_eval(
+                    op, regs[rs1], imm_u if uses_imm else regs[rs2], imm_u
+                )
+        elif op == _OP_LOAD:
+            if rd:
+                address = (regs[rs1] + (imm if uses_imm else regs[rs2])) & _M32
+                word = mget(address & ~0x3, 0)
+                if size == 4:
+                    raw = word
+                else:
+                    shift = (address & 0x3) * 8
+                    raw = (word >> shift) & (0xFF if size == 1 else 0xFFFF)
+                    if sx == 1 and raw & 0x80:
+                        raw |= 0xFFFFFF00
+                    elif sx == 2 and raw & 0x8000:
+                        raw |= 0xFFFF0000
+                regs[rd] = raw
+        elif op == _OP_STORE:
+            address = (regs[rs1] + (imm if uses_imm else regs[rs2])) & _M32
+            wa = address & ~0x3
+            value = regs[rd]
+            if size == 4:
+                mem[wa] = value
+            else:
+                shift = (address & 0x3) * 8
+                mask = ((1 << (8 * size)) - 1) << shift
+                mem[wa] = (mget(wa, 0) & ~mask) | ((value << shift) & mask)
+        elif op == _OP_CALL or op == _OP_JUMP:
+            if rd:
+                regs[rd] = pc + INSTRUCTION_BYTES
+        # branches / NOP / HALT: no data effects
+    return regs, mem
 
 
 @dataclass
@@ -103,7 +263,7 @@ class ResiduePlan:
     """A point whose corruption becomes load-visible: needs execution.
 
     Carries the exact machine state at the divergence point so
-    :func:`~repro.campaign.lean_sim.resume_faulty` can resume from the
+    :func:`~repro.campaign.replay._run_residue` can resume from the
     nearest golden snapshot instead of re-running from scratch.
     """
 
@@ -290,7 +450,7 @@ def _walk_divergent(
     :meth:`~repro.functional.interpreter.GoldenRun.word_ops`) and applies it
     from the golden op stream.  Only a load that re-taints a register
     needs the register file, rebuilt by
-    :func:`~repro.campaign.lean_sim.golden_state_at` from the last
+    :func:`golden_state_at` from the last
     interpreted state or the nearest snapshot.  Skipped instructions
     count against the budget like interpreted ones, so no verdict
     depends on how the walk got there.
@@ -302,7 +462,7 @@ def _walk_divergent(
     other arm: the known fixed-penalty case, contributing a pure
     retired-instruction delta (→ ``timing`` when the final state
     matches).  Everything else returns None and the point streams
-    through :func:`~repro.campaign.lean_sim.resume_faulty`; correctness
+    through :func:`~repro.campaign.replay._run_residue`; correctness
     never depends on walk coverage.
     """
     budget = TIMING_WALK_BUDGET if budget is None else budget

@@ -19,20 +19,10 @@ from repro.ecc.codec import CodeWord, DecodeResult, DecodeStatus, EccCode, get_c
 from repro.ecc.fault_injection import FaultInjector, FaultModel, InjectionOutcome, InjectionReport
 from repro.ecc.hamming import HammingSecCode
 from repro.ecc.parity import ParityCode
-from repro.ecc.reference import (
-    REFERENCE_CODES,
-    ReferenceHammingSecCode,
-    ReferenceHsiaoSecDedCode,
-    ReferenceParityCode,
-)
 from repro.ecc.reliability import ReliabilityModel, word_outcome_probabilities
 from repro.ecc.secded import HsiaoSecDedCode
 
 __all__ = [
-    "REFERENCE_CODES",
-    "ReferenceHammingSecCode",
-    "ReferenceHsiaoSecDedCode",
-    "ReferenceParityCode",
     "CodeWord",
     "DecodeResult",
     "DecodeStatus",

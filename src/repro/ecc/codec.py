@@ -23,11 +23,6 @@ class DecodeStatus(enum.Enum):
     DETECTED_UNCORRECTABLE = "detected"  # error detected but not correctable
     MISCORRECTED = "miscorrected"        # code applied a wrong "correction"
 
-    @property
-    def is_silent_corruption(self) -> bool:
-        """True when decoded data may be wrong without any error signal."""
-        return self is DecodeStatus.MISCORRECTED
-
 
 @dataclass(frozen=True)
 class CodeWord:

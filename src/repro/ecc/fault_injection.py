@@ -143,19 +143,6 @@ class FaultInjector:
         self.rng = rng if rng is not None else random.Random(seed)
 
     # ------------------------------------------------------------------ #
-    def inject_once(
-        self, data: int, flipped_bits: Iterable[int]
-    ) -> InjectionRecord:
-        """Encode ``data``, flip exactly ``flipped_bits``, decode, classify."""
-        positions = tuple(flipped_bits)
-        codeword = self.code.encode(data)
-        corrupted = self.code.flip_bits(codeword, positions)
-        result = self.code.decode(corrupted)
-        outcome = self._classify(data, positions, result.data, result.status)
-        return InjectionRecord(
-            data=data, flipped_bits=positions, status=result.status, outcome=outcome
-        )
-
     def run_campaign(
         self,
         *,

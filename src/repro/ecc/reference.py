@@ -15,10 +15,10 @@ import these classes on a hot path — use the registered fast codecs.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Dict, List, Optional
 
 from repro.ecc.codec import DecodeResult, DecodeStatus, EccCode
+from repro.ecc.secded import build_hsiao_columns
 
 
 def _popcount(value: int) -> int:
@@ -173,47 +173,6 @@ class ReferenceHammingSecCode(EccCode):
         for index, position in enumerate(self._data_positions):
             data |= bits[position] << index
         return data
-
-
-def build_hsiao_columns(data_bits: int, check_bits: int) -> List[int]:
-    """Choose ``data_bits`` odd-weight columns of ``check_bits`` bits.
-
-    Columns are drawn first from weight-3 vectors (balanced across check
-    bits), then weight-5, and so on, following Hsiao's minimum-odd-weight
-    construction.  The selection is deterministic so encodings are stable
-    across runs and machines.  Shared by the reference and the fast
-    SECDED codec so both use the *same* H matrix.
-    """
-    columns: List[int] = []
-    usage = [0] * check_bits  # how many selected columns cover each check bit
-    weight = 3
-    while len(columns) < data_bits:
-        if weight > check_bits:
-            raise ValueError(
-                f"cannot build Hsiao code: {data_bits} data bits, "
-                f"{check_bits} check bits"
-            )
-        candidates = [
-            sum(1 << bit for bit in combo)
-            for combo in combinations(range(check_bits), weight)
-        ]
-        # Greedy balanced pick: repeatedly take the candidate whose check
-        # bits are currently least used.
-        remaining = list(candidates)
-        while remaining and len(columns) < data_bits:
-            remaining.sort(
-                key=lambda col: (
-                    sum(usage[b] for b in range(check_bits) if col >> b & 1),
-                    col,
-                )
-            )
-            chosen = remaining.pop(0)
-            columns.append(chosen)
-            for bit in range(check_bits):
-                if chosen >> bit & 1:
-                    usage[bit] += 1
-        weight += 2
-    return columns
 
 
 class ReferenceHsiaoSecDedCode(EccCode):

@@ -17,10 +17,9 @@ syndrome, which cleanly separates "correct" from "detect, do not touch".
 Codeword layout (public interface): data word in bits ``[0, 32)``, check
 bits in ``[32, 39)``.
 
-This is the fast-path implementation.  The H matrix (built by the shared
-:func:`repro.ecc.reference.build_hsiao_columns` construction, so it is
-identical to the reference codec's) is flattened into two lookup
-structures:
+This is the fast-path implementation.  The H matrix (built by
+:func:`build_hsiao_columns`, which the reference codec imports from here,
+so both use the same matrix) is flattened into two lookup structures:
 
 * per-byte XOR tables — ``check = T0[b0] ^ T1[b1] ^ ...`` replaces the
   walk over every set data bit;
@@ -36,13 +35,10 @@ equivalence tests hold the two bit-identical.
 from __future__ import annotations
 
 from array import array
+from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.ecc.codec import DecodeResult, DecodeStatus, EccCode, register_code
-from repro.ecc.reference import build_hsiao_columns
-
-#: Re-exported for backwards compatibility with the seed module layout.
-_build_hsiao_columns = build_hsiao_columns
 
 
 #: Construction products per (data_bits, check_bits): building the H
@@ -51,6 +47,47 @@ _build_hsiao_columns = build_hsiao_columns
 #: code per point (the warm-resume hot path) — and the products are
 #: immutable once built, so every instance of a given shape shares them.
 _CONSTRUCTION_CACHE: Dict[Tuple[int, int], Tuple[List[int], Dict[int, int], list, object]] = {}
+
+
+def build_hsiao_columns(data_bits: int, check_bits: int) -> List[int]:
+    """Choose ``data_bits`` odd-weight columns of ``check_bits`` bits.
+
+    Columns are drawn first from weight-3 vectors (balanced across check
+    bits), then weight-5, and so on, following Hsiao's minimum-odd-weight
+    construction.  The selection is deterministic so encodings are stable
+    across runs and machines.  Shared by the reference and the fast
+    SECDED codec so both use the *same* H matrix.
+    """
+    columns: List[int] = []
+    usage = [0] * check_bits  # how many selected columns cover each check bit
+    weight = 3
+    while len(columns) < data_bits:
+        if weight > check_bits:
+            raise ValueError(
+                f"cannot build Hsiao code: {data_bits} data bits, "
+                f"{check_bits} check bits"
+            )
+        candidates = [
+            sum(1 << bit for bit in combo)
+            for combo in combinations(range(check_bits), weight)
+        ]
+        # Greedy balanced pick: repeatedly take the candidate whose check
+        # bits are currently least used.
+        remaining = list(candidates)
+        while remaining and len(columns) < data_bits:
+            remaining.sort(
+                key=lambda col: (
+                    sum(usage[b] for b in range(check_bits) if col >> b & 1),
+                    col,
+                )
+            )
+            chosen = remaining.pop(0)
+            columns.append(chosen)
+            for bit in range(check_bits):
+                if chosen >> bit & 1:
+                    usage[bit] += 1
+        weight += 2
+    return columns
 
 
 class HsiaoSecDedCode(EccCode):

@@ -37,12 +37,6 @@ class HazardBreakdownRow:
             + self.blocked_operands_late
         )
 
-    @property
-    def data_hazard_share(self) -> float:
-        """Share of blocked anticipations caused by a data hazard."""
-        blocked = self.blocked_total
-        return self.blocked_data_hazard / blocked if blocked else 0.0
-
 
 def run(
     *, runner: Optional[ExperimentRunner] = None, run_set: Optional[KernelRunSet] = None

@@ -16,10 +16,13 @@ a clean run needs:
   and the final memory image, which a fault campaign shares across
   every fault of a (kernel, scale) group (:mod:`repro.campaign`).
 
-This is the only interpreter production paths run to completion.  The
-object interpreter :mod:`repro.functional.reference` is its test
-oracle: the tests pin both to identical columns, final memory images
-and instruction limits.
+Its loop is :func:`execute`, the only production loop that runs
+the whole ISA: from any :class:`Snapshot`, recording or not, and with
+an optional :class:`Watch` on one faulted word, which is how a fault
+campaign resumes a diverged point from a golden snapshot
+(:mod:`repro.campaign.replay`).  The object interpreter
+:mod:`repro.functional.reference` is its test oracle: the tests pin
+both to identical columns, final memory images and instruction limits.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import bisect
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.isa.instructions import (
     INSTRUCTION_BYTES,
@@ -38,6 +41,9 @@ from repro.isa.instructions import (
 )
 from repro.isa.program import Program
 from repro.isa.registers import STACK_POINTER
+
+if TYPE_CHECKING:
+    from repro.memory.cache import LruSet
 
 
 class ExecutionLimitExceeded(RuntimeError):
@@ -337,20 +343,9 @@ class GoldenRun:
         times the run never holds them.
         """
         if self.columns is None:
-            static = {ins.address: ins for ins in self.program.instructions}
-            addresses: List[Optional[int]] = [None] * len(self.pcs)
-            for index, wa, shift in zip(self.op_instr, self.op_wa, self.op_shift):
-                addresses[index] = wa | shift >> 3
-            taken = bytearray(len(self.pcs))
-            for index in self.taken_at:
-                taken[index] = 1
-            self.columns = FunctionalTrace(
-                program_name=self.program.name,
-                pcs=self.pcs,
-                instructions=[static[pc] for pc in self.pcs],
-                addresses=addresses,
-                taken=taken,
-                halted=True,
+            self.columns = assemble_trace(
+                self.program, self.pcs, self.taken_at, self.op_instr,
+                self.op_wa, self.op_shift, halted=True,
             )
         return self.columns
 
@@ -390,17 +385,113 @@ class GoldenRun:
         return index
 
 
-def golden_pass(
-    program: Program, *, max_instructions: int = 5_000_000
-) -> GoldenRun:
-    """Execute the clean program once, recording the shared golden artefacts."""
-    table = predecode(program)
-    mem_init = initial_memory_words(program)
-    mem = dict(mem_init)
-    regs = [0] * 32
-    regs[STACK_POINTER] = program.stack_top & _M32
-    n = z = v = c = False
-    pc = program.entry
+def assemble_trace(
+    program: Program,
+    pcs: List[int],
+    taken_at: Iterable[int],
+    op_instr: List[int],
+    op_wa: List[int],
+    op_shift: List[int],
+    *,
+    halted: bool,
+) -> FunctionalTrace:
+    """The :class:`FunctionalTrace` of a run retired from instruction 0:
+    ``pcs`` (shared, not copied), the retired-instruction indices of its
+    taken control transfers and its op stream."""
+    static = {ins.address: ins for ins in program.instructions}
+    addresses: List[Optional[int]] = [None] * len(pcs)
+    for index, wa, shift in zip(op_instr, op_wa, op_shift):
+        addresses[index] = wa | shift >> 3
+    taken = bytearray(len(pcs))
+    for index in taken_at:
+        taken[index] = 1
+    return FunctionalTrace(
+        program_name=program.name,
+        pcs=pcs,
+        instructions=[static[pc] for pc in pcs],
+        addresses=addresses,
+        taken=taken,
+        halted=halted,
+    )
+
+
+@dataclass
+class Watch:
+    """One faulted word followed through a run (a fault campaign's resume).
+
+    ``lru`` is the word's DL1 set, in its golden state at the start of
+    the run.  Every access to that set replays it; when the word's line
+    is evicted or refilled, the run's memory (the cache-visible copy)
+    and ``backing`` (the below-DL1 copy) exchange the word as a
+    write-back / refill would, so a corrupted cache copy is written
+    back, discarded or re-imported exactly when the cache would do it.
+    ``backing`` is updated in place; a run that does not record
+    compares its pcs with ``golden_pcs`` as it goes.
+    """
+
+    word: int
+    backing: int
+    lru: LruSet
+    line_bits: int
+    set_mask: int
+    golden_pcs: List[int]
+
+
+#: How an :func:`execute` run ended.
+HALTED = "halted"
+CRASH = "crash"  #: a PC outside the text segment or a misaligned access
+LIMIT = "limit"  #: more than ``limit`` instructions retired
+
+
+@dataclass
+class Execution:
+    """What one :func:`execute` run produced.
+
+    The columns are filled only by a recording run.  ``pcs`` holds the
+    pcs retired from ``start.index`` on; ``taken_at`` and ``op_instr``
+    hold absolute retired-instruction indices, so a run's columns extend
+    the columns of the run it resumed.  ``store_hist`` numbers the run's
+    own ops from 1.
+    """
+
+    status: str
+    #: Why a :data:`CRASH` run stopped.
+    detail: str
+    #: The machine state right before instruction ``state.index``: the
+    #: instruction that crashed, or the first one not retired.
+    state: Snapshot
+    pcs: List[int]
+    taken_at: array
+    op_instr: List[int]
+    op_wa: List[int]
+    op_store: List[bool]
+    op_size: List[int]
+    op_shift: List[int]
+    store_hist: Dict[int, List[Tuple[int, int]]]
+    #: A snapshot every :data:`SNAPSHOT_INTERVAL` retired instructions.
+    snapshots: List[Snapshot]
+    #: A watched run that does not record: whether every retired pc
+    #: equalled ``watch.golden_pcs`` at its index.
+    stream_match: bool
+
+
+def execute(
+    table: Dict[int, tuple],
+    start: Snapshot,
+    limit: int,
+    *,
+    record: bool = True,
+    watch: Optional[Watch] = None,
+) -> Execution:
+    """Run the pre-decoded ``table`` from ``start`` until HALT retires,
+    a crash, or more than ``limit`` instructions (``start.index``
+    included) have retired.  ``start`` is never mutated: golden
+    snapshots are shared."""
+    mem = dict(start.mem)
+    regs = list(start.regs)
+    n, z, v, c = start.cc
+    pc = start.pc
+    retired = start.index
     pcs: List[int] = []
     taken_at = array("I")
     op_instr: List[int] = []
@@ -410,26 +501,33 @@ def golden_pass(
     op_shift: List[int] = []
     store_hist: Dict[int, List[Tuple[int, int]]] = {}
     snapshots: List[Snapshot] = []
-    retired = 0
+    next_snapshot = -(-retired // SNAPSHOT_INTERVAL) * SNAPSHOT_INTERVAL if record else -1
+    status = detail = ""
     tget = table.get
     mget = mem.get
     pcs_append = pcs.append
     taken_append = taken_at.append
+    if watch is not None:
+        line_bits = watch.line_bits
+        set_mask = watch.set_mask
+        fault_wa = watch.word
+        line_mask = ~((1 << line_bits) - 1)
+        w_line = fault_wa & line_mask
+        w_set = (fault_wa >> line_bits) & set_mask
+        w_back = watch.backing
+        set_access = watch.lru.access
+        golden_pcs = watch.golden_pcs
+        golden_len = len(golden_pcs)
+    stream_match = watch is not None
 
     while True:
-        if retired % SNAPSHOT_INTERVAL == 0:
-            snapshots.append(
-                Snapshot(
-                    index=retired,
-                    pc=pc,
-                    regs=list(regs),
-                    cc=(n, z, v, c),
-                    mem=dict(mem),
-                )
-            )
+        if retired == next_snapshot:
+            snapshots.append(Snapshot(retired, pc, list(regs), (n, z, v, c), dict(mem)))
+            next_snapshot += SNAPSHOT_INTERVAL
         t = tget(pc)
         if t is None:
-            raise LeanExecutionError(f"golden PC outside text segment: {pc:#x}")
+            status, detail = CRASH, f"PC outside text segment: {pc:#x}"
+            break
         op, rd, rs1, rs2, imm, imm_u, uses_imm, size, fall, target, sx = t
         next_pc = fall
         if op < 18:
@@ -500,51 +598,54 @@ def golden_pass(
                 r = _M32 if b == 0 else (a // b) & _M32
             if rd:
                 regs[rd] = r
-        elif op == _OP_LOAD:
+        elif op < 20:  # _OP_LOAD, _OP_STORE
+            is_store = op == _OP_STORE
             address = (regs[rs1] + (imm if uses_imm else regs[rs2])) & _M32
             if address & (size - 1):
-                raise LeanExecutionError(
-                    f"golden misaligned {size}-byte read at {address:#x}"
-                )
+                status = CRASH
+                detail = f"misaligned {size}-byte {'write' if is_store else 'read'} at {address:#x}"
+                break
             wa = address & ~0x3
             shift = (address & 0x3) * 8
-            op_instr.append(retired)
-            op_wa.append(wa)
-            op_store.append(False)
-            op_size.append(size)
-            op_shift.append(shift)
-            word = mget(wa, 0)
-            if size == 4:
-                raw = word
-            else:
-                raw = (word >> shift) & (0xFF if size == 1 else 0xFFFF)
-                if sx == 1 and raw & 0x80:
-                    raw |= 0xFFFFFF00
-                elif sx == 2 and raw & 0x8000:
-                    raw |= 0xFFFF0000
-            if rd:
-                regs[rd] = raw
-        elif op == _OP_STORE:
-            address = (regs[rs1] + (imm if uses_imm else regs[rs2])) & _M32
-            if address & (size - 1):
-                raise LeanExecutionError(
-                    f"golden misaligned {size}-byte write at {address:#x}"
+            if record:
+                op_instr.append(retired)
+                op_wa.append(wa)
+                op_store.append(is_store)
+                op_size.append(size)
+                op_shift.append(shift)
+            if watch is not None and (address >> line_bits) & set_mask == w_set:
+                evicted_line, evicted_dirty, filled = set_access(
+                    address & line_mask, is_store
                 )
-            wa = address & ~0x3
-            shift = (address & 0x3) * 8
-            op_instr.append(retired)
-            op_wa.append(wa)
-            op_store.append(True)
-            op_size.append(size)
-            op_shift.append(shift)
-            value = regs[rd]
-            if size == 4:
-                word = value
+                if evicted_line == w_line:
+                    if evicted_dirty:
+                        w_back = mem[fault_wa]
+                    else:
+                        mem[fault_wa] = w_back
+                if filled and address & line_mask == w_line:
+                    mem[fault_wa] = w_back
+            if is_store:
+                value = regs[rd]
+                if size == 4:
+                    word = value
+                else:
+                    mask = ((1 << (8 * size)) - 1) << shift
+                    word = (mget(wa, 0) & ~mask) | ((value << shift) & mask)
+                mem[wa] = word
+                if record:
+                    store_hist.setdefault(wa, []).append((len(op_wa), word))
             else:
-                mask = ((1 << (8 * size)) - 1) << shift
-                word = (mget(wa, 0) & ~mask) | ((value << shift) & mask)
-            mem[wa] = word
-            store_hist.setdefault(wa, []).append((len(op_wa), word))
+                word = mget(wa, 0)
+                if size == 4:
+                    raw = word
+                else:
+                    raw = (word >> shift) & (0xFF if size == 1 else 0xFFFF)
+                    if sx == 1 and raw & 0x80:
+                        raw |= 0xFFFFFF00
+                    elif sx == 2 and raw & 0x8000:
+                        raw |= 0xFFFF0000
+                if rd:
+                    regs[rd] = raw
         elif op < 36:
             if op == _OP_BA:
                 taken = True
@@ -580,34 +681,42 @@ def golden_pass(
                 taken = v
             if taken:
                 next_pc = target
-                taken_append(retired)
+                if record:
+                    taken_append(retired)
         elif op == _OP_CALL:
             if rd:
                 regs[rd] = pc + INSTRUCTION_BYTES
             next_pc = target
-            taken_append(retired)
+            if record:
+                taken_append(retired)
         elif op == _OP_JUMP:
             jump_target = (regs[rs1] + imm) & _M32
             if rd:
                 regs[rd] = pc + INSTRUCTION_BYTES
             next_pc = jump_target
-            taken_append(retired)
+            if record:
+                taken_append(retired)
         # _OP_NOP and _OP_HALT fall through: HALT retires (and counts
         # against the limit) like any other instruction.
-        pcs_append(pc)
+        if record:
+            pcs_append(pc)
+        elif stream_match and (retired >= golden_len or golden_pcs[retired] != pc):
+            stream_match = False
         retired += 1
-        if retired > max_instructions:
-            raise ExecutionLimitExceeded(
-                f"{program.name}: exceeded {max_instructions} retired "
-                "instructions without halting"
-            )
-        if op == _OP_HALT:
-            break
         pc = next_pc
+        if retired > limit:
+            status = LIMIT
+            break
+        if op == _OP_HALT:
+            status = HALTED
+            break
 
-    return GoldenRun(
-        program=program,
-        table=table,
+    if watch is not None:
+        watch.backing = w_back
+    return Execution(
+        status=status,
+        detail=detail,
+        state=Snapshot(retired, pc, regs, (n, z, v, c), mem),
         pcs=pcs,
         taken_at=taken_at,
         op_instr=op_instr,
@@ -617,8 +726,41 @@ def golden_pass(
         op_shift=op_shift,
         store_hist=store_hist,
         snapshots=snapshots,
+        stream_match=stream_match,
+    )
+
+
+def golden_pass(
+    program: Program, *, max_instructions: int = 5_000_000
+) -> GoldenRun:
+    """Execute the clean program once, recording the shared golden artefacts."""
+    table = predecode(program)
+    mem_init = initial_memory_words(program)
+    regs = [0] * 32
+    regs[STACK_POINTER] = program.stack_top & _M32
+    entry = Snapshot(0, program.entry, regs, (False, False, False, False), mem_init)
+    run = execute(table, entry, max_instructions)
+    if run.status == CRASH:
+        raise LeanExecutionError(f"golden {run.detail}")
+    if run.status == LIMIT:
+        raise ExecutionLimitExceeded(
+            f"{program.name}: exceeded {max_instructions} retired "
+            "instructions without halting"
+        )
+    return GoldenRun(
+        program=program,
+        table=table,
+        pcs=run.pcs,
+        taken_at=run.taken_at,
+        op_instr=run.op_instr,
+        op_wa=run.op_wa,
+        op_store=run.op_store,
+        op_size=run.op_size,
+        op_shift=run.op_shift,
+        store_hist=run.store_hist,
+        snapshots=run.snapshots,
         mem_init=mem_init,
-        mem_final=mem,
+        mem_final=run.state.mem,
     )
 
 

@@ -8,7 +8,7 @@ constants the functional simulator needs (entry point, stack top).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from repro.isa.instructions import INSTRUCTION_BYTES, Instruction
 
@@ -77,10 +77,6 @@ class Program:
         """Size of the text segment in bytes."""
         return len(self.instructions) * INSTRUCTION_BYTES
 
-    @property
-    def text_end(self) -> int:
-        return self.text_base + self.text_size
-
     def instruction_at(self, address: int) -> Instruction:
         """Return the instruction located at byte ``address``."""
         instr = self._by_address.get(address)
@@ -97,9 +93,6 @@ class Program:
             return self.symbols[name]
         except KeyError as exc:
             raise ProgramError(f"undefined symbol {name!r}") from exc
-
-    def iter_instructions(self) -> Iterator[Instruction]:
-        return iter(self.instructions)
 
     def disassemble(self, *, with_addresses: bool = True) -> str:
         """Return a human-readable listing of the text segment."""

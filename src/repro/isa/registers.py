@@ -128,9 +128,6 @@ class RegisterFile:
             return
         self.values[number] = to_unsigned(value)
 
-    def read_many(self, numbers: Iterable[int]) -> List[int]:
-        return [self.read(number) for number in numbers]
-
     def snapshot(self) -> List[int]:
         """Return a copy of the architectural register values."""
         return list(self.values)

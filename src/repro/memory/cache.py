@@ -13,9 +13,9 @@ production path ever invalidates a line, so a set fills while it holds
 fewer than ``ways`` lines and otherwise evicts its LRU line, the last
 in the list; way numbers are never observable.  The same class is the
 one-set metadata model of the fault campaign (the triage timelines of
-:mod:`repro.campaign.timeline` and the faulty resume of
-:mod:`repro.campaign.lean_sim`), so the memory tape and campaign triage
-run on one set implementation.  :class:`SetAssociativeCache` creates a
+:mod:`repro.campaign.timeline` and the watched set of a faulty resume,
+:class:`repro.functional.interpreter.Watch`), so the memory tape and
+campaign triage run on one set implementation.  :class:`SetAssociativeCache` creates a
 set on its first access: most L2 sets are never touched.
 
 The seed object cache is the test oracle

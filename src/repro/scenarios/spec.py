@@ -137,11 +137,6 @@ class SimulationSpec:
     def with_kernel(self, kernel: str) -> "SimulationSpec":
         return replace(self, kernel=kernel)
 
-    def with_interference(
-        self, interference: Optional[InterferenceScenario]
-    ) -> "SimulationSpec":
-        return replace(self, interference=interference)
-
     def with_chronogram(self, window: int) -> "SimulationSpec":
         return replace(self, chronogram_window=window)
 

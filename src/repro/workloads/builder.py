@@ -9,7 +9,7 @@ scaling.
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 
 def scaled(value: int, scale: float, *, minimum: int = 1) -> int:
@@ -90,10 +90,3 @@ def linked_list_nodes(
         for payload in range(1, node_words):
             image.append(rng.randrange(0, 1 << 15) ^ (node * payload))
     return image
-
-
-def flatten(chunks: Iterable[Sequence[int]]) -> List[int]:
-    out: List[int] = []
-    for chunk in chunks:
-        out.extend(chunk)
-    return out

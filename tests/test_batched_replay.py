@@ -20,7 +20,9 @@ answers.  These tests pin that equivalence over:
 
 from __future__ import annotations
 
+import copy
 import itertools
+from bisect import bisect_left
 
 import pytest
 
@@ -36,8 +38,11 @@ from repro.campaign import (
 from repro.campaign.reference import run_injection
 from repro.experiments.runner import cached_golden_run, clear_kernel_trace_cache
 from repro.functional.interpreter import (
+    HALTED,
+    LIMIT,
     SNAPSHOT_INTERVAL,
     ExecutionLimitExceeded,
+    execute,
     golden_pass,
     run_program,
 )
@@ -216,7 +221,7 @@ class TestLeanGoldenPass:
     def _assert_matches_reference(program):
         """Every column (pc, static instruction, address, taken), the op
         count and the final memory image equal the object interpreter's."""
-        from repro.campaign.lean_sim import memories_equal
+        from repro.campaign.replay import memories_equal
 
         golden = golden_pass(program)
         simulator = FunctionalSimulator(program)
@@ -280,7 +285,7 @@ class TestLeanGoldenPass:
         the nearest snapshot, whichever of the two is later."""
         import random
 
-        from repro.campaign.lean_sim import golden_state_at
+        from repro.campaign.triage import golden_state_at
 
         golden = cached_golden_run(kernel, 0.4)
         rng = random.Random(2019)
@@ -305,6 +310,58 @@ class TestLeanGoldenPass:
             assert all(golden.op_wa[o - 1] == word_address for o in ordinals)
             seen.extend(ordinals)
         assert sorted(seen) == list(range(1, golden.total_ops + 1))
+
+
+class TestExecute:
+    """Where :func:`execute` starts and stops, from the golden snapshots
+    a campaign resume starts from."""
+
+    KERNELS = ["canrdr", "matrix", "tblook", "aifirf"]
+
+    @staticmethod
+    def _state(snap):
+        return (snap.index, snap.pc, snap.regs, snap.cc, snap.mem)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_a_bounded_run_stops_right_before_the_next_snapshot(self, kernel):
+        """Replaying to ``index - 1`` hands over the exact state before
+        instruction ``index``: what leg 1 of a resume gives leg 2."""
+        golden = cached_golden_run(kernel, 0.4)
+        snapshots = golden.snapshots
+        before = copy.deepcopy([self._state(snap) for snap in snapshots])
+        assert len(snapshots) > 2
+        for snap, following in zip(snapshots, snapshots[1:]):
+            run = execute(golden.table, snap, following.index - 1, record=False)
+            assert run.status == LIMIT
+            assert self._state(run.state) == self._state(following)
+            assert not run.pcs and not run.op_wa and not run.snapshots
+        assert [self._state(snap) for snap in snapshots] == before
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_a_recording_run_from_a_snapshot_reproduces_the_golden_suffix(self, kernel):
+        golden = cached_golden_run(kernel, 0.4)
+        middle = len(golden.snapshots) // 2
+        snap = golden.snapshots[middle]
+        before = copy.deepcopy(self._state(snap))
+        run = execute(golden.table, snap, golden.instructions)
+        assert run.status == HALTED
+        assert run.state.index == golden.instructions
+        assert run.pcs == golden.pcs[snap.index:]
+        taken = bisect_left(golden.taken_at, snap.index)
+        assert run.taken_at == golden.taken_at[taken:]
+        ops = bisect_left(golden.op_instr, snap.index)
+        for column in ("op_instr", "op_wa", "op_store", "op_size", "op_shift"):
+            assert getattr(run, column) == getattr(golden, column)[ops:], column
+        assert run.state.mem == golden.mem_final
+        assert [self._state(s) for s in run.snapshots] == [
+            self._state(s) for s in golden.snapshots[middle:]
+        ]
+        assert self._state(snap) == before
+        # HALT counts against the limit: one instruction less is a stop.
+        short = execute(golden.table, snap, golden.instructions - 1, record=False)
+        assert short.status == LIMIT
+        assert short.state.index == golden.instructions
+        assert self._state(snap) == before
 
 
 # --------------------------------------------------------------------- #
@@ -472,7 +529,7 @@ join:
 """
 
 #: The corrupted flag flips a branch whose fall-through arm does real
-#: work: the walk must bail and the point streams through resume_faulty.
+#: work: the walk must bail and the point streams through the snapshot resume.
 UNPROVABLE_BRANCH_PROGRAM = """
 .data
 cond:
@@ -779,8 +836,46 @@ print(sorted(
         "repro.functional.reference",
         "repro.campaign.reference",
         "repro.memory.reference_cache",
+        "repro.ecc.reference",
     )
 ))
+"""
+
+
+#: A flip of ``x`` steers a branch into an arm of the same length (the
+#: stream differs, its length does not); then four lines of the same set
+#: evict x's line from the 4-way DL1.  The resumed run's watched set
+#: decides the final ``x``: a clean line drops the corrupted copy
+#: (timing), a line dirtied by a store at ``join`` writes it back (sdc).
+WATCHED_SET_PROGRAM = """
+.data
+x:
+    .word 5
+    .word 0
+.text
+main:
+    set x, r1
+    ld [r1+4], r5
+    ld [r1], r2
+    subcc r2, 5, r0
+    be same
+    set 1, r6
+    ba join
+same:
+    set 1, r6
+    nop
+join:
+    %s
+    set 4096, r7
+    add r1, r7, r8
+    ld [r8], r9
+    add r8, r7, r8
+    ld [r8], r9
+    add r8, r7, r8
+    ld [r8], r9
+    add r8, r7, r8
+    ld [r8], r9
+    halt
 """
 
 
@@ -798,6 +893,21 @@ class TestFaultySimulateSpec:
                     event for event in oracle.events if event in ("crash", "hang")
                 )
         assert outcomes == {"crash", "hang"}
+
+    @pytest.mark.parametrize("join, outcome", [("nop", "timing"), ("st r6, [r1+4]", "sdc")])
+    def test_resumed_eviction_of_the_faulted_line_matches_the_oracle(self, join, outcome):
+        program, trace, specs = _grid(
+            WATCHED_SET_PROGRAM % join, "watched_set", ("no-ecc",), bits=(0, 7, 31)
+        )
+        _assert_equivalent(program, trace, specs)
+        batch = run_injection_batch(specs, program=program)
+        streamed = [
+            (spec, point) for spec, point in zip(specs, batch)
+            if point.replay_mode == "streamed" and spec.fault.target == "dl1"
+        ]
+        assert {point.outcome.value for _spec, point in streamed} == {outcome}
+        for spec, _point in streamed:
+            _assert_faulty_simulation_matches_the_oracle(spec, program)
 
     def test_diverging_kernel_points_match_the_oracle(self):
         modes = set()

@@ -140,6 +140,7 @@ print(sorted(name for name in sys.modules if name in (
     "repro.pipeline.reference_timing",
     "repro.functional.reference",
     "repro.campaign.reference",
+    "repro.ecc.reference",
     "multiprocessing",
     "concurrent.futures.process",
 )))
