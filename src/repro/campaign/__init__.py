@@ -69,9 +69,6 @@ from repro.campaign.errors import (
 from repro.campaign.replay import (
     ArchInjectionResult,
     ArchOutcome,
-    RawWordCode,
-    dl1_code_for_policy,
-    l2_code_for_policy,
     run_injection_batch,
     simulate_faulty_spec,
     warm_lean_golden,
@@ -83,9 +80,7 @@ from repro.campaign.sampling import (
     clear_sample_cursors,
     kernel_fault_space,
     point_draw_count,
-    replay_group_key,
     reset_draw_count,
-    sample_fault_groups,
     sample_faults,
     stratum_identity,
     target_codeword_bits,
@@ -108,7 +103,6 @@ __all__ = [
     "KernelFaultSpace",
     "PointTimeout",
     "QuarantinedPoint",
-    "RawWordCode",
     "ReplayDivergence",
     "StoreCorruption",
     "StratumSummary",
@@ -118,15 +112,11 @@ __all__ = [
     "parse_chaos",
     "analytical_reference",
     "clear_sample_cursors",
-    "dl1_code_for_policy",
     "kernel_fault_space",
-    "l2_code_for_policy",
     "point_draw_count",
     "reset_draw_count",
     "run_campaign",
     "run_injection_batch",
-    "replay_group_key",
-    "sample_fault_groups",
     "sample_faults",
     "stratum_identity",
     "target_codeword_bits",

@@ -59,7 +59,7 @@ from repro.campaign.errors import (
     WorkerCrash,
     wrap_point_error,
 )
-from repro.campaign.replay import ArchOutcome
+from repro.campaign.replay import ArchOutcome, warm_lean_golden
 from repro.campaign.sampling import (
     DEFAULT_TARGET,
     ISOLATION_SCENARIO,
@@ -68,7 +68,6 @@ from repro.campaign.sampling import (
 )
 from repro.campaign.stats import DEFAULT_Z, wilson_half_width, wilson_interval
 from repro.core.policies import make_policy
-from repro.ecc.codec import EccCode
 from repro.ecc.reliability import ReliabilityModel
 from repro.scenarios.spec import FAULT_TARGETS, SimulationSpec
 from repro.telemetry import flight as _flight
@@ -497,6 +496,32 @@ class _SignalGuard:
         )
 
 
+def _init_worker(kernels, scales) -> None:
+    """Pool initializer: a worker leaves signals and its lifetime to the
+    campaign process.
+
+    The pool forks inside :class:`_SignalGuard`, whose inherited handler
+    would only note a SIGTERM — so ``_kill_pool``'s ``terminate()``
+    could not end a hung worker.  Ctrl-C reaches the whole process
+    group, and stopping is the campaign process's decision (it finishes
+    the batch and checkpoints).  A campaign process killed outright
+    never shuts its pool down, so each worker also exits on its own once
+    it is reparented.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(
+        target=_exit_with_parent, args=(os.getppid(),), daemon=True
+    ).start()
+    warm_lean_golden(kernels, scales)
+
+
+def _exit_with_parent(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(0.5)
+    os._exit(1)
+
+
 class _PointSupervisor:
     """Runs stratum windows as group jobs, surviving harness faults.
 
@@ -556,11 +581,9 @@ class _PointSupervisor:
             # once, not per batch).
             from concurrent.futures import ProcessPoolExecutor
 
-            from repro.campaign.replay import warm_lean_golden
-
             self._executor = ProcessPoolExecutor(
                 max_workers=self._width,
-                initializer=warm_lean_golden,
+                initializer=_init_worker,
                 initargs=(self.config.kernels, self.config.sweep_scales),
             )
         return self._executor
@@ -864,12 +887,6 @@ class _PointSupervisor:
         return directive
 
 
-def _dl1_code_instance(policy_value: str) -> EccCode:
-    from repro.campaign.replay import dl1_code_for_policy
-
-    return dl1_code_for_policy(make_policy(policy_value))
-
-
 def analytical_reference(
     policies: Sequence[str], *, bit_upset_rate_per_hour: float = 1e-9
 ) -> Dict[str, Dict[str, float]]:
@@ -886,7 +903,7 @@ def analytical_reference(
     reference: Dict[str, Dict[str, float]] = {}
     for value in policies:
         policy = make_policy(value)
-        code = _dl1_code_instance(value)
+        code = policy.dl1_code()
         model = ReliabilityModel(
             words=16 * 1024 // 4, bit_upset_rate_per_hour=bit_upset_rate_per_hour
         )

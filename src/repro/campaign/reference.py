@@ -39,10 +39,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.campaign.replay import (
     ArchInjectionResult,
+    _check_limit,
     _classify,
     _golden_for,
-    dl1_code_for_policy,
-    l2_code_for_policy,
     memories_equal,
 )
 from repro.ecc.codec import DecodeStatus, EccCode
@@ -382,9 +381,9 @@ def _build_model(spec: SimulationSpec, program: Program) -> Dl1ContentModel:
     backing.load_bytes(program.data.base, program.data.data)
     model = Dl1ContentModel(
         hierarchy,
-        dl1_code_for_policy(policy),
+        policy.dl1_code(),
         backing,
-        l2_code=l2_code_for_policy(policy),
+        l2_code=policy.l2_code(),
     )
     fault = spec.fault
     if fault.target == "dl1":
@@ -490,6 +489,7 @@ def run_injection(
         raise ValueError("run_injection needs a spec with a FaultSpec armed")
     if golden is None:
         golden = _golden_for(spec, program)
+    _check_limit(spec, golden)
     program = golden.program
 
     model = _build_model(spec, program)

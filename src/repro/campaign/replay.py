@@ -48,16 +48,15 @@ from __future__ import annotations
 
 import enum
 import time
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.policies import EccPolicy, EccPolicyKind
-from repro.ecc.codec import DecodeResult, DecodeStatus, EccCode, get_code
+from repro.ecc.codec import DecodeResult
 from repro.functional.interpreter import (
     CRASH,
     HALTED,
     LIMIT,
+    ExecutionLimitExceeded,
     FunctionalTrace,
     GoldenRun,
     Snapshot,
@@ -70,57 +69,6 @@ from repro.isa.program import Program
 from repro.memory.cache import LruSet
 from repro.scenarios.spec import SimulationSpec
 from repro.telemetry.metrics import observe_phase, phase_timer
-
-
-class RawWordCode(EccCode):
-    """Identity "code" for the unprotected DL1 (no-ecc policy).
-
-    32 data bits, zero check bits: every flip silently changes the data
-    and the decoder never notices — exactly the behaviour the baseline
-    write-back DL1 exhibits.
-    """
-
-    name = "raw"
-    data_bits = 32
-    check_bits = 0
-
-    def encode(self, data: int) -> int:
-        return data & 0xFFFFFFFF
-
-    def decode(self, codeword: int) -> DecodeResult:
-        return DecodeResult(data=codeword & 0xFFFFFFFF, status=DecodeStatus.CLEAN)
-
-    # Batch fast paths: identity in, CLEAN out — no per-word dispatch.
-    def encode_many(self, words) -> List[int]:
-        return [word & 0xFFFFFFFF for word in words]
-
-    def decode_many(self, codewords) -> List[DecodeResult]:
-        clean = DecodeStatus.CLEAN
-        return [
-            DecodeResult(data=codeword & 0xFFFFFFFF, status=clean)
-            for codeword in codewords
-        ]
-
-
-def dl1_code_for_policy(policy: EccPolicy) -> EccCode:
-    """The code stored in the DL1 data array under ``policy``."""
-    if policy.dl1_code_name is None:
-        return RawWordCode()
-    return get_code(policy.dl1_code_name)
-
-
-def l2_code_for_policy(policy: EccPolicy) -> EccCode:
-    """The code protecting the L2 data array under ``policy``.
-
-    Every protected deployment of the paper pairs its DL1 scheme with a
-    SECDED L2 (the baseline platform's L2 protection, Section II-A).
-    The ``no-ecc`` deployment is the fully unprotected hierarchy Figure
-    8 uses as its ideal baseline, so its L2 stores bare words and an L2
-    flip silently corrupts data exactly like a DL1 flip does.
-    """
-    if policy.kind is EccPolicyKind.NO_ECC:
-        return RawWordCode()
-    return get_code("secded")
 
 
 class ArchOutcome(enum.Enum):
@@ -207,6 +155,17 @@ def _golden_for(spec: SimulationSpec, program: Optional[Program]) -> GoldenRun:
     from repro.experiments.runner import cached_golden_run
 
     return cached_golden_run(spec.kernel, spec.scale)
+
+
+def _check_limit(spec: SimulationSpec, golden: GoldenRun) -> None:
+    """Raise what :func:`golden_pass` raises under ``spec``'s instruction
+    limit: a kernel's golden run is cached without one, so a limit below
+    its length is caught here."""
+    if spec.max_instructions < golden.instructions:
+        raise ExecutionLimitExceeded(
+            f"{golden.program.name}: exceeded {spec.max_instructions} retired "
+            "instructions without halting"
+        )
 
 
 # ---------------------------------------------------------------------- #
@@ -369,17 +328,11 @@ def _run_residue(
     events = {HALTED: (), CRASH: ("crash",), LIMIT: ("hang",)}[run.status]
     faulty_trace = None
     if record:
-        resumed = start.index
-        matched = run.pcs == golden.pcs[resumed:]
-        ops = bisect_left(golden.op_instr, resumed)
+        matched = run.pcs == golden.pcs[start.index:]
         faulty_trace = assemble_trace(
-            golden.program,
-            golden.pcs[:resumed] + run.pcs,
-            golden.taken_at[:bisect_left(golden.taken_at, resumed)] + run.taken_at,
-            golden.op_instr[:ops] + run.op_instr,
-            golden.op_wa[:ops] + run.op_wa,
-            golden.op_shift[:ops] + run.op_shift,
-            halted=run.status == HALTED,
+            golden.program, run.pcs, run.taken_at, run.op_instr, run.op_wa,
+            run.op_shift, halted=run.status == HALTED,
+            prefix=golden.trace, start=start.index,
         )
     else:
         matched = run.stream_match and run.state.index == golden_len
@@ -424,16 +377,13 @@ def _inject_group(
     # Pass 1: resolve each point's geometry, code and word timeline.
     contexts: List[tuple] = []
     for spec in specs:
+        _check_limit(spec, golden)
         fault = spec.fault
         policy = spec.resolved_policy()
         hierarchy = spec.core_config().resolved_hierarchy_config()
         geometry = _triage.geometry_for(hierarchy.l1d)
         wa = fault.word_address & ~0x3
-        code = (
-            dl1_code_for_policy(policy)
-            if fault.target == "dl1"
-            else l2_code_for_policy(policy)
-        )
+        code = policy.dl1_code() if fault.target == "dl1" else policy.l2_code()
         events = golden_timelines(golden, geometry).get(wa, [])
         contexts.append((spec, fault, geometry, wa, code, events))
 
@@ -502,7 +452,7 @@ def run_injection_batch(
     golden artefacts (golden run, per-word cache timelines) once.
     An analytical triage pass then classifies every dead-on-arrival or
     code-healed flip with zero re-execution, batching the corrupted
-    codeword decodes through the vectorised
+    codeword decodes per code through
     :meth:`~repro.ecc.codec.EccCode.decode_many`; only faults whose
     corruption becomes load-visible are executed, via snapshot
     suffix-resume.  This is the campaign engine's only replay entry

@@ -98,29 +98,11 @@ def kernel_fault_space(kernel: str, scale: float) -> KernelFaultSpace:
     return space
 
 
-def policy_codeword_bits(policy_value: str) -> int:
-    """Width of the DL1 codeword stored under ``policy_value``."""
-    policy = make_policy(policy_value)
-    if policy.dl1_code_name is None:
-        return 32
-    from repro.ecc.codec import get_code
-
-    return get_code(policy.dl1_code_name).total_bits
-
-
 def target_codeword_bits(policy_value: str, target: str = DEFAULT_TARGET) -> int:
-    """Codeword width of the targeted array under ``policy_value``.
-
-    The DL1 width follows the policy's DL1 code; the L2 width follows
-    the deployment's L2 protection (SECDED for every protected
-    deployment, the bare 32-bit word for the unprotected ``no-ecc``
-    baseline — see :func:`repro.campaign.replay.l2_code_for_policy`).
-    """
-    if target == "l2":
-        from repro.campaign.replay import l2_code_for_policy
-
-        return l2_code_for_policy(make_policy(policy_value)).total_bits
-    return policy_codeword_bits(policy_value)
+    """Codeword width of the targeted array under ``policy_value``."""
+    policy = make_policy(policy_value)
+    code = policy.l2_code() if target == "l2" else policy.dl1_code()
+    return code.total_bits
 
 
 def stratum_identity(
@@ -258,58 +240,3 @@ def sample_faults(
     cursor[1] = rng
     lru_put(_CURSOR_CACHE, key, cursor, _CURSOR_CACHE_MAX)
     return points
-
-
-def replay_group_key(
-    kernel: str,
-    scale: float,
-    *,
-    target: str = DEFAULT_TARGET,
-    scenario: str = ISOLATION_SCENARIO,
-) -> Tuple[str, float, str, str]:
-    """The batched-replay grouping key of one sampled point.
-
-    Points sharing it run against one shared set of golden artefacts
-    (golden run, final memory, per-word cache timelines) in
-    :func:`repro.campaign.replay.run_injection_batch`; the policy axis
-    deliberately stays out of the key — every policy of a group reuses
-    the same golden run, only the codeword decode differs.
-    """
-    return (kernel, scale, target, scenario)
-
-
-def sample_fault_groups(
-    strata,
-    count: int,
-    *,
-    seed: int,
-    start: int = 0,
-):
-    """Group-ordered emission of one batch window across many strata.
-
-    ``strata`` is an iterable of ``(kernel, scale, policy_value,
-    target, scenario)`` tuples; the result is an insertion-ordered dict
-    ``replay_group_key -> [(policy_value, FaultSpec), ...]`` with every
-    group's points contiguous, so a consumer hands each group straight
-    to ``run_injection_batch`` without re-sorting.  Each stratum's
-    points are drawn by :func:`sample_faults` with identical windows,
-    so the emitted sequences are byte-identical to per-stratum
-    sampling — grouping changes execution order, never the points.
-    """
-    groups: Dict[Tuple[str, float, str, str], List] = {}
-    for kernel, scale, policy_value, target, scenario in strata:
-        faults = sample_faults(
-            kernel,
-            scale,
-            policy_value,
-            count,
-            seed=seed,
-            start=start,
-            target=target,
-            scenario=scenario,
-        )
-        bucket = groups.setdefault(
-            replay_group_key(kernel, scale, target=target, scenario=scenario), []
-        )
-        bucket.extend((policy_value, fault) for fault in faults)
-    return groups

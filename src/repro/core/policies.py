@@ -19,9 +19,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.memory.config import WritePolicy
+
+if TYPE_CHECKING:
+    from repro.ecc.codec import EccCode
 
 
 class EccPolicyKind(enum.Enum):
@@ -89,6 +92,33 @@ class EccPolicy:
     def pipeline_depth(self) -> int:
         """Number of pipeline stages (7 baseline, 8 with the ECC stage)."""
         return 8 if self.has_ecc_stage else 7
+
+    # ------------------------------------------------------------------ #
+    # the codes stored in each data array                                #
+    # ------------------------------------------------------------------ #
+    def dl1_code(self) -> EccCode:
+        """The code stored in the DL1 data array (bare words when none)."""
+        from repro.ecc.codec import RawWordCode, get_code
+
+        if self.dl1_code_name is None:
+            return RawWordCode()
+        return get_code(self.dl1_code_name)
+
+    def l2_code(self) -> EccCode:
+        """The code protecting the L2 data array.
+
+        Every protected deployment of the paper pairs its DL1 scheme with
+        a SECDED L2 (the baseline platform's L2 protection, Section
+        II-A).  The ``no-ecc`` deployment is the fully unprotected
+        hierarchy Figure 8 uses as its ideal baseline, so its L2 stores
+        bare words and an L2 flip silently corrupts data exactly like a
+        DL1 flip does.
+        """
+        from repro.ecc.codec import RawWordCode, get_code
+
+        if self.kind is EccPolicyKind.NO_ECC:
+            return RawWordCode()
+        return get_code("secded")
 
     def describe(self) -> str:
         parts = [

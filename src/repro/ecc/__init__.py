@@ -15,7 +15,7 @@ encode/decode/correct path a hardware implementation would:
   SECDED(39,32), the code assumed throughout the paper.
 """
 
-from repro.ecc.codec import CodeWord, DecodeResult, DecodeStatus, EccCode, get_code, register_code
+from repro.ecc.codec import DecodeResult, DecodeStatus, EccCode, get_code, register_code
 from repro.ecc.fault_injection import FaultInjector, FaultModel, InjectionOutcome, InjectionReport
 from repro.ecc.hamming import HammingSecCode
 from repro.ecc.parity import ParityCode
@@ -23,7 +23,6 @@ from repro.ecc.reliability import ReliabilityModel, word_outcome_probabilities
 from repro.ecc.secded import HsiaoSecDedCode
 
 __all__ = [
-    "CodeWord",
     "DecodeResult",
     "DecodeStatus",
     "EccCode",

@@ -25,23 +25,6 @@ class DecodeStatus(enum.Enum):
 
 
 @dataclass(frozen=True)
-class CodeWord:
-    """An encoded word: original data plus check bits."""
-
-    data: int
-    check: int
-    total_bits: int
-
-    @property
-    def value(self) -> int:
-        return self.data | (self.check << (self.total_bits - self.check_bits))
-
-    @property
-    def check_bits(self) -> int:
-        return self.total_bits - self.data.bit_length() if False else 0  # unused
-
-
-@dataclass(frozen=True)
 class DecodeResult:
     """Result of decoding a codeword."""
 
@@ -96,10 +79,9 @@ class EccCode:
         raise NotImplementedError
 
     # Batch interface ---------------------------------------------------
-    # The fault campaigns encode/decode tens of thousands of words per
-    # run; these entry points let table-driven codecs amortise their
-    # lookup-structure access across a whole batch.  The base versions
-    # simply loop, so every code gets the API for free.
+    # One loop over the scalar paths for every code: each code's math
+    # lives in its ``encode``/``decode`` alone, the pair the equivalence
+    # tests pin against :mod:`repro.ecc.reference`.
     def encode_many(self, words: Iterable[int]) -> List[int]:
         """Encode a batch of data words (one codeword per input word)."""
         encode = self.encode
@@ -143,6 +125,26 @@ class EccCode:
             f"{self.check_bits} check bits, "
             f"{self.storage_overhead * 100:.1f}% storage overhead"
         )
+
+
+class RawWordCode(EccCode):
+    """Identity "code" for an unprotected array (the no-ecc policy).
+
+    32 data bits, zero check bits: every flip silently changes the data
+    and the decoder never notices — exactly the behaviour the baseline
+    write-back DL1 exhibits.  Deliberately unregistered: it is what a
+    policy stores when it names no code, not a code one can choose.
+    """
+
+    name = "raw"
+    data_bits = 32
+    check_bits = 0
+
+    def encode(self, data: int) -> int:
+        return data & 0xFFFFFFFF
+
+    def decode(self, codeword: int) -> DecodeResult:
+        return DecodeResult(data=codeword & 0xFFFFFFFF, status=DecodeStatus.CLEAN)
 
 
 _REGISTRY: Dict[str, Callable[[], EccCode]] = {}

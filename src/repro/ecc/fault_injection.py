@@ -189,7 +189,7 @@ class FaultInjector:
             plan_append((data, tuple(rng_sample(position_range, multiplicity))))
 
         # Phase 2: batch encode/corrupt/decode through the table-driven
-        # fast paths (positions come from ``rng.sample`` over the valid
+        # codec (positions come from ``rng.sample`` over the valid
         # range, so no per-flip validation is needed).
         codewords = code.encode_many([data for data, _ in trial_plan])
         corrupted: List[int] = []

@@ -33,7 +33,7 @@ tests hold the two bit-identical over clean words and all flips.
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, List
+from typing import List
 
 from repro.ecc.codec import DecodeResult, DecodeStatus, EccCode, register_code
 
@@ -81,7 +81,7 @@ class HammingSecCode(EccCode):
 
         # Positional syndrome -> data-word correction mask (0 for check
         # positions: flipping a stored check bit never changes the data).
-        # A C int array: the batch decode indexes it once per codeword.
+        # A C int array: decode indexes it once per corrected codeword.
         self._syndrome_flip: array = array("q", bytes(8 * (self._codeword_length + 1)))
         for index, pos in enumerate(self._data_positions):
             self._syndrome_flip[pos] = 1 << index
@@ -113,55 +113,6 @@ class HammingSecCode(EccCode):
         return DecodeResult(
             data=data, status=DecodeStatus.DETECTED_UNCORRECTABLE, syndrome=syndrome
         )
-
-    # Batch fast paths --------------------------------------------------
-    def encode_many(self, words: Iterable[int]) -> List[int]:
-        data_bits = self.data_bits
-        masks = tuple(enumerate(self._data_masks))
-        out: List[int] = []
-        append = out.append
-        for data in words:
-            if data < 0 or data >> data_bits:
-                self._check_data_range(data)
-            check = 0
-            for check_index, mask in masks:
-                check |= ((data & mask).bit_count() & 1) << check_index
-            append(data | (check << data_bits))
-        return out
-
-    def decode_many(self, codewords: Iterable[int]) -> List[DecodeResult]:
-        data_bits = self.data_bits
-        total_bits = self.total_bits
-        data_mask = (1 << data_bits) - 1
-        masks = tuple(enumerate(self._check_masks))
-        length = self._codeword_length
-        flips = self._syndrome_flip
-        clean = DecodeStatus.CLEAN
-        corrected = DecodeStatus.CORRECTED
-        detected = DecodeStatus.DETECTED_UNCORRECTABLE
-        out: List[DecodeResult] = []
-        append = out.append
-        for codeword in codewords:
-            if codeword < 0 or codeword >> total_bits:
-                self._check_codeword_range(codeword)
-            syndrome = 0
-            for check_index, mask in masks:
-                syndrome |= ((codeword & mask).bit_count() & 1) << check_index
-            data = codeword & data_mask
-            if syndrome == 0:
-                append(DecodeResult(data=data, status=clean, syndrome=0))
-            elif syndrome <= length:
-                append(
-                    DecodeResult(
-                        data=data ^ flips[syndrome],
-                        status=corrected,
-                        syndrome=syndrome,
-                        corrected_bit=syndrome,
-                    )
-                )
-            else:
-                append(DecodeResult(data=data, status=detected, syndrome=syndrome))
-        return out
 
 
 register_code("hamming", HammingSecCode)

@@ -14,8 +14,6 @@ and the equivalence tests hold the two bit-identical.
 
 from __future__ import annotations
 
-from typing import Iterable, List
-
 from repro.ecc.codec import DecodeResult, DecodeStatus, EccCode, register_code
 
 
@@ -61,37 +59,6 @@ class ParityCode(EccCode):
         return DecodeResult(
             data=data, status=DecodeStatus.DETECTED_UNCORRECTABLE, syndrome=1
         )
-
-    # Batch fast paths --------------------------------------------------
-    def encode_many(self, words: Iterable[int]) -> List[int]:
-        data_bits = self.data_bits
-        flip = 0 if self.even else 1
-        out: List[int] = []
-        append = out.append
-        for data in words:
-            if data < 0 or data >> data_bits:
-                self._check_data_range(data)
-            append(data | (((data.bit_count() & 1) ^ flip) << data_bits))
-        return out
-
-    def decode_many(self, codewords: Iterable[int]) -> List[DecodeResult]:
-        data_bits = self.data_bits
-        total_bits = self.total_bits
-        data_mask = (1 << data_bits) - 1
-        flip = 0 if self.even else 1
-        clean = DecodeStatus.CLEAN
-        detected = DecodeStatus.DETECTED_UNCORRECTABLE
-        out: List[DecodeResult] = []
-        append = out.append
-        for codeword in codewords:
-            if codeword < 0 or codeword >> total_bits:
-                self._check_codeword_range(codeword)
-            data = codeword & data_mask
-            if (codeword.bit_count() & 1) ^ flip:
-                append(DecodeResult(data=data, status=detected, syndrome=1))
-            else:
-                append(DecodeResult(data=data, status=clean, syndrome=0))
-        return out
 
 
 register_code("parity", ParityCode)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.ecc.codec import DecodeResult, DecodeStatus, EccCode, register_code
 
@@ -125,7 +125,7 @@ class HsiaoSecDedCode(EccCode):
 
         # Per-byte XOR tables: table i maps a byte value to the XOR of the
         # H columns of data bits [8i, 8i+8).  Stored as C int arrays so
-        # the batch paths index machine words, not boxed-Python lists.
+        # encode and decode index machine words, not boxed-Python lists.
         self._byte_tables: List[array] = []
         for base in range(0, data_bits, 8):
             table = array("q", bytes(8 * 256))
@@ -200,67 +200,6 @@ class HsiaoSecDedCode(EccCode):
             status=DecodeStatus.DETECTED_UNCORRECTABLE,
             syndrome=syndrome,
         )
-
-    # Batch fast paths --------------------------------------------------
-    def encode_many(self, words: Iterable[int]) -> List[int]:
-        data_bits = self.data_bits
-        tables = self._byte_tables
-        out: List[int] = []
-        append = out.append
-        for data in words:
-            if data < 0 or data >> data_bits:
-                self._check_data_range(data)
-            check = 0
-            shifted = data
-            for table in tables:
-                check ^= table[shifted & 0xFF]
-                shifted >>= 8
-            append(data | (check << data_bits))
-        return out
-
-    def decode_many(self, codewords: Iterable[int]) -> List[DecodeResult]:
-        data_bits = self.data_bits
-        total_bits = self.total_bits
-        data_mask = (1 << data_bits) - 1
-        tables = self._byte_tables
-        syndrome_table = self._syndrome_table
-        clean = DecodeStatus.CLEAN
-        corrected = DecodeStatus.CORRECTED
-        detected = DecodeStatus.DETECTED_UNCORRECTABLE
-        out: List[DecodeResult] = []
-        append = out.append
-        for codeword in codewords:
-            if codeword < 0 or codeword >> total_bits:
-                self._check_codeword_range(codeword)
-            data = codeword & data_mask
-            check = codeword >> data_bits
-            shifted = data
-            for table in tables:
-                check ^= table[shifted & 0xFF]
-                shifted >>= 8
-            syndrome = check
-            if syndrome == 0:
-                append(DecodeResult(data=data, status=clean, syndrome=0))
-            elif syndrome.bit_count() & 1:
-                position = syndrome_table[syndrome]
-                if position < 0:
-                    append(
-                        DecodeResult(data=data, status=detected, syndrome=syndrome)
-                    )
-                else:
-                    if position < data_bits:
-                        data ^= 1 << position
-                    append(
-                        DecodeResult(
-                            data=data,
-                            status=corrected,
-                            syndrome=syndrome,
-                            corrected_bit=position,
-                        )
-                    )
-            else:
-                append(DecodeResult(data=data, status=detected, syndrome=syndrome))
-        return out
 
 
 register_code("secded", HsiaoSecDedCode)

@@ -394,18 +394,23 @@ def assemble_trace(
     op_shift: List[int],
     *,
     halted: bool,
+    prefix: Optional[FunctionalTrace] = None,
+    start: int = 0,
 ) -> FunctionalTrace:
-    """The :class:`FunctionalTrace` of a run retired from instruction 0:
-    ``pcs`` (shared, not copied), the retired-instruction indices of its
-    taken control transfers and its op stream."""
+    """The :class:`FunctionalTrace` of a run: ``pcs`` retired from
+    instruction ``start`` on (shared, not copied, when ``start`` is 0),
+    the retired-instruction indices of its taken control transfers and
+    its op stream.  A run resumed at ``start`` takes its first ``start``
+    instructions from ``prefix`` (the golden trace it resumed from), so
+    only the resumed suffix is built."""
     static = {ins.address: ins for ins in program.instructions}
     addresses: List[Optional[int]] = [None] * len(pcs)
     for index, wa, shift in zip(op_instr, op_wa, op_shift):
-        addresses[index] = wa | shift >> 3
+        addresses[index - start] = wa | shift >> 3
     taken = bytearray(len(pcs))
     for index in taken_at:
-        taken[index] = 1
-    return FunctionalTrace(
+        taken[index - start] = 1
+    trace = FunctionalTrace(
         program_name=program.name,
         pcs=pcs,
         instructions=[static[pc] for pc in pcs],
@@ -413,6 +418,12 @@ def assemble_trace(
         taken=taken,
         halted=halted,
     )
+    if prefix is not None:
+        for column in ("pcs", "instructions", "addresses", "taken"):
+            head = getattr(prefix, column)[:start]
+            head += getattr(trace, column)
+            setattr(trace, column, head)
+    return trace
 
 
 @dataclass

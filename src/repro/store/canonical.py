@@ -107,9 +107,7 @@ def canonical_dict(spec: SimulationSpec) -> Dict[str, Any]:
             # assumption: every historical key stays stable, while
             # points whose semantics changed (no-ecc × l2) hash afresh
             # instead of resuming stale stored outcomes.
-            from repro.campaign.replay import l2_code_for_policy
-
-            code = l2_code_for_policy(make_policy(spec.policy))
+            code = make_policy(spec.policy).l2_code()
             if code.name != "secded":
                 fault["l2_code"] = code.name
     return {

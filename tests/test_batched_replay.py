@@ -21,6 +21,7 @@ answers.  These tests pin that equivalence over:
 from __future__ import annotations
 
 import copy
+import dataclasses
 import itertools
 from bisect import bisect_left
 
@@ -29,10 +30,8 @@ import pytest
 from repro.campaign import (
     CampaignConfig,
     parse_chaos,
-    replay_group_key,
     run_campaign,
     run_injection_batch,
-    sample_fault_groups,
     sample_faults,
 )
 from repro.campaign.reference import run_injection
@@ -401,6 +400,31 @@ class TestHaltCountsAgainstTheLimit:
         assert streamed.payload() == full.payload()
         assert full.outcome.value == outcome
         assert ("hang" in full.events) is (outcome == "detected")
+
+    def test_a_kernel_spec_shorter_than_its_golden_run_exceeds_the_limit(self):
+        # A kernel's golden run is cached without a limit; a faulty spec
+        # whose limit the clean run already exceeds raises exactly as the
+        # clean spec (and a program= golden pass) does.
+        from repro.simulation import simulate_spec
+
+        golden = cached_golden_run("puwmod", 0.1)
+        (fault,) = sample_faults("puwmod", 0.1, "no-ecc", 1, seed=11)
+        spec = SimulationSpec(
+            kernel="puwmod", scale=0.1, policy="no-ecc",
+            max_instructions=golden.instructions - 1, fault=fault,
+        )
+        message = f"puwmod: exceeded {golden.instructions - 1} retired instructions"
+        for run in (
+            lambda: simulate_spec(spec.with_fault(None)),
+            lambda: run_injection_batch([spec]),
+            lambda: simulate_spec(spec),
+            lambda: run_injection(spec),
+        ):
+            with pytest.raises(ExecutionLimitExceeded, match=message):
+                run()
+        at_limit = dataclasses.replace(spec, max_instructions=golden.instructions)
+        (point,) = run_injection_batch([at_limit])
+        assert point.payload() == run_injection(at_limit).payload()
 
 
 class TestSyntheticGridEquivalence:
@@ -949,31 +973,6 @@ class TestFaultySimulateSpec:
         )
         assert completed.returncode == 0, completed.stderr
         assert completed.stdout.strip() == "[]"
-
-
-# --------------------------------------------------------------------- #
-# group-ordered emission                                                #
-# --------------------------------------------------------------------- #
-class TestGroupedSampling:
-    def test_groups_are_ordered_and_byte_identical_to_per_stratum(self):
-        strata = [
-            ("rspeed", 0.1, "no-ecc", "dl1", "isolation"),
-            ("rspeed", 0.1, "laec", "dl1", "isolation"),
-            ("rspeed", 0.1, "no-ecc", "l2", "isolation"),
-        ]
-        groups = sample_fault_groups(strata, 5, seed=2019)
-        assert list(groups) == [
-            replay_group_key("rspeed", 0.1),
-            replay_group_key("rspeed", 0.1, target="l2"),
-        ]
-        dl1_group = groups[replay_group_key("rspeed", 0.1)]
-        # Both DL1 policies share one group (one golden run serves both).
-        assert [policy for policy, _fault in dl1_group] == ["no-ecc"] * 5 + [
-            "laec"
-        ] * 5
-        assert [fault for policy, fault in dl1_group if policy == "no-ecc"] == (
-            sample_faults("rspeed", 0.1, "no-ecc", 5, seed=2019)
-        )
 
 
 # --------------------------------------------------------------------- #

@@ -130,7 +130,6 @@ class TestArchitecturalReplay:
         # dirty writeback) must drop it, or a later refill would
         # "correct" back to the stale pre-store value.
         from repro.campaign.reference import Dl1ContentModel
-        from repro.campaign.replay import dl1_code_for_policy, l2_code_for_policy
         from repro.core.policies import make_policy
         from repro.functional.memory import FlatMemory
         from repro.memory.config import MemoryHierarchyConfig
@@ -141,9 +140,9 @@ class TestArchitecturalReplay:
         backing.write(0x1000, 0x11111111, 4)
         model = Dl1ContentModel(
             hierarchy,
-            dl1_code_for_policy(policy),
+            policy.dl1_code(),
             backing,
-            l2_code=l2_code_for_policy(policy),
+            l2_code=policy.l2_code(),
         )
         assert model.load(0x1000, 4) == 0x11111111  # line resident
         model.inject_l2_fault(0x1000, bit=5)
@@ -172,12 +171,12 @@ class TestArchitecturalReplay:
         assert result.outcome is not ArchOutcome.SILENT_DATA_CORRUPTION
 
     def test_l2_code_follows_the_deployment(self):
-        from repro.campaign.replay import RawWordCode, l2_code_for_policy
         from repro.core.policies import make_policy
+        from repro.ecc.codec import RawWordCode
 
-        assert isinstance(l2_code_for_policy(make_policy("no-ecc")), RawWordCode)
+        assert isinstance(make_policy("no-ecc").l2_code(), RawWordCode)
         for policy in ("extra-cycle", "extra-stage", "laec", "wt-parity"):
-            assert l2_code_for_policy(make_policy(policy)).name == "secded"
+            assert make_policy(policy).l2_code().name == "secded"
 
     def test_l2_flip_in_unprotected_baseline_can_silently_corrupt(self):
         # The no-ecc baseline is the fully unprotected hierarchy: its L2

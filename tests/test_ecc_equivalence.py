@@ -117,6 +117,14 @@ class TestCodecEquivalence:
             statuses = {result.status for result in batch}
             assert DecodeStatus.DETECTED_UNCORRECTABLE in statuses
 
+    def test_batch_apis_are_the_scalar_paths(self, fast_cls, ref_cls):
+        # One implementation of each code's math: the batch entry points
+        # are the base-class loop over encode/decode, never an override.
+        from repro.ecc.codec import EccCode
+
+        assert fast_cls.encode_many is EccCode.encode_many
+        assert fast_cls.decode_many is EccCode.decode_many
+
     def test_batch_apis_validate_range(self, fast_cls, ref_cls):
         fast = fast_cls()
         with pytest.raises(ValueError):

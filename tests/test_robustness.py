@@ -16,6 +16,7 @@ import signal
 import sqlite3
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -444,7 +445,7 @@ class TestSupervisor:
             config(retry_backoff=-0.1)
 
 
-def _cli(args, store, tmp_path, *, chaos=None, out=None, extra=()):
+def _cli(args, store, tmp_path, *, chaos=None, out=None, extra=(), before_reap=None):
     command = [
         sys.executable,
         "-m",
@@ -488,12 +489,32 @@ def _cli(args, store, tmp_path, *, chaos=None, out=None, extra=()):
         start_new_session=True,
     )
     try:
-        return process.wait(timeout=240)
+        code = process.wait(timeout=240)
+        if before_reap is not None:
+            before_reap(process.pid)
+        return code
     finally:
         try:
             os.killpg(process.pid, signal.SIGKILL)
         except (ProcessLookupError, PermissionError):
             pass
+
+
+def _live_session_members(session):
+    """Pids of the not-yet-exited processes of ``session`` (Linux /proc)."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as stat:
+                # Fields after "(comm)": state, ppid, pgrp, session, ...
+                fields = stat.read().rpartition(")")[2].split()
+        except OSError:
+            continue
+        if int(fields[3]) == session and fields[0] != "Z":
+            members.append(int(entry))
+    return members
 
 
 class TestKillAnywhereResume:
@@ -523,6 +544,27 @@ class TestKillAnywhereResume:
             )
         )
         assert out.read_text(encoding="utf-8") == fresh.render() + "\n"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs a Linux /proc")
+    def test_killed_sharded_campaign_leaves_no_live_worker(self, tmp_path):
+        # A SIGKILLed campaign process never shuts its pool down: its
+        # workers must notice and exit on their own.
+        left = []
+
+        def wait_for_workers(session):
+            deadline = time.monotonic() + 10.0
+            while True:
+                left[:] = _live_session_members(session)
+                if not left or time.monotonic() > deadline:
+                    return
+                time.sleep(0.2)
+
+        killed = _cli(
+            [], tmp_path / "kill.sqlite", tmp_path, chaos="kill-main@5",
+            extra=("--workers", "2"), before_reap=wait_for_workers,
+        )
+        assert killed == -signal.SIGKILL
+        assert left == []
 
 
 # --------------------------------------------------------------------- #

@@ -8,6 +8,9 @@ spec with a *stable* hash; distinct specs must hash differently.
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -107,6 +110,32 @@ class TestHashDiscrimination:
         # And the extra key round-trips to a stable hash.
         rebuilt = spec_from_canonical(canonical_json(unprotected))
         assert spec_hash(rebuilt) == spec_hash(unprotected)
+
+    def test_l2_code_canonicalises_without_importing_the_campaign(self):
+        # The store layer sits below the campaign: the policy names the
+        # code each array stores, so hashing a no-ecc x l2 point (the one
+        # form that encodes its L2 code) imports no campaign module.
+        script = (
+            "import sys\n"
+            "from repro.scenarios import FaultSpec, SimulationSpec\n"
+            "from repro.store import spec_hash\n"
+            "fault = FaultSpec(target='l2', word_address=64, bit=3, at_access=5)\n"
+            "spec_hash(SimulationSpec(kernel='canrdr', policy='no-ecc', fault=fault))\n"
+            "print(sorted(name for name in sys.modules\n"
+            "             if name.split('.')[:2] == ['repro', 'campaign']))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        environment = dict(os.environ)
+        environment["PYTHONPATH"] = src + os.pathsep + environment.get("PYTHONPATH", "")
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            env=environment,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "[]"
 
     def test_schema_version_is_enforced(self):
         payload = canonical_dict(SimulationSpec(kernel="matrix"))

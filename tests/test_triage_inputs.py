@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign.replay import dl1_code_for_policy, l2_code_for_policy
 from repro.campaign.timeline import (
     EV_END_FLUSH,
     EV_EVICT_DIRTY,
@@ -42,7 +41,7 @@ EXPECTED = {
 @pytest.mark.parametrize("target", ["dl1", "l2"])
 def test_every_single_bit_flip_reaches_its_codes_branch(kind, target):
     policy = make_policy(kind)
-    code = dl1_code_for_policy(policy) if target == "dl1" else l2_code_for_policy(policy)
+    code = policy.dl1_code() if target == "dl1" else policy.l2_code()
     # Raw words live only in the write-back no-ecc hierarchy and parity
     # only in the write-through one: the premises of triage's branches.
     if code.name == "raw":
