@@ -46,14 +46,8 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.experiments.base import (
-    DEFAULT_CAMPAIGN_SCALE,
-    ExperimentContext,
-    all_experiments,
-    experiment_names,
-    get_experiment,
-)
 from repro.scenarios import scenario_description, scenario_names
+from repro.scenarios.spec import DEFAULT_CAMPAIGN_SCALE
 
 #: Default artefact directory — the one the benchmark harness populates.
 DEFAULT_OUTPUT_DIR = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "output"
@@ -742,6 +736,8 @@ def _run_store_command(argv: List[str]) -> int:
 
 
 def _list_experiments() -> str:
+    from repro.experiments.base import all_experiments
+
     lines = ["Registered experiments:"]
     for experiment in all_experiments():
         artefact = f" -> {experiment.artifact}.txt" if experiment.artifact else ""
@@ -760,6 +756,8 @@ def _list_scenarios() -> str:
 
 
 def _resolve_requested(requested: List[str]) -> List[str]:
+    from repro.experiments.base import experiment_names
+
     names: List[str] = []
     for name in requested:
         if name.strip().lower() == "all":
@@ -792,6 +790,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.print_usage()
         print("nothing to do: pass --list, --list-scenarios or --run <name>")
         return 2
+
+    # The experiment catalogue (11 experiment modules) loads only here: the
+    # campaign, store, trace and lint subcommands never import it.
+    from repro.experiments.base import ExperimentContext, get_experiment
 
     try:
         names = _resolve_requested(args.run)

@@ -1101,10 +1101,10 @@ def _run_stratum(
     window_groups = (
         supervisor.inflight_groups() if config.ci_target is None else 1
     )
-    # Derive the fault space (and, on first use, the golden run it
-    # reads) before the sampling timer, so golden time is not also
-    # counted as sampling time.
-    kernel_fault_space(kernel, scale)
+    # Fetch the fault space before the sampling timer: from the store
+    # when it holds one (a resume then runs no kernel), else from the
+    # golden run, whose time is counted as golden, not also as sampling.
+    kernel_fault_space(kernel, scale, store)
     done = 0
     stratum_quarantined = 0
     early = False

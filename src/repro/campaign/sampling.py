@@ -37,12 +37,14 @@ and replays the prefix — determinism never depends on the cursor cache.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.core.caching import lru_get, lru_put
 from repro.core.policies import make_policy
 from repro.scenarios.spec import FAULT_TARGETS, FaultSpec
+from repro.telemetry import metrics as _metrics
 
 #: The stratum-dimension defaults: a DL1 fault during an isolation run.
 #: Strata pinned to these defaults keep the historical RNG identity, so
@@ -57,44 +59,93 @@ class KernelFaultSpace:
 
     Derived from the memory-op stream of the kernel's golden run
     (:func:`repro.experiments.runner.cached_golden_run`), the same run
-    batched replay classifies the sampled points against.
+    batched replay classifies the sampled points against.  It is also
+    the form a result store keeps (:meth:`payload`), so a resume that
+    finds it there runs no kernel at all.
     """
 
     #: Total DL1 data accesses (loads + stores) of the golden run.
     mem_ops: int
     #: Distinct word addresses in first-touch order.
     first_touch: Tuple[int, ...]
-    #: ``distinct_before[i]`` = number of distinct words touched by the
-    #: first ``i`` memory operations (length ``mem_ops + 1``).
-    distinct_before: Tuple[int, ...]
+    #: ``first_touch_ops[j]`` = 1-based ordinal of the memory operation
+    #: that first touches ``first_touch[j]`` (strictly increasing).
+    first_touch_ops: Tuple[int, ...]
+
+    def population(self, ops: int) -> int:
+        """Distinct words touched by the first ``ops`` memory operations."""
+        return bisect_right(self.first_touch_ops, ops)
+
+    def payload(self) -> Dict[str, object]:
+        """The JSON form a result store keeps."""
+        return {
+            "mem_ops": self.mem_ops,
+            "first_touch": list(self.first_touch),
+            "first_touch_ops": list(self.first_touch_ops),
+        }
+
+    @classmethod
+    def from_payload(cls, payload: Dict[str, object]) -> "KernelFaultSpace":
+        return cls(
+            mem_ops=payload["mem_ops"],
+            first_touch=tuple(payload["first_touch"]),
+            first_touch_ops=tuple(payload["first_touch_ops"]),
+        )
 
 
 _SPACE_CACHE: Dict[Tuple[str, float], KernelFaultSpace] = {}
 _SPACE_CACHE_MAX = 32
 
 
-def kernel_fault_space(kernel: str, scale: float) -> KernelFaultSpace:
-    """Build (or fetch) the fault-sampling population of one kernel."""
-    key = (kernel, scale)
-    cached = lru_get(_SPACE_CACHE, key)
-    if cached is not None:
-        return cached
+def _derive_fault_space(kernel: str, scale: float) -> KernelFaultSpace:
     from repro.experiments.runner import cached_golden_run
 
+    op_wa = cached_golden_run(kernel, scale).op_wa
     seen = set()
     first_touch: List[int] = []
-    distinct_before: List[int] = [0]
-    for word in cached_golden_run(kernel, scale).op_wa:
+    first_touch_ops: List[int] = []
+    for ordinal, word in enumerate(op_wa, 1):
         if word not in seen:
             seen.add(word)
             first_touch.append(word)
-        distinct_before.append(len(seen))
-    space = KernelFaultSpace(
-        mem_ops=len(distinct_before) - 1,
+            first_touch_ops.append(ordinal)
+    return KernelFaultSpace(
+        mem_ops=len(op_wa),
         first_touch=tuple(first_touch),
-        distinct_before=tuple(distinct_before),
+        first_touch_ops=tuple(first_touch_ops),
     )
-    lru_put(_SPACE_CACHE, key, space, _SPACE_CACHE_MAX)
+
+
+def kernel_fault_space(kernel: str, scale: float, store=None) -> KernelFaultSpace:
+    """The fault-sampling population of one kernel at one scale.
+
+    Looked up in the in-process cache, then in ``store`` (a
+    :class:`~repro.store.ResultStore`, if given), and only then derived
+    from the kernel's golden run.  A space ``store`` lacks is written to
+    it, so the next process resuming from that store runs no kernel.
+    """
+    key = (kernel, scale)
+    space = lru_get(_SPACE_CACHE, key)
+    store_key = None
+    if store is not None:
+        from repro.store import fault_space_key
+
+        store_key = fault_space_key(kernel, scale)
+    if space is None:
+        stored = None if store_key is None else store.get_fault_space(store_key)
+        if stored is None:
+            space = _derive_fault_space(kernel, scale)
+        else:
+            space = KernelFaultSpace.from_payload(stored)
+        source = "golden" if stored is None else "store"
+        _metrics.inc("campaign_fault_spaces_total", labels={"source": source})
+        lru_put(_SPACE_CACHE, key, space, _SPACE_CACHE_MAX)
+        missing = stored is None
+    else:
+        missing = store_key is not None and not store.has_fault_space(store_key)
+    if store_key is not None and missing:
+        with _metrics.phase_timer("store_write"):
+            store.put_fault_space(store_key, space.payload())
     return space
 
 
@@ -181,7 +232,7 @@ def _draw_point(
         # The whole working set is L2-resident for the entire run.
         word = space.first_touch[rng.randrange(len(space.first_touch))]
     else:
-        population = space.distinct_before[at_access - 1]
+        population = space.population(at_access - 1)
         if population:
             word = space.first_touch[rng.randrange(population)]
         else:

@@ -9,10 +9,9 @@ shared :class:`ExperimentContext` makes the expensive ingredient — the
 kernel × policy simulation matrix — computed once per campaign no matter
 how many experiments consume it.
 
-The default campaign scale (:data:`DEFAULT_CAMPAIGN_SCALE`) is the
-scale of the committed artefacts: 0.4 keeps the full 16-kernel ×
-4-policy matrix fast while preserving the loop-dominated steady-state
-behaviour, so overhead percentages match the full-scale runs.
+The default campaign scale (:data:`DEFAULT_CAMPAIGN_SCALE`, defined in
+:mod:`repro.scenarios.spec` so the CLI reads it without loading this
+package) is the scale of the committed artefacts.
 """
 
 from __future__ import annotations
@@ -23,10 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.experiments.runner import ExperimentRunner, KernelRunSet
-
-#: Scale applied to every kernel's iteration counts in a default
-#: campaign; the committed artefacts under ``benchmarks/output/`` use it.
-DEFAULT_CAMPAIGN_SCALE = 0.4
+from repro.scenarios.spec import DEFAULT_CAMPAIGN_SCALE
 
 
 @dataclass

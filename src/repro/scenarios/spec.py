@@ -28,6 +28,12 @@ PolicyLike = Union[str, EccPolicyKind, EccPolicy]
 #: Cache arrays a :class:`FaultSpec` can target.
 FAULT_TARGETS = ("dl1", "l2")
 
+#: Kernel scale of the committed artefacts under ``benchmarks/output/``
+#: (``python -m repro --run``'s default): 0.4 keeps the full 16-kernel x
+#: 4-policy matrix fast while preserving the loop-dominated steady-state
+#: behaviour, so overhead percentages match the full-scale runs.
+DEFAULT_CAMPAIGN_SCALE = 0.4
+
 
 @dataclass(frozen=True)
 class FaultSpec:

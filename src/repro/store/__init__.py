@@ -6,9 +6,10 @@ pure content address, so identical work is never repeated across
 processes, campaign restarts or machines sharing a store file.
 
 * :mod:`repro.store.canonical` — canonical spec encoding, hashing and
-  the inverse (round-trip is tested for every registered scenario).
+  the inverse (round-trip is tested for every registered scenario),
+  plus the key of each kernel's stored fault space.
 * :mod:`repro.store.result_store` — the SQLite-backed key/JSON store
-  with hit/miss accounting.
+  with hit/miss accounting, and the fault spaces a resume samples from.
 * :mod:`repro.store.serialize` — lossless timing-result payloads for
   the :func:`repro.simulation.simulate_spec` / experiment-runner cache.
 """
@@ -18,6 +19,7 @@ from repro.store.canonical import (
     canonical_dict,
     canonical_json,
     canonical_policy_value,
+    fault_space_key,
     spec_from_canonical,
     spec_hash,
 )
@@ -55,6 +57,7 @@ __all__ = [
     "canonical_dict",
     "canonical_json",
     "canonical_policy_value",
+    "fault_space_key",
     "list_shards",
     "merge_shards",
     "payload_from_result",

@@ -135,6 +135,22 @@ def spec_hash(spec: SimulationSpec) -> str:
     return hashlib.sha256(canonical_json(spec).encode("utf-8")).hexdigest()
 
 
+def fault_space_key(kernel: str, scale: float) -> str:
+    """Store key of one kernel's fault-sampling population at one scale.
+
+    Hashed like a spec, from the encoding version, the kernel and the
+    scale (as a float, so ``1`` and ``1.0`` share a key): a stored
+    fault space goes stale exactly when the result rows sampled from it
+    do.
+    """
+    text = json.dumps(
+        {"v": SCHEMA_VERSION, "fault_space": kernel, "scale": float(scale)},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 # ---------------------------------------------------------------------- #
 # decoding                                                               #
 # ---------------------------------------------------------------------- #

@@ -1,12 +1,20 @@
 """Persistent, content-addressed, self-verifying result store.
 
-One SQLite file holds one table of JSON payloads keyed by the canonical
-spec hash (:func:`repro.store.canonical.spec_hash`).  The store is the
-substrate for two features:
+One SQLite file holds four tables:
+
+* ``results`` — JSON payloads keyed by the canonical spec hash
+  (:func:`repro.store.canonical.spec_hash`);
+* ``fault_spaces`` — each (kernel, scale)'s fault-sampling population,
+  keyed by :func:`repro.store.canonical.fault_space_key`;
+* ``store_meta`` — the file-layout version;
+* ``quarantine`` — points the campaign supervisor gave up on.
+
+The store is the substrate for two features:
 
 * **campaign checkpoint / resume** — every finished injection point is
   written under its spec hash, so a re-run only simulates missing
-  points;
+  points; the fault spaces written next to them let a resume sample
+  its points without re-running any kernel;
 * an **opt-in cross-process result cache** for
   :func:`repro.simulation.simulate_spec` / the experiment runner —
   timing results keyed the same way survive process boundaries (unlike
@@ -18,11 +26,12 @@ for one writer + many readers; each process opens its own connection.
 Because a poisoned store silently poisons every future ``--resume``,
 the store defends itself:
 
-* every row carries a **payload checksum** (truncated SHA-256) written
-  with the payload and checked on every read — a torn or bit-corrupted
-  row is *dropped on read* (counted in :attr:`corrupt_dropped`) and
-  reported as a miss, so the resume path transparently re-simulates it;
-* :meth:`verify` scans the whole file without modifying it and
+* every result and fault-space row carries a **payload checksum**
+  (truncated SHA-256) written with the payload and checked on every
+  read — a torn or bit-corrupted row is *dropped on read* (counted in
+  :attr:`corrupt_dropped`) and reported as a miss, so the resume path
+  transparently re-simulates it (or re-derives the fault space);
+* :meth:`verify` scans both tables without modifying the file and
   :meth:`repair` drops corrupt rows / backfills legacy checksums;
 * writes retry with exponential backoff when ``database is locked``
   outlives ``busy_timeout`` (competing writers on network filesystems);
@@ -52,7 +61,9 @@ from repro.telemetry import metrics as _metrics
 
 #: Version of the *file layout* (tables/columns), independent of the
 #: canonical spec-encoding version (``repro.store.canonical``).  v1 had
-#: no checksum column, meta table or quarantine table.
+#: no checksum column, meta table or quarantine table.  The
+#: ``fault_spaces`` table is additive (an older build ignores it), so
+#: it did not bump the version.
 STORE_SCHEMA_VERSION = 2
 
 _SCHEMA = """
@@ -73,6 +84,11 @@ CREATE TABLE IF NOT EXISTS quarantine (
     spec  TEXT NOT NULL DEFAULT '',
     error TEXT NOT NULL
 );
+CREATE TABLE IF NOT EXISTS fault_spaces (
+    key      TEXT PRIMARY KEY,
+    payload  TEXT NOT NULL,
+    checksum TEXT NOT NULL
+);
 """
 
 #: ``database is locked`` retry schedule (seconds) used once SQLite's
@@ -84,6 +100,20 @@ _LOCK_BASE_DELAY = 0.05
 def payload_checksum(payload_text: str) -> str:
     """Truncated SHA-256 of the stored payload text (16 hex chars)."""
     return hashlib.sha256(payload_text.encode("utf-8")).hexdigest()[:16]
+
+
+def _parse_row(payload_text: str, checksum: str) -> Optional[object]:
+    """A row's decoded payload, or None if its checksum or JSON lies.
+
+    An empty checksum marks a legacy (pre-checksum) result row, which
+    is JSON-checked only.
+    """
+    if checksum and payload_checksum(payload_text) != checksum:
+        return None
+    try:
+        return json.loads(payload_text)
+    except ValueError:
+        return None
 
 
 def _is_locked_error(error: BaseException) -> bool:
@@ -125,15 +155,20 @@ class StoreHealthReport:
     #: Keys dropped / backfilled by ``repair`` (empty after ``verify``).
     dropped: List[str] = field(default_factory=list)
     backfilled: List[str] = field(default_factory=list)
+    #: Fault-space rows scanned, and the keys of those that lie.
+    fault_spaces: int = 0
+    corrupt_fault_spaces: List[str] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
-        return not self.corrupt
+        return not self.corrupt and not self.corrupt_fault_spaces
 
     def describe(self) -> str:
         text = (
             f"{self.total} rows: {self.intact} intact, "
-            f"{len(self.corrupt)} corrupt, {len(self.legacy)} legacy"
+            f"{len(self.corrupt)} corrupt, {len(self.legacy)} legacy; "
+            f"{self.fault_spaces} fault spaces, "
+            f"{len(self.corrupt_fault_spaces)} corrupt"
         )
         if self.dropped or self.backfilled:
             text += (
@@ -262,21 +297,20 @@ class ResultStore:
         row = self._connection.execute(
             "SELECT payload, checksum FROM results WHERE key = ?", (key,)
         ).fetchone()
-        if row is None:
-            self.misses += 1
-            return None
-        payload_text, checksum = row
-        if checksum and payload_checksum(payload_text) != checksum:
-            self._drop_corrupt(key)
-            self.misses += 1
-            return None
-        try:
-            payload = json.loads(payload_text)
-        except ValueError:
-            self._drop_corrupt(key)
+        payload = None if row is None else self._decode("results", key, *row)
+        if payload is None:
             self.misses += 1
             return None
         self.hits += 1
+        return payload
+
+    def _decode(
+        self, table: str, key: str, payload_text: str, checksum: str
+    ) -> Optional[Dict[str, object]]:
+        """One row's payload, or None after dropping the row as corrupt."""
+        payload = _parse_row(payload_text, checksum)
+        if payload is None:
+            self._drop_corrupt(key, table)
         return payload
 
     def get_many(self, keys: List[str]) -> Dict[str, Dict[str, object]]:
@@ -311,18 +345,8 @@ class ResultStore:
                 rows[key] = (payload_text, checksum)
         for key in unique:
             row = rows.get(key)
-            if row is None:
-                self.misses += 1
-                continue
-            payload_text, checksum = row
-            if checksum and payload_checksum(payload_text) != checksum:
-                self._drop_corrupt(key)
-                self.misses += 1
-                continue
-            try:
-                payload = json.loads(payload_text)
-            except ValueError:
-                self._drop_corrupt(key)
+            payload = None if row is None else self._decode("results", key, *row)
+            if payload is None:
                 self.misses += 1
                 continue
             self.hits += 1
@@ -337,11 +361,11 @@ class ResultStore:
         finally:
             _metrics.observe("store_write_seconds", time.perf_counter() - started)
 
-    def _drop_corrupt(self, key: str) -> None:
+    def _drop_corrupt(self, key: str, table: str = "results") -> None:
         with_lock_retry(
             lambda: (
                 self._connection.execute(
-                    "DELETE FROM results WHERE key = ?", (key,)
+                    f"DELETE FROM {table} WHERE key = ?", (key,)
                 ),
                 self._connection.commit(),
             )
@@ -397,6 +421,39 @@ class ResultStore:
                 "INSERT OR REPLACE INTO results "
                 "(key, kind, spec, payload, checksum) VALUES (?, ?, ?, ?, ?)",
                 prepared,
+            )
+            self._connection.commit()
+
+        self._timed_write(write)
+
+    def get_fault_space(self, key: str) -> Optional[Dict[str, object]]:
+        """The fault-sampling population stored under ``key``, or None.
+
+        Checked and dropped on read like a result row (see :meth:`get`);
+        these lookups do not count as result hits or misses.
+        """
+        with self._published_lookup():
+            row = self._connection.execute(
+                "SELECT payload, checksum FROM fault_spaces WHERE key = ?", (key,)
+            ).fetchone()
+            return None if row is None else self._decode("fault_spaces", key, *row)
+
+    def has_fault_space(self, key: str) -> bool:
+        """Whether a fault-space row exists under ``key`` (unverified)."""
+        row = self._connection.execute(
+            "SELECT 1 FROM fault_spaces WHERE key = ?", (key,)
+        ).fetchone()
+        return row is not None
+
+    def put_fault_space(self, key: str, payload: Dict[str, object]) -> None:
+        """Insert or overwrite the fault-sampling population under ``key``."""
+        payload_text = json.dumps(payload, sort_keys=True)
+
+        def write():
+            self._connection.execute(
+                "INSERT OR REPLACE INTO fault_spaces (key, payload, checksum) "
+                "VALUES (?, ?, ?)",
+                (key, payload_text, payload_checksum(payload_text)),
             )
             self._connection.commit()
 
@@ -483,30 +540,31 @@ class ResultStore:
             "SELECT key, payload, checksum FROM results ORDER BY key"
         ):
             report.total += 1
-            parses = True
-            try:
-                json.loads(payload_text)
-            except ValueError:
-                parses = False
-            if not parses:
+            if _parse_row(payload_text, checksum) is None:
                 report.corrupt.append(key)
             elif not checksum:
                 report.legacy.append(key)
-            elif payload_checksum(payload_text) != checksum:
-                report.corrupt.append(key)
             else:
                 report.intact += 1
+        for key, payload_text, checksum in self._connection.execute(
+            "SELECT key, payload, checksum FROM fault_spaces ORDER BY key"
+        ):
+            report.fault_spaces += 1
+            if not checksum or _parse_row(payload_text, checksum) is None:
+                report.corrupt_fault_spaces.append(key)
         return report
 
     def verify(self) -> StoreHealthReport:
-        """Scan every row's checksum/JSON without modifying the file."""
+        """Scan every result and fault-space row's checksum/JSON without
+        modifying the file."""
         return self._scan()
 
     def repair(self) -> StoreHealthReport:
         """Heal the store: drop corrupt rows, backfill legacy checksums.
 
         Dropped rows are simply missing afterwards — the resume path
-        re-simulates them from their (re-derivable) specs, which is the
+        re-simulates them from their (re-derivable) specs, and re-derives
+        a dropped fault space from its kernel's golden run, which is the
         re-simulation fallback the checksum design counts on.
         """
         report = self._scan()
@@ -515,6 +573,10 @@ class ResultStore:
             for key in report.corrupt:
                 self._connection.execute(
                     "DELETE FROM results WHERE key = ?", (key,)
+                )
+            for key in report.corrupt_fault_spaces:
+                self._connection.execute(
+                    "DELETE FROM fault_spaces WHERE key = ?", (key,)
                 )
             for key in report.legacy:
                 (payload_text,) = self._connection.execute(
@@ -527,8 +589,8 @@ class ResultStore:
             self._connection.commit()
 
         with_lock_retry(heal)
-        self.corrupt_dropped += len(report.corrupt)
-        report.dropped = list(report.corrupt)
+        report.dropped = report.corrupt + report.corrupt_fault_spaces
+        self.corrupt_dropped += len(report.dropped)
         report.backfilled = list(report.legacy)
         report.intact += len(report.legacy)
         report.legacy = []

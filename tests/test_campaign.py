@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import os
+
 import pytest
 
 from repro.campaign import (
@@ -355,10 +358,19 @@ class TestSampling:
     def test_fault_space_matches_the_object_interpreter(
         self, kernel, scale, monkeypatch
     ):
-        """The fault space read off the golden run equals one built
-        from the object interpreter's address stream, so the sampled
+        """The compact fault space read off the golden run counts, at
+        every memory-op ordinal, the distinct words the object
+        interpreter's address stream has touched by then, and a space
+        read back from a store equals the derived one — so the sampled
         points (and every campaign summary) cannot move."""
-        from repro.campaign import clear_sample_cursors, kernel_fault_space
+        import random
+
+        from repro.campaign import (
+            clear_sample_cursors,
+            kernel_fault_space,
+            stratum_identity,
+            target_codeword_bits,
+        )
         from repro.campaign import sampling
         from repro.functional.reference import run_reference
 
@@ -373,27 +385,54 @@ class TestSampling:
                 seen.add(word)
                 first_touch.append(word)
             distinct_before.append(len(seen))
-        reference = sampling.KernelFaultSpace(
-            mem_ops=len(distinct_before) - 1,
-            first_touch=tuple(first_touch),
-            distinct_before=tuple(distinct_before),
-        )
         space = kernel_fault_space(kernel, scale)
-        assert space.mem_ops == reference.mem_ops
-        assert space.first_touch == reference.first_touch
-        assert space.distinct_before == reference.distinct_before
+        assert space.mem_ops == len(distinct_before) - 1
+        assert space.first_touch == tuple(first_touch)
+        assert [
+            space.population(ops) for ops in range(space.mem_ops + 1)
+        ] == distinct_before
 
-        def draws():
-            clear_sample_cursors()
-            return [
-                sample_faults(kernel, scale, "laec", 32, seed=seed, target=target)
-                for seed in (2019, 1)
-                for target in ("dl1", "l2")
-            ]
+        monkeypatch.setattr(sampling, "_SPACE_CACHE", {})
+        with ResultStore(":memory:") as store:
+            assert kernel_fault_space(kernel, scale, store) == space
+            sampling._SPACE_CACHE.clear()
 
-        lean = draws()
-        monkeypatch.setattr(sampling, "kernel_fault_space", lambda *_: reference)
-        assert draws() == lean
+            def no_golden(*_):
+                raise AssertionError("the stored fault space was re-derived")
+
+            monkeypatch.setattr(sampling, "_derive_fault_space", no_golden)
+            assert kernel_fault_space(kernel, scale, store) == space
+
+        def reference_draws(seed, target):
+            """The sampler's three draws per point, on the object
+            interpreter's per-ordinal population counts."""
+            rng = random.Random(stratum_identity(seed, kernel, "laec", target=target))
+            bits = target_codeword_bits("laec", target)
+            points = []
+            for _ in range(32):
+                at_access = rng.randint(1, len(distinct_before) - 1)
+                if target == "l2":
+                    word = first_touch[rng.randrange(len(first_touch))]
+                elif distinct_before[at_access - 1]:
+                    word = first_touch[rng.randrange(distinct_before[at_access - 1])]
+                else:
+                    word = first_touch[0]
+                points.append(
+                    FaultSpec(
+                        target=target,
+                        word_address=word,
+                        bit=rng.randrange(bits),
+                        at_access=at_access,
+                    )
+                )
+            return points
+
+        clear_sample_cursors()
+        for seed in (2019, 1):
+            for target in ("dl1", "l2"):
+                assert sample_faults(
+                    kernel, scale, "laec", 32, seed=seed, target=target
+                ) == reference_draws(seed, target)
 
     def test_stratum_identity_extends_only_for_non_default_dimensions(self):
         from repro.campaign import stratum_identity
@@ -704,6 +743,41 @@ class TestCampaignResume:
             assert store.misses == first_misses
             assert rerun.store_hits == rerun.store_misses == 0
 
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_fully_stored_resume_runs_no_kernel_and_starts_no_pool(
+        self, tmp_path, monkeypatch, workers
+    ):
+        """The store keeps each kernel's fault space next to the
+        results, so a resume whose every point is stored samples them
+        without a golden run and never needs a pool."""
+        import concurrent.futures
+        import dataclasses
+
+        from repro.campaign import sampling
+        from repro.experiments import runner
+
+        path = tmp_path / "campaign.sqlite"
+        with ResultStore(path) as store:
+            cold = run_campaign(self.CONFIG, store=store)
+        monkeypatch.setattr(runner, "_GOLDEN_CACHE", {})
+        monkeypatch.setattr(sampling, "_SPACE_CACHE", {})
+
+        def no_golden(*_args, **_kwargs):
+            raise AssertionError("a fully stored resume ran a kernel")
+
+        def no_pool(*_args, **_kwargs):
+            raise AssertionError("a fully stored resume started a pool")
+
+        monkeypatch.setattr(runner, "golden_pass", no_golden)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        config = dataclasses.replace(self.CONFIG, workers=workers)
+        with ResultStore(path) as store:
+            resumed = run_campaign(config, store=store, resume=True)
+            # The fault spaces are not result rows.
+            assert len(store) == resumed.points == 20
+        assert resumed.simulated == 0 and resumed.store_hits == 20
+        assert resumed.render() == cold.render()
+
 
 # --------------------------------------------------------------------- #
 # CLI plumbing                                                          #
@@ -764,6 +838,81 @@ class TestCampaignCli:
         assert "store-hits=4" in second.err
         # The summary read back from the store is byte-identical.
         assert resumed.read_bytes() == out.read_bytes()
+
+    def test_corrupt_fault_space_fails_verify_and_resume_rebuilds_it(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import sqlite3
+
+        from repro import __main__ as cli
+        from repro.campaign import sampling
+
+        store = tmp_path / "cli.sqlite"
+        grid = [
+            "campaign", "--kernels", "rspeed", "--policies", "extra-cycle",
+            "--trials", "4", "--scale", "0.1", "--store", str(store), "--quiet",
+        ]
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        assert cli.main(grid + ["--out", str(first)]) == 0
+        connection = sqlite3.connect(str(store))
+        try:
+            (key, payload), = connection.execute(
+                "SELECT key, payload FROM fault_spaces"
+            ).fetchall()
+            at = next(i for i, ch in enumerate(payload) if ch.isdigit())
+            lying = payload[:at] + str((int(payload[at]) + 1) % 10) + payload[at + 1:]
+            connection.execute(
+                "UPDATE fault_spaces SET payload = ? WHERE key = ?", (lying, key)
+            )
+            connection.commit()
+        finally:
+            connection.close()
+        capsys.readouterr()
+        assert cli.main(["store", str(store), "--verify"]) == 1
+        verify = capsys.readouterr().out
+        assert "1 fault spaces, 1 corrupt" in verify
+        # entries= counts result rows only.
+        assert "entries=4 " in verify
+        # A fresh process would find nothing cached: drop this one's.
+        monkeypatch.setattr(sampling, "_SPACE_CACHE", {})
+        assert cli.main(grid + ["--resume", "--out", str(second)]) == 0
+        assert "simulated=0" in capsys.readouterr().err
+        assert second.read_bytes() == first.read_bytes()
+        with ResultStore(store) as reopened:
+            assert reopened.get_fault_space(key) == json.loads(payload)
+        assert cli.main(["store", str(store), "--verify"]) == 0
+        assert "1 fault spaces, 0 corrupt" in capsys.readouterr().out
+
+    def test_fully_stored_resume_loads_no_experiment_module(self, tmp_path):
+        """A fresh process resuming a fully stored campaign imports
+        neither the experiment catalogue nor the golden-run cache."""
+        import subprocess
+        import sys
+
+        from repro import __main__ as cli
+
+        store = tmp_path / "cli.sqlite"
+        grid = [
+            "campaign", "--kernels", "rspeed", "--policies", "extra-cycle",
+            "--trials", "4", "--scale", "0.1", "--store", str(store), "--quiet",
+        ]
+        assert cli.main(grid) == 0
+        probe = (
+            "import sys\n"
+            "from repro.__main__ import main\n"
+            f"code = main({grid + ['--resume']!r})\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('repro.experiments'))\n"
+            "print(code, loaded)\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        )
+        assert completed.stdout.strip() == "0 []", completed.stderr
+        assert "simulated=0" in completed.stderr
 
     def test_l2_target_sweep_through_the_cli(self, tmp_path, capsys):
         # End-to-end L2 injection: FAULT_TARGETS has always advertised

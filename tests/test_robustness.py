@@ -214,6 +214,32 @@ class TestStoreIntegrity:
             assert len(store) == 3
             assert store.verify().clean
 
+    def test_fault_space_rows_are_checked_like_result_rows(self, tmp_path):
+        path = tmp_path / "s.sqlite"
+        space = {"mem_ops": 3, "first_touch": [8, 4], "first_touch_ops": [1, 3]}
+        with ResultStore(path) as store:
+            store.put("r", {"v": 1})
+            store.put_fault_space("a", space)
+            store.put_fault_space("b", space)
+            assert store.get_fault_space("a") == space
+            assert store.has_fault_space("b") and not store.has_fault_space("c")
+            # Fault spaces are not results: no hit/miss, no entry.
+            assert store.hits == store.misses == 0 and len(store) == 1
+            for key in ("a", "b"):
+                store._connection.execute(
+                    "UPDATE fault_spaces SET payload = ? WHERE key = ?",
+                    ('{"mem_ops": 4}', key),
+                )
+            store._connection.commit()
+            report = store.verify()
+            assert report.fault_spaces == 2 and not report.clean
+            assert report.corrupt_fault_spaces == ["a", "b"] and not report.corrupt
+            assert store.get_fault_space("a") is None  # dropped on read
+            assert store.corrupt_dropped == 1
+            healed = store.repair()
+            assert healed.dropped == ["b"]
+            assert store.verify().clean and store.verify().fault_spaces == 0
+
     def test_v1_store_migrates_in_place_and_repair_backfills(self, tmp_path):
         path = tmp_path / "v1.sqlite"
         # Write a faithful v1 layout: no checksum column, no meta table.

@@ -541,6 +541,55 @@ class TestSupervisorAgreement:
         wall = campaign["t_end"] - campaign["t_start"]
         assert sum(metric["sum"] for metric in phases.values()) <= wall
 
+    def test_traced_resume_takes_every_fault_space_from_the_store(
+        self, tmp_path, monkeypatch
+    ):
+        """A fully stored resume reads each (kernel, scale)'s fault
+        space from the store, so its trace shows no golden phase — and
+        says why — while its summary equals the untraced one."""
+        from repro.campaign import sampling
+        from repro.experiments import runner
+
+        def fault_spaces(loaded):
+            return {
+                metric["labels"]["source"]: metric["value"]
+                for metric in loaded.metrics
+                if metric["name"] == "campaign_fault_spaces_total"
+            }
+
+        def phase_names(loaded):
+            return {
+                metric["labels"]["phase"]
+                for metric in loaded.metrics
+                if metric["name"] == metrics.PHASE_METRIC
+            }
+
+        monkeypatch.setattr(runner, "_GOLDEN_CACHE", {})
+        monkeypatch.setattr(sampling, "_SPACE_CACHE", {})
+        grid = config(kernels=("rspeed", "canrdr"), scales=(0.05, 0.1), trials=4)
+        pairs = {(kernel, scale) for kernel, *_, scale in grid.strata()}
+        store_path = tmp_path / "s.sqlite"
+        cold_path = tmp_path / "cold.trace"
+        with ResultStore(store_path) as store:
+            cold = run_campaign(grid, store=store, telemetry=Telemetry(cold_path))
+        cold_trace = analyze.TraceFile(cold_path)
+        assert fault_spaces(cold_trace) == {"golden": len(pairs)}
+        assert "golden" in phase_names(cold_trace)
+
+        monkeypatch.setattr(runner, "_GOLDEN_CACHE", {})
+        monkeypatch.setattr(sampling, "_SPACE_CACHE", {})
+        resume_path = tmp_path / "resume.trace"
+        with ResultStore(store_path) as store:
+            traced = run_campaign(
+                grid, store=store, resume=True, telemetry=Telemetry(resume_path)
+            )
+            untraced = run_campaign(grid, store=store, resume=True)
+        resumed = analyze.TraceFile(resume_path)
+        assert fault_spaces(resumed) == {"store": len(pairs)}
+        assert "golden" not in phase_names(resumed)
+        assert traced.simulated == untraced.simulated == 0
+        assert traced.render() == untraced.render() == cold.render()
+
 
 # --------------------------------------------------------------------- #
 # trace analysis + CLI consumer                                         #
