@@ -8,7 +8,7 @@ Run with::
 EEMBC-Automotive-like kernels shared by Table II, Figure 8, the energy
 report and the hazard ablation; 1.0 matches the sizes used for the
 numbers recorded in EXPERIMENTS.md and takes a few minutes in pure
-Python.  Every section is one registered experiment built on one shared
+Python.  Every section is one catalogue row built on one shared
 context, exactly as ``python -m repro --run all`` builds them, so at the
 default scale the printed sections equal the committed artefacts under
 ``benchmarks/output/``.

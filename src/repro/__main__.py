@@ -736,7 +736,7 @@ def _run_store_command(argv: List[str]) -> int:
 
 
 def _list_experiments() -> str:
-    from repro.experiments.base import all_experiments
+    from repro.experiments import all_experiments
 
     lines = ["Registered experiments:"]
     for experiment in all_experiments():
@@ -756,7 +756,7 @@ def _list_scenarios() -> str:
 
 
 def _resolve_requested(requested: List[str]) -> List[str]:
-    from repro.experiments.base import experiment_names
+    from repro.experiments import experiment_names
 
     names: List[str] = []
     for name in requested:
@@ -767,6 +767,20 @@ def _resolve_requested(requested: List[str]) -> List[str]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    try:
+        status = _main(argv)
+        # Flush inside the ``try``: a reader that went away fails here.
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # Stdout closed early (``python -m repro --list | head -3``).
+        # Python flushes it again at exit, so point it at devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+
+
+def _main(argv: Optional[List[str]]) -> int:
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] == "campaign":
@@ -793,7 +807,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     # The experiment catalogue (11 experiment modules) loads only here: the
     # campaign, store, trace and lint subcommands never import it.
-    from repro.experiments.base import ExperimentContext, get_experiment
+    from repro.experiments import ExperimentContext, get_experiment
 
     try:
         names = _resolve_requested(args.run)

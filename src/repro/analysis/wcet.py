@@ -16,7 +16,7 @@ from typing import Dict, Union
 from repro.core.policies import EccPolicy, EccPolicyKind
 from repro.functional.interpreter import FunctionalTrace, run_program
 from repro.isa.program import Program
-from repro.soc.interference import InterferenceScenario
+from repro.scenarios.interference import InterferenceScenario
 from repro.soc.ngmp import NgmpConfig, NgmpSoC, TaskPlacement
 
 

@@ -17,23 +17,22 @@ module                          paper artefact
 ``ablation_sensitivity``        sensitivity of Figure 8 to Table II stats
 ``fault_campaign``              SECDED correction/detection guarantees
 ``campaign_summary``            architectural injection campaign vs the
-                                analytical reliability model (wraps
-                                :mod:`repro.campaign`; registered in
-                                :mod:`repro.experiments.catalog`)
+                                analytical reliability model
 ``sweep_summary``               multi-dimensional fault sweep (DL1 vs L2
                                 targets × isolation vs bus contention)
                                 with per-dimension marginals
 ==============================  =======================================
 
-Each driver module exposes ``run(...)``/``render(...)``; the uniform
-:class:`~repro.experiments.base.Experiment` wrappers in
-:mod:`repro.experiments.catalog` register them all in one discoverable
-registry, which is what ``python -m repro`` serves.
+Each driver's ``run()`` defaults are the committed artefact's
+parameters.  :mod:`repro.experiments.catalog` lists every driver as one
+:class:`~repro.experiments.base.Experiment` row, and that table is what
+``python -m repro`` serves.
 """
 
 from repro.experiments import (
     ablation_hazards,
     ablation_sensitivity,
+    campaign_summary,
     chronograms,
     energy_report,
     fault_campaign,
@@ -48,17 +47,17 @@ from repro.experiments.base import (
     Experiment,
     ExperimentContext,
     ExperimentOutput,
-    all_experiments,
-    experiment_names,
-    get_experiment,
-    register,
 )
 from repro.experiments.runner import (
     ExperimentRunner,
     KernelRunSet,
     clear_kernel_trace_cache,
 )
-from repro.experiments import catalog  # noqa: F401  (registers the experiments)
+from repro.experiments.catalog import (
+    all_experiments,
+    experiment_names,
+    get_experiment,
+)
 
 __all__ = [
     "DEFAULT_CAMPAIGN_SCALE",
@@ -70,6 +69,7 @@ __all__ = [
     "ablation_hazards",
     "ablation_sensitivity",
     "all_experiments",
+    "campaign_summary",
     "chronograms",
     "clear_kernel_trace_cache",
     "energy_report",
@@ -77,7 +77,6 @@ __all__ = [
     "fault_campaign",
     "figure8",
     "get_experiment",
-    "register",
     "sweep_summary",
     "table1",
     "table2",

@@ -55,11 +55,10 @@ def sweep(
     parameter: str,
     values: Sequence[float],
     *,
-    base: SyntheticStreamConfig | None = None,
-    instructions: int = 12_000,
+    instructions: int,
 ) -> List[SweepPoint]:
     """Sweep one synthetic-stream parameter and measure the overheads."""
-    base = base or SyntheticStreamConfig(instructions=instructions)
+    base = SyntheticStreamConfig(instructions=instructions)
     core_config = CoreConfig()
     points: List[SweepPoint] = []
     for value in values:
@@ -76,7 +75,7 @@ def sweep(
     return points
 
 
-def run(*, instructions: int = 12_000) -> Dict[str, List[SweepPoint]]:
+def run(*, instructions: int = 8000) -> Dict[str, List[SweepPoint]]:
     """Run the three default sweeps."""
     return {
         "load_fraction": sweep(

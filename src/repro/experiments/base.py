@@ -4,10 +4,11 @@ Every paper artefact (table, figure, ablation) is exposed as an
 :class:`Experiment`: a named, self-describing unit that knows how to
 compute its result, render it to text, and — when it regenerates one of
 the artefacts under ``benchmarks/output/`` — which file it owns.  The
-registry makes the set discoverable (``python -m repro --list``) and the
-shared :class:`ExperimentContext` makes the expensive ingredient — the
-kernel × policy simulation matrix — computed once per campaign no matter
-how many experiments consume it.
+catalogue (:mod:`repro.experiments.catalog`, one row per experiment)
+makes the set discoverable (``python -m repro --list``) and the shared
+:class:`ExperimentContext` makes the expensive ingredient — the kernel ×
+policy simulation matrix — computed once per campaign no matter how many
+experiments consume it.
 
 The default campaign scale (:data:`DEFAULT_CAMPAIGN_SCALE`, defined in
 :mod:`repro.scenarios.spec` so the CLI reads it without loading this
@@ -16,10 +17,9 @@ package) is the scale of the committed artefacts.
 
 from __future__ import annotations
 
-import abc
 import pathlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Optional
 
 from repro.experiments.runner import ExperimentRunner, KernelRunSet
 from repro.scenarios.spec import DEFAULT_CAMPAIGN_SCALE
@@ -35,8 +35,8 @@ class ExperimentContext:
     of parallelism.
 
     ``seed`` overrides the RNG seed of the experiments that draw random
-    trials (``fault_campaign``, ``campaign_summary``); ``None`` keeps
-    each experiment's committed default, so artefacts stay
+    trials (``fault_campaign``, ``campaign_summary``, ``sweep_summary``);
+    ``None`` keeps each driver's default, so artefacts stay
     byte-identical.  ``store`` attaches a
     :class:`~repro.store.ResultStore` as a cross-process result cache,
     and ``force`` bypasses every cache layer (in-memory run set *and*
@@ -94,29 +94,22 @@ class ExperimentOutput:
         return path
 
 
-class Experiment(abc.ABC):
-    """One named, reproducible experiment.
+@dataclass(frozen=True)
+class Experiment:
+    """One named, reproducible experiment: a row of the catalogue.
 
-    Subclasses set ``name``/``description``, optionally ``artifact``
-    (the ``benchmarks/output/<artifact>.txt`` stem they regenerate) and
-    ``uses_run_set`` (whether they consume the shared kernel × policy
-    matrix), and implement :meth:`build` and :meth:`render`.
+    ``artifact`` is the ``benchmarks/output/<artifact>.txt`` stem the
+    experiment regenerates (``None`` for one that owns no artefact).
+    ``build(context)`` computes the structured result, passing the
+    driver only what comes from the context (run set, seed, workers,
+    store); ``render(result)`` turns it into the artefact text.
     """
 
-    name: str = ""
-    description: str = ""
-    artifact: Optional[str] = None
-    #: Whether this experiment consumes the shared kernel × policy matrix
-    #: (used by the CLI to decide when the campaign context must be built).
-    uses_run_set: bool = False
-
-    @abc.abstractmethod
-    def build(self, context: ExperimentContext):
-        """Compute and return the experiment's structured result."""
-
-    @abc.abstractmethod
-    def render(self, result) -> str:
-        """Turn :meth:`build`'s result into the artefact text."""
+    name: str
+    description: str
+    artifact: Optional[str]
+    build: Callable[[ExperimentContext], object]
+    render: Callable[[object], str]
 
     def execute(self, context: Optional[ExperimentContext] = None) -> ExperimentOutput:
         """Build and render in one step."""
@@ -128,34 +121,3 @@ class Experiment(abc.ABC):
             text=self.render(result),
             data=result,
         )
-
-
-_REGISTRY: Dict[str, Experiment] = {}
-
-
-def register(experiment_class):
-    """Class decorator: instantiate and register an :class:`Experiment`."""
-    experiment = experiment_class()
-    if not experiment.name:
-        raise ValueError(f"{experiment_class.__name__} declares no name")
-    if experiment.name in _REGISTRY:
-        raise ValueError(f"experiment {experiment.name!r} is already registered")
-    _REGISTRY[experiment.name] = experiment
-    return experiment_class
-
-
-def experiment_names() -> List[str]:
-    return sorted(_REGISTRY)
-
-
-def get_experiment(name: str) -> Experiment:
-    key = name.strip().lower()
-    if key not in _REGISTRY:
-        raise KeyError(
-            f"unknown experiment {name!r}; available: {', '.join(experiment_names())}"
-        )
-    return _REGISTRY[key]
-
-
-def all_experiments() -> List[Experiment]:
-    return [_REGISTRY[name] for name in experiment_names()]

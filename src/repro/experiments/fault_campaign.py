@@ -48,7 +48,7 @@ class CampaignRow:
 
 def run(
     *,
-    trials_per_point: int = 2000,
+    trials_per_point: int = 3000,
     seed: int = 2019,
     data_words: Optional[List[int]] = None,
 ) -> List[CampaignRow]:

@@ -32,7 +32,7 @@ from repro.core.caching import lru_get, lru_put
 from repro.core.policies import EccPolicyKind
 from repro.functional.interpreter import FunctionalTrace, GoldenRun, golden_pass
 from repro.isa.program import Program
-from repro.scenarios.spec import SimulationSpec
+from repro.scenarios.spec import DEFAULT_CAMPAIGN_SCALE, SimulationSpec
 from repro.simulation import SimulationResult, simulate_spec
 from repro.telemetry.metrics import phase_timer
 from repro.workloads import KERNEL_NAMES, build_kernel
@@ -104,13 +104,14 @@ def clear_kernel_trace_cache() -> None:
 def _simulate_kernel_task(
     args: Tuple[str, float, Tuple[str, ...]]
 ) -> Tuple[str, FunctionalTrace, Dict[str, "SimulationResult"]]:
-    """Worker-side job: one kernel under every policy (module-level so it
-    pickles for :class:`ProcessPoolExecutor`).
+    """One kernel under the given policies: the runner's only unit of
+    work, run inline or in a pool worker (module-level so it pickles for
+    :class:`ProcessPoolExecutor`).
 
     The functional trace is shared by every policy's result, so it is
-    detached before pickling and shipped exactly once — otherwise each
-    of the N per-policy results would serialise its own copy of the
-    trace's columns.  The parent re-attaches it.
+    detached and returned once — otherwise each of the N per-policy
+    results would pickle its own copy of the trace's columns.  The
+    parent re-attaches it.
     """
     name, scale, policy_values = args
     program, trace = cached_kernel_trace(name, scale)
@@ -170,7 +171,7 @@ class ExperimentRunner:
     def __init__(
         self,
         *,
-        scale: float = 1.0,
+        scale: float = DEFAULT_CAMPAIGN_SCALE,
         kernels: Optional[Iterable[str]] = None,
         policies: Iterable[EccPolicyKind] = FIGURE8_POLICIES,
         max_workers: Optional[int] = None,
@@ -188,113 +189,77 @@ class ExperimentRunner:
     def run_all(self, *, force: bool = False) -> KernelRunSet:
         """Simulate every kernel under every policy (cached).
 
+        One path whatever the workers and store: the parent restores
+        every stored (kernel, policy) result, one task per kernel
+        computes the missing policies (inline when serial, over a
+        process pool when ``max_workers > 1``), and the parent writes
+        the fresh results to the store.  Workers never touch the
+        parent's SQLite connection.
+
         ``force=True`` recomputes everything: the memoised run set is
         discarded and, when a store is attached, stored results are
         ignored on read (but refreshed on write).
         """
         if self._run_set is not None and not force:
             return self._run_set
-        workers = self.max_workers or 1
-        if workers > 1 and len(self.kernels) > 1:
-            run_set = self._run_parallel(
-                min(workers, len(self.kernels)), read_store=not force
-            )
-        else:
-            run_set = self._run_serial(read_store=not force)
+        policy_values = tuple(policy.value for policy in self.policies)
+        read_store = self.store is not None and not force
+        rows = {
+            name: self._restore(name, policy_values) if read_store else {}
+            for name in self.kernels
+        }
+        tasks = []
+        for name in self.kernels:
+            missing = tuple(value for value in policy_values if value not in rows[name])
+            if missing:
+                tasks.append((name, self.scale, missing))
+        for name, trace, per_policy in self._map(_simulate_kernel_task, tasks):
+            for result in per_policy.values():
+                result.trace = trace
+                if self.store is not None:
+                    from repro.store import store_timing_result
+
+                    store_timing_result(self.store, result.spec, result)
+            rows[name].update(per_policy)
+        run_set = KernelRunSet(scale=self.scale)
+        for name in self.kernels:
+            run_set.results[name] = {
+                value: rows[name][value] for value in policy_values
+            }
         self._run_set = run_set
         return run_set
 
-    # ------------------------------------------------------------------ #
-    def _simulate_stored(self, spec, program, trace, *, read_store: bool):
-        """One spec through the store-aware path (used by the serial run)."""
-        if self.store is None:
-            return simulate_spec(spec, program=program, trace=trace)
-        if read_store:
-            return simulate_spec(spec, program=program, trace=trace, store=self.store)
-        from repro.store import store_timing_result
+    def _map(self, task, tasks):
+        """``task`` over ``tasks`` in order: inline, or over a process pool."""
+        workers = min(self.max_workers or 1, len(tasks))
+        if workers <= 1:
+            return map(task, tasks)
+        from concurrent.futures import ProcessPoolExecutor
 
-        result = simulate_spec(spec, program=program, trace=trace)
-        store_timing_result(self.store, spec, result)
-        return result
+        with ProcessPoolExecutor(max_workers=workers) as executor:
+            # ``map`` preserves submission order, so results land in
+            # ``self.kernels`` order no matter which worker finishes first.
+            return list(executor.map(task, tasks))
 
-    def _run_serial(self, *, read_store: bool = True) -> KernelRunSet:
-        run_set = KernelRunSet(scale=self.scale)
-        for name in self.kernels:
-            program, trace = cached_kernel_trace(name, self.scale)
-            per_policy: Dict[str, SimulationResult] = {}
-            for policy in self.policies:
-                spec = SimulationSpec(kernel=name, scale=self.scale, policy=policy)
-                per_policy[policy.value] = self._simulate_stored(
-                    spec, program, trace, read_store=read_store
-                )
-            run_set.results[name] = per_policy
-        return run_set
+    def _restore(self, name: str, policy_values) -> Dict[str, SimulationResult]:
+        """Whatever the store holds of one kernel's policy row.
 
-    def _run_parallel(self, workers: int, *, read_store: bool = True) -> KernelRunSet:
-        policy_values = tuple(policy.value for policy in self.policies)
-        run_set = KernelRunSet(scale=self.scale)
-        # With a store attached, stored (kernel, policy) results are
-        # reconstructed in the parent at per-policy granularity; workers
-        # (which do not share the parent's SQLite connection) only
-        # compute the genuinely missing policies of each kernel.
-        restored: Dict[str, Dict[str, SimulationResult]] = {}
-        missing: Dict[str, Tuple[str, ...]] = {}
-        if self.store is not None and read_store:
-            for name in self.kernels:
-                row, absent = self._restore_kernel_row(name, policy_values)
-                restored[name] = row
-                if absent:
-                    missing[name] = absent
-        else:
-            missing = {name: policy_values for name in self.kernels}
-            restored = {name: {} for name in self.kernels}
-        tasks = [(name, self.scale, missing[name]) for name in self.kernels if name in missing]
-        if tasks:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as executor:
-                # ``map`` preserves submission order, so results land in
-                # ``self.kernels`` order no matter which worker finishes
-                # first.
-                for name, trace, per_policy in executor.map(
-                    _simulate_kernel_task, tasks
-                ):
-                    for result in per_policy.values():
-                        result.trace = trace
-                        if self.store is not None:
-                            from repro.store import store_timing_result
-
-                            store_timing_result(self.store, result.spec, result)
-                    restored[name].update(per_policy)
-        for name in self.kernels:
-            run_set.results[name] = {
-                value: restored[name][value] for value in policy_values
-            }
-        return run_set
-
-    def _restore_kernel_row(self, name: str, policy_values):
-        """Rebuild whatever the store holds of one kernel's policy row.
-
-        Returns ``(restored, missing)``: the per-policy results that
-        could be reconstructed (functional trace re-attached) and the
-        policy values that still need simulating.
+        Each restored result gets the kernel's functional trace
+        re-attached; the policies missing from the returned dict still
+        need simulating.
         """
         from repro.store import result_from_payload, spec_hash
 
         payloads = {}
-        specs = {}
         for value in policy_values:
             spec = SimulationSpec(kernel=name, scale=self.scale, policy=value)
             payload = self.store.get(spec_hash(spec))
             if payload is not None:
-                specs[value] = spec
-                payloads[value] = payload
-        missing = tuple(value for value in policy_values if value not in payloads)
+                payloads[value] = (spec, payload)
         if not payloads:
-            return {}, missing
+            return {}
         _, trace = cached_kernel_trace(name, self.scale)
-        restored = {
-            value: result_from_payload(specs[value], payloads[value], trace=trace)
-            for value in payloads
+        return {
+            value: result_from_payload(spec, payload, trace=trace)
+            for value, (spec, payload) in payloads.items()
         }
-        return restored, missing

@@ -16,15 +16,11 @@ isolation and under worst-case bus contention for
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Sequence
 
 from repro.analysis.reporting import Table
 from repro.analysis.wcet import WcetAnalysis, WcetBound
 from repro.workloads import build_kernel
-
-#: Store-intensive kernels used for the study (outputs written per sample).
-DEFAULT_KERNELS = ("iirflt", "puwmod", "a2time")
-
 
 @dataclass
 class WtVsWbResult:
@@ -52,15 +48,18 @@ class WtVsWbResult:
 
 def run(
     *,
-    kernels: Optional[List[str]] = None,
-    scale: float = 0.5,
+    kernels: Sequence[str] = ("iirflt", "puwmod", "a2time"),
+    scale: float = 0.3,
     contenders: int = 3,
     safety_margin: float = 1.2,
 ) -> WtVsWbResult:
-    """Compute WCET bounds for the selected kernels and configurations."""
+    """Compute WCET bounds for the selected kernels and configurations.
+
+    The default kernels are store-intensive (outputs written per sample).
+    """
     analysis = WcetAnalysis(safety_margin=safety_margin, contenders=contenders)
     bounds: Dict[str, Dict[str, WcetBound]] = {}
-    for name in kernels or list(DEFAULT_KERNELS):
+    for name in kernels:
         program = build_kernel(name, scale=scale)
         bounds[name] = analysis.write_policy_study(program)
     return WtVsWbResult(bounds=bounds)

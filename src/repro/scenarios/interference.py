@@ -13,9 +13,7 @@ how pessimistically their interference is accounted:
 
 This lives in the scenarios package (rather than :mod:`repro.soc`) so
 the declarative :class:`~repro.scenarios.spec.SimulationSpec` can carry
-an interference description without depending on the SoC layer;
-:mod:`repro.soc.interference` re-exports it for its historical import
-path.
+an interference description without depending on the SoC layer.
 """
 
 from __future__ import annotations

@@ -88,8 +88,8 @@ def _default_contenders() -> int:
 
     Resolved at factory-call time (and imported lazily — the SoC layer
     sits above this package), so the registry always agrees with
-    :func:`repro.soc.interference.contention_modes` about what "all
-    other cores" means instead of hard-coding a core count.
+    :meth:`repro.soc.ngmp.NgmpSoC.wcet_estimate` about what "all other
+    cores" means instead of hard-coding a core count.
     """
     from repro.soc.ngmp import NgmpConfig
 

@@ -15,12 +15,9 @@ class of arbiter.
 """
 
 from repro.soc.ngmp import NgmpConfig, NgmpSoC, TaskPlacement
-from repro.soc.interference import InterferenceScenario, contention_modes
 
 __all__ = [
-    "InterferenceScenario",
     "NgmpConfig",
     "NgmpSoC",
     "TaskPlacement",
-    "contention_modes",
 ]

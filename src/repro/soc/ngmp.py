@@ -6,13 +6,12 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
 from repro.core.policies import EccPolicy, EccPolicyKind
-from repro.functional.interpreter import run_program
 from repro.isa.program import Program
 from repro.memory.config import MemoryHierarchyConfig
 from repro.pipeline.config import CoreConfig, PipelineConfig
+from repro.scenarios.interference import InterferenceScenario
 from repro.scenarios.spec import SimulationSpec
 from repro.simulation import SimulationResult, simulate_spec
-from repro.soc.interference import InterferenceScenario
 
 
 @dataclass(frozen=True)
@@ -129,33 +128,6 @@ class NgmpSoC:
                 placement, scenario=scenario, trace=trace
             ).cycles
         return results
-
-    def compare_write_policies(
-        self,
-        program: Program,
-        *,
-        contenders: Optional[int] = None,
-    ) -> Dict[str, Dict[str, int]]:
-        """WT+parity versus WB+LAEC execution-time bounds (paper motivation).
-
-        This reproduces the shape of the argument in §I/§II-A: under
-        worst-case bus contention a write-through DL1 (every store on the
-        bus) inflates the WCET estimate far more than a write-back DL1
-        protected by LAEC.  The program is interpreted once and all nine
-        runs time that one functional trace.
-        """
-        trace = run_program(program)
-        comparison: Dict[str, Dict[str, int]] = {}
-        for label, policy in (
-            ("wt-parity", EccPolicyKind.WT_PARITY),
-            ("wb-laec", EccPolicyKind.LAEC),
-            ("wb-no-ecc", EccPolicyKind.NO_ECC),
-        ):
-            placement = TaskPlacement(program=program, policy=policy)
-            comparison[label] = self.wcet_estimate(
-                placement, contenders=contenders, trace=trace
-            )
-        return comparison
 
     def describe(self) -> str:
         hierarchy = self.config.hierarchy

@@ -1,6 +1,9 @@
-"""Tests for the Experiment framework, registry, CLI and trace-cache cap."""
+"""Tests for the Experiment framework, catalogue, CLI and trace-cache cap."""
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -13,7 +16,7 @@ from repro.experiments import (
     get_experiment,
 )
 from repro.experiments import runner as runner_module
-from repro.experiments.base import Experiment, register
+from repro.experiments.catalog import EXPERIMENTS
 from repro.experiments.runner import (
     KERNEL_TRACE_CACHE_MAX_ENTRIES,
     cached_kernel_trace,
@@ -55,36 +58,17 @@ class TestRegistry:
         assert {e.artifact for e in all_experiments()} == EXPECTED_ARTIFACTS
 
     def test_every_experiment_is_described(self):
-        for experiment in all_experiments():
+        for experiment in EXPERIMENTS:
+            assert experiment.name
             assert experiment.description
+
+    def test_row_names_are_unique(self):
+        names = [experiment.name for experiment in EXPERIMENTS]
+        assert len(names) == len(set(names))
 
     def test_unknown_experiment_raises(self):
         with pytest.raises(KeyError):
             get_experiment("no-such-experiment")
-
-    def test_register_rejects_anonymous_and_duplicate(self):
-        with pytest.raises(ValueError):
-
-            @register
-            class Anonymous(Experiment):
-                def build(self, context):
-                    return None
-
-                def render(self, result):
-                    return ""
-
-        with pytest.raises(ValueError):
-
-            @register
-            class Duplicate(Experiment):
-                name = "table1"
-                description = "duplicate"
-
-                def build(self, context):
-                    return None
-
-                def render(self, result):
-                    return ""
 
 
 class TestExecution:
@@ -138,6 +122,31 @@ class TestCli:
     def test_quiet_suppresses_stdout_table(self, tmp_path, capsys):
         assert cli.main(["--run", "table1", "--out", str(tmp_path), "--quiet"]) == 0
         assert "Table I" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--list", "--list-scenarios"])
+    def test_closed_stdout_exits_without_traceback(self, flag):
+        # The read end is closed before the child writes, as when
+        # ``python -m repro --list | head -1`` stops reading.
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        environment = dict(os.environ)
+        environment["PYTHONPATH"] = os.pathsep.join(
+            [str(src), environment.get("PYTHONPATH", "")]
+        )
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro", flag],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=environment,
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert completed.returncode == 1
+        assert completed.stderr == ""
 
 
 class TestKernelTraceCacheCap:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
 from repro.experiments.runner import (
@@ -9,6 +11,7 @@ from repro.experiments.runner import (
     cached_kernel_trace,
     clear_kernel_trace_cache,
 )
+from repro.store import ResultStore
 
 
 @pytest.fixture(autouse=True)
@@ -115,6 +118,59 @@ class TestParallelRunner:
     def test_run_all_caches_run_set(self):
         runner = ExperimentRunner(scale=0.1, kernels=["matrix"], max_workers=2)
         assert runner.run_all() is runner.run_all()
+
+
+class TestOneRunnerPath:
+    """Serial and pooled ``run_all`` restore, compute and store alike."""
+
+    KERNELS = ("canrdr", "matrix", "rspeed")
+
+    def _run(self, tmp_path, workers, mode):
+        """(cycles and stats per (kernel, policy), sorted store rows, hits, misses)."""
+        if mode == "no-store":
+            run_set = ExperimentRunner(
+                scale=0.1, kernels=self.KERNELS, max_workers=workers
+            ).run_all()
+            return _summary(run_set), None, None, None
+        path = tmp_path / f"{workers}-{mode}.sqlite"
+        if mode in ("warm", "force"):
+            with ResultStore(path) as store:
+                ExperimentRunner(scale=0.1, kernels=self.KERNELS, store=store).run_all()
+        with ResultStore(path) as store:
+            runner = ExperimentRunner(
+                scale=0.1, kernels=self.KERNELS, max_workers=workers, store=store
+            )
+            run_set = runner.run_all(force=mode == "force")
+            hits, misses = store.hits, store.misses
+        connection = sqlite3.connect(path)
+        rows = connection.execute("SELECT * FROM results ORDER BY key").fetchall()
+        connection.close()
+        return _summary(run_set), rows, hits, misses
+
+    @pytest.mark.parametrize("mode", ["no-store", "cold", "warm", "force"])
+    def test_serial_and_pooled_agree(self, tmp_path, mode):
+        serial = self._run(tmp_path, None, mode)
+        pooled = self._run(tmp_path, 2, mode)
+        assert pooled == serial
+        assert serial[0] == self._run(tmp_path, None, "no-store")[0]
+        calls = len(self.KERNELS) * 4
+        expected = {
+            "no-store": (None, None),
+            "cold": (0, calls),
+            "warm": (calls, 0),
+            "force": (0, 0),
+        }[mode]
+        assert serial[2:] == expected
+        if mode != "no-store":
+            assert len(serial[1]) == calls
+
+
+def _summary(run_set):
+    return {
+        (name, value): (result.cycles, result.stats.as_dict())
+        for name, per_policy in run_set.results.items()
+        for value, result in per_policy.items()
+    }
 
 
 #: A fresh process times two kernels through ``ExperimentContext.run_set``

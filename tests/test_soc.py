@@ -1,23 +1,17 @@
-"""Tests for the NGMP SoC model and interference scenarios."""
+"""Tests for the NGMP SoC model under interference scenarios."""
 
 import pytest
 
 from repro.core.policies import EccPolicyKind
 from repro.memory.config import MemoryHierarchyConfig
-from repro.soc import InterferenceScenario, NgmpConfig, NgmpSoC, TaskPlacement, contention_modes
+from repro.scenarios import InterferenceScenario
+from repro.soc import NgmpConfig, NgmpSoC, TaskPlacement
 from repro.workloads import build_kernel
 
 
 @pytest.fixture(scope="module")
 def small_program():
     return build_kernel("rspeed", scale=0.1)
-
-
-class TestScenarios:
-    def test_default_modes(self):
-        scenarios = contention_modes(contenders=3)
-        assert [s.mode for s in scenarios] == ["none", "average", "worst"]
-        assert all("core" in s.describe() or "isolation" in s.describe() for s in scenarios)
 
 
 class TestSoC:
@@ -45,41 +39,6 @@ class TestSoC:
         placement = TaskPlacement(program=small_program, policy=EccPolicyKind.NO_ECC)
         bounds = soc.wcet_estimate(placement)
         assert bounds["isolation"] <= bounds["average"] <= bounds["worst"]
-
-    def test_write_policy_comparison_shape(self, small_program):
-        soc = NgmpSoC()
-        comparison = soc.compare_write_policies(small_program, contenders=3)
-        assert set(comparison) == {"wt-parity", "wb-laec", "wb-no-ecc"}
-        # Under worst-case contention the WT configuration suffers the most
-        # relative slowdown (every store is a bus transaction).
-        def inflation(label):
-            return comparison[label]["worst"] / comparison[label]["isolation"]
-
-        assert inflation("wt-parity") > inflation("wb-laec")
-
-    def test_write_policy_comparison_interprets_once(self, small_program, monkeypatch):
-        import repro.simulation
-        import repro.soc.ngmp
-        from repro.functional import run_program
-
-        calls = []
-
-        def counting_run_program(program, **kwargs):
-            calls.append(program.name)
-            return run_program(program, **kwargs)
-
-        monkeypatch.setattr(repro.simulation, "run_program", counting_run_program)
-        monkeypatch.setattr(repro.soc.ngmp, "run_program", counting_run_program)
-        soc = NgmpSoC()
-        comparison = soc.compare_write_policies(small_program, contenders=3)
-        assert calls == [small_program.name]
-        for label, policy in (
-            ("wt-parity", EccPolicyKind.WT_PARITY),
-            ("wb-laec", EccPolicyKind.LAEC),
-            ("wb-no-ecc", EccPolicyKind.NO_ECC),
-        ):
-            placement = TaskPlacement(program=small_program, policy=policy)
-            assert comparison[label] == soc.wcet_estimate(placement, contenders=3)
 
     def test_contenders_clamped_to_core_count(self, small_program):
         soc = NgmpSoC(NgmpConfig(cores=2))
