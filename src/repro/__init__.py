@@ -25,58 +25,33 @@ The package provides, from the bottom up:
 * :mod:`repro.analysis` — metrics, energy/leakage model, WCET analysis
   and report rendering.
 * :mod:`repro.experiments` — one module per paper table/figure plus
-  ablations, unified behind the :class:`Experiment` registry served by
-  the ``python -m repro`` CLI.
+  ablations, listed as one row each in the catalogue the
+  ``python -m repro`` CLI serves.
+
+The top-level names are the three entry points::
+
+    from repro import get_scenario, simulate_kernel, simulate_spec
+
+Everything else is imported from the module that defines it.
 """
 
-from repro.core.policies import (
-    EccPolicyKind,
-    ExtraCacheCyclePolicy,
-    ExtraStagePolicy,
-    LaecPolicy,
-    NoEccPolicy,
-    WriteThroughParityPolicy,
-    make_policy,
-)
-from repro.memory.config import CacheConfig, MemoryHierarchyConfig
-from repro.pipeline.config import CoreConfig, PipelineConfig
-from repro.scenarios import (
-    FaultSpec,
-    InterferenceScenario,
-    SimulationSpec,
-    get_scenario,
-    register_scenario,
-    scenario_names,
-)
-from repro.simulation import (
-    SimulationResult,
-    simulate_kernel,
-    simulate_program,
-    simulate_spec,
-)
+import importlib
 
-__all__ = [
-    "CacheConfig",
-    "CoreConfig",
-    "EccPolicyKind",
-    "ExtraCacheCyclePolicy",
-    "ExtraStagePolicy",
-    "FaultSpec",
-    "InterferenceScenario",
-    "LaecPolicy",
-    "MemoryHierarchyConfig",
-    "NoEccPolicy",
-    "PipelineConfig",
-    "SimulationResult",
-    "SimulationSpec",
-    "WriteThroughParityPolicy",
-    "get_scenario",
-    "make_policy",
-    "register_scenario",
-    "scenario_names",
-    "simulate_kernel",
-    "simulate_program",
-    "simulate_spec",
-]
+#: The documented top-level API, resolved on first access so that
+#: ``import repro`` loads no submodule.
+_API = {
+    "get_scenario": "repro.scenarios.registry",
+    "simulate_kernel": "repro.simulation",
+    "simulate_spec": "repro.simulation",
+}
+
+__all__ = sorted(_API)
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str):
+    module = _API.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)

@@ -46,7 +46,7 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.scenarios import scenario_description, scenario_names
+from repro.scenarios.registry import scenario_description, scenario_names
 from repro.scenarios.spec import DEFAULT_CAMPAIGN_SCALE
 
 #: Default artefact directory — the one the benchmark harness populates.
@@ -344,18 +344,14 @@ def _build_campaign_parser() -> argparse.ArgumentParser:
 
 
 def _run_campaign_command(argv: List[str]) -> int:
-    from repro.campaign import (
-        CampaignConfig,
-        CampaignError,
-        CampaignInterrupted,
-        parse_chaos,
-        run_campaign,
-    )
-    from repro.store import ResultStore
+    from repro.campaign.chaos import parse_chaos
+    from repro.campaign.engine import CampaignConfig, run_campaign
+    from repro.campaign.errors import CampaignError, CampaignInterrupted
+    from repro.store.result_store import ResultStore
     from repro.telemetry import flight
     from repro.telemetry.console import format_flight_tail, format_stats_line, get_console
     from repro.telemetry.trace import Telemetry
-    from repro.workloads import KERNEL_NAMES
+    from repro.workloads.registry import KERNEL_NAMES
 
     args = _build_campaign_parser().parse_args(argv)
     console = get_console()
@@ -610,7 +606,8 @@ def _build_lint_parser() -> argparse.ArgumentParser:
 
 
 def _run_lint_command(argv: List[str]) -> int:
-    from repro.analysis.lint import lint_paths, rule_catalogue, write_baseline
+    from repro.analysis.lint.engine import lint_paths, write_baseline
+    from repro.analysis.lint.rules import rule_catalogue
 
     args = _build_lint_parser().parse_args(argv)
     if args.list_rules:
@@ -680,8 +677,9 @@ def _build_store_parser() -> argparse.ArgumentParser:
 
 
 def _run_store_command(argv: List[str]) -> int:
-    from repro.campaign import CampaignError, corrupt_store_row
-    from repro.store import ResultStore
+    from repro.campaign.chaos import corrupt_store_row
+    from repro.campaign.errors import CampaignError
+    from repro.store.result_store import ResultStore
 
     args = _build_store_parser().parse_args(argv)
     if not args.path.exists() and args.merge is None:
@@ -693,7 +691,7 @@ def _run_store_command(argv: List[str]) -> int:
             print(f"[store] corrupted row {args.corrupt_row} (key {key})")
         with ResultStore(args.path) as store:
             if args.merge is not None:
-                from repro.store import merge_shards
+                from repro.store.sharding import merge_shards
 
                 missing = [shard for shard in args.merge if not shard.exists()]
                 if missing:
@@ -736,7 +734,7 @@ def _run_store_command(argv: List[str]) -> int:
 
 
 def _list_experiments() -> str:
-    from repro.experiments import all_experiments
+    from repro.experiments.catalog import all_experiments
 
     lines = ["Registered experiments:"]
     for experiment in all_experiments():
@@ -756,7 +754,7 @@ def _list_scenarios() -> str:
 
 
 def _resolve_requested(requested: List[str]) -> List[str]:
-    from repro.experiments import experiment_names
+    from repro.experiments.catalog import experiment_names
 
     names: List[str] = []
     for name in requested:
@@ -807,18 +805,21 @@ def _main(argv: Optional[List[str]]) -> int:
 
     # The experiment catalogue (11 experiment modules) loads only here: the
     # campaign, store, trace and lint subcommands never import it.
-    from repro.experiments import ExperimentContext, get_experiment
+    from repro.experiments.base import ExperimentContext
+    from repro.experiments.catalog import get_experiment
+    from repro.workloads.registry import check_kernel_scale
 
     try:
+        check_kernel_scale(args.scale)
         names = _resolve_requested(args.run)
         experiments = [get_experiment(name) for name in names]
-    except KeyError as error:
+    except (KeyError, ValueError) as error:
         print(error.args[0], file=sys.stderr)
         return 2
 
     store = None
     if args.store is not None:
-        from repro.store import ResultStore
+        from repro.store.result_store import ResultStore
 
         store = ResultStore(args.store)
     out_dir = args.out if args.out is not None else DEFAULT_OUTPUT_DIR

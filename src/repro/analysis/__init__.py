@@ -1,21 +1,1 @@
 """Analysis utilities: metrics, energy model, WCET bounds and reporting."""
-
-from repro.analysis.energy import EnergyModel, EnergyReport
-from repro.analysis.metrics import PolicyComparison, compare_policies, geometric_mean
-from repro.analysis.reporting import Table, render_csv, render_table
-from repro.analysis.timing_budget import TimingBudget
-from repro.analysis.wcet import WcetAnalysis, WcetBound
-
-__all__ = [
-    "EnergyModel",
-    "EnergyReport",
-    "PolicyComparison",
-    "Table",
-    "TimingBudget",
-    "WcetAnalysis",
-    "WcetBound",
-    "compare_policies",
-    "geometric_mean",
-    "render_csv",
-    "render_table",
-]

@@ -15,55 +15,3 @@ Entry points: ``python -m repro lint`` (CLI) and
 :func:`~repro.analysis.lint.engine.lint_paths` /
 :func:`~repro.analysis.lint.engine.lint_sources` (API).
 """
-
-from repro.analysis.lint.engine import (
-    apply_baseline,
-    collect_files,
-    find_architecture_doc,
-    lint_paths,
-    lint_sources,
-    load_baseline,
-    write_baseline,
-)
-from repro.analysis.lint.findings import (
-    Finding,
-    LintReport,
-    REPORT_SCHEMA,
-    REPORT_VERSION,
-    validate_report,
-)
-from repro.analysis.lint.manifest import (
-    ModuleClassification,
-    classify,
-    manifest_table,
-)
-from repro.analysis.lint.rules import (
-    RULES,
-    SYNTHETIC_RULES,
-    all_rule_ids,
-    rule_catalogue,
-)
-from repro.analysis.lint.storerules import parse_documented_names
-
-__all__ = [
-    "Finding",
-    "LintReport",
-    "ModuleClassification",
-    "REPORT_SCHEMA",
-    "REPORT_VERSION",
-    "RULES",
-    "SYNTHETIC_RULES",
-    "all_rule_ids",
-    "apply_baseline",
-    "classify",
-    "collect_files",
-    "find_architecture_doc",
-    "lint_paths",
-    "lint_sources",
-    "load_baseline",
-    "manifest_table",
-    "parse_documented_names",
-    "rule_catalogue",
-    "validate_report",
-    "write_baseline",
-]

@@ -14,7 +14,7 @@ payload.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro.analysis.lint.rules import ModuleContext, rule
 

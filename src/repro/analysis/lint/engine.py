@@ -23,7 +23,7 @@ import json
 import pathlib
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.lint.findings import Finding, LintReport, finding
+from repro.analysis.lint.findings import LintReport, finding
 from repro.analysis.lint.manifest import classify
 from repro.analysis.lint.rules import (
     DocumentedNames,

@@ -42,7 +42,7 @@ from __future__ import annotations
 import fnmatch
 import pathlib
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import FrozenSet, Optional, Sequence, Tuple, Union
 
 #: Module classes whose members get the determinism rules (D1xx).
 DETERMINISTIC_CLASSES = frozenset({"core", "serialization"})
@@ -134,14 +134,6 @@ def classify(
     return ModuleClassification(module=module, module_class="core")
 
 
-def manifest_table() -> List[Tuple[str, str, Tuple[str, ...]]]:
-    """The manifest as ``(pattern, class, sorted tags)`` rows (docs/CLI)."""
-    return [
-        (pattern, module_class, tuple(sorted(tags)))
-        for pattern, module_class, tags in _RULES
-    ]
-
-
 __all__ = [
     "DETERMINISTIC_CLASSES",
     "KNOWN_TAGS",
@@ -150,5 +142,4 @@ __all__ = [
     "PICKLED_EXCEPTION_ROOTS",
     "WORKER_INITIALIZERS",
     "classify",
-    "manifest_table",
 ]

@@ -150,16 +150,6 @@ class RuleInfo:
     scope: str  # "module" | "project"
     func: Callable
 
-    @property
-    def family(self) -> str:
-        return {
-            "D": "determinism",
-            "P": "pickle & pool safety",
-            "S": "store & schema",
-            "W": "waiver hygiene",
-            "E": "engine",
-        }[self.id[0]]
-
 
 RULES: Dict[str, RuleInfo] = {}
 

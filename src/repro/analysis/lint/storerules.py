@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Iterable, Optional, Set, Tuple
 
 from repro.analysis.lint.rules import (
     DocumentedNames,
@@ -121,7 +121,7 @@ def parse_documented_names(text: str, path: str) -> DocumentedNames:
 #: observability object.  Resolution goes through the import map, so
 #: ``_metrics.inc`` and ``repro.telemetry.metrics.inc`` both match.
 _EMITTERS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
-    ("metric", (".inc", ".observe", ".set_gauge")),
+    ("metric", (".inc", ".observe")),
     ("phase", (".observe_phase", ".phase_timer")),
     ("span", (".begin_span", ".emit_span")),
     ("event", ("trace.event",)),
@@ -129,7 +129,6 @@ _EMITTERS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
 _BARE_EMITTERS = {
     "inc": "metric",
     "observe": "metric",
-    "set_gauge": "metric",
     "observe_phase": "phase",
     "phase_timer": "phase",
     "begin_span": "span",

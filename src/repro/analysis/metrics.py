@@ -2,21 +2,10 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping
+from typing import Dict, List, Mapping
 
 from repro.simulation import SimulationResult
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean of positive values (0 for an empty sequence)."""
-    values = list(values)
-    if not values:
-        return 0.0
-    if any(v <= 0 for v in values):
-        raise ValueError("geometric mean requires strictly positive values")
-    return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
 @dataclass

@@ -7,7 +7,6 @@ required, which keeps the reproduction runnable in minimal environments.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
@@ -60,23 +59,6 @@ def render_table(table: Table, *, float_format: str = "{:.2f}") -> str:
     for row in body:
         lines.append("  ".join(row[i].rjust(widths[i]) for i in range(len(header))))
     return "\n".join(lines)
-
-
-def render_csv(table: Table) -> str:
-    """Render the table as CSV text (header row first)."""
-    buffer = io.StringIO()
-    buffer.write(",".join(table.columns) + "\n")
-    for row in table.rows:
-        buffer.write(
-            ",".join(_format_cell(row.get(col, ""), float_format="{:.6f}") for col in table.columns)
-            + "\n"
-        )
-    return buffer.getvalue()
-
-
-def percentage(value: float, *, digits: int = 1) -> str:
-    """Format a fraction as a percentage string (0.173 -> '17.3%')."""
-    return f"{value * 100:.{digits}f}%"
 
 
 def bar_chart(

@@ -11,7 +11,7 @@ analysis typically applies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Union
+from typing import Dict
 
 from repro.core.policies import EccPolicy, EccPolicyKind
 from repro.functional.interpreter import FunctionalTrace, run_program
@@ -50,12 +50,6 @@ class WcetAnalysis:
         self.soc = soc or NgmpSoC(NgmpConfig())
         self.safety_margin = safety_margin
         self.contenders = contenders
-
-    def bound_for(
-        self, program: Program, policy: Union[str, EccPolicyKind, EccPolicy]
-    ) -> WcetBound:
-        """Observed isolation/contention times and the padded WCET estimate."""
-        return self._bound(program, policy, run_program(program))
 
     def _bound(self, program: Program, policy, trace: FunctionalTrace) -> WcetBound:
         placement = TaskPlacement(program=program, policy=policy)

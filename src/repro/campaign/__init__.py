@@ -41,87 +41,6 @@ Typical use::
     print(result.render())
 """
 
-from repro.campaign.chaos import (
-    ChaosDirective,
-    ChaosPlan,
-    corrupt_store_row,
-    parse_chaos,
-)
-from repro.campaign.engine import (
-    FIGURE8_POLICY_VALUES,
-    OUTCOME_KEYS,
-    CampaignConfig,
-    CampaignResult,
-    StratumSummary,
-    analytical_reference,
-    run_campaign,
-)
-from repro.campaign.errors import (
-    CampaignError,
-    CampaignInterrupted,
-    PointTimeout,
-    QuarantinedPoint,
-    ReplayDivergence,
-    StoreCorruption,
-    SupervisorStats,
-    WorkerCrash,
-)
-from repro.campaign.replay import (
-    ArchInjectionResult,
-    ArchOutcome,
-    run_injection_batch,
-    simulate_faulty_spec,
-    warm_lean_golden,
-)
-from repro.campaign.sampling import (
-    DEFAULT_TARGET,
-    ISOLATION_SCENARIO,
-    KernelFaultSpace,
-    clear_sample_cursors,
-    kernel_fault_space,
-    point_draw_count,
-    reset_draw_count,
-    sample_faults,
-    stratum_identity,
-    target_codeword_bits,
-)
-from repro.campaign.stats import wilson_half_width, wilson_interval
+from repro.campaign.engine import CampaignConfig, run_campaign
 
-__all__ = [
-    "DEFAULT_TARGET",
-    "FIGURE8_POLICY_VALUES",
-    "ISOLATION_SCENARIO",
-    "OUTCOME_KEYS",
-    "ArchInjectionResult",
-    "ArchOutcome",
-    "CampaignConfig",
-    "CampaignError",
-    "CampaignInterrupted",
-    "CampaignResult",
-    "ChaosDirective",
-    "ChaosPlan",
-    "KernelFaultSpace",
-    "PointTimeout",
-    "QuarantinedPoint",
-    "ReplayDivergence",
-    "StoreCorruption",
-    "StratumSummary",
-    "SupervisorStats",
-    "WorkerCrash",
-    "corrupt_store_row",
-    "parse_chaos",
-    "analytical_reference",
-    "clear_sample_cursors",
-    "kernel_fault_space",
-    "point_draw_count",
-    "reset_draw_count",
-    "run_campaign",
-    "run_injection_batch",
-    "sample_faults",
-    "stratum_identity",
-    "target_codeword_bits",
-    "simulate_faulty_spec",
-    "warm_lean_golden",
-    "wilson_half_width",
-    "wilson_interval",
-]
+__all__ = ["CampaignConfig", "run_campaign"]

@@ -427,7 +427,7 @@ def _simulate_batch(
             raise wrapped from error
         persisted = False
         if shard_store is not None:
-            from repro.store import canonical_json, spec_hash
+            from repro.store.canonical import canonical_json, spec_hash
             from repro.store.sharding import shard_writer
 
             with _metrics.phase_timer("store_write"):
@@ -1088,7 +1088,7 @@ def _run_stratum(
     campaign_span: int = 0,
     merger=None,
 ) -> StratumSummary:
-    from repro.store import canonical_json, spec_hash
+    from repro.store.canonical import canonical_json, spec_hash
 
     interference = config.scenario_interference(scenario)
     stratum_label = f"{kernel}/{policy_value}/{target}/{scenario}/{scale:g}"

@@ -27,7 +27,7 @@ spec hash) with the error payload that condemned it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 
 class CampaignError(Exception):

@@ -128,7 +128,7 @@ def kernel_fault_space(kernel: str, scale: float, store=None) -> KernelFaultSpac
     space = lru_get(_SPACE_CACHE, key)
     store_key = None
     if store is not None:
-        from repro.store import fault_space_key
+        from repro.store.canonical import fault_space_key
 
         store_key = fault_space_key(kernel, scale)
     if space is None:
@@ -201,21 +201,6 @@ def stratum_rng(
 _CURSOR_CACHE: Dict[Tuple[str, float], List] = {}
 _CURSOR_CACHE_MAX = 256
 
-#: Total points drawn (including prefix replays) since process start or
-#: the last :func:`reset_draw_count` — the O(N)-sampling regression hook.
-_POINT_DRAWS = 0
-
-
-def point_draw_count() -> int:
-    """Number of sample points drawn from stratum RNGs so far."""
-    return _POINT_DRAWS
-
-
-def reset_draw_count() -> None:
-    global _POINT_DRAWS
-    _POINT_DRAWS = 0
-
-
 def clear_sample_cursors() -> None:
     """Drop every cached stratum cursor (tests / determinism audits)."""
     _CURSOR_CACHE.clear()
@@ -225,8 +210,6 @@ def _draw_point(
     rng: random.Random, space: KernelFaultSpace, total_bits: int, target: str
 ) -> FaultSpec:
     """One point of a stratum's sequence (exactly one 3-draw step)."""
-    global _POINT_DRAWS
-    _POINT_DRAWS += 1
     at_access = rng.randint(1, space.mem_ops)
     if target == "l2":
         # The whole working set is L2-resident for the entire run.

@@ -17,37 +17,3 @@ Four deployment schemes are modelled (Section II-B and III of the paper):
   :class:`~repro.core.lookahead.LookaheadUnit` finds no data or resource
   hazard with the immediately preceding instruction.
 """
-
-from repro.core.hazards import (
-    consumer_distance,
-    is_dependent_load,
-    produces_any_register,
-)
-from repro.core.lookahead import LookaheadDecision, LookaheadStatistics, LookaheadUnit
-from repro.core.policies import (
-    EccPolicy,
-    EccPolicyKind,
-    ExtraCacheCyclePolicy,
-    ExtraStagePolicy,
-    LaecPolicy,
-    NoEccPolicy,
-    WriteThroughParityPolicy,
-    make_policy,
-)
-
-__all__ = [
-    "EccPolicy",
-    "EccPolicyKind",
-    "ExtraCacheCyclePolicy",
-    "ExtraStagePolicy",
-    "LaecPolicy",
-    "LookaheadDecision",
-    "LookaheadStatistics",
-    "LookaheadUnit",
-    "NoEccPolicy",
-    "WriteThroughParityPolicy",
-    "consumer_distance",
-    "is_dependent_load",
-    "make_policy",
-    "produces_any_register",
-]

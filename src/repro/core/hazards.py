@@ -58,16 +58,6 @@ def consumer_distance(
     return None
 
 
-def is_dependent_load(
-    stream: Sequence[DynInstruction],
-    load_position: int,
-    *,
-    max_distance: int = 2,
-) -> bool:
-    """True if the load at ``load_position`` has a consumer within the window."""
-    return consumer_distance(stream, load_position, max_distance=max_distance) is not None
-
-
 def address_produced_by_predecessor(
     load: DynInstruction, predecessor: Optional[DynInstruction]
 ) -> bool:

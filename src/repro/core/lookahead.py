@@ -21,7 +21,7 @@ needed — which is the whole point for simple safety-critical cores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.hazards import address_produced_by_predecessor
@@ -38,10 +38,6 @@ class LookaheadDecision:
     data_hazard: bool = False
     resource_hazard: bool = False
     operands_late: bool = False
-
-    @property
-    def blocked(self) -> bool:
-        return not self.taken
 
 
 @dataclass

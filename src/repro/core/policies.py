@@ -85,10 +85,6 @@ class EccPolicy:
         return 1
 
     @property
-    def is_write_back(self) -> bool:
-        return self.dl1_write_policy is WritePolicy.WRITE_BACK
-
-    @property
     def pipeline_depth(self) -> int:
         """Number of pipeline stages (7 baseline, 8 with the ECC stage)."""
         return 8 if self.has_ecc_stage else 7
@@ -98,11 +94,12 @@ class EccPolicy:
     # ------------------------------------------------------------------ #
     def dl1_code(self) -> EccCode:
         """The code stored in the DL1 data array (bare words when none)."""
-        from repro.ecc.codec import RawWordCode, get_code
+        from repro.ecc.codec import RawWordCode
+        from repro.ecc.parity import ParityCode
+        from repro.ecc.secded import HsiaoSecDedCode
 
-        if self.dl1_code_name is None:
-            return RawWordCode()
-        return get_code(self.dl1_code_name)
+        codes = {None: RawWordCode, "parity": ParityCode, "secded": HsiaoSecDedCode}
+        return codes[self.dl1_code_name]()
 
     def l2_code(self) -> EccCode:
         """The code protecting the L2 data array.
@@ -114,11 +111,12 @@ class EccPolicy:
         bare words and an L2 flip silently corrupts data exactly like a
         DL1 flip does.
         """
-        from repro.ecc.codec import RawWordCode, get_code
+        from repro.ecc.codec import RawWordCode
+        from repro.ecc.secded import HsiaoSecDedCode
 
         if self.kind is EccPolicyKind.NO_ECC:
             return RawWordCode()
-        return get_code("secded")
+        return HsiaoSecDedCode()
 
     def describe(self) -> str:
         parts = [
@@ -266,22 +264,3 @@ def make_policy(kind: Union[str, EccPolicyKind, EccPolicy]) -> EccPolicy:
     )
 
 
-def all_policies():
-    """One instance of every policy, in the order the paper discusses them."""
-    return [
-        NoEccPolicy(),
-        WriteThroughParityPolicy(),
-        ExtraCacheCyclePolicy(),
-        ExtraStagePolicy(),
-        LaecPolicy(),
-    ]
-
-
-def figure8_policies():
-    """The policies compared in Figure 8 of the paper (no-ECC is the base)."""
-    return [
-        NoEccPolicy(),
-        ExtraCacheCyclePolicy(),
-        ExtraStagePolicy(),
-        LaecPolicy(),
-    ]

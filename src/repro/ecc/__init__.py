@@ -15,26 +15,18 @@ encode/decode/correct path a hardware implementation would:
   SECDED(39,32), the code assumed throughout the paper.
 """
 
-from repro.ecc.codec import DecodeResult, DecodeStatus, EccCode, get_code, register_code
-from repro.ecc.fault_injection import FaultInjector, FaultModel, InjectionOutcome, InjectionReport
+from repro.ecc.fault_injection import FaultInjector, FaultModel, InjectionOutcome
 from repro.ecc.hamming import HammingSecCode
 from repro.ecc.parity import ParityCode
-from repro.ecc.reliability import ReliabilityModel, word_outcome_probabilities
+from repro.ecc.reliability import ReliabilityModel
 from repro.ecc.secded import HsiaoSecDedCode
 
 __all__ = [
-    "DecodeResult",
-    "DecodeStatus",
-    "EccCode",
     "FaultInjector",
     "FaultModel",
     "HammingSecCode",
     "HsiaoSecDedCode",
     "InjectionOutcome",
-    "InjectionReport",
     "ParityCode",
     "ReliabilityModel",
-    "get_code",
-    "register_code",
-    "word_outcome_probabilities",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 
 class DecodeStatus(enum.Enum):
@@ -44,10 +44,6 @@ class DecodeResult:
     def corrected(self) -> bool:
         return self.status is DecodeStatus.CORRECTED
 
-    @property
-    def uncorrectable(self) -> bool:
-        return self.status is DecodeStatus.DETECTED_UNCORRECTABLE
-
 
 class EccCode:
     """Abstract base class for all codes.
@@ -56,7 +52,7 @@ class EccCode:
     implement :meth:`encode` and :meth:`decode`.
     """
 
-    #: Short registry name (e.g. ``"secded"``); set by subclasses.
+    #: Short name (e.g. ``"secded"``) used in reports; set by subclasses.
     name: str = "abstract"
     data_bits: int = 32
     check_bits: int = 0
@@ -105,19 +101,6 @@ class EccCode:
                 f"codeword out of range for a {self.total_bits}-bit code: {codeword:#x}"
             )
 
-    def flip_bits(self, codeword: int, positions) -> int:
-        """Return ``codeword`` with the given bit ``positions`` flipped."""
-        result = codeword
-        for position in positions:
-            if position < 0 or position >= self.total_bits:
-                raise ValueError(f"bit position out of range: {position}")
-            result ^= 1 << position
-        return result
-
-    def roundtrip(self, data: int) -> DecodeResult:
-        """Encode then decode ``data`` (should always be CLEAN)."""
-        return self.decode(self.encode(data))
-
     # -------------------------------------------------------------------
     def describe(self) -> str:
         return (
@@ -132,8 +115,8 @@ class RawWordCode(EccCode):
 
     32 data bits, zero check bits: every flip silently changes the data
     and the decoder never notices — exactly the behaviour the baseline
-    write-back DL1 exhibits.  Deliberately unregistered: it is what a
-    policy stores when it names no code, not a code one can choose.
+    write-back DL1 exhibits.  It is what a policy stores when it names
+    no code, not a code one can choose.
     """
 
     name = "raw"
@@ -145,26 +128,3 @@ class RawWordCode(EccCode):
 
     def decode(self, codeword: int) -> DecodeResult:
         return DecodeResult(data=codeword & 0xFFFFFFFF, status=DecodeStatus.CLEAN)
-
-
-_REGISTRY: Dict[str, Callable[[], EccCode]] = {}
-
-
-def register_code(name: str, factory: Callable[[], EccCode]) -> None:
-    """Register a code factory under ``name`` (used by configuration)."""
-    _REGISTRY[name] = factory
-
-
-def get_code(name: str) -> EccCode:
-    """Instantiate a registered code by name (``parity``, ``hamming``, ``secded``)."""
-    try:
-        factory = _REGISTRY[name]
-    except KeyError as exc:
-        known = ", ".join(sorted(_REGISTRY))
-        raise KeyError(f"unknown ECC code {name!r}; known codes: {known}") from exc
-    return factory()
-
-
-def available_codes():
-    """Names of all registered codes."""
-    return sorted(_REGISTRY)

@@ -108,14 +108,6 @@ class InjectionReport:
             return 0.0
         return self.count(outcome) / self.total
 
-    def by_multiplicity(self) -> Dict[int, Dict[InjectionOutcome, int]]:
-        """Outcome counts grouped by the number of flipped bits."""
-        grouped: Dict[int, Dict[InjectionOutcome, int]] = {}
-        for record in self.records:
-            bucket = grouped.setdefault(len(record.flipped_bits), {})
-            bucket[record.outcome] = bucket.get(record.outcome, 0) + 1
-        return grouped
-
     def summary(self) -> Dict[str, float]:
         return {outcome.value: self.rate(outcome) for outcome in InjectionOutcome}
 
@@ -225,56 +217,6 @@ class FaultInjector:
                     flipped_bits=positions,
                     status=status,
                     outcome=outcome,
-                )
-            )
-        return report
-
-    def exhaustive_single_bit(self, data_words: Iterable[int]) -> InjectionReport:
-        """Flip every single bit position of every supplied data word."""
-        report = InjectionReport(code_name=self.code.name)
-        data_mask = (1 << self.code.data_bits) - 1
-        positions = range(self.code.total_bits)
-        for data in data_words:
-            data &= data_mask
-            codeword = self.code.encode(data)
-            decoded = self.code.decode_many(
-                [codeword ^ (1 << position) for position in positions]
-            )
-            for position, result in zip(positions, decoded):
-                report.records.append(
-                    InjectionRecord(
-                        data=data,
-                        flipped_bits=(position,),
-                        status=result.status,
-                        outcome=self._classify(
-                            data, (position,), result.data, result.status
-                        ),
-                    )
-                )
-        return report
-
-    def exhaustive_double_bit(self, data: int) -> InjectionReport:
-        """Flip every pair of bit positions of one data word."""
-        report = InjectionReport(code_name=self.code.name)
-        data &= (1 << self.code.data_bits) - 1
-        codeword = self.code.encode(data)
-        pairs = [
-            (first, second)
-            for first in range(self.code.total_bits)
-            for second in range(first + 1, self.code.total_bits)
-        ]
-        decoded = self.code.decode_many(
-            [codeword ^ (1 << first) ^ (1 << second) for first, second in pairs]
-        )
-        for (first, second), result in zip(pairs, decoded):
-            report.records.append(
-                InjectionRecord(
-                    data=data,
-                    flipped_bits=(first, second),
-                    status=result.status,
-                    outcome=self._classify(
-                        data, (first, second), result.data, result.status
-                    ),
                 )
             )
         return report

@@ -35,7 +35,7 @@ from __future__ import annotations
 from array import array
 from typing import List
 
-from repro.ecc.codec import DecodeResult, DecodeStatus, EccCode, register_code
+from repro.ecc.codec import DecodeResult, DecodeStatus, EccCode
 
 
 def _required_check_bits(data_bits: int) -> int:
@@ -113,6 +113,3 @@ class HammingSecCode(EccCode):
         return DecodeResult(
             data=data, status=DecodeStatus.DETECTED_UNCORRECTABLE, syndrome=syndrome
         )
-
-
-register_code("hamming", HammingSecCode)

@@ -14,7 +14,7 @@ and the equivalence tests hold the two bit-identical.
 
 from __future__ import annotations
 
-from repro.ecc.codec import DecodeResult, DecodeStatus, EccCode, register_code
+from repro.ecc.codec import DecodeResult, DecodeStatus, EccCode
 
 
 def _parity_of(value: int) -> int:
@@ -59,6 +59,3 @@ class ParityCode(EccCode):
         return DecodeResult(
             data=data, status=DecodeStatus.DETECTED_UNCORRECTABLE, syndrome=1
         )
-
-
-register_code("parity", ParityCode)

@@ -131,12 +131,3 @@ class ReliabilityModel:
         """Expected unsafe failures per ``hours`` device-hours (FIT-like)."""
         windows = hours / self.scrub_interval_hours
         return self.array_failure_probability(code) * windows
-
-    def compare(self, codes) -> Dict[str, Dict[str, float]]:
-        """Return per-code outcome probabilities and array failure rates."""
-        comparison: Dict[str, Dict[str, float]] = {}
-        for code in codes:
-            entry = dict(self.word_outcomes(code))
-            entry["array_failure_probability"] = self.array_failure_probability(code)
-            comparison[code.name] = entry
-        return comparison

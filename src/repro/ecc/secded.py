@@ -38,7 +38,7 @@ from array import array
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
-from repro.ecc.codec import DecodeResult, DecodeStatus, EccCode, register_code
+from repro.ecc.codec import DecodeResult, DecodeStatus, EccCode
 
 
 #: Construction products per (data_bits, check_bits): building the H
@@ -153,11 +153,6 @@ class HsiaoSecDedCode(EccCode):
         )
 
     # ------------------------------------------------------------------ #
-    @property
-    def parity_check_columns(self) -> Tuple[int, ...]:
-        """H-matrix columns for the data bits (check columns are unit vectors)."""
-        return tuple(self._data_columns)
-
     def _compute_check(self, data: int) -> int:
         check = 0
         for table in self._byte_tables:
@@ -200,6 +195,3 @@ class HsiaoSecDedCode(EccCode):
             status=DecodeStatus.DETECTED_UNCORRECTABLE,
             syndrome=syndrome,
         )
-
-
-register_code("secded", HsiaoSecDedCode)

@@ -29,56 +29,7 @@ parameters.  :mod:`repro.experiments.catalog` lists every driver as one
 ``python -m repro`` serves.
 """
 
-from repro.experiments import (
-    ablation_hazards,
-    ablation_sensitivity,
-    campaign_summary,
-    chronograms,
-    energy_report,
-    fault_campaign,
-    figure8,
-    sweep_summary,
-    table1,
-    table2,
-    wt_vs_wb,
-)
-from repro.experiments.base import (
-    DEFAULT_CAMPAIGN_SCALE,
-    Experiment,
-    ExperimentContext,
-    ExperimentOutput,
-)
-from repro.experiments.runner import (
-    ExperimentRunner,
-    KernelRunSet,
-    clear_kernel_trace_cache,
-)
-from repro.experiments.catalog import (
-    all_experiments,
-    experiment_names,
-    get_experiment,
-)
+from repro.experiments.base import ExperimentContext
+from repro.experiments.catalog import all_experiments
 
-__all__ = [
-    "DEFAULT_CAMPAIGN_SCALE",
-    "Experiment",
-    "ExperimentContext",
-    "ExperimentOutput",
-    "ExperimentRunner",
-    "KernelRunSet",
-    "ablation_hazards",
-    "ablation_sensitivity",
-    "all_experiments",
-    "campaign_summary",
-    "chronograms",
-    "clear_kernel_trace_cache",
-    "energy_report",
-    "experiment_names",
-    "fault_campaign",
-    "figure8",
-    "get_experiment",
-    "sweep_summary",
-    "table1",
-    "table2",
-    "wt_vs_wb",
-]
+__all__ = ["ExperimentContext", "all_experiments"]

@@ -21,9 +21,8 @@ from typing import Dict, List, Sequence
 
 from repro.analysis.reporting import Table
 from repro.core.policies import EccPolicyKind
-from repro.pipeline.config import CoreConfig
-from repro.pipeline.timing import TimingPipeline
-from repro.core.policies import make_policy
+from repro.scenarios.spec import SimulationSpec
+from repro.simulation import simulate_spec
 from repro.workloads.synthetic import SyntheticStreamConfig, SyntheticWorkloadGenerator
 
 SWEEP_POLICIES = (
@@ -42,15 +41,6 @@ class SweepPoint:
     increase: Dict[str, float]
 
 
-def _time_stream(trace, policy_kind: EccPolicyKind, core_config: CoreConfig) -> int:
-    policy = make_policy(policy_kind)
-    config = core_config.with_policy(policy)
-    pipeline = TimingPipeline(
-        policy, config.resolved_hierarchy_config(), config.pipeline
-    )
-    return pipeline.run(trace).cycles
-
-
 def sweep(
     parameter: str,
     values: Sequence[float],
@@ -59,18 +49,20 @@ def sweep(
 ) -> List[SweepPoint]:
     """Sweep one synthetic-stream parameter and measure the overheads."""
     base = SyntheticStreamConfig(instructions=instructions)
-    core_config = CoreConfig()
     points: List[SweepPoint] = []
     for value in values:
         config = replace(base, **{parameter: value})
         trace = SyntheticWorkloadGenerator(config).generate(
             name=f"synthetic-{parameter}-{value}"
         )
-        baseline = _time_stream(trace, EccPolicyKind.NO_ECC, core_config)
-        increases: Dict[str, float] = {}
-        for policy in SWEEP_POLICIES:
-            cycles = _time_stream(trace, policy, core_config)
-            increases[policy.value] = cycles / baseline - 1.0
+        cycles = {
+            policy: simulate_spec(SimulationSpec(policy=policy), trace=trace).cycles
+            for policy in (EccPolicyKind.NO_ECC,) + SWEEP_POLICIES
+        }
+        baseline = cycles[EccPolicyKind.NO_ECC]
+        increases = {
+            policy.value: cycles[policy] / baseline - 1.0 for policy in SWEEP_POLICIES
+        }
         points.append(SweepPoint(parameter=parameter, value=value, increase=increases))
     return points
 

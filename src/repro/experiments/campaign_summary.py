@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.analysis.reporting import Table
-from repro.campaign import (
+from repro.campaign.engine import (
     CampaignConfig,
     CampaignResult,
     analytical_reference,

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.analysis.energy import EnergyModel, EnergyReport, estimate_energy
+from repro.analysis.energy import EnergyModel, estimate_energy
 from repro.analysis.reporting import Table
 from repro.core.policies import EccPolicyKind
 from repro.experiments.runner import ExperimentRunner, KernelRunSet

@@ -19,18 +19,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.analysis.reporting import Table
-from repro.ecc import (
-    FaultInjector,
-    FaultModel,
-    HammingSecCode,
-    HsiaoSecDedCode,
-    InjectionOutcome,
-    ParityCode,
-    ReliabilityModel,
-)
+from repro.ecc.fault_injection import FaultInjector, FaultModel, InjectionOutcome
+from repro.ecc.hamming import HammingSecCode
+from repro.ecc.parity import ParityCode
+from repro.ecc.secded import HsiaoSecDedCode
 
 
 @dataclass
@@ -82,14 +77,6 @@ def run(
                 )
             )
     return rows
-
-
-def analytical_comparison(*, bit_upset_rate_per_hour: float = 1e-9) -> Dict[str, Dict[str, float]]:
-    """Array-level analytical outcome probabilities for a 16 KiB DL1."""
-    model = ReliabilityModel(
-        words=16 * 1024 // 4, bit_upset_rate_per_hour=bit_upset_rate_per_hour
-    )
-    return model.compare([ParityCode(), HammingSecCode(), HsiaoSecDedCode()])
 
 
 def render(rows: List[CampaignRow]) -> str:

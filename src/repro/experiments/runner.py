@@ -35,7 +35,7 @@ from repro.isa.program import Program
 from repro.scenarios.spec import DEFAULT_CAMPAIGN_SCALE, SimulationSpec
 from repro.simulation import SimulationResult, simulate_spec
 from repro.telemetry.metrics import phase_timer
-from repro.workloads import KERNEL_NAMES, build_kernel
+from repro.workloads.registry import KERNEL_NAMES, build_kernel
 
 FIGURE8_POLICIES = (
     EccPolicyKind.NO_ECC,
@@ -85,33 +85,27 @@ def cached_kernel_trace(name: str, scale: float) -> Tuple[Program, FunctionalTra
     return golden.program, golden.trace
 
 
-def kernel_trace_cache_size() -> int:
-    """Number of (kernel, scale) runs currently cached."""
-    return len(_GOLDEN_CACHE)
-
-
 def clear_kernel_trace_cache() -> None:
     """Drop all cached golden runs.
 
-    Part of the public :mod:`repro.experiments` API: long-lived services
-    embedding the campaign machinery call this between campaigns to
-    release the cached runs (their trace columns, op streams and
-    snapshots).
+    Public API (PERFORMANCE.md): long-lived services embedding the
+    campaign machinery call this between campaigns to release the cached
+    runs (their trace columns, op streams and snapshots).
     """
     _GOLDEN_CACHE.clear()
 
 
 def _simulate_kernel_task(
     args: Tuple[str, float, Tuple[str, ...]]
-) -> Tuple[str, FunctionalTrace, Dict[str, "SimulationResult"]]:
+) -> Tuple[str, Dict[str, "SimulationResult"]]:
     """One kernel under the given policies: the runner's only unit of
     work, run inline or in a pool worker (module-level so it pickles for
     :class:`ProcessPoolExecutor`).
 
-    The functional trace is shared by every policy's result, so it is
-    detached and returned once — otherwise each of the N per-policy
-    results would pickle its own copy of the trace's columns.  The
-    parent re-attaches it.
+    The results carry no functional trace: nothing reads it from a run
+    set, and each of the N per-policy results would otherwise pickle its
+    own copy of the trace's columns.  :func:`cached_kernel_trace` serves
+    the trace to whoever needs it.
     """
     name, scale, policy_values = args
     program, trace = cached_kernel_trace(name, scale)
@@ -124,8 +118,8 @@ def _simulate_kernel_task(
         for value in policy_values
     }
     for result in per_policy.values():
-        result.trace = None  # re-attached by the parent
-    return name, trace, per_policy
+        result.trace = None
+    return name, per_policy
 
 
 @dataclass
@@ -161,11 +155,12 @@ class ExperimentRunner:
 
     ``store`` (a :class:`~repro.store.ResultStore`) opts into the
     cross-process result cache: timing results found under their spec
-    hash are reconstructed instead of re-simulated (the functional trace
-    is re-attached from the kernel-trace cache), and fresh results are
-    written back.  ``run_all(force=True)`` bypasses both the in-memory
-    run set *and* store reads — results are recomputed and the store is
-    refreshed, which is how a stored campaign is validated.
+    hash are reconstructed instead of re-simulated, and fresh results
+    are written back.  Results in a run set carry no functional trace
+    (:func:`cached_kernel_trace` has it).  ``run_all(force=True)``
+    bypasses both the in-memory run set *and* store reads — results are
+    recomputed and the store is refreshed, which is how a stored
+    campaign is validated.
     """
 
     def __init__(
@@ -213,12 +208,11 @@ class ExperimentRunner:
             missing = tuple(value for value in policy_values if value not in rows[name])
             if missing:
                 tasks.append((name, self.scale, missing))
-        for name, trace, per_policy in self._map(_simulate_kernel_task, tasks):
-            for result in per_policy.values():
-                result.trace = trace
-                if self.store is not None:
-                    from repro.store import store_timing_result
+        for name, per_policy in self._map(_simulate_kernel_task, tasks):
+            if self.store is not None:
+                from repro.store.serialize import store_timing_result
 
+                for result in per_policy.values():
                     store_timing_result(self.store, result.spec, result)
             rows[name].update(per_policy)
         run_set = KernelRunSet(scale=self.scale)
@@ -244,22 +238,16 @@ class ExperimentRunner:
     def _restore(self, name: str, policy_values) -> Dict[str, SimulationResult]:
         """Whatever the store holds of one kernel's policy row.
 
-        Each restored result gets the kernel's functional trace
-        re-attached; the policies missing from the returned dict still
-        need simulating.
+        Restoring runs no kernel; the policies missing from the returned
+        dict still need simulating.
         """
-        from repro.store import result_from_payload, spec_hash
+        from repro.store.canonical import spec_hash
+        from repro.store.serialize import result_from_payload
 
-        payloads = {}
+        restored = {}
         for value in policy_values:
             spec = SimulationSpec(kernel=name, scale=self.scale, policy=value)
             payload = self.store.get(spec_hash(spec))
             if payload is not None:
-                payloads[value] = (spec, payload)
-        if not payloads:
-            return {}
-        _, trace = cached_kernel_trace(name, self.scale)
-        return {
-            value: result_from_payload(spec, payload, trace=trace)
-            for value, (spec, payload) in payloads.items()
-        }
+                restored[value] = result_from_payload(spec, payload)
+        return restored

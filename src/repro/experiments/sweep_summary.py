@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.analysis.reporting import Table
-from repro.campaign import CampaignConfig, CampaignResult, run_campaign
+from repro.campaign.engine import CampaignConfig, CampaignResult, run_campaign
 from repro.campaign.stats import wilson_interval
 
 

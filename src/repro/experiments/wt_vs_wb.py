@@ -20,7 +20,7 @@ from typing import Dict, Sequence
 
 from repro.analysis.reporting import Table
 from repro.analysis.wcet import WcetAnalysis, WcetBound
-from repro.workloads import build_kernel
+from repro.workloads.registry import build_kernel
 
 @dataclass
 class WtVsWbResult:

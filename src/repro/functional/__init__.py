@@ -11,19 +11,3 @@ functional-first / timing-directed decomposition, as used by many
 academic simulators).  :mod:`repro.functional.reference` keeps the
 object interpreter as its test oracle.
 """
-
-from repro.functional.interpreter import (
-    ExecutionLimitExceeded,
-    FunctionalTrace,
-    GoldenRun,
-    golden_pass,
-    run_program,
-)
-
-__all__ = [
-    "ExecutionLimitExceeded",
-    "FunctionalTrace",
-    "GoldenRun",
-    "golden_pass",
-    "run_program",
-]

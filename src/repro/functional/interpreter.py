@@ -264,10 +264,6 @@ class FunctionalTrace:
         self.addresses.append(address)
         self.taken.append(taken)
 
-    @property
-    def dynamic_count(self) -> int:
-        return len(self.pcs)
-
     def count_class(self, klass: InstructionClass) -> int:
         return sum(1 for instr in self.instructions if instr.klass is klass)
 
@@ -276,18 +272,10 @@ class FunctionalTrace:
         return self.count_class(InstructionClass.LOAD)
 
     @property
-    def store_count(self) -> int:
-        return self.count_class(InstructionClass.STORE)
-
-    @property
     def load_fraction(self) -> float:
         if not self.pcs:
             return 0.0
         return self.load_count / len(self.pcs)
-
-    def memory_addresses(self) -> List[int]:
-        """Effective addresses of all memory operations, in program order."""
-        return [address for address in self.addresses if address is not None]
 
 
 @dataclass

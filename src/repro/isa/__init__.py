@@ -15,35 +15,3 @@ Public entry points:
 * :class:`repro.isa.instructions.Instruction` — decoded instruction
   record consumed by the functional and timing simulators.
 """
-
-from repro.isa.assembler import AssemblerError, assemble
-from repro.isa.instructions import (
-    Instruction,
-    InstructionClass,
-    Mnemonic,
-    REGISTER_COUNT,
-)
-from repro.isa.program import Program, Segment
-from repro.isa.registers import (
-    ConditionCodes,
-    RegisterFile,
-    ZERO_REGISTER,
-    register_name,
-    register_number,
-)
-
-__all__ = [
-    "AssemblerError",
-    "ConditionCodes",
-    "Instruction",
-    "InstructionClass",
-    "Mnemonic",
-    "Program",
-    "REGISTER_COUNT",
-    "RegisterFile",
-    "Segment",
-    "ZERO_REGISTER",
-    "assemble",
-    "register_name",
-    "register_number",
-]

@@ -42,7 +42,6 @@ from repro.isa.instructions import (
 from repro.isa.program import (
     DATA_BASE,
     Program,
-    ProgramError,
     Segment,
     STACK_TOP,
     TEXT_BASE,

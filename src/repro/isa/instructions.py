@@ -9,7 +9,7 @@ operation and, for memory operations, the addressing operands.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.isa.registers import ZERO_REGISTER, register_name
@@ -310,7 +310,7 @@ class Instruction:
         return None
 
     def render(self) -> str:
-        """Render an assembly-like textual form (used by the disassembler)."""
+        """Render an assembly-like textual form (the chronogram labels)."""
         name = self.mnemonic.value
         if self.klass in (InstructionClass.NOP, InstructionClass.HALT):
             return name
@@ -347,8 +347,3 @@ class Instruction:
 
     def __str__(self) -> str:  # pragma: no cover - convenience only
         return self.render()
-
-
-def make_nop(address: int = 0) -> Instruction:
-    """Return a NOP instruction (useful for padding and tests)."""
-    return Instruction(mnemonic=Mnemonic.NOP, address=address, text="nop")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.isa.instructions import INSTRUCTION_BYTES, Instruction
+from repro.isa.instructions import Instruction
 
 #: Default segment bases, loosely modelled on a LEON bare-metal layout.
 TEXT_BASE = 0x4000_0000
@@ -37,9 +37,6 @@ class Segment:
     def end(self) -> int:
         """One past the last initialised byte address."""
         return self.base + len(self.data)
-
-    def contains(self, address: int) -> bool:
-        return self.base <= address < self.end
 
     def read_word(self, address: int) -> int:
         """Read a little-endian 32-bit word at ``address``."""
@@ -72,11 +69,6 @@ class Program:
             instr.address: instr for instr in self.instructions
         }
 
-    @property
-    def text_size(self) -> int:
-        """Size of the text segment in bytes."""
-        return len(self.instructions) * INSTRUCTION_BYTES
-
     def instruction_at(self, address: int) -> Instruction:
         """Return the instruction located at byte ``address``."""
         instr = self._by_address.get(address)
@@ -86,29 +78,6 @@ class Program:
 
     def has_instruction_at(self, address: int) -> bool:
         return address in self._by_address
-
-    def symbol(self, name: str) -> int:
-        """Return the address bound to label ``name``."""
-        try:
-            return self.symbols[name]
-        except KeyError as exc:
-            raise ProgramError(f"undefined symbol {name!r}") from exc
-
-    def disassemble(self, *, with_addresses: bool = True) -> str:
-        """Return a human-readable listing of the text segment."""
-        reverse_symbols: Dict[int, List[str]] = {}
-        for name, address in self.symbols.items():
-            reverse_symbols.setdefault(address, []).append(name)
-        lines: List[str] = []
-        for instr in self.instructions:
-            for label in sorted(reverse_symbols.get(instr.address, [])):
-                lines.append(f"{label}:")
-            body = instr.render()
-            if with_addresses:
-                lines.append(f"    {instr.address:#010x}:  {body}")
-            else:
-                lines.append(f"    {body}")
-        return "\n".join(lines)
 
     def static_instruction_count(self) -> int:
         return len(self.instructions)

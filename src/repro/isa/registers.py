@@ -18,7 +18,7 @@ alias     reg    role
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
+from typing import Dict, List
 
 REGISTER_COUNT = 32
 ZERO_REGISTER = 0
@@ -101,9 +101,6 @@ class ConditionCodes:
         self.overflow = False
         self.carry = False
 
-    def as_tuple(self) -> tuple:
-        return (self.negative, self.zero, self.overflow, self.carry)
-
     def copy(self) -> "ConditionCodes":
         return ConditionCodes(self.negative, self.zero, self.overflow, self.carry)
 
@@ -131,13 +128,6 @@ class RegisterFile:
     def snapshot(self) -> List[int]:
         """Return a copy of the architectural register values."""
         return list(self.values)
-
-    def load_snapshot(self, snapshot: Iterable[int]) -> None:
-        values = [to_unsigned(v) for v in snapshot]
-        if len(values) != REGISTER_COUNT:
-            raise RegisterError("snapshot must contain exactly 32 values")
-        self.values = values
-        self.values[ZERO_REGISTER] = 0
 
     def reset(self) -> None:
         self.values = [0] * REGISTER_COUNT

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 
 class WritePolicy(enum.Enum):
@@ -102,26 +101,6 @@ class MemoryHierarchyConfig:
     bus_contenders: int = 0
     bus_contention_mode: str = "none"  # "none" | "average" | "worst"
     bus_slot_cycles: int = 6
-
-    @property
-    def l2_round_trip(self) -> int:
-        """Cycles for a DL1 miss that hits in the L2 (no contention)."""
-        return (
-            self.bus_request_latency
-            + self.l2_hit_latency
-            + self.bus_transfer_latency
-        )
-
-    @property
-    def memory_round_trip(self) -> int:
-        """Cycles for a DL1 miss that also misses in the L2."""
-        return self.l2_round_trip + self.memory_latency
-
-    def with_write_through_l1d(self) -> "MemoryHierarchyConfig":
-        """Return a copy whose DL1 uses the write-through policy."""
-        return replace(
-            self, l1d=self.l1d.with_write_policy(WritePolicy.WRITE_THROUGH)
-        )
 
     def with_contention(
         self, contenders: int, mode: str = "worst"

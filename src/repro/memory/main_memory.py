@@ -17,10 +17,6 @@ class MainMemoryStatistics:
     accesses: int = 0
     row_hits: int = 0
 
-    @property
-    def row_hit_rate(self) -> float:
-        return self.row_hits / self.accesses if self.accesses else 0.0
-
 
 class MainMemory:
     """Fixed-latency memory with an optional open-row discount."""

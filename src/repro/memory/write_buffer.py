@@ -53,9 +53,6 @@ class WriteBuffer:
         self._expire(cycle)
         return len(self._completions)
 
-    def empty_at(self, cycle: int) -> bool:
-        return self.occupancy(cycle) == 0
-
     def drain_complete_time(self, cycle: int) -> int:
         """Cycle at which the buffer becomes empty (>= ``cycle``)."""
         self._expire(cycle)

@@ -9,21 +9,3 @@ misses, multi-cycle Memory occupancy, the write buffer, taken branches
 and instruction-cache misses — exactly the effects the paper's
 evaluation relies on.
 """
-
-from repro.pipeline.chronogram import Chronogram, ChronogramEntry
-from repro.pipeline.config import CoreConfig, PipelineConfig
-from repro.pipeline.stages import Stage, stages_for_policy
-from repro.pipeline.statistics import PipelineStatistics
-from repro.pipeline.timing import PipelineResult, TimingPipeline
-
-__all__ = [
-    "Chronogram",
-    "ChronogramEntry",
-    "CoreConfig",
-    "PipelineConfig",
-    "PipelineResult",
-    "PipelineStatistics",
-    "Stage",
-    "TimingPipeline",
-    "stages_for_policy",
-]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import Union
 
 from repro.core.policies import EccPolicy, EccPolicyKind, make_policy
 from repro.memory.config import MemoryHierarchyConfig

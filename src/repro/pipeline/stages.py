@@ -8,9 +8,6 @@ Exception (Figures 4-7).
 from __future__ import annotations
 
 import enum
-from typing import List
-
-from repro.core.policies import EccPolicy
 
 
 class Stage(enum.Enum):
@@ -28,30 +25,3 @@ class Stage(enum.Enum):
     @property
     def short(self) -> str:
         return self.value
-
-
-BASE_STAGES: List[Stage] = [
-    Stage.FETCH,
-    Stage.DECODE,
-    Stage.REGISTER_ACCESS,
-    Stage.EXECUTE,
-    Stage.MEMORY,
-    Stage.EXCEPTION,
-    Stage.WRITE_BACK,
-]
-
-ECC_STAGES: List[Stage] = [
-    Stage.FETCH,
-    Stage.DECODE,
-    Stage.REGISTER_ACCESS,
-    Stage.EXECUTE,
-    Stage.MEMORY,
-    Stage.ECC,
-    Stage.EXCEPTION,
-    Stage.WRITE_BACK,
-]
-
-
-def stages_for_policy(policy: EccPolicy) -> List[Stage]:
-    """Stage sequence of the pipeline under ``policy`` (7 or 8 stages)."""
-    return list(ECC_STAGES) if policy.has_ecc_stage else list(BASE_STAGES)

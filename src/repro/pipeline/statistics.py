@@ -86,10 +86,6 @@ class PipelineStatistics:
         return self.cycles / self.instructions if self.instructions else 0.0
 
     @property
-    def ipc(self) -> float:
-        return self.instructions / self.cycles if self.cycles else 0.0
-
-    @property
     def load_fraction(self) -> float:
         """Loads as a fraction of all retired instructions (Table II row 3)."""
         return self.loads / self.instructions if self.instructions else 0.0

@@ -14,23 +14,6 @@ hashed into cache keys, shipped to worker processes, or enumerated by a
 sweep without touching any imperative plumbing.
 """
 
-from repro.scenarios.interference import InterferenceScenario
-from repro.scenarios.registry import (
-    get_scenario,
-    register_scenario,
-    scenario_description,
-    scenario_interference,
-    scenario_names,
-)
 from repro.scenarios.spec import FaultSpec, SimulationSpec
 
-__all__ = [
-    "FaultSpec",
-    "InterferenceScenario",
-    "SimulationSpec",
-    "get_scenario",
-    "register_scenario",
-    "scenario_description",
-    "scenario_interference",
-    "scenario_names",
-]
+__all__ = ["FaultSpec", "SimulationSpec"]

@@ -129,7 +129,7 @@ class SimulationSpec:
             raise ValueError("this spec names no kernel; pass a program explicitly")
         # Imported lazily: the workload suite is optional and pulls in the
         # assembler, which must not be a hard dependency of the spec type.
-        from repro.workloads import build_kernel
+        from repro.workloads.registry import build_kernel
 
         return build_kernel(self.kernel, scale=self.scale)
 

@@ -21,14 +21,14 @@ functional trace and a timing run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
-from repro.core.policies import EccPolicy, EccPolicyKind, make_policy
+from repro.core.policies import EccPolicy, EccPolicyKind
 from repro.functional.interpreter import FunctionalTrace, run_program
 from repro.isa.program import Program
 from repro.pipeline.chronogram import Chronogram
-from repro.pipeline.config import CoreConfig, PipelineConfig
+from repro.pipeline.config import CoreConfig
 from repro.pipeline.statistics import PipelineStatistics
 from repro.pipeline.timing import PipelineResult, TimingPipeline
 from repro.scenarios.spec import SimulationSpec
@@ -40,7 +40,10 @@ class SimulationResult:
 
     program_name: str
     policy: EccPolicy
-    trace: FunctionalTrace
+    #: The functional trace that was timed; ``None`` for a result restored
+    #: from a store without one and for every result of an experiment run
+    #: set.
+    trace: Optional[FunctionalTrace]
     timing: PipelineResult
     #: The declarative spec this result was produced from (``None`` only
     #: for results assembled by hand, e.g. in unit tests).
@@ -51,8 +54,8 @@ class SimulationResult:
     injection: Optional[object] = None
     #: True when this result was reconstructed from a
     #: :class:`~repro.store.ResultStore` payload rather than simulated
-    #: in this process (``trace`` is then only present if the caller
-    #: re-attached it).
+    #: in this process (``trace`` is then the one the caller passed to
+    #: :func:`simulate_spec`, if any).
     from_store: bool = False
 
     @property
@@ -96,10 +99,12 @@ def simulate_spec(
     """Execute one declarative :class:`SimulationSpec`.
 
     This is the funnel every public entry path goes through.  ``program``
-    may be supplied to bypass the kernel registry (required when the spec
-    names no kernel); ``trace`` may be supplied to reuse a functional
-    trace across policies — the architectural stream is identical under
-    every ECC scheme by construction.
+    may be supplied to bypass the kernel registry; ``trace`` may be
+    supplied to reuse a functional trace across policies — the
+    architectural stream is identical under every ECC scheme by
+    construction.  A spec that names no kernel needs one of the two: a
+    trace alone (a synthetic stream) is timed as is, under its own
+    ``program_name``.
 
     Two opt-in layers sit in front of the plain run:
 
@@ -118,10 +123,10 @@ def simulate_spec(
 
         return simulate_faulty_spec(spec, program=program, trace=trace)
     if store is not None:
-        from repro.store import (
+        from repro.store.canonical import spec_hash
+        from repro.store.serialize import (
             cacheable,
             result_from_payload,
-            spec_hash,
             store_timing_result,
         )
 
@@ -133,10 +138,10 @@ def simulate_spec(
             store_timing_result(store, spec, result)
             return result
     resolved_policy = spec.resolved_policy()
-    if program is None:
-        program = spec.build_program()
     core_config = spec.core_config()
     if trace is None:
+        if program is None:
+            program = spec.build_program()
         trace = run_program(program, max_instructions=spec.max_instructions)
     pipeline = TimingPipeline(
         resolved_policy,
@@ -144,7 +149,7 @@ def simulate_spec(
         core_config.pipeline,
     )
     return SimulationResult(
-        program_name=program.name,
+        program_name=program.name if program is not None else trace.program_name,
         policy=resolved_policy,
         trace=trace,
         timing=pipeline.run(trace),
@@ -203,20 +208,3 @@ def simulate_kernel(
         chronogram_window=chronogram_window,
     )
     return simulate_spec(spec)
-
-
-def simulate_policies(
-    program: Program,
-    policies,
-    *,
-    config: Optional[CoreConfig] = None,
-) -> Dict[str, SimulationResult]:
-    """Time ``program`` under several policies, reusing one functional trace."""
-    trace = run_program(program)
-    results: Dict[str, SimulationResult] = {}
-    for policy in policies:
-        resolved = make_policy(policy)
-        results[resolved.kind.value] = simulate_program(
-            program, policy=resolved, config=config, trace=trace
-        )
-    return results

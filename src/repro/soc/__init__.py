@@ -14,10 +14,6 @@ which is the abstraction measurement-based WCET analyses use for this
 class of arbiter.
 """
 
-from repro.soc.ngmp import NgmpConfig, NgmpSoC, TaskPlacement
+from repro.soc.ngmp import NgmpSoC, TaskPlacement
 
-__all__ = [
-    "NgmpConfig",
-    "NgmpSoC",
-    "TaskPlacement",
-]
+__all__ = ["NgmpSoC", "TaskPlacement"]

@@ -10,10 +10,9 @@ the canonical JSON form of the spec that produced it.  Canonical means
 * the encoding carries a schema version so future spec fields can be
   added without silently aliasing old keys.
 
-``spec_from_canonical`` inverts the encoding, and round-tripping any
-spec built from :mod:`repro.scenarios.registry` returns an equal spec
-with the same hash — the property the store's correctness rests on
-(tested for every registered scenario).
+The encoding is lossless: the tests decode it back and get an equal
+spec with the same hash for every registered scenario — the property
+the store's correctness rests on.
 """
 
 from __future__ import annotations
@@ -23,10 +22,9 @@ import json
 from typing import Any, Dict, Optional, Union
 
 from repro.core.policies import EccPolicy, EccPolicyKind, make_policy
-from repro.memory.config import CacheConfig, MemoryHierarchyConfig, WritePolicy
+from repro.memory.config import CacheConfig, MemoryHierarchyConfig
 from repro.pipeline.config import PipelineConfig
-from repro.scenarios.interference import InterferenceScenario
-from repro.scenarios.spec import FaultSpec, SimulationSpec
+from repro.scenarios.spec import SimulationSpec
 
 #: Bump when the canonical encoding changes shape (old keys then simply
 #: miss, which is safe — the store never aliases across versions).
@@ -149,83 +147,3 @@ def fault_space_key(kernel: str, scale: float) -> str:
         separators=(",", ":"),
     )
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-# ---------------------------------------------------------------------- #
-# decoding                                                               #
-# ---------------------------------------------------------------------- #
-def _cache_config_from(payload: Dict[str, Any]) -> CacheConfig:
-    if payload["replacement"] != "lru":
-        raise ValueError(
-            f"replacement {payload['replacement']!r} not supported (caches are LRU)"
-        )
-    return CacheConfig(
-        size_bytes=payload["size_bytes"],
-        line_bytes=payload["line_bytes"],
-        ways=payload["ways"],
-        write_policy=WritePolicy(payload["write_policy"]),
-        write_allocate=payload["write_allocate"],
-        name=payload["name"],
-    )
-
-
-def spec_from_canonical(payload: Union[str, Dict[str, Any]]) -> SimulationSpec:
-    """Rebuild a :class:`SimulationSpec` from its canonical form."""
-    if isinstance(payload, str):
-        payload = json.loads(payload)
-    version = payload.get("v")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"canonical spec schema {version!r} not supported "
-            f"(expected {SCHEMA_VERSION})"
-        )
-    interference = None
-    if payload["interference"] is not None:
-        raw = payload["interference"]
-        interference = InterferenceScenario(
-            name=raw["name"], contenders=raw["contenders"], mode=raw["mode"]
-        )
-    fault = None
-    if payload["fault"] is not None:
-        raw = payload["fault"]
-        fault = FaultSpec(
-            target=raw["target"],
-            word_address=raw["word_address"],
-            bit=raw["bit"],
-            at_access=raw["at_access"],
-        )
-    hierarchy_raw = payload["hierarchy"]
-    hierarchy = MemoryHierarchyConfig(
-        l1d=_cache_config_from(hierarchy_raw["l1d"]),
-        l1i=_cache_config_from(hierarchy_raw["l1i"]),
-        l2=_cache_config_from(hierarchy_raw["l2"]),
-        l2_hit_latency=hierarchy_raw["l2_hit_latency"],
-        bus_request_latency=hierarchy_raw["bus_request_latency"],
-        bus_transfer_latency=hierarchy_raw["bus_transfer_latency"],
-        memory_latency=hierarchy_raw["memory_latency"],
-        store_through_latency=hierarchy_raw["store_through_latency"],
-        bus_contenders=hierarchy_raw["bus_contenders"],
-        bus_contention_mode=hierarchy_raw["bus_contention_mode"],
-        bus_slot_cycles=hierarchy_raw["bus_slot_cycles"],
-    )
-    pipeline_raw = payload["pipeline"]
-    pipeline = PipelineConfig(
-        taken_branch_penalty=pipeline_raw["taken_branch_penalty"],
-        indirect_branch_penalty=pipeline_raw["indirect_branch_penalty"],
-        mul_latency=pipeline_raw["mul_latency"],
-        div_latency=pipeline_raw["div_latency"],
-        write_buffer_entries=pipeline_raw["write_buffer_entries"],
-        chronogram_window=pipeline_raw["chronogram_window"],
-    )
-    return SimulationSpec(
-        kernel=payload["kernel"],
-        scale=payload["scale"],
-        policy=EccPolicyKind(payload["policy"]),
-        pipeline=pipeline,
-        hierarchy=hierarchy,
-        interference=interference,
-        core_index=payload["core_index"],
-        chronogram_window=payload["chronogram_window"],
-        max_instructions=payload["max_instructions"],
-        fault=fault,
-    )

@@ -520,17 +520,6 @@ class ResultStore:
         ):
             yield key
 
-    def iter_rows(self) -> Iterator[Tuple[str, Dict[str, object], str]]:
-        """All ``(key, payload, kind)`` rows in key order.
-
-        Payloads are decoded but *not* checksum-verified — use
-        :meth:`verify` / :meth:`repair` for integrity scans.
-        """
-        for key, payload_text, kind in self._connection.execute(
-            "SELECT key, payload, kind FROM results ORDER BY key"
-        ):
-            yield key, json.loads(payload_text), kind
-
     # ------------------------------------------------------------------ #
     # integrity: verify / repair                                         #
     # ------------------------------------------------------------------ #
@@ -614,41 +603,15 @@ class ResultStore:
 
         self._timed_write(write)
 
-    def quarantine_get(self, key: str) -> Optional[Dict[str, object]]:
-        row = self._connection.execute(
-            "SELECT error FROM quarantine WHERE key = ?", (key,)
-        ).fetchone()
-        return None if row is None else json.loads(row[0])
-
     def quarantine_count(self) -> int:
         (count,) = self._connection.execute(
             "SELECT COUNT(*) FROM quarantine"
         ).fetchone()
         return int(count)
 
-    def quarantine_clear(self, key: Optional[str] = None) -> None:
-        """Forget quarantined keys (all, or just one) — e.g. after a
-        resume successfully re-simulated them."""
-
-        def clear():
-            if key is None:
-                self._connection.execute("DELETE FROM quarantine")
-            else:
-                self._connection.execute(
-                    "DELETE FROM quarantine WHERE key = ?", (key,)
-                )
-            self._connection.commit()
-
-        with_lock_retry(clear)
-
     # ------------------------------------------------------------------ #
     # lifecycle                                                          #
     # ------------------------------------------------------------------ #
-    def reset_counters(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.corrupt_dropped = 0
-
     @property
     def closed(self) -> bool:
         return self._closed

@@ -10,7 +10,7 @@ only specs with ``chronogram_window == 0`` are cacheable.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.lookahead import LookaheadStatistics
 from repro.pipeline.statistics import PipelineStatistics, StallBreakdown

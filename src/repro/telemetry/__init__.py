@@ -17,60 +17,3 @@ Everything here is **deterministically inert**: campaign summaries,
 store payloads, and committed artifacts are byte-identical whether
 telemetry is on or off.
 """
-
-from repro.telemetry import flight, metrics
-from repro.telemetry.console import Console, get_console, set_console
-from repro.telemetry.flight import FlightRecorder, record, recorder
-from repro.telemetry.metrics import (
-    MetricsRegistry,
-    inc,
-    observe,
-    observe_phase,
-    phase_timer,
-    registry,
-    render_prometheus,
-)
-from repro.telemetry.trace import (
-    TRACE_SCHEMA,
-    Telemetry,
-    TraceWriter,
-    activate,
-    active,
-    begin_span,
-    deactivate,
-    emit_flight,
-    emit_metrics,
-    emit_span,
-    end_span,
-    event,
-)
-
-__all__ = [
-    "TRACE_SCHEMA",
-    "Console",
-    "FlightRecorder",
-    "MetricsRegistry",
-    "Telemetry",
-    "TraceWriter",
-    "activate",
-    "active",
-    "begin_span",
-    "deactivate",
-    "emit_flight",
-    "emit_metrics",
-    "emit_span",
-    "end_span",
-    "event",
-    "flight",
-    "get_console",
-    "inc",
-    "metrics",
-    "observe",
-    "observe_phase",
-    "phase_timer",
-    "record",
-    "recorder",
-    "registry",
-    "render_prometheus",
-    "set_console",
-]

@@ -57,11 +57,6 @@ class FlightRecorder:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def recorded(self) -> int:
-        """Total events ever recorded (≥ ``len``; the ring forgets)."""
-        return self._seq
-
     def tail(self, count: int = DEFAULT_TAIL) -> List[Dict[str, object]]:
         """The last ``count`` entries *with* timestamps and pids — for
         trace-file dumps only, never for store payloads."""

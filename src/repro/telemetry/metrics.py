@@ -3,7 +3,7 @@
 One :class:`MetricsRegistry` lives per process (``registry()``); the
 campaign engine, the execution supervisor, the batched replay backend
 and the result store all publish into it through the cheap module-level
-helpers (:func:`inc`, :func:`set_gauge`, :func:`observe`,
+helpers (:func:`inc`, :func:`observe`,
 :func:`observe_phase`).  The registry is *always on* — publishing is a
 dict update, far below measurement noise — and **deterministically
 inert**: nothing read from it ever flows into campaign summaries, store
@@ -303,12 +303,6 @@ def inc(
     registry().counter(name, labels).inc(amount)
 
 
-def set_gauge(
-    name: str, value: float, labels: Optional[Mapping[str, str]] = None
-) -> None:
-    registry().gauge(name, labels).set(value)
-
-
 def observe(
     name: str,
     value: float,
@@ -390,5 +384,4 @@ __all__ = [
     "registry",
     "render_prometheus",
     "reset_registry",
-    "set_gauge",
 ]

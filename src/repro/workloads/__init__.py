@@ -14,24 +14,6 @@ The registry maps the paper's benchmark names to kernel builders::
     program = build_kernel("matrix")
 """
 
-from repro.workloads.registry import (
-    KERNEL_NAMES,
-    KernelSpec,
-    build_kernel,
-    kernel_source,
-    kernel_specs,
-)
-from repro.workloads.synthetic import SyntheticStreamConfig, SyntheticWorkloadGenerator
-from repro.workloads.table2_reference import PAPER_TABLE2, Table2Row
+from repro.workloads.registry import KERNEL_NAMES, build_kernel
 
-__all__ = [
-    "KERNEL_NAMES",
-    "KernelSpec",
-    "PAPER_TABLE2",
-    "SyntheticStreamConfig",
-    "SyntheticWorkloadGenerator",
-    "Table2Row",
-    "build_kernel",
-    "kernel_source",
-    "kernel_specs",
-]
+__all__ = ["KERNEL_NAMES", "build_kernel"]

@@ -4,7 +4,3 @@ Every builder returns assembly source text for one EEMBC-Automotive-like
 kernel.  See :mod:`repro.workloads.registry` for the name-to-builder map
 and :mod:`repro.workloads.builder` for the shared helpers.
 """
-
-from repro.workloads.kernels import control, math_kernels, memory_kernels, signal
-
-__all__ = ["control", "math_kernels", "memory_kernels", "signal"]

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from repro.workloads.builder import (
     deterministic_values,
-    ramp,
     scaled,
     sine_table,
     words_directive,

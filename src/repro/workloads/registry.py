@@ -124,11 +124,6 @@ _SPECS: Dict[str, KernelSpec] = {
 KERNEL_NAMES: List[str] = sorted(_SPECS)
 
 
-def kernel_specs() -> List[KernelSpec]:
-    """All kernel specifications in canonical (paper) order."""
-    return [_SPECS[name] for name in KERNEL_NAMES]
-
-
 def _lookup(name: str) -> KernelSpec:
     key = name.strip().lower()
     if key not in _SPECS:
@@ -138,11 +133,17 @@ def _lookup(name: str) -> KernelSpec:
     return _SPECS[key]
 
 
-def kernel_source(name: str, *, scale: float = 1.0) -> str:
-    """Assembly source of the named kernel."""
-    return _lookup(name).source(scale)
+def check_kernel_scale(scale: float) -> None:
+    """Reject a non-positive kernel scale.
+
+    The builders clamp iteration counts, so a scale of 0 or below would
+    otherwise run the smallest kernel under a spec of its own.
+    """
+    if not scale > 0:
+        raise ValueError(f"kernel scale must be positive, got {scale}")
 
 
 def build_kernel(name: str, *, scale: float = 1.0) -> Program:
     """Assemble the named kernel into a :class:`Program`."""
+    check_kernel_scale(scale)
     return _lookup(name).program(scale)

@@ -26,7 +26,6 @@ from typing import Dict, List
 
 from repro.functional.interpreter import FunctionalTrace
 from repro.isa.instructions import Instruction, Mnemonic
-from repro.workloads.table2_reference import Table2Row
 
 _DATA_BASE = 0x4020_0000
 _COLD_BASE = 0x4100_0000
@@ -49,25 +48,6 @@ class SyntheticStreamConfig:
     hot_lines: int = 128
     line_bytes: int = 32
     seed: int = 2019
-
-    @classmethod
-    def from_table2_row(
-        cls,
-        row: Table2Row,
-        *,
-        instructions: int = 20_000,
-        address_from_previous_fraction: float = 0.30,
-        seed: int = 2019,
-    ) -> "SyntheticStreamConfig":
-        """Calibrate a configuration to one row of the paper's Table II."""
-        return cls(
-            instructions=instructions,
-            load_fraction=row.pct_loads / 100.0,
-            dependent_load_fraction=row.pct_dependent_loads / 100.0,
-            load_hit_rate=row.pct_hit_loads / 100.0,
-            address_from_previous_fraction=address_from_previous_fraction,
-            seed=seed,
-        )
 
 
 class SyntheticWorkloadGenerator:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.functional import run_program
+from repro.functional.interpreter import run_program
 from repro.isa.assembler import assemble
 from repro.simulation import simulate_program
 from repro.workloads import build_kernel

@@ -1,11 +1,10 @@
-"""Tests for the analysis layer: metrics, energy, WCET, timing budget, reporting."""
+"""Tests for the analysis layer: metrics, energy, WCET, reporting."""
 
 import pytest
 
 from repro.analysis.energy import EnergyModel, estimate_energy
-from repro.analysis.metrics import PolicyComparison, compare_policies, geometric_mean
-from repro.analysis.reporting import Table, bar_chart, percentage, render_csv
-from repro.analysis.timing_budget import TimingBudget
+from repro.analysis.metrics import PolicyComparison, compare_policies
+from repro.analysis.reporting import Table, bar_chart
 from repro.analysis.wcet import WcetAnalysis
 from repro.core.policies import EccPolicyKind
 from repro.workloads import build_kernel
@@ -38,12 +37,6 @@ class TestMetrics:
         rows = self._comparison().as_rows()
         assert rows[-1]["benchmark"] == "average"
         assert len(rows) == 3
-
-    def test_geomean(self):
-        assert geometric_mean([2.0, 8.0]) == pytest.approx(4.0)
-        assert geometric_mean([]) == 0.0
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, -1.0])
 
     def test_compare_policies_from_results(self, small_kernel_results):
         comparison = compare_policies(small_kernel_results)
@@ -85,21 +78,6 @@ class TestEnergy:
         )
 
 
-class TestTimingBudget:
-    def test_adder_fits_by_default(self):
-        budget = TimingBudget()
-        assert budget.adder_fits_in_register_stage()
-        assert budget.register_stage_slack_ns > 0
-
-    def test_summary_keys(self):
-        summary = TimingBudget().summary()
-        assert {"adder_fits", "ecc_fits_in_cycle", "register_stage_slack_ns"} <= set(summary)
-
-    def test_tight_budget_fails(self):
-        budget = TimingBudget(register_file_access_ns=1.0, dl1_access_ns=1.1, adder_32bit_ns=0.5)
-        assert not budget.adder_fits_in_register_stage()
-
-
 class TestWcet:
     def test_wt_inflates_more_than_wb(self):
         program = build_kernel("puwmod", scale=0.1)
@@ -115,7 +93,7 @@ class TestWcet:
     def test_write_policy_study_interprets_once(self, monkeypatch):
         import repro.analysis.wcet
         import repro.simulation
-        from repro.functional import run_program
+        from repro.functional.interpreter import run_program
 
         calls = []
 
@@ -129,20 +107,17 @@ class TestWcet:
         analysis = WcetAnalysis(contenders=3, safety_margin=1.2)
         study = analysis.write_policy_study(program)
         assert calls == [program.name]
-        assert study["wb-laec"] == analysis.bound_for(program, EccPolicyKind.LAEC)
-        assert len(calls) == 2
+        trace = run_program(program)
+        assert study["wb-laec"] == analysis._bound(program, EccPolicyKind.LAEC, trace)
 
 
 class TestReporting:
-    def test_table_render_and_csv(self):
+    def test_table_render(self):
         table = Table(title="demo", columns=["name", "value"])
         table.add_row(name="x", value=1.5)
         table.add_row(name="y", value=2)
         text = table.render()
         assert "demo" in text and "x" in text
-        csv = render_csv(table)
-        assert csv.splitlines()[0] == "name,value"
-        assert len(csv.splitlines()) == 3
 
     def test_unknown_column_rejected(self):
         table = Table(title="demo", columns=["a"])
@@ -151,8 +126,7 @@ class TestReporting:
         with pytest.raises(KeyError):
             table.column("b")
 
-    def test_percentage_and_bar_chart(self):
-        assert percentage(0.173) == "17.3%"
+    def test_bar_chart(self):
         chart = bar_chart({"laec": 0.04, "extra-stage": 0.10})
         assert "laec" in chart and "#" in chart
         assert bar_chart({}) == "(no data)"
@@ -167,16 +141,15 @@ import pathlib
 import textwrap
 
 from repro import __main__ as cli
-from repro.analysis.lint import (
-    REPORT_VERSION,
-    classify,
+from repro.analysis.lint.engine import (
     lint_paths,
     lint_sources,
     load_baseline,
-    parse_documented_names,
-    validate_report,
     write_baseline,
 )
+from repro.analysis.lint.findings import REPORT_VERSION, validate_report
+from repro.analysis.lint.manifest import classify
+from repro.analysis.lint.storerules import parse_documented_names
 from repro.analysis.lint.rules import DocumentedNames
 from repro.analysis.lint.waivers import parse_waivers
 

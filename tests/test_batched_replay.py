@@ -27,13 +27,10 @@ from bisect import bisect_left
 
 import pytest
 
-from repro.campaign import (
-    CampaignConfig,
-    parse_chaos,
-    run_campaign,
-    run_injection_batch,
-    sample_faults,
-)
+from repro.campaign import CampaignConfig, run_campaign
+from repro.campaign.chaos import parse_chaos
+from repro.campaign.replay import run_injection_batch
+from repro.campaign.sampling import sample_faults
 from repro.campaign.reference import run_injection
 from repro.experiments.runner import cached_golden_run, clear_kernel_trace_cache
 from repro.functional.interpreter import (
@@ -49,7 +46,8 @@ from repro.functional.reference import FunctionalSimulator, run_reference
 from repro.workloads import KERNEL_NAMES, build_kernel
 from repro.isa.assembler import assemble
 from repro.scenarios.spec import FaultSpec, SimulationSpec
-from repro.store import ResultStore, spec_hash
+from repro.store import ResultStore
+from repro.store.canonical import spec_hash
 
 # --------------------------------------------------------------------- #
 # synthetic programs: each one corners a different triage branch        #
@@ -169,11 +167,11 @@ done:
 
 
 def _words_of(trace):
-    return sorted({address & ~3 for address in trace.memory_addresses()})
+    return sorted({address & ~3 for address in trace.addresses if address is not None})
 
 
 def _mem_ops(trace):
-    return len(trace.memory_addresses())
+    return sum(address is not None for address in trace.addresses)
 
 
 def _grid(program_text, name, policies, *, bits, targets=("dl1", "l2")):
@@ -261,7 +259,7 @@ class TestLeanGoldenPass:
     def test_store_history_reconstructs_values_over_time(self):
         program = assemble(WRITEBACK_PROGRAM, name="wb_hist")
         golden = golden_pass(program)
-        dst = program.symbol("dst")
+        dst = program.symbols["dst"]
         # Before the first store the word is its initial value; after
         # the last memory op it is the stored value.
         assert golden.value_at(dst, 1) == 0
@@ -391,7 +389,7 @@ class TestHaltCountsAgainstTheLimit:
             policy="no-ecc",
             max_instructions=limit,
             fault=FaultSpec(
-                target="l2", word_address=program.symbol("count"), bit=2, at_access=1
+                target="l2", word_address=program.symbols["count"], bit=2, at_access=1
             ),
         )
         (streamed,) = run_injection_batch([spec], program=program)
@@ -824,7 +822,9 @@ def _assert_faulty_simulation_matches_the_oracle(spec, program=None):
 #: a crash), then lists the oracle modules it imported.
 ONE_ENGINE_SCRIPT = """
 import sys
-from repro.campaign import CampaignConfig, run_campaign, run_injection_batch, sample_faults
+from repro.campaign import CampaignConfig, run_campaign
+from repro.campaign.replay import run_injection_batch
+from repro.campaign.sampling import sample_faults
 from repro.isa.assembler import assemble
 from repro.scenarios.spec import FaultSpec, SimulationSpec
 from repro.simulation import simulate_spec
@@ -851,7 +851,7 @@ assert simulate_spec(corrected).injection.outcome.value == "corrected"
 program = assemble(%(crash)r, name="crash_prog")
 crash = SimulationSpec(
     policy="no-ecc",
-    fault=FaultSpec(word_address=program.symbol("ptr"), bit=30, at_access=3),
+    fault=FaultSpec(word_address=program.symbols["ptr"], bit=30, at_access=3),
 )
 assert "crash" in simulate_spec(crash, program=program).injection.events
 print(sorted(
@@ -1357,7 +1357,7 @@ class TestGetMany:
             assert store.misses == 3
 
     def test_drops_corrupt_rows_like_get(self, tmp_path):
-        from repro.campaign import corrupt_store_row
+        from repro.campaign.chaos import corrupt_store_row
 
         path = tmp_path / "b.sqlite"
         with ResultStore(path) as store:

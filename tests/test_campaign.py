@@ -7,13 +7,9 @@ import os
 
 import pytest
 
-from repro.campaign import (
-    ArchOutcome,
-    CampaignConfig,
-    run_campaign,
-    sample_faults,
-    simulate_faulty_spec,
-)
+from repro.campaign import CampaignConfig, run_campaign
+from repro.campaign.replay import ArchOutcome, simulate_faulty_spec
+from repro.campaign.sampling import sample_faults
 from repro.campaign.reference import ShadowCache, run_injection
 from repro.ecc import HsiaoSecDedCode
 from repro.memory.config import CacheConfig
@@ -135,10 +131,10 @@ class TestArchitecturalReplay:
         from repro.campaign.reference import Dl1ContentModel
         from repro.core.policies import make_policy
         from repro.functional.memory import FlatMemory
-        from repro.memory.config import MemoryHierarchyConfig
+        from repro.memory.config import MemoryHierarchyConfig, WritePolicy
 
         policy = make_policy("wt-parity")
-        hierarchy = MemoryHierarchyConfig().with_write_through_l1d()
+        hierarchy = MemoryHierarchyConfig(l1d=CacheConfig(name="dl1", write_policy=WritePolicy.WRITE_THROUGH))
         backing = FlatMemory()
         backing.write(0x1000, 0x11111111, 4)
         model = Dl1ContentModel(
@@ -201,7 +197,7 @@ class TestArchitecturalReplay:
         # indirect jump outside the text segment: the machine traps, the
         # outcome is DETECTED (never silent), and the partial dynamic
         # stream is what gets reported/timed.
-        from repro.functional import run_program
+        from repro.functional.interpreter import run_program
         from repro.isa.assembler import assemble
         from repro.simulation import simulate_spec
 
@@ -226,7 +222,7 @@ target:
             name="jump_via_ptr",
         )
         trace = run_program(program)
-        ptr_word = program.symbol("ptr")
+        ptr_word = program.symbols["ptr"]
         # Inject before the *third* DL1 access (the second load of ptr).
         spec = SimulationSpec(
             policy="no-ecc",
@@ -297,7 +293,7 @@ class TestSampling:
         assert all(p.bit < 32 for p in raw)
 
     def test_any_window_is_byte_identical_even_out_of_order(self):
-        from repro.campaign import clear_sample_cursors
+        from repro.campaign.sampling import clear_sample_cursors
 
         clear_sample_cursors()
         whole = sample_faults("rspeed", 0.1, "laec", 12, seed=2019)
@@ -308,19 +304,23 @@ class TestSampling:
             )
             assert window == whole[start : start + count], (start, count)
 
-    def test_sequential_batches_cost_linear_rng_draws(self):
+    def test_sequential_batches_cost_linear_rng_draws(self, monkeypatch):
         # Regression: sample_faults used to regenerate each stratum's
         # sequence from index 0 on every batch, costing O(N^2) draws for
         # an N-trial stratum.  The per-stratum cursor must keep the
         # engine's sequential batch pattern at exactly N draws.
-        from repro.campaign import (
-            clear_sample_cursors,
-            point_draw_count,
-            reset_draw_count,
-        )
+        from repro.campaign import sampling
+        from repro.campaign.sampling import clear_sample_cursors
 
+        draws = []
+        draw_point = sampling._draw_point
+
+        def counting_draw_point(*args):
+            draws.append(1)
+            return draw_point(*args)
+
+        monkeypatch.setattr(sampling, "_draw_point", counting_draw_point)
         clear_sample_cursors()
-        reset_draw_count()
         total, batch = 48, 8
         collected = []
         for start in range(0, total, batch):
@@ -328,14 +328,14 @@ class TestSampling:
                 "rspeed", 0.1, "extra-cycle", batch, seed=2019, start=start
             )
         assert len(collected) == total
-        assert point_draw_count() == total  # O(N), not O(N^2)
+        assert len(draws) == total  # O(N), not O(N^2)
         clear_sample_cursors()
         assert collected == sample_faults(
             "rspeed", 0.1, "extra-cycle", total, seed=2019
         )
 
     def test_l2_points_cover_the_working_set_with_l2_bit_widths(self):
-        from repro.campaign import kernel_fault_space
+        from repro.campaign.sampling import kernel_fault_space
 
         space = kernel_fault_space("rspeed", 0.1)
         secded = sample_faults("rspeed", 0.1, "laec", 64, seed=1, target="l2")
@@ -365,7 +365,7 @@ class TestSampling:
         points (and every campaign summary) cannot move."""
         import random
 
-        from repro.campaign import (
+        from repro.campaign.sampling import (
             clear_sample_cursors,
             kernel_fault_space,
             stratum_identity,
@@ -435,7 +435,7 @@ class TestSampling:
                 ) == reference_draws(seed, target)
 
     def test_stratum_identity_extends_only_for_non_default_dimensions(self):
-        from repro.campaign import stratum_identity
+        from repro.campaign.sampling import stratum_identity
 
         # Default dimensions keep the historical identity, so existing
         # DL1-only campaigns reproduce byte-identically.
@@ -499,7 +499,7 @@ class TestCampaignEngine:
             assert totals[policy]["corrected"] > 0
 
     def test_empirical_rates_agree_with_the_analytical_model(self, result):
-        from repro.campaign import analytical_reference
+        from repro.campaign.engine import analytical_reference
 
         reference = analytical_reference(self.CONFIG.policies)
         for stratum in result.strata:
@@ -619,7 +619,7 @@ class TestSweepGrid:
         assert "scenario" not in plain
 
     def test_scenario_dimension_reaches_the_spec(self):
-        from repro.scenarios import get_scenario
+        from repro.scenarios.registry import get_scenario
 
         interference = CampaignConfig.scenario_interference("laec-worst")
         assert interference == get_scenario("laec-worst").interference
@@ -914,6 +914,40 @@ class TestCampaignCli:
         assert completed.stdout.strip() == "0 []", completed.stderr
         assert "simulated=0" in completed.stderr
 
+    def test_package_imports_load_only_what_they_name(self):
+        """``import repro`` loads no submodule until one of its three
+        names is used, and the report renderer pulls in neither the
+        WCET analysis nor the simulation stack."""
+        import subprocess
+        import sys
+
+        top_level = (
+            "import sys\n"
+            "import repro\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.')))\n"
+            "from repro import get_scenario, simulate_kernel, simulate_spec\n"
+            "print(all(map(callable, (get_scenario, simulate_kernel, simulate_spec))))\n"
+        )
+        reporting = (
+            "import sys\n"
+            "import repro.analysis.reporting\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m in ('repro.analysis.wcet', 'repro.simulation')))\n"
+        )
+        outputs = []
+        for script in (top_level, reporting):
+            completed = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                timeout=120,
+                env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+            )
+            assert completed.returncode == 0, completed.stderr
+            outputs.append(completed.stdout.split("\n"))
+        assert outputs[0][:2] == ["[]", "True"]
+        assert outputs[1][0] == "[]"
+
     def test_l2_target_sweep_through_the_cli(self, tmp_path, capsys):
         # End-to-end L2 injection: FAULT_TARGETS has always advertised
         # "l2"; the CLI must actually sample and replay it.
@@ -955,7 +989,7 @@ class TestCampaignCli:
         assert "fault target" in capsys.readouterr().err
 
     def test_sweep_summary_experiment_is_registered(self):
-        from repro.experiments import get_experiment
+        from repro.experiments.catalog import get_experiment
 
         experiment = get_experiment("sweep_summary")
         assert experiment.artifact == "sweep_summary"
@@ -971,7 +1005,7 @@ class TestCampaignCli:
         assert cli.main(["campaign", "--policies", "bogus"]) == 2
 
     def test_campaign_summary_experiment_is_registered(self):
-        from repro.experiments import get_experiment
+        from repro.experiments.catalog import get_experiment
 
         experiment = get_experiment("campaign_summary")
         assert experiment.artifact == "campaign_summary"

@@ -7,7 +7,6 @@ import pytest
 from repro.core.hazards import (
     address_produced_by_predecessor,
     consumer_distance,
-    is_dependent_load,
 )
 from repro.core.lookahead import LookaheadUnit
 from repro.core.policies import (
@@ -18,10 +17,9 @@ from repro.core.policies import (
     LaecPolicy,
     NoEccPolicy,
     WriteThroughParityPolicy,
-    all_policies,
-    figure8_policies,
     make_policy,
 )
+from repro.experiments.runner import FIGURE8_POLICIES
 from repro.functional.reference import run_reference
 from repro.isa.assembler import assemble
 from repro.memory.config import WritePolicy
@@ -37,7 +35,7 @@ class TestPolicyDefinitions:
     def test_write_policies(self):
         assert NoEccPolicy().dl1_write_policy is WritePolicy.WRITE_BACK
         assert WriteThroughParityPolicy().dl1_write_policy is WritePolicy.WRITE_THROUGH
-        assert LaecPolicy().is_write_back
+        assert LaecPolicy().dl1_write_policy is WritePolicy.WRITE_BACK
 
     def test_memory_stage_cycles(self):
         assert ExtraCacheCyclePolicy().memory_stage_cycles(is_load=True, hit=True) == 2
@@ -53,8 +51,8 @@ class TestPolicyDefinitions:
 
     def test_correction_capability_matches_write_policy_requirement(self):
         # Only correction-capable schemes may keep dirty data in the DL1.
-        for policy in all_policies():
-            if policy.is_write_back and policy.detects_errors:
+        for policy in map(make_policy, EccPolicyKind):
+            if policy.dl1_write_policy is WritePolicy.WRITE_BACK and policy.detects_errors:
                 assert policy.corrects_errors
 
     def test_make_policy_aliases(self):
@@ -77,12 +75,11 @@ class TestPolicyDefinitions:
         )
         with pytest.raises(ValueError, match="laec"):
             make_policy(modified)
-        for policy in all_policies():
+        for policy in map(make_policy, EccPolicyKind):
             assert make_policy(policy) is policy
 
     def test_figure8_policy_set(self):
-        kinds = [p.kind for p in figure8_policies()]
-        assert kinds == [
+        assert list(FIGURE8_POLICIES) == [
             EccPolicyKind.NO_ECC,
             EccPolicyKind.EXTRA_CYCLE,
             EccPolicyKind.EXTRA_STAGE,
@@ -117,7 +114,6 @@ class TestHazardPredicates:
         )
         assert consumer_distance(stream, 1) == 1
         assert consumer_distance(stream, 3) == 2
-        assert is_dependent_load(stream, 1)
 
     def test_no_consumer_within_window(self):
         stream = _trace(
@@ -193,13 +189,13 @@ class TestLookaheadUnit:
         stream = self._load_and_predecessors()
         unit = LookaheadUnit()
         decision = unit.evaluate(stream[2], stream[1])
-        assert decision.blocked and decision.data_hazard
+        assert not decision.taken and decision.data_hazard
 
     def test_resource_hazard_blocks(self):
         stream = self._load_and_predecessors()
         unit = LookaheadUnit()
         decision = unit.evaluate(stream[3], stream[2], predecessor_lookahead=False)
-        assert decision.blocked and decision.resource_hazard
+        assert not decision.taken and decision.resource_hazard
 
     def test_anticipated_predecessor_load_is_no_resource_hazard(self):
         stream = self._load_and_predecessors()
@@ -213,7 +209,7 @@ class TestLookaheadUnit:
         decision = unit.evaluate(
             stream[3], stream[2], predecessor_lookahead=True, address_operands_ready=False
         )
-        assert decision.blocked and decision.operands_late
+        assert not decision.taken and decision.operands_late
 
     def test_first_instruction_can_be_anticipated(self):
         stream = self._load_and_predecessors()

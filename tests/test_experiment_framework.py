@@ -8,20 +8,12 @@ import sys
 import pytest
 
 from repro import __main__ as cli
-from repro.experiments import (
-    ExperimentContext,
-    all_experiments,
-    clear_kernel_trace_cache,
-    experiment_names,
-    get_experiment,
-)
+from repro.experiments import ExperimentContext, all_experiments
+from repro.experiments.catalog import experiment_names, get_experiment
+from repro.experiments.runner import clear_kernel_trace_cache
 from repro.experiments import runner as runner_module
 from repro.experiments.catalog import EXPERIMENTS
-from repro.experiments.runner import (
-    KERNEL_TRACE_CACHE_MAX_ENTRIES,
-    cached_kernel_trace,
-    kernel_trace_cache_size,
-)
+from repro.experiments.runner import KERNEL_TRACE_CACHE_MAX_ENTRIES, cached_kernel_trace
 
 EXPECTED_EXPERIMENTS = {
     "table1",
@@ -113,6 +105,14 @@ class TestCli:
     def test_unknown_experiment_is_an_error(self, capsys):
         assert cli.main(["--run", "nope"]) == 2
 
+    @pytest.mark.parametrize("scale", ["0", "-1"])
+    def test_non_positive_scale_is_an_error(self, tmp_path, capsys, scale):
+        code = cli.main(["--run", "table2", "--scale", scale, "--out", str(tmp_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"kernel scale must be positive, got {float(scale)}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_run_writes_artifact(self, tmp_path, capsys):
         assert cli.main(["--run", "table1", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "table1.txt").exists()
@@ -157,7 +157,7 @@ class TestKernelTraceCacheCap:
             runner_module.KERNEL_TRACE_CACHE_MAX_ENTRIES = 3
             for scale in (0.01, 0.02, 0.03, 0.04):
                 cached_kernel_trace("rspeed", scale)
-            assert kernel_trace_cache_size() == 3
+            assert len(runner_module._GOLDEN_CACHE) == 3
             # oldest entry (0.01) was evicted, newest still present
             assert ("rspeed", 0.01) not in runner_module._GOLDEN_CACHE
             assert ("rspeed", 0.04) in runner_module._GOLDEN_CACHE
@@ -166,12 +166,10 @@ class TestKernelTraceCacheCap:
             clear_kernel_trace_cache()
 
     def test_clear_is_public_api(self):
-        import repro.experiments as experiments
-
-        assert "clear_kernel_trace_cache" in experiments.__all__
+        assert not clear_kernel_trace_cache.__name__.startswith("_")
         cached_kernel_trace("rspeed", 0.01)
         clear_kernel_trace_cache()
-        assert kernel_trace_cache_size() == 0
+        assert len(runner_module._GOLDEN_CACHE) == 0
 
     def test_default_cap_fits_full_campaign(self):
         assert KERNEL_TRACE_CACHE_MAX_ENTRIES >= 16

@@ -7,9 +7,10 @@ The production interpreter is pinned to it column by column in
 import pytest
 
 from repro.functional.memory import FlatMemory, MemoryAccessError
-from repro.functional import ExecutionLimitExceeded
+from repro.functional.interpreter import ExecutionLimitExceeded
 from repro.functional.reference import FunctionalSimulator, run_reference
 from repro.isa.assembler import assemble
+from repro.isa.instructions import InstructionClass
 
 
 def _run(source: str, **kwargs):
@@ -216,9 +217,9 @@ class TestControlFlow:
 
 class TestTraceStatistics:
     def test_counts(self, tiny_trace):
-        assert tiny_trace.dynamic_count == len(tiny_trace.instructions)
+        assert len(tiny_trace) == len(tiny_trace.instructions)
         assert tiny_trace.load_count == 8
-        assert tiny_trace.store_count == 8
+        assert tiny_trace.count_class(InstructionClass.STORE) == 8
         assert 0 < tiny_trace.load_fraction < 1
-        assert len(tiny_trace.memory_addresses()) == 16
+        assert sum(address is not None for address in tiny_trace.addresses) == 16
         assert tiny_trace.halted

@@ -68,7 +68,7 @@ class TestFigure8Claims:
     def test_architectural_results_identical_across_policies(self, kernel_matrix):
         # The ECC deployment changes timing only, never architectural state.
         for name, per_policy in kernel_matrix.items():
-            lengths = {len(result.trace) for result in per_policy.values()}
+            lengths = {result.instructions for result in per_policy.values()}
             assert len(lengths) == 1
 
 

@@ -1,7 +1,7 @@
 """Tests for instruction classification and def/use extraction."""
 
 from repro.isa.assembler import assemble
-from repro.isa.instructions import Instruction, InstructionClass, Mnemonic, make_nop
+from repro.isa.instructions import Instruction, InstructionClass
 
 
 def _single(source_line: str) -> Instruction:
@@ -84,9 +84,3 @@ class TestRendering:
 
     def test_render_set(self):
         assert _single("set 255, r9").render() == "set 0xff, r9"
-
-    def test_nop_helper(self):
-        nop = make_nop(address=64)
-        assert nop.mnemonic is Mnemonic.NOP
-        assert nop.address == 64
-        assert nop.render() == "nop"

@@ -61,21 +61,6 @@ class TestRegisterFile:
         rf.write(3, 1 << 40 | 7)
         assert rf.read(3) == 7
 
-    def test_snapshot_round_trip(self):
-        rf = RegisterFile()
-        rf.write(1, 10)
-        rf.write(2, 20)
-        snapshot = rf.snapshot()
-        rf.write(1, 99)
-        rf.load_snapshot(snapshot)
-        assert rf.read(1) == 10
-        assert rf.read(2) == 20
-
-    def test_bad_snapshot_length(self):
-        rf = RegisterFile()
-        with pytest.raises(RegisterError):
-            rf.load_snapshot([0, 1, 2])
-
     def test_out_of_range_access(self):
         rf = RegisterFile()
         with pytest.raises(RegisterError):

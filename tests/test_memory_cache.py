@@ -195,14 +195,14 @@ class TestReplacementStates:
 class TestWriteBuffer:
     def test_empty_buffer_reports_empty(self):
         buffer = WriteBuffer(capacity=2)
-        assert buffer.empty_at(10)
+        assert buffer.occupancy(10) == 0
         assert buffer.drain_complete_time(10) == 10
 
     def test_entries_drain_over_time(self):
         buffer = WriteBuffer(capacity=4)
         buffer.push(10, drain_latency=5)
-        assert not buffer.empty_at(12)
-        assert buffer.empty_at(16)
+        assert buffer.occupancy(12) == 1
+        assert buffer.occupancy(16) == 0
 
     def test_sequential_drain(self):
         buffer = WriteBuffer(capacity=4)

@@ -57,7 +57,7 @@ class TestMainMemoryAndL2:
         second = memory.access_cycles(0x1040)  # same row
         third = memory.access_cycles(0x9000)   # new row
         assert first == 20 and second == 14 and third == 20
-        assert memory.stats.row_hit_rate == pytest.approx(1 / 3)
+        assert memory.stats.row_hits == 1 and memory.stats.accesses == 3
 
     def test_l2_hit_cheaper_than_miss(self):
         memory = MainMemory(access_latency=20)
@@ -85,7 +85,8 @@ class TestMemoryHierarchy:
 
     def test_store_drain_latency_write_back_vs_write_through(self):
         wb = self._hierarchy()
-        wt = MemoryHierarchy(MemoryHierarchyConfig().with_write_through_l1d())
+        write_through = CacheConfig(name="dl1", write_policy=WritePolicy.WRITE_THROUGH)
+        wt = MemoryHierarchy(MemoryHierarchyConfig(l1d=write_through))
         # Warm the line so both stores hit in the DL1.
         wb.load_access(0x40100000)
         wt.load_access(0x40100000)
@@ -124,7 +125,3 @@ class TestMemoryHierarchy:
         hierarchy = self._hierarchy()
         text = hierarchy.describe()
         assert "16 KiB" in text and "write-back" in text
-
-    def test_memory_round_trip_consistency(self):
-        config = MemoryHierarchyConfig()
-        assert config.memory_round_trip == config.l2_round_trip + config.memory_latency

@@ -61,7 +61,6 @@ class TestStatisticsContainer:
             dependent_loads=150,
         )
         assert stats.cpi == 1.3
-        assert stats.ipc == 1000 / 1300
         assert stats.load_fraction == 0.25
         assert stats.load_hit_rate == 0.88
         assert stats.dependent_load_fraction == 0.6

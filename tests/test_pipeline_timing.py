@@ -8,11 +8,11 @@ each policy is the observable that distinguishes the schemes.
 import pytest
 
 from repro.core.policies import EccPolicyKind
-from repro.functional import run_program
+from repro.functional.interpreter import run_program
 from repro.isa.assembler import assemble
 from repro.pipeline.config import CoreConfig, PipelineConfig
-from repro.pipeline.stages import Stage, stages_for_policy
-from repro.simulation import simulate_policies, simulate_program
+from repro.pipeline.stages import Stage
+from repro.simulation import simulate_program
 
 
 def _simulate(source: str, policy, **kwargs):
@@ -127,10 +127,11 @@ class TestOrderingAndTotals:
         assert result.cycles > result.instructions
         assert result.cpi == pytest.approx(result.cycles / result.instructions)
 
-    def test_policy_ordering_no_ecc_fastest(self, tiny_program):
-        results = simulate_policies(
-            tiny_program, ["no-ecc", "extra-cycle", "extra-stage", "laec"]
-        )
+    def test_policy_ordering_no_ecc_fastest(self, tiny_program, tiny_trace):
+        results = {
+            policy: simulate_program(tiny_program, policy=policy, trace=tiny_trace)
+            for policy in ("no-ecc", "extra-cycle", "extra-stage", "laec")
+        }
         assert results["no-ecc"].cycles <= results["laec"].cycles
         assert results["laec"].cycles <= results["extra-stage"].cycles
         # The 8th pipeline stage adds one drain cycle, so allow a tiny
@@ -211,8 +212,8 @@ class TestStructuralEffects:
     def test_stage_lists(self):
         from repro.core.policies import ExtraStagePolicy, NoEccPolicy
 
-        assert Stage.ECC not in stages_for_policy(NoEccPolicy())
-        assert Stage.ECC in stages_for_policy(ExtraStagePolicy())
+        assert not NoEccPolicy().has_ecc_stage
+        assert ExtraStagePolicy().has_ecc_stage
 
     def test_invalid_pipeline_config_rejected(self):
         with pytest.raises(ValueError):

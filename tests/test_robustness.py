@@ -20,23 +20,25 @@ import time
 
 import pytest
 
-from repro.campaign import (
-    CampaignConfig,
-    CampaignError,
-    CampaignInterrupted,
+from repro.campaign import CampaignConfig, run_campaign
+from repro.campaign.chaos import (
     ChaosDirective,
     ChaosPlan,
+    corrupt_store_row,
+    parse_chaos,
+)
+from repro.campaign.errors import (
+    CampaignError,
+    CampaignInterrupted,
     PointTimeout,
     QuarantinedPoint,
     ReplayDivergence,
     StoreCorruption,
     WorkerCrash,
-    corrupt_store_row,
-    parse_chaos,
-    run_campaign,
 )
 from repro.campaign.errors import wrap_point_error
-from repro.store import ResultStore, payload_checksum, with_lock_retry
+from repro.store import ResultStore
+from repro.store.result_store import payload_checksum, with_lock_retry
 
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -319,11 +321,12 @@ class TestStoreIntegrity:
         with ResultStore(path) as store:
             store.quarantine_put("poison", error, spec_json='{"spec": 1}')
             assert store.quarantine_count() == 1
-            assert store.quarantine_get("poison") == error
         with ResultStore(path) as store:  # survives reopen
             assert store.quarantine_count() == 1
-            store.quarantine_clear("poison")
-            assert store.quarantine_count() == 0
+            (stored,) = store._connection.execute(
+                "SELECT error FROM quarantine WHERE key = 'poison'"
+            ).fetchone()
+            assert json.loads(stored) == error
 
 
 class TestStoreLifecycle:
@@ -630,7 +633,7 @@ class TestRobustnessCli:
         def explode(*_args, **_kwargs):
             raise RuntimeError("simulator caught fire")
 
-        monkeypatch.setattr("repro.campaign.run_campaign", explode)
+        monkeypatch.setattr("repro.campaign.engine.run_campaign", explode)
         code = cli.main(
             ["campaign", "--kernels", "rspeed", "--trials", "2", "--scale", "0.1"]
         )

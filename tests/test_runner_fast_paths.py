@@ -38,10 +38,10 @@ class TestTraceCache:
         assert small_again is small
 
     def test_runners_share_traces(self):
-        first = ExperimentRunner(scale=0.1, kernels=["matrix"]).run_all()
-        second = ExperimentRunner(scale=0.1, kernels=["matrix"]).run_all()
-        first_trace = first.results["matrix"]["no-ecc"].trace
-        second_trace = second.results["matrix"]["no-ecc"].trace
+        ExperimentRunner(scale=0.1, kernels=["matrix"]).run_all()
+        _, first_trace = cached_kernel_trace("matrix", 0.1)
+        ExperimentRunner(scale=0.1, kernels=["matrix"]).run_all()
+        _, second_trace = cached_kernel_trace("matrix", 0.1)
         assert first_trace is second_trace
 
     def test_clear_cache(self):
@@ -106,15 +106,6 @@ class TestParallelRunner:
                     parallel_result.stats.as_dict() == serial_result.stats.as_dict()
                 ), f"{name}/{policy}"
 
-    def test_parallel_reattaches_traces(self):
-        parallel = ExperimentRunner(
-            scale=0.1, kernels=self.KERNELS, max_workers=2
-        ).run_all()
-        for name, per_policy in parallel.results.items():
-            traces = {id(result.trace) for result in per_policy.values()}
-            assert len(traces) == 1, f"{name}: policies must share one trace"
-            assert next(iter(per_policy.values())).trace is not None
-
     def test_run_all_caches_run_set(self):
         runner = ExperimentRunner(scale=0.1, kernels=["matrix"], max_workers=2)
         assert runner.run_all() is runner.run_all()
@@ -163,6 +154,25 @@ class TestOneRunnerPath:
         assert serial[2:] == expected
         if mode != "no-store":
             assert len(serial[1]) == calls
+
+    def test_warm_run_set_runs_no_kernel(self, tmp_path, monkeypatch):
+        """Restored results carry no trace, so a fully stored run set
+        needs no golden pass."""
+        from repro.experiments import runner
+
+        path = tmp_path / "warm.sqlite"
+        with ResultStore(path) as store:
+            cold = ExperimentRunner(scale=0.1, kernels=self.KERNELS, store=store).run_all()
+        monkeypatch.setattr(runner, "_GOLDEN_CACHE", {})
+
+        def no_golden(*_args, **_kwargs):
+            raise AssertionError("a fully stored run set ran a kernel")
+
+        monkeypatch.setattr(runner, "golden_pass", no_golden)
+        with ResultStore(path) as store:
+            warm = ExperimentRunner(scale=0.1, kernels=self.KERNELS, store=store).run_all()
+            assert (store.hits, store.misses) == (len(self.KERNELS) * 4, 0)
+        assert _summary(warm) == _summary(cold)
 
 
 def _summary(run_set):

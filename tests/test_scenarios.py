@@ -5,9 +5,9 @@ import pytest
 from repro.core.policies import EccPolicyKind
 from repro.memory.config import MemoryHierarchyConfig, WritePolicy
 from repro.pipeline.config import CoreConfig, PipelineConfig
-from repro.scenarios import (
-    InterferenceScenario,
-    SimulationSpec,
+from repro.scenarios import SimulationSpec
+from repro.scenarios.interference import InterferenceScenario
+from repro.scenarios.registry import (
     get_scenario,
     register_scenario,
     scenario_description,
@@ -99,7 +99,7 @@ class TestFunnel:
         assert simulate_spec(result.spec, program=program).cycles == result.cycles
 
     def test_soc_clamps_contenders_into_spec(self):
-        from repro.soc import NgmpConfig
+        from repro.soc.ngmp import NgmpConfig
 
         soc = NgmpSoC(NgmpConfig(cores=2))
         program = build_kernel(KERNEL, scale=SCALE)
@@ -149,7 +149,7 @@ class TestRegistry:
         assert get_scenario("worst").interference.contenders > 0
 
     def test_scenario_interference_resolves_the_contention_component(self):
-        from repro.scenarios import scenario_interference
+        from repro.scenarios.registry import scenario_interference
 
         # The campaign grid consumes only the interference component;
         # "isolation" maps to None so sweep specs hash identically to

@@ -4,8 +4,9 @@ import pytest
 
 from repro.core.policies import EccPolicyKind
 from repro.memory.config import MemoryHierarchyConfig
-from repro.scenarios import InterferenceScenario
-from repro.soc import NgmpConfig, NgmpSoC, TaskPlacement
+from repro.scenarios.interference import InterferenceScenario
+from repro.soc import NgmpSoC, TaskPlacement
+from repro.soc.ngmp import NgmpConfig
 from repro.workloads import build_kernel
 
 

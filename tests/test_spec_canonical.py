@@ -14,14 +14,97 @@ import sys
 
 import pytest
 
+import json
+from typing import Any, Dict, Union
+
 from repro.core.policies import EccPolicyKind
-from repro.scenarios import FaultSpec, SimulationSpec, get_scenario, scenario_names
-from repro.store import (
-    canonical_dict,
-    canonical_json,
-    spec_from_canonical,
-    spec_hash,
-)
+from repro.memory.config import CacheConfig, MemoryHierarchyConfig, WritePolicy
+from repro.pipeline.config import PipelineConfig
+from repro.scenarios import FaultSpec, SimulationSpec
+from repro.scenarios.interference import InterferenceScenario
+from repro.scenarios.registry import get_scenario, scenario_names
+from repro.store.canonical import SCHEMA_VERSION, canonical_dict, canonical_json, spec_hash
+
+
+# ---------------------------------------------------------------------- #
+# decoding: the inverse of the canonical encoding, which proves it lossless
+# ---------------------------------------------------------------------- #
+def _cache_config_from(payload: Dict[str, Any]) -> CacheConfig:
+    if payload["replacement"] != "lru":
+        raise ValueError(
+            f"replacement {payload['replacement']!r} not supported (caches are LRU)"
+        )
+    return CacheConfig(
+        size_bytes=payload["size_bytes"],
+        line_bytes=payload["line_bytes"],
+        ways=payload["ways"],
+        write_policy=WritePolicy(payload["write_policy"]),
+        write_allocate=payload["write_allocate"],
+        name=payload["name"],
+    )
+
+
+def spec_from_canonical(payload: Union[str, Dict[str, Any]]) -> SimulationSpec:
+    """Rebuild a :class:`SimulationSpec` from its canonical form."""
+    if isinstance(payload, str):
+        payload = json.loads(payload)
+    version = payload.get("v")
+    if version != SCHEMA_VERSION:
+        raise ValueError(
+            f"canonical spec schema {version!r} not supported "
+            f"(expected {SCHEMA_VERSION})"
+        )
+    interference = None
+    if payload["interference"] is not None:
+        raw = payload["interference"]
+        interference = InterferenceScenario(
+            name=raw["name"], contenders=raw["contenders"], mode=raw["mode"]
+        )
+    fault = None
+    if payload["fault"] is not None:
+        raw = payload["fault"]
+        fault = FaultSpec(
+            target=raw["target"],
+            word_address=raw["word_address"],
+            bit=raw["bit"],
+            at_access=raw["at_access"],
+        )
+    hierarchy_raw = payload["hierarchy"]
+    hierarchy = MemoryHierarchyConfig(
+        l1d=_cache_config_from(hierarchy_raw["l1d"]),
+        l1i=_cache_config_from(hierarchy_raw["l1i"]),
+        l2=_cache_config_from(hierarchy_raw["l2"]),
+        l2_hit_latency=hierarchy_raw["l2_hit_latency"],
+        bus_request_latency=hierarchy_raw["bus_request_latency"],
+        bus_transfer_latency=hierarchy_raw["bus_transfer_latency"],
+        memory_latency=hierarchy_raw["memory_latency"],
+        store_through_latency=hierarchy_raw["store_through_latency"],
+        bus_contenders=hierarchy_raw["bus_contenders"],
+        bus_contention_mode=hierarchy_raw["bus_contention_mode"],
+        bus_slot_cycles=hierarchy_raw["bus_slot_cycles"],
+    )
+    pipeline_raw = payload["pipeline"]
+    pipeline = PipelineConfig(
+        taken_branch_penalty=pipeline_raw["taken_branch_penalty"],
+        indirect_branch_penalty=pipeline_raw["indirect_branch_penalty"],
+        mul_latency=pipeline_raw["mul_latency"],
+        div_latency=pipeline_raw["div_latency"],
+        write_buffer_entries=pipeline_raw["write_buffer_entries"],
+        chronogram_window=pipeline_raw["chronogram_window"],
+    )
+    return SimulationSpec(
+        kernel=payload["kernel"],
+        scale=payload["scale"],
+        policy=EccPolicyKind(payload["policy"]),
+        pipeline=pipeline,
+        hierarchy=hierarchy,
+        interference=interference,
+        core_index=payload["core_index"],
+        chronogram_window=payload["chronogram_window"],
+        max_instructions=payload["max_instructions"],
+        fault=fault,
+    )
+
 
 
 @pytest.mark.parametrize("name", scenario_names())
@@ -118,7 +201,7 @@ class TestHashDiscrimination:
         script = (
             "import sys\n"
             "from repro.scenarios import FaultSpec, SimulationSpec\n"
-            "from repro.store import spec_hash\n"
+            "from repro.store.canonical import spec_hash\n"
             "fault = FaultSpec(target='l2', word_address=64, bit=3, at_access=5)\n"
             "spec_hash(SimulationSpec(kernel='canrdr', policy='no-ecc', fault=fault))\n"
             "print(sorted(name for name in sys.modules\n"

@@ -8,7 +8,9 @@ from repro.experiments import figure8, table2
 from repro.experiments.runner import ExperimentRunner
 from repro.scenarios import SimulationSpec
 from repro.simulation import simulate_spec
-from repro.store import ResultStore, cacheable, spec_hash
+from repro.store import ResultStore
+from repro.store.canonical import spec_hash
+from repro.store.serialize import cacheable
 
 
 class TestResultStore:
@@ -31,8 +33,6 @@ class TestResultStore:
             store.get("k")
             assert store.hits == 2
             assert store.misses == 1
-            store.reset_counters()
-            assert store.hits == store.misses == 0
 
     def test_overwrite_replaces(self):
         with ResultStore(":memory:") as store:

@@ -20,9 +20,10 @@ import sys
 
 import pytest
 
-from repro.campaign import CampaignConfig, parse_chaos, run_campaign
-from repro.store import (
-    ResultStore,
+from repro.campaign import CampaignConfig, run_campaign
+from repro.campaign.chaos import parse_chaos
+from repro.store import ResultStore
+from repro.store.sharding import (
     list_shards,
     merge_shards,
     shard_directory,

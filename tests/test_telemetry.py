@@ -17,7 +17,8 @@ import os
 
 import pytest
 
-from repro.campaign import CampaignConfig, parse_chaos, run_campaign
+from repro.campaign import CampaignConfig, run_campaign
+from repro.campaign.chaos import parse_chaos
 from repro.store import ResultStore
 from repro.telemetry import analyze, console, flight, metrics, schema, trace
 from repro.telemetry.trace import Telemetry
@@ -159,7 +160,6 @@ class TestFlightRecorder:
         for i in range(10):
             recorder.record("tick", i=i)
         assert len(recorder) == 4
-        assert recorder.recorded == 10
         tail = recorder.tail_payload(2)
         assert [entry["seq"] for entry in tail] == [8, 9]
 
@@ -173,9 +173,9 @@ class TestFlightRecorder:
 
     def test_process_recorder_is_per_pid_and_clearable(self):
         flight.record("a")
-        assert flight.recorder().recorded == 1
+        assert len(flight.recorder()) == 1
         flight.recorder().clear()
-        assert flight.recorder().recorded == 0
+        assert len(flight.recorder()) == 0
         assert flight.tail_payload() == []
 
 
@@ -320,7 +320,12 @@ class TestConsole:
 class TestDeterministicInertness:
     def _store_rows(self, path):
         with ResultStore(path) as store:
-            rows = {key: payload for key, payload, _kind in store.iter_rows()}
+            rows = {
+                key: json.loads(payload)
+                for key, payload in store._connection.execute(
+                    "SELECT key, payload FROM results ORDER BY key"
+                )
+            }
             quarantine = {
                 key: json.loads(error)
                 for key, error in store._connection.execute(

@@ -25,7 +25,7 @@ import pytest
 from repro.core.policies import EccPolicyKind, make_policy
 from repro.functional.interpreter import run_program
 from repro.functional.reference import reference_trace, run_reference
-from repro.memory.config import MemoryHierarchyConfig
+from repro.memory.config import CacheConfig, MemoryHierarchyConfig, WritePolicy
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.config import CoreConfig, PipelineConfig
 from repro.pipeline.reference_timing import ReferenceTimingPipeline
@@ -135,7 +135,7 @@ def test_non_default_pipeline_config_identical(kernel_traces):
 @pytest.mark.parametrize(
     "hierarchy",
     [
-        MemoryHierarchyConfig().with_write_through_l1d(),
+        MemoryHierarchyConfig(l1d=CacheConfig(name="dl1", write_policy=WritePolicy.WRITE_THROUGH)),
         MemoryHierarchyConfig().with_contention(3, "worst"),
     ],
     ids=["write-through", "worst-contention"],

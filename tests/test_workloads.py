@@ -5,17 +5,12 @@ from dataclasses import replace
 
 import pytest
 
-from repro.functional import run_program
+from repro.functional.interpreter import run_program
 from repro.isa.instructions import InstructionClass
-from repro.workloads import (
-    KERNEL_NAMES,
-    PAPER_TABLE2,
-    SyntheticStreamConfig,
-    SyntheticWorkloadGenerator,
-    build_kernel,
-    kernel_source,
-    kernel_specs,
-)
+from repro.workloads import KERNEL_NAMES, build_kernel
+from repro.workloads.registry import _SPECS
+from repro.workloads.synthetic import SyntheticStreamConfig, SyntheticWorkloadGenerator
+from repro.workloads.table2_reference import PAPER_TABLE2
 
 
 EXPECTED_NAMES = {
@@ -34,15 +29,22 @@ class TestRegistry:
         assert set(PAPER_TABLE2) == EXPECTED_NAMES
 
     def test_laec_unfriendly_flags(self):
-        unfriendly = {spec.name for spec in kernel_specs() if spec.laec_unfriendly}
+        unfriendly = {spec.name for spec in _SPECS.values() if spec.laec_unfriendly}
         assert unfriendly == {"aifftr", "aiifft", "bitmnp", "matrix"}
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(KeyError):
             build_kernel("quicksort")
 
+    @pytest.mark.parametrize("scale", [0, -1, float("nan")])
+    def test_non_positive_scale_rejected(self, scale):
+        # The builders clamp iteration counts: without the check every
+        # such scale ran the smallest kernel under a spec of its own.
+        with pytest.raises(ValueError, match="kernel scale must be positive"):
+            build_kernel("matrix", scale=scale)
+
     def test_kernel_source_is_assembly_text(self):
-        source = kernel_source("matrix", scale=0.1)
+        source = _SPECS["matrix"].source(0.1)
         assert ".text" in source and "ld [" in source
 
 
@@ -52,24 +54,24 @@ def test_every_kernel_assembles_and_halts(name):
     assert program.static_instruction_count() > 10
     trace = run_program(program, max_instructions=400_000)
     assert trace.halted
-    assert trace.dynamic_count > 50
+    assert len(trace) > 50
     # Every kernel must exercise loads, stores, ALU work and branches.
     assert trace.load_count > 0
-    assert trace.store_count > 0
+    assert trace.count_class(InstructionClass.STORE) > 0
     assert trace.count_class(InstructionClass.BRANCH) > 0
 
 
 def test_scale_changes_dynamic_length():
     short = run_program(build_kernel("puwmod", scale=0.05))
     long = run_program(build_kernel("puwmod", scale=0.3))
-    assert long.dynamic_count > short.dynamic_count
+    assert len(long) > len(short)
 
 
 def test_kernels_are_deterministic():
     a = run_program(build_kernel("tblook", scale=0.05))
     b = run_program(build_kernel("tblook", scale=0.05))
-    assert a.dynamic_count == b.dynamic_count
-    assert a.memory_addresses() == b.memory_addresses()
+    assert len(a) == len(b)
+    assert a.addresses == b.addresses
 
 
 class TestSyntheticGenerator:
@@ -79,7 +81,7 @@ class TestSyntheticGenerator:
 
     def test_length_close_to_requested(self):
         trace = self._trace()
-        assert abs(trace.dynamic_count - 4000) <= 2
+        assert abs(len(trace) - 4000) <= 2
 
     def test_static_instructions_are_shared_per_shape(self):
         trace = self._trace()
@@ -92,7 +94,7 @@ class TestSyntheticGenerator:
         assert trace.load_fraction == pytest.approx(0.3, abs=0.07)
 
     def test_dependent_fraction_controllable(self):
-        from repro.core.hazards import is_dependent_load
+        from repro.core.hazards import consumer_distance
         from repro.functional.reference import reference_trace
 
         low = self._trace(dependent_load_fraction=0.1)
@@ -103,23 +105,17 @@ class TestSyntheticGenerator:
             loads = [d.index for d in records if d.is_load]
             if not loads:
                 return 0.0
-            flagged = sum(1 for i in loads if is_dependent_load(records, i))
+            flagged = sum(
+                1 for i in loads if consumer_distance(records, i, max_distance=2) is not None
+            )
             return flagged / len(loads)
 
         assert dependent_share(high) > dependent_share(low) + 0.4
 
-    def test_from_table2_row(self):
-        row = PAPER_TABLE2["puwmod"]
-        config = SyntheticStreamConfig.from_table2_row(row, instructions=2000)
-        assert config.load_fraction == pytest.approx(row.pct_loads / 100)
-        assert config.load_hit_rate == pytest.approx(row.pct_hit_loads / 100)
-        trace = SyntheticWorkloadGenerator(config).generate()
-        assert trace.dynamic_count >= 2000
-
     def test_deterministic_given_seed(self):
         a = self._trace()
         b = self._trace()
-        assert a.memory_addresses() == b.memory_addresses()
+        assert a.addresses == b.addresses
 
 
 def _stream_digest(trace) -> str:
@@ -165,8 +161,14 @@ PINNED_STREAMS = [
     (replace(_GENERATOR, load_fraction=0.3), "9b22af8ea8c2f71f"),
     (replace(_GENERATOR, dependent_load_fraction=0.1), "ed4d239172642275"),
     (replace(_GENERATOR, dependent_load_fraction=0.9), "56adef7aef83c979"),
+    # Calibrated to the paper's Table II row of puwmod.
     (
-        SyntheticStreamConfig.from_table2_row(PAPER_TABLE2["puwmod"], instructions=2000),
+        SyntheticStreamConfig(
+            instructions=2000,
+            load_fraction=PAPER_TABLE2["puwmod"].pct_loads / 100.0,
+            dependent_load_fraction=PAPER_TABLE2["puwmod"].pct_dependent_loads / 100.0,
+            load_hit_rate=PAPER_TABLE2["puwmod"].pct_hit_loads / 100.0,
+        ),
         "b747709b08aced8a",
     ),
     (SyntheticStreamConfig(), "28ccdae2bb49727c"),
