@@ -14,15 +14,11 @@ safety-critical system.
 from __future__ import annotations
 
 from repro.analysis.reporting import Table
-from repro.ecc import (
-    FaultInjector,
-    FaultModel,
-    HammingSecCode,
-    HsiaoSecDedCode,
-    InjectionOutcome,
-    ParityCode,
-    ReliabilityModel,
-)
+from repro.ecc.fault_injection import FaultInjector, FaultModel, InjectionOutcome
+from repro.ecc.hamming import HammingSecCode
+from repro.ecc.parity import ParityCode
+from repro.ecc.reliability import ReliabilityModel
+from repro.ecc.secded import HsiaoSecDedCode
 from repro.experiments.runner import cached_golden_run
 from repro.scenarios import FaultSpec, SimulationSpec
 from repro.simulation import simulate_spec

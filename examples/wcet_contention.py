@@ -4,9 +4,10 @@ Run with::
 
     python examples/wcet_contention.py
 
-The script runs a store-intensive control kernel on the 4-core NGMP-like
-SoC model under three interference scenarios (isolation, average and
-worst-case round-robin bus contention) for three DL1 configurations:
+The script times a store-intensive control kernel in isolation and under
+worst-case round-robin bus contention from the other three cores of the
+4-core NGMP (the analytic interference model) for three DL1
+configurations:
 
 * write-through + parity (the classic LEON configuration),
 * write-back + LAEC (the paper's proposal),
@@ -22,16 +23,13 @@ unprotected design.
 from __future__ import annotations
 
 from repro.analysis.reporting import Table
-from repro.analysis.wcet import WcetAnalysis
-from repro.workloads import build_kernel
+from repro.experiments import wt_vs_wb
 
 KERNEL = "iirflt"
 
 
 def main() -> None:
-    program = build_kernel(KERNEL, scale=0.4)
-    analysis = WcetAnalysis(contenders=3, safety_margin=1.2)
-    study = analysis.write_policy_study(program)
+    study = wt_vs_wb.run(kernels=(KERNEL,), scale=0.4).bounds[KERNEL]
 
     table = Table(
         title=(

@@ -17,13 +17,12 @@ The package provides, from the bottom up:
 * :mod:`repro.core` — the paper's contribution: the ECC deployment
   policies (No-ECC, Extra Cache Cycle, Extra Stage, LAEC) and the LAEC
   look-ahead unit.
-* :mod:`repro.soc` — a 4-core NGMP-like SoC model with shared bus and L2.
 * :mod:`repro.workloads` — EEMBC-Automotive-like kernels and synthetic
   trace generation.
 * :mod:`repro.scenarios` — the declarative :class:`SimulationSpec` and
   the named-scenario registry every entry path funnels through.
-* :mod:`repro.analysis` — metrics, energy/leakage model, WCET analysis
-  and report rendering.
+* :mod:`repro.analysis` — metrics, energy/leakage model and report
+  rendering.
 * :mod:`repro.experiments` — one module per paper table/figure plus
   ablations, listed as one row each in the catalogue the
   ``python -m repro`` CLI serves.

@@ -68,7 +68,6 @@ from repro.campaign.sampling import (
 )
 from repro.campaign.stats import DEFAULT_Z, wilson_half_width, wilson_interval
 from repro.core.policies import make_policy
-from repro.ecc.reliability import ReliabilityModel
 from repro.scenarios.spec import FAULT_TARGETS, SimulationSpec
 from repro.telemetry import flight as _flight
 from repro.telemetry import metrics as _metrics
@@ -885,41 +884,6 @@ class _PointSupervisor:
             # No worker boundary to kill or hang in inline execution.
             return None
         return directive
-
-
-def analytical_reference(
-    policies: Sequence[str], *, bit_upset_rate_per_hour: float = 1e-9
-) -> Dict[str, Dict[str, float]]:
-    """Per-policy analytical prediction to print next to empirical rates.
-
-    ``codec_sdc_bound`` is the code-level SDC probability of a single
-    flip (1 for the unprotected array, 0 for detecting/correcting
-    codes); architectural masking can only push the observed rate
-    *below* it.  ``array_failures_per_1e9h`` is the
-    :class:`~repro.ecc.reliability.ReliabilityModel` array-level unsafe
-    failure rate for a 16 KiB DL1, which fixes the expected ordering
-    between the policies.
-    """
-    reference: Dict[str, Dict[str, float]] = {}
-    for value in policies:
-        policy = make_policy(value)
-        code = policy.dl1_code()
-        model = ReliabilityModel(
-            words=16 * 1024 // 4, bit_upset_rate_per_hour=bit_upset_rate_per_hour
-        )
-        if policy.corrects_errors:
-            corrected, detected, sdc = 1.0, 0.0, 0.0
-        elif policy.detects_errors:
-            corrected, detected, sdc = 0.0, 1.0, 0.0
-        else:
-            corrected, detected, sdc = 0.0, 0.0, 1.0
-        reference[value] = {
-            "codec_corrected": corrected,
-            "codec_detected": detected,
-            "codec_sdc_bound": sdc,
-            "array_failures_per_1e9h": model.failures_in_time(code, hours=1e9),
-        }
-    return reference
 
 
 class _Heartbeat:

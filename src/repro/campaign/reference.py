@@ -376,7 +376,7 @@ class _L2FaultReplayMemory(_ReplayMemory):
 
 def _build_model(spec: SimulationSpec, program: Program) -> Dl1ContentModel:
     policy = spec.resolved_policy()
-    hierarchy = spec.core_config().resolved_hierarchy_config()
+    hierarchy = spec.resolved_hierarchy()
     backing = FlatMemory()
     backing.load_bytes(program.data.base, program.data.data)
     model = Dl1ContentModel(

@@ -380,7 +380,7 @@ def _inject_group(
         _check_limit(spec, golden)
         fault = spec.fault
         policy = spec.resolved_policy()
-        hierarchy = spec.core_config().resolved_hierarchy_config()
+        hierarchy = spec.resolved_hierarchy()
         geometry = _triage.geometry_for(hierarchy.l1d)
         wa = fault.word_address & ~0x3
         code = policy.dl1_code() if fault.target == "dl1" else policy.l2_code()

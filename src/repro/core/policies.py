@@ -84,11 +84,6 @@ class EccPolicy:
             return self.load_hit_memory_cycles
         return 1
 
-    @property
-    def pipeline_depth(self) -> int:
-        """Number of pipeline stages (7 baseline, 8 with the ECC stage)."""
-        return 8 if self.has_ecc_stage else 7
-
     # ------------------------------------------------------------------ #
     # the codes stored in each data array                                #
     # ------------------------------------------------------------------ #
@@ -118,17 +113,6 @@ class EccPolicy:
             return RawWordCode()
         return HsiaoSecDedCode()
 
-    def describe(self) -> str:
-        parts = [
-            self.display_name,
-            f"{self.pipeline_depth}-stage pipeline",
-            self.dl1_write_policy.value + " DL1",
-        ]
-        if self.dl1_code_name:
-            parts.append(f"DL1 code: {self.dl1_code_name}")
-        if self.supports_lookahead:
-            parts.append("look-ahead enabled")
-        return ", ".join(parts)
 
 
 def NoEccPolicy() -> EccPolicy:

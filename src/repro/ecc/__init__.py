@@ -14,19 +14,3 @@ encode/decode/correct path a hardware implementation would:
 * :class:`repro.ecc.secded.HsiaoSecDedCode` — Hsiao odd-weight-column
   SECDED(39,32), the code assumed throughout the paper.
 """
-
-from repro.ecc.fault_injection import FaultInjector, FaultModel, InjectionOutcome
-from repro.ecc.hamming import HammingSecCode
-from repro.ecc.parity import ParityCode
-from repro.ecc.reliability import ReliabilityModel
-from repro.ecc.secded import HsiaoSecDedCode
-
-__all__ = [
-    "FaultInjector",
-    "FaultModel",
-    "HammingSecCode",
-    "HsiaoSecDedCode",
-    "InjectionOutcome",
-    "ParityCode",
-    "ReliabilityModel",
-]

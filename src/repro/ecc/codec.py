@@ -61,11 +61,6 @@ class EccCode:
     def total_bits(self) -> int:
         return self.data_bits + self.check_bits
 
-    @property
-    def storage_overhead(self) -> float:
-        """Check-bit storage overhead as a fraction of the data bits."""
-        return self.check_bits / self.data_bits if self.data_bits else 0.0
-
     def encode(self, data: int) -> int:
         """Return the codeword for ``data`` (data in the low bits)."""
         raise NotImplementedError
@@ -100,14 +95,6 @@ class EccCode:
             raise ValueError(
                 f"codeword out of range for a {self.total_bits}-bit code: {codeword:#x}"
             )
-
-    # -------------------------------------------------------------------
-    def describe(self) -> str:
-        return (
-            f"{self.name}: ({self.total_bits},{self.data_bits}) code, "
-            f"{self.check_bits} check bits, "
-            f"{self.storage_overhead * 100:.1f}% storage overhead"
-        )
 
 
 class RawWordCode(EccCode):

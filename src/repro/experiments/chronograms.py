@@ -26,8 +26,10 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.policies import EccPolicyKind
 from repro.isa.assembler import assemble
 from repro.pipeline.chronogram import Chronogram
+from repro.pipeline.config import PipelineConfig
 from repro.pipeline.stages import Stage
-from repro.simulation import simulate_program
+from repro.scenarios.spec import SimulationSpec
+from repro.simulation import simulate_spec
 
 #: Loop harness: {body} is substituted with the figure's instructions.
 #: ``r4`` holds the array base so Figure 7b's address-producing add
@@ -162,9 +164,10 @@ def run_figure(figure: str) -> ChronogramResult:
     source = _TEMPLATE.format(body=spec.body)
     program = assemble(source, name=figure)
     window = _second_iteration_window(spec.body_length)
-    result = simulate_program(
-        program, policy=spec.policy, chronogram_window=window[1] + 1
+    timed = SimulationSpec(
+        policy=spec.policy, pipeline=PipelineConfig(chronogram_window=window[1] + 1)
     )
+    result = simulate_spec(timed, program=program)
     shown = result.chronogram.window(*window)
     consumer_entry = shown.entries[-1]
     return ChronogramResult(

@@ -79,20 +79,6 @@ class Program:
     def has_instruction_at(self, address: int) -> bool:
         return address in self._by_address
 
-    def static_instruction_count(self) -> int:
-        return len(self.instructions)
-
-    def data_footprint(self) -> int:
-        """Bytes of initialised data."""
-        return self.data.size
-
-    def describe(self) -> str:
-        """One-line summary used in logs and example scripts."""
-        return (
-            f"{self.name}: {self.static_instruction_count()} instructions, "
-            f"{self.data_footprint()} data bytes, entry {self.entry:#x}"
-        )
-
 
 def find_entry(symbols: Dict[str, int], default: int, label: Optional[str] = None) -> int:
     """Resolve the entry point: explicit label, ``main``/``_start`` or default."""

@@ -126,11 +126,3 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------ #
     def dl1_statistics(self):
         return self.l1d.stats
-
-    def describe(self) -> str:
-        l1d = self.config.l1d
-        return (
-            f"DL1 {l1d.size_bytes // 1024} KiB {l1d.ways}-way {l1d.line_bytes}B/line "
-            f"({l1d.write_policy.value}), L2 {self.config.l2.size_bytes // 1024} KiB, "
-            f"memory {self.config.memory_latency} cycles"
-        )

@@ -1,12 +1,8 @@
-"""Pipeline and core configuration dataclasses."""
+"""Pipeline configuration dataclass."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Union
-
-from repro.core.policies import EccPolicy, EccPolicyKind, make_policy
-from repro.memory.config import MemoryHierarchyConfig
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -37,37 +33,3 @@ class PipelineConfig:
             raise ValueError("mul/div latencies must be at least one cycle")
         if self.write_buffer_entries < 1:
             raise ValueError("the write buffer needs at least one entry")
-
-    def with_chronogram(self, window: int) -> "PipelineConfig":
-        return replace(self, chronogram_window=window)
-
-
-@dataclass(frozen=True)
-class CoreConfig:
-    """Everything needed to time one core: pipeline, hierarchy and policy."""
-
-    pipeline: PipelineConfig = field(default_factory=PipelineConfig)
-    hierarchy: MemoryHierarchyConfig = field(default_factory=MemoryHierarchyConfig)
-    policy: Union[str, EccPolicyKind, EccPolicy] = EccPolicyKind.NO_ECC
-    name: str = "core0"
-
-    def resolved_policy(self) -> EccPolicy:
-        return make_policy(self.policy)
-
-    def resolved_hierarchy_config(self) -> MemoryHierarchyConfig:
-        """Hierarchy config with the DL1 write policy forced by the ECC policy."""
-        policy = self.resolved_policy()
-        hierarchy = self.hierarchy
-        if hierarchy.l1d.write_policy is not policy.dl1_write_policy:
-            hierarchy = replace(
-                hierarchy, l1d=hierarchy.l1d.with_write_policy(policy.dl1_write_policy)
-            )
-        return hierarchy
-
-    def with_policy(self, policy: Union[str, EccPolicyKind, EccPolicy]) -> "CoreConfig":
-        return replace(self, policy=policy)
-
-    def with_contention(self, contenders: int, mode: str = "worst") -> "CoreConfig":
-        return replace(
-            self, hierarchy=self.hierarchy.with_contention(contenders, mode)
-        )

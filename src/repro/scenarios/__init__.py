@@ -2,8 +2,8 @@
 
 This package turns "what should be simulated" into a first-class,
 declarative value: :class:`SimulationSpec` captures workload, scale, ECC
-policy, pipeline and hierarchy configuration, interference and core
-placement in one frozen object, and the registry names the recurring
+policy, pipeline and hierarchy configuration and interference in one
+frozen object, and the registry names the recurring
 combinations (``laec-worst``, ``wt-parity-isolation``, every single
 policy, ...).
 

@@ -11,14 +11,19 @@ how pessimistically their interference is accounted:
   per contender), the bound a measurement-based WCET estimate must
   assume for this arbiter [Dasari 2011, paper reference [14]].
 
-This lives in the scenarios package (rather than :mod:`repro.soc`) so
-the declarative :class:`~repro.scenarios.spec.SimulationSpec` can carry
-an interference description without depending on the SoC layer.
+The task of interest runs on one core of the paper's 4-core NGMP; the
+other cores are abstracted into this analytic contention charge, the
+abstraction measurement-based WCET bounds for round-robin buses are
+built from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+#: "All other cores" of the 4-core NGMP: the contender count of the
+#: registry's contended scenarios and of the WCET study.
+OTHER_CORES = 3
 
 
 @dataclass(frozen=True)
@@ -28,11 +33,3 @@ class InterferenceScenario:
     name: str
     contenders: int
     mode: str  # "none" | "average" | "worst"
-
-    def describe(self) -> str:
-        if self.mode == "none" or self.contenders == 0:
-            return f"{self.name}: task in isolation"
-        return (
-            f"{self.name}: {self.contenders} contending core(s), "
-            f"{self.mode}-case round-robin interference"
-        )

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.core.policies import EccPolicyKind
-from repro.scenarios.interference import InterferenceScenario
+from repro.scenarios.interference import OTHER_CORES, InterferenceScenario
 from repro.scenarios.spec import SimulationSpec
 
 ScenarioFactory = Callable[[], SimulationSpec]
@@ -83,19 +83,6 @@ def get_scenario(name: str, **overrides) -> SimulationSpec:
 # ---------------------------------------------------------------------- #
 # built-in scenarios                                                     #
 # ---------------------------------------------------------------------- #
-def _default_contenders() -> int:
-    """Every other core of the default SoC topology is busy.
-
-    Resolved at factory-call time (and imported lazily — the SoC layer
-    sits above this package), so the registry always agrees with
-    :meth:`repro.soc.ngmp.NgmpSoC.wcet_estimate` about what "all other
-    cores" means instead of hard-coding a core count.
-    """
-    from repro.soc.ngmp import NgmpConfig
-
-    return max(NgmpConfig().cores - 1, 0)
-
-
 def _register_builtins() -> None:
     for kind in EccPolicyKind:
         policy = kind  # bind per iteration
@@ -133,9 +120,7 @@ def _register_builtins() -> None:
             scenario_name: str = scenario_name, mode: str = mode
         ) -> SimulationSpec:
             return SimulationSpec(
-                interference=InterferenceScenario(
-                    scenario_name, _default_contenders(), mode
-                )
+                interference=InterferenceScenario(scenario_name, OTHER_CORES, mode)
             )
 
         register_scenario(
@@ -155,7 +140,7 @@ def _register_builtins() -> None:
                 scenario_name: str = scenario_name,
                 mode: str = mode,
             ) -> SimulationSpec:
-                contenders = 0 if mode == "none" else _default_contenders()
+                contenders = 0 if mode == "none" else OTHER_CORES
                 return SimulationSpec(
                     policy=policy_kind,
                     interference=InterferenceScenario(scenario_name, contenders, mode),

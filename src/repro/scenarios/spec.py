@@ -3,14 +3,13 @@
 A :class:`SimulationSpec` is the single, frozen description of "one
 timing run": which workload (a named kernel or a caller-supplied
 program), at which scale, under which ECC policy, on which pipeline and
-memory-hierarchy configuration, with which inter-core interference, and
-pinned to which core.  Every entry path of the library —
+memory-hierarchy configuration, and with which inter-core interference.
+Every entry path of the library —
 :func:`repro.simulation.simulate_kernel`,
-:func:`repro.simulation.simulate_program`,
-:class:`repro.experiments.runner.ExperimentRunner` and
-:meth:`repro.soc.ngmp.NgmpSoC.run_task` — builds a spec and funnels it
-through :func:`repro.simulation.simulate_spec`, so scenario handling,
-caching and sharding logic all operate on one value type.
+:class:`repro.experiments.runner.ExperimentRunner`, the WCET study and
+the fault campaign — builds a spec and funnels it through
+:func:`repro.simulation.simulate_spec`, so scenario handling, caching
+and sharding logic all operate on one value type.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from typing import Optional, Union
 
 from repro.core.policies import EccPolicy, EccPolicyKind, make_policy
 from repro.memory.config import MemoryHierarchyConfig
-from repro.pipeline.config import CoreConfig, PipelineConfig
+from repro.pipeline.config import PipelineConfig
 from repro.scenarios.interference import InterferenceScenario
 
 PolicyLike = Union[str, EccPolicyKind, EccPolicy]
@@ -67,12 +66,6 @@ class FaultSpec:
         if self.at_access < 1:
             raise ValueError("at_access is a 1-based access ordinal")
 
-    def describe(self) -> str:
-        return (
-            f"flip bit {self.bit} of {self.target} word {self.word_address:#x} "
-            f"before access #{self.at_access}"
-        )
-
 
 @dataclass(frozen=True)
 class SimulationSpec:
@@ -92,8 +85,6 @@ class SimulationSpec:
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     hierarchy: MemoryHierarchyConfig = field(default_factory=MemoryHierarchyConfig)
     interference: Optional[InterferenceScenario] = None
-    core_index: int = 0
-    chronogram_window: int = 0
     max_instructions: int = 5_000_000
     #: Optional armed soft error (see :class:`FaultSpec`).  When set,
     #: :func:`repro.simulation.simulate_spec` routes the run through the
@@ -104,24 +95,19 @@ class SimulationSpec:
     def resolved_policy(self) -> EccPolicy:
         return make_policy(self.policy)
 
-    def effective_hierarchy(self) -> MemoryHierarchyConfig:
-        """Hierarchy config with the spec's interference applied."""
-        if self.interference is None:
-            return self.hierarchy
-        scenario = self.interference
-        return self.hierarchy.with_contention(scenario.contenders, scenario.mode)
-
-    def core_config(self) -> CoreConfig:
-        """The per-core configuration this spec describes."""
-        pipeline = self.pipeline
-        if self.chronogram_window:
-            pipeline = pipeline.with_chronogram(self.chronogram_window)
-        return CoreConfig(
-            pipeline=pipeline,
-            hierarchy=self.effective_hierarchy(),
-            policy=self.policy,
-            name=f"core{self.core_index}",
-        )
+    def resolved_hierarchy(self) -> MemoryHierarchyConfig:
+        """The hierarchy this run times: the spec's interference applied
+        and the DL1 write policy forced by the ECC policy."""
+        hierarchy = self.hierarchy
+        if self.interference is not None:
+            scenario = self.interference
+            hierarchy = hierarchy.with_contention(scenario.contenders, scenario.mode)
+        write_policy = self.resolved_policy().dl1_write_policy
+        if hierarchy.l1d.write_policy is not write_policy:
+            hierarchy = replace(
+                hierarchy, l1d=hierarchy.l1d.with_write_policy(write_policy)
+            )
+        return hierarchy
 
     def build_program(self):
         """Assemble the named kernel (requires ``kernel`` to be set)."""
@@ -143,27 +129,5 @@ class SimulationSpec:
     def with_kernel(self, kernel: str) -> "SimulationSpec":
         return replace(self, kernel=kernel)
 
-    def with_chronogram(self, window: int) -> "SimulationSpec":
-        return replace(self, chronogram_window=window)
-
-    def with_core(self, core_index: int) -> "SimulationSpec":
-        return replace(self, core_index=core_index)
-
     def with_fault(self, fault: Optional[FaultSpec]) -> "SimulationSpec":
         return replace(self, fault=fault)
-
-    def describe(self) -> str:
-        workload = self.kernel or "<program>"
-        scenario = (
-            self.interference.describe()
-            if self.interference is not None
-            else "inherited contention"
-        )
-        text = (
-            f"{workload} (scale {self.scale:g}) under "
-            f"{self.resolved_policy().kind.value} on core{self.core_index}; "
-            f"{scenario}"
-        )
-        if self.fault is not None:
-            text += f"; {self.fault.describe()}"
-        return text

@@ -8,15 +8,16 @@ Most users only need two calls::
     laec = simulate_kernel("matrix", policy="laec")
     print(laec.cycles / baseline.cycles - 1.0)   # Figure 8 data point
 
-:func:`simulate_program` does the same for an arbitrary assembled
-:class:`~repro.isa.program.Program`, and :class:`SimulationResult`
-bundles the functional trace, the timing statistics and the chronogram.
+:class:`SimulationResult` bundles the functional trace, the timing
+statistics and the chronogram.
 
-Since the scenario-first refactor every entry path — these two
-functions, the experiment runner and the SoC — constructs a declarative
+Every entry path — :func:`simulate_kernel`, the experiment runner, the
+WCET study and the fault campaign — constructs a declarative
 :class:`~repro.scenarios.SimulationSpec` and funnels it through
 :func:`simulate_spec`, the single place where a spec is turned into a
-functional trace and a timing run.
+functional trace and a timing run.  An arbitrary assembled
+:class:`~repro.isa.program.Program` is timed by passing it as
+``simulate_spec(spec, program=...)``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from repro.core.policies import EccPolicy, EccPolicyKind
 from repro.functional.interpreter import FunctionalTrace, run_program
 from repro.isa.program import Program
 from repro.pipeline.chronogram import Chronogram
-from repro.pipeline.config import CoreConfig
 from repro.pipeline.statistics import PipelineStatistics
 from repro.pipeline.timing import PipelineResult, TimingPipeline
 from repro.scenarios.spec import SimulationSpec
@@ -138,16 +138,11 @@ def simulate_spec(
             store_timing_result(store, spec, result)
             return result
     resolved_policy = spec.resolved_policy()
-    core_config = spec.core_config()
     if trace is None:
         if program is None:
             program = spec.build_program()
         trace = run_program(program, max_instructions=spec.max_instructions)
-    pipeline = TimingPipeline(
-        resolved_policy,
-        core_config.resolved_hierarchy_config(),
-        core_config.pipeline,
-    )
+    pipeline = TimingPipeline(resolved_policy, spec.resolved_hierarchy(), spec.pipeline)
     return SimulationResult(
         program_name=program.name if program is not None else trace.program_name,
         policy=resolved_policy,
@@ -157,39 +152,10 @@ def simulate_spec(
     )
 
 
-def simulate_program(
-    program: Program,
-    *,
-    policy: Union[str, EccPolicyKind, EccPolicy] = EccPolicyKind.NO_ECC,
-    config: Optional[CoreConfig] = None,
-    trace: Optional[FunctionalTrace] = None,
-    chronogram_window: int = 0,
-    max_instructions: int = 5_000_000,
-) -> SimulationResult:
-    """Run ``program`` under ``policy`` and return the combined result.
-
-    The functional trace can be passed in (``trace=``) to avoid re-running
-    the architectural simulation when timing the same program under
-    several policies — the stream is identical by construction because
-    none of the policies change architectural behaviour.
-    """
-    core_config = config or CoreConfig()
-    spec = SimulationSpec(
-        policy=policy,
-        pipeline=core_config.pipeline,
-        hierarchy=core_config.hierarchy,
-        chronogram_window=chronogram_window,
-        max_instructions=max_instructions,
-    )
-    return simulate_spec(spec, program=program, trace=trace)
-
-
 def simulate_kernel(
     kernel_name: str,
     *,
     policy: Union[str, EccPolicyKind, EccPolicy] = EccPolicyKind.NO_ECC,
-    config: Optional[CoreConfig] = None,
-    chronogram_window: int = 0,
     scale: float = 1.0,
 ) -> SimulationResult:
     """Assemble and simulate one of the EEMBC-Automotive-like kernels.
@@ -198,13 +164,4 @@ def simulate_kernel(
     trade accuracy for speed in tests); 1.0 reproduces the default
     workload sizes used by the benchmark harness.
     """
-    core_config = config or CoreConfig()
-    spec = SimulationSpec(
-        kernel=kernel_name,
-        scale=scale,
-        policy=policy,
-        pipeline=core_config.pipeline,
-        hierarchy=core_config.hierarchy,
-        chronogram_window=chronogram_window,
-    )
-    return simulate_spec(spec)
+    return simulate_spec(SimulationSpec(kernel=kernel_name, scale=scale, policy=policy))

@@ -116,8 +116,10 @@ def canonical_dict(spec: SimulationSpec) -> Dict[str, Any]:
         "pipeline": _pipeline_dict(spec.pipeline),
         "hierarchy": _hierarchy_dict(spec.hierarchy),
         "interference": interference,
-        "core_index": spec.core_index,
-        "chronogram_window": spec.chronogram_window,
+        # Retired spec fields (the core a task was pinned to, a
+        # spec-level chronogram window): constant, so hashes do not move.
+        "core_index": 0,
+        "chronogram_window": 0,
         "max_instructions": spec.max_instructions,
         "fault": fault,
     }

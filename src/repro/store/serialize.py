@@ -5,7 +5,7 @@ Only what the experiments consume is stored: the full statistics tree
 counters.  The functional trace is *not* stored — it is policy
 independent and reproducible from the kernel-trace cache, so callers
 that need it re-attach it — and neither is the chronogram, which is why
-only specs with ``chronogram_window == 0`` are cacheable.
+only specs whose pipeline records no chronogram are cacheable.
 """
 
 from __future__ import annotations
@@ -133,6 +133,6 @@ def cacheable(spec: SimulationSpec) -> bool:
     """
     return (
         spec.kernel is not None
-        and spec.chronogram_window == 0
+        and spec.pipeline.chronogram_window == 0
         and spec.fault is None
     )

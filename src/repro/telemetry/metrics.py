@@ -1,4 +1,4 @@
-"""The campaign metrics registry: counters, gauges, histograms.
+"""The campaign metrics registry: counters and histograms.
 
 One :class:`MetricsRegistry` lives per process (``registry()``); the
 campaign engine, the execution supervisor, the batched replay backend
@@ -100,21 +100,6 @@ class Counter:
         return [f"{self.name}{_render_labels(self.labels)} {_format_value(self.value)}"]
 
 
-class Gauge(Counter):
-    """A value that can go up and down (last write wins)."""
-
-    metric_type = "gauge"
-
-    def inc(self, amount: float = 1) -> None:
-        self.value += amount
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def merge_payload(self, payload: Mapping[str, object]) -> None:
-        self.value = float(payload["value"])  # type: ignore[arg-type]
-
-
 class Histogram:
     """A fixed-bound bucket histogram (Prometheus cumulative rendering).
 
@@ -212,9 +197,6 @@ class MetricsRegistry:
     ) -> Counter:
         return self._get(Counter, name, labels)
 
-    def gauge(self, name: str, labels: Optional[Mapping[str, str]] = None) -> Gauge:
-        return self._get(Gauge, name, labels)
-
     def histogram(
         self,
         name: str,
@@ -233,7 +215,7 @@ class MetricsRegistry:
     def value(
         self, name: str, labels: Optional[Mapping[str, str]] = None
     ) -> float:
-        """The current value of a counter/gauge (0 if never published)."""
+        """The current value of a counter (0 if never published)."""
         metric = self._metrics.get((name, _label_key(labels)))
         return metric.value if isinstance(metric, Counter) else 0
 
@@ -243,7 +225,7 @@ class MetricsRegistry:
 
     def merge_payload(self, payload: List[Mapping[str, object]]) -> None:
         """Fold a snapshot from another process into this registry."""
-        classes = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+        classes = {"counter": Counter, "histogram": Histogram}
         for entry in payload:
             cls = classes[str(entry["type"])]
             kwargs = {}
@@ -371,7 +353,6 @@ __all__ = [
     "DURATION_BUCKETS",
     "PHASE_METRIC",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "drain_phase_payload",

@@ -57,7 +57,6 @@ SPAN_NAMES = ("campaign", "batch", "point")
 
 _METRIC_FIELDS: Dict[str, Dict[str, Tuple[tuple, bool]]] = {
     "counter": {"value": (_NUMBER, True)},
-    "gauge": {"value": (_NUMBER, True)},
     "histogram": {
         "bounds": ((list,), True),
         "buckets": ((list,), True),

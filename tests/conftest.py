@@ -11,7 +11,8 @@ import pytest
 
 from repro.functional.interpreter import run_program
 from repro.isa.assembler import assemble
-from repro.simulation import simulate_program
+from repro.scenarios.spec import SimulationSpec
+from repro.simulation import simulate_spec
 from repro.workloads import build_kernel
 
 
@@ -59,6 +60,8 @@ def small_kernel_results():
         trace = run_program(program)
         per_policy = {}
         for policy in ("no-ecc", "extra-cycle", "extra-stage", "laec"):
-            per_policy[policy] = simulate_program(program, policy=policy, trace=trace)
+            per_policy[policy] = simulate_spec(
+                SimulationSpec(policy=policy), program=program, trace=trace
+            )
         results[name] = per_policy
     return results

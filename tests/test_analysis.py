@@ -5,9 +5,11 @@ import pytest
 from repro.analysis.energy import EnergyModel, estimate_energy
 from repro.analysis.metrics import PolicyComparison, compare_policies
 from repro.analysis.reporting import Table, bar_chart
-from repro.analysis.wcet import WcetAnalysis
 from repro.core.policies import EccPolicyKind
-from repro.workloads import build_kernel
+from repro.experiments import wt_vs_wb
+from repro.scenarios.interference import InterferenceScenario
+from repro.scenarios.spec import SimulationSpec
+from repro.simulation import simulate_spec
 
 
 class TestMetrics:
@@ -80,9 +82,7 @@ class TestEnergy:
 
 class TestWcet:
     def test_wt_inflates_more_than_wb(self):
-        program = build_kernel("puwmod", scale=0.1)
-        analysis = WcetAnalysis(contenders=3, safety_margin=1.2)
-        study = analysis.write_policy_study(program)
+        study = wt_vs_wb.run(kernels=("puwmod",), scale=0.1).bounds["puwmod"]
         wt = study["wt-parity"]
         wb = study["wb-laec"]
         assert wt.contention_inflation > wb.contention_inflation
@@ -91,7 +91,6 @@ class TestWcet:
         assert wt.wcet_estimate_cycles == int(round(wt.observed_contention_cycles * 1.2))
 
     def test_write_policy_study_interprets_once(self, monkeypatch):
-        import repro.analysis.wcet
         import repro.simulation
         from repro.functional.interpreter import run_program
 
@@ -102,13 +101,27 @@ class TestWcet:
             return run_program(program, **kwargs)
 
         monkeypatch.setattr(repro.simulation, "run_program", counting_run_program)
-        monkeypatch.setattr(repro.analysis.wcet, "run_program", counting_run_program)
-        program = build_kernel("puwmod", scale=0.1)
-        analysis = WcetAnalysis(contenders=3, safety_margin=1.2)
-        study = analysis.write_policy_study(program)
-        assert calls == [program.name]
-        trace = run_program(program)
-        assert study["wb-laec"] == analysis._bound(program, EccPolicyKind.LAEC, trace)
+        monkeypatch.setattr(wt_vs_wb, "run_program", counting_run_program)
+        study = wt_vs_wb.run(kernels=("puwmod",), scale=0.1).bounds["puwmod"]
+        assert calls == ["puwmod"]
+        # The shared trace times exactly what a run of its own would.
+        isolation, contention = (
+            simulate_spec(
+                SimulationSpec(
+                    kernel="puwmod",
+                    scale=0.1,
+                    policy=EccPolicyKind.LAEC,
+                    interference=scenario,
+                )
+            ).cycles
+            for scenario in (
+                InterferenceScenario("isolation", 0, "none"),
+                InterferenceScenario("worst", 3, "worst"),
+            )
+        )
+        assert study["wb-laec"] == wt_vs_wb.WcetBound(
+            isolation, contention, int(round(contention * 1.2))
+        )
 
 
 class TestReporting:

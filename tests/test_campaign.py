@@ -11,7 +11,7 @@ from repro.campaign import CampaignConfig, run_campaign
 from repro.campaign.replay import ArchOutcome, simulate_faulty_spec
 from repro.campaign.sampling import sample_faults
 from repro.campaign.reference import ShadowCache, run_injection
-from repro.ecc import HsiaoSecDedCode
+from repro.ecc.secded import HsiaoSecDedCode
 from repro.memory.config import CacheConfig
 from repro.memory.reference_cache import ReferenceCache
 from repro.scenarios import FaultSpec, SimulationSpec
@@ -499,7 +499,7 @@ class TestCampaignEngine:
             assert totals[policy]["corrected"] > 0
 
     def test_empirical_rates_agree_with_the_analytical_model(self, result):
-        from repro.campaign.engine import analytical_reference
+        from repro.experiments.campaign_summary import analytical_reference
 
         reference = analytical_reference(self.CONFIG.policies)
         for stratum in result.strata:
@@ -932,7 +932,7 @@ class TestCampaignCli:
             "import sys\n"
             "import repro.analysis.reporting\n"
             "print(sorted(m for m in sys.modules\n"
-            "             if m in ('repro.analysis.wcet', 'repro.simulation')))\n"
+            "             if m in ('repro.experiments.wt_vs_wb', 'repro.simulation')))\n"
         )
         outputs = []
         for script in (top_level, reporting):
@@ -947,6 +947,29 @@ class TestCampaignCli:
             outputs.append(completed.stdout.split("\n"))
         assert outputs[0][:2] == ["[]", "True"]
         assert outputs[1][0] == "[]"
+
+    def test_campaign_engine_loads_no_codec_analytics(self):
+        """A campaign process decodes with the codecs alone: importing the
+        engine loads neither the codec-level fault injector nor the
+        reliability model."""
+        import subprocess
+        import sys
+
+        script = (
+            "import sys\n"
+            "import repro.campaign.engine\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m in ('repro.ecc.fault_injection', 'repro.ecc.reliability')))\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "[]"
 
     def test_l2_target_sweep_through_the_cli(self, tmp_path, capsys):
         # End-to-end L2 injection: FAULT_TARGETS has always advertised

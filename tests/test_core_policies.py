@@ -27,10 +27,11 @@ from repro.memory.config import WritePolicy
 
 class TestPolicyDefinitions:
     def test_pipeline_depths(self):
-        assert NoEccPolicy().pipeline_depth == 7
-        assert ExtraCacheCyclePolicy().pipeline_depth == 7
-        assert ExtraStagePolicy().pipeline_depth == 8
-        assert LaecPolicy().pipeline_depth == 8
+        # 7 stages, plus the ECC stage for the pipelined schemes.
+        assert not NoEccPolicy().has_ecc_stage
+        assert not ExtraCacheCyclePolicy().has_ecc_stage
+        assert ExtraStagePolicy().has_ecc_stage
+        assert LaecPolicy().has_ecc_stage
 
     def test_write_policies(self):
         assert NoEccPolicy().dl1_write_policy is WritePolicy.WRITE_BACK
@@ -85,10 +86,6 @@ class TestPolicyDefinitions:
             EccPolicyKind.EXTRA_STAGE,
             EccPolicyKind.LAEC,
         ]
-
-    def test_describe_strings(self):
-        assert "look-ahead" in LaecPolicy().describe()
-        assert "7-stage" in NoEccPolicy().describe()
 
 
 def _trace(source: str):

@@ -15,13 +15,10 @@ import random
 
 import pytest
 
-from repro.ecc import (
-    FaultInjector,
-    FaultModel,
-    HammingSecCode,
-    HsiaoSecDedCode,
-    ParityCode,
-)
+from repro.ecc.fault_injection import FaultInjector, FaultModel
+from repro.ecc.hamming import HammingSecCode
+from repro.ecc.parity import ParityCode
+from repro.ecc.secded import HsiaoSecDedCode
 from repro.ecc.reference import (
     REFERENCE_CODES,
     ReferenceHammingSecCode,

@@ -2,17 +2,17 @@
 
 import pytest
 
-from repro.ecc import (
+from repro.ecc.fault_injection import (
     FaultInjector,
     FaultModel,
-    HammingSecCode,
-    HsiaoSecDedCode,
     InjectionOutcome,
-    ParityCode,
-    ReliabilityModel,
+    InjectionRecord,
+    InjectionReport,
 )
-from repro.ecc.fault_injection import InjectionRecord, InjectionReport
-from repro.ecc.reliability import word_outcome_probabilities
+from repro.ecc.hamming import HammingSecCode
+from repro.ecc.parity import ParityCode
+from repro.ecc.reliability import ReliabilityModel, word_outcome_probabilities
+from repro.ecc.secded import HsiaoSecDedCode
 
 
 def exhaustive_report(injector, data, flips):

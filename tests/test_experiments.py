@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.policies import EccPolicyKind
-from repro.ecc import HsiaoSecDedCode, ParityCode, ReliabilityModel
+from repro.ecc.parity import ParityCode
+from repro.ecc.reliability import ReliabilityModel
+from repro.ecc.secded import HsiaoSecDedCode
 from repro.experiments import (
     ablation_hazards,
     ablation_sensitivity,

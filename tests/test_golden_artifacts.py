@@ -24,7 +24,10 @@ import pytest
 
 from repro import __main__ as cli
 from repro.core.policies import EccPolicyKind
-from repro.ecc import HammingSecCode, HsiaoSecDedCode, ParityCode, ReliabilityModel
+from repro.ecc.hamming import HammingSecCode
+from repro.ecc.parity import ParityCode
+from repro.ecc.reliability import ReliabilityModel
+from repro.ecc.secded import HsiaoSecDedCode
 from repro.functional.reference import FunctionalSimulator
 from repro.experiments import (
     ExperimentContext,

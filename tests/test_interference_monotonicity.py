@@ -12,7 +12,9 @@ import pytest
 
 from repro.core.policies import EccPolicyKind
 from repro.experiments.runner import cached_kernel_trace
-from repro.soc import NgmpSoC, TaskPlacement
+from repro.scenarios.registry import scenario_interference
+from repro.scenarios.spec import SimulationSpec
+from repro.simulation import simulate_spec
 from repro.workloads import KERNEL_NAMES
 
 SCALE = 0.05
@@ -28,11 +30,16 @@ ALL_POLICIES = (
 
 @pytest.mark.parametrize("kernel", KERNEL_NAMES)
 def test_scenario_cycles_are_monotonic(kernel):
-    soc = NgmpSoC()
     program, trace = cached_kernel_trace(kernel, SCALE)
     for policy in ALL_POLICIES:
-        placement = TaskPlacement(program=program, policy=policy)
-        bounds = soc.wcet_estimate(placement, trace=trace)
+        bounds = {
+            name: simulate_spec(
+                SimulationSpec(policy=policy, interference=scenario_interference(name)),
+                program=program,
+                trace=trace,
+            ).cycles
+            for name in ("isolation", "average", "worst")
+        }
         assert (
             bounds["isolation"] <= bounds["average"] <= bounds["worst"]
         ), (kernel, policy)

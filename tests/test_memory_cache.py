@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.campaign.reference import ShadowCache
-from repro.ecc import HsiaoSecDedCode
+from repro.ecc.secded import HsiaoSecDedCode
 from repro.memory.cache import SetAssociativeCache
 from repro.memory.config import CacheConfig, WritePolicy
 from repro.memory.reference_cache import LruState, ReferenceCache

@@ -120,8 +120,3 @@ class TestMemoryHierarchy:
         hierarchy.load_access(0x40100000 + 512)
         with_writeback = hierarchy.load_access(0x40100000 + 1024)
         assert with_writeback.caused_writeback
-
-    def test_describe_mentions_geometry(self):
-        hierarchy = self._hierarchy()
-        text = hierarchy.describe()
-        assert "16 KiB" in text and "write-back" in text

@@ -2,9 +2,11 @@
 
 from repro.core.lookahead import LookaheadStatistics
 from repro.pipeline.chronogram import Chronogram, ChronogramEntry
+from repro.pipeline.config import PipelineConfig
 from repro.pipeline.stages import Stage
 from repro.pipeline.statistics import PipelineStatistics, StallBreakdown
-from repro.simulation import simulate_program
+from repro.scenarios.spec import SimulationSpec
+from repro.simulation import simulate_spec
 
 
 class TestChronogramContainer:
@@ -40,9 +42,10 @@ class TestChronogramContainer:
         assert "empty" in Chronogram().render()
 
     def test_recording_window_limits_entries(self, tiny_program, tiny_trace):
-        result = simulate_program(
-            tiny_program, policy="extra-stage", trace=tiny_trace, chronogram_window=6
+        spec = SimulationSpec(
+            policy="extra-stage", pipeline=PipelineConfig(chronogram_window=6)
         )
+        result = simulate_spec(spec, program=tiny_program, trace=tiny_trace)
         assert len(result.chronogram) == 6
         # The ECC stage must show up for the recorded load hits (if any hit
         # in the first six instructions the warm-up may still be cold, so

@@ -10,14 +10,21 @@ import pytest
 from repro.core.policies import EccPolicyKind
 from repro.functional.interpreter import run_program
 from repro.isa.assembler import assemble
-from repro.pipeline.config import CoreConfig, PipelineConfig
+from repro.pipeline.config import PipelineConfig
 from repro.pipeline.stages import Stage
-from repro.simulation import simulate_program
+from repro.scenarios.spec import SimulationSpec
+from repro.simulation import simulate_spec
+
+
+def _time(program, policy, *, trace=None, **pipeline):
+    """Time ``program`` under ``policy`` with the given pipeline settings."""
+    spec = SimulationSpec(policy=policy, pipeline=PipelineConfig(**pipeline))
+    return simulate_spec(spec, program=program, trace=trace)
 
 
 def _simulate(source: str, policy, **kwargs):
     program = assemble(source, name="timing-test")
-    return simulate_program(program, policy=policy, **kwargs)
+    return _time(program, policy, **kwargs)
 
 
 #: Warm loop harness: the second iteration of the loop body is in steady
@@ -46,7 +53,7 @@ loop:
 def _consumer_execute_cycles(source: str, policy, consumer_offset: int, body_length: int):
     program = assemble(source)
     window = 5 + body_length + 2 + body_length
-    result = simulate_program(program, policy=policy, chronogram_window=window)
+    result = _time(program, policy, chronogram_window=window)
     index = 5 + body_length + 2 + consumer_offset
     entry = next(e for e in result.chronogram.entries if e.index == index)
     return entry.cycles_in(Stage.EXECUTE)
@@ -123,13 +130,13 @@ class TestLoadUseTiming:
 
 class TestOrderingAndTotals:
     def test_cycles_positive_and_cpi_consistent(self, tiny_program, tiny_trace):
-        result = simulate_program(tiny_program, policy="no-ecc", trace=tiny_trace)
+        result = _time(tiny_program, "no-ecc", trace=tiny_trace)
         assert result.cycles > result.instructions
         assert result.cpi == pytest.approx(result.cycles / result.instructions)
 
     def test_policy_ordering_no_ecc_fastest(self, tiny_program, tiny_trace):
         results = {
-            policy: simulate_program(tiny_program, policy=policy, trace=tiny_trace)
+            policy: _time(tiny_program, policy, trace=tiny_trace)
             for policy in ("no-ecc", "extra-cycle", "extra-stage", "laec")
         }
         assert results["no-ecc"].cycles <= results["laec"].cycles
@@ -139,12 +146,12 @@ class TestOrderingAndTotals:
         assert results["extra-stage"].cycles <= results["extra-cycle"].cycles + 2
 
     def test_identical_trace_reused(self, tiny_program, tiny_trace):
-        a = simulate_program(tiny_program, policy="laec", trace=tiny_trace)
-        b = simulate_program(tiny_program, policy="laec", trace=tiny_trace)
+        a = _time(tiny_program, "laec", trace=tiny_trace)
+        b = _time(tiny_program, "laec", trace=tiny_trace)
         assert a.cycles == b.cycles  # deterministic
 
     def test_stats_count_classes(self, tiny_program, tiny_trace):
-        result = simulate_program(tiny_program, policy="no-ecc", trace=tiny_trace)
+        result = _time(tiny_program, "no-ecc", trace=tiny_trace)
         stats = result.stats
         assert stats.loads == 8 and stats.stores == 8
         assert stats.instructions == len(tiny_trace)
@@ -152,7 +159,7 @@ class TestOrderingAndTotals:
         assert stats.taken_branches == 7
 
     def test_stall_breakdown_nonnegative(self, tiny_program, tiny_trace):
-        result = simulate_program(tiny_program, policy="extra-stage", trace=tiny_trace)
+        result = _time(tiny_program, "extra-stage", trace=tiny_trace)
         breakdown = result.stats.stalls.as_dict()
         assert all(value >= 0 for value in breakdown.values())
         assert result.stats.stalls.total() == sum(breakdown.values())
@@ -171,9 +178,9 @@ class TestStructuralEffects:
     add r4, r4, r9"""
         )
         program = assemble(source)
-        base = simulate_program(program, policy="no-ecc").cycles
-        extra_cycle = simulate_program(program, policy="extra-cycle").cycles
-        extra_stage = simulate_program(program, policy="extra-stage").cycles
+        base = _time(program, "no-ecc").cycles
+        extra_cycle = _time(program, "extra-cycle").cycles
+        extra_stage = _time(program, "extra-stage").cycles
         assert extra_cycle > base
         # The pipelined ECC stage costs nothing beyond the one extra drain
         # cycle of the deeper pipeline.
@@ -183,29 +190,13 @@ class TestStructuralEffects:
         # A burst of stores larger than the write buffer stalls the pipeline.
         burst = "\n".join(f"    st r4, [r1+{4 * i}]" for i in range(8))
         source = _loop(burst)
-        small = simulate_program(
-            assemble(source),
-            policy="no-ecc",
-            config=CoreConfig(pipeline=PipelineConfig(write_buffer_entries=1)),
-        )
-        large = simulate_program(
-            assemble(source),
-            policy="no-ecc",
-            config=CoreConfig(pipeline=PipelineConfig(write_buffer_entries=8)),
-        )
+        small = _time(assemble(source), "no-ecc", write_buffer_entries=1)
+        large = _time(assemble(source), "no-ecc", write_buffer_entries=8)
         assert small.cycles >= large.cycles
 
     def test_mul_latency_configurable(self, tiny_program):
-        slow = simulate_program(
-            tiny_program,
-            policy="no-ecc",
-            config=CoreConfig(pipeline=PipelineConfig(mul_latency=8)),
-        )
-        fast = simulate_program(
-            tiny_program,
-            policy="no-ecc",
-            config=CoreConfig(pipeline=PipelineConfig(mul_latency=1)),
-        )
+        slow = _time(tiny_program, "no-ecc", mul_latency=8)
+        fast = _time(tiny_program, "no-ecc", mul_latency=1)
         # The tiny loop has no multiplications, so latency must not matter.
         assert slow.cycles == fast.cycles
 

@@ -35,11 +35,9 @@ ORACLE_MODULES = {
 
 #: Documented API without a production caller -> the document naming it.
 DOCUMENTED = {
-    "with_core": "ARCHITECTURE.md",
     "with_kernel": "ARCHITECTURE.md",
+    "with_policy": "ARCHITECTURE.md",
     "with_scale": "ARCHITECTURE.md",
-    "wcet_estimate": "README.md",
-    "gauge": "ARCHITECTURE.md",
     "validate_report": "ARCHITECTURE.md",
     "clear_kernel_trace_cache": "PERFORMANCE.md",
     # Process-wide caches and sinks the tests reset or swap.

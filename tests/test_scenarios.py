@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.policies import EccPolicyKind
 from repro.memory.config import MemoryHierarchyConfig, WritePolicy
-from repro.pipeline.config import CoreConfig, PipelineConfig
+from repro.pipeline.config import PipelineConfig
 from repro.scenarios import SimulationSpec
 from repro.scenarios.interference import InterferenceScenario
 from repro.scenarios.registry import (
@@ -13,8 +13,7 @@ from repro.scenarios.registry import (
     scenario_description,
     scenario_names,
 )
-from repro.simulation import simulate_kernel, simulate_program, simulate_spec
-from repro.soc import NgmpSoC, TaskPlacement
+from repro.simulation import simulate_kernel, simulate_spec
 from repro.workloads import build_kernel
 
 KERNEL = "rspeed"
@@ -32,35 +31,24 @@ class TestSimulationSpec:
         assert spec.with_policy("laec").resolved_policy().kind is EccPolicyKind.LAEC
         assert spec.with_scale(0.5).scale == 0.5
         assert spec.with_kernel("matrix").kernel == "matrix"
-        assert spec.with_core(2).core_index == 2
-        assert spec.with_chronogram(8).chronogram_window == 8
         # the original is untouched
         assert spec.scale == 1.0 and spec.kernel == KERNEL
 
     def test_interference_overrides_hierarchy_contention(self):
         scenario = InterferenceScenario("worst", 3, "worst")
         spec = SimulationSpec(kernel=KERNEL, interference=scenario)
-        hierarchy = spec.effective_hierarchy()
+        hierarchy = spec.resolved_hierarchy()
         assert hierarchy.bus_contenders == 3
         assert hierarchy.bus_contention_mode == "worst"
 
     def test_no_interference_inherits_hierarchy(self):
         contended = MemoryHierarchyConfig().with_contention(2, "average")
         spec = SimulationSpec(kernel=KERNEL, hierarchy=contended)
-        assert spec.effective_hierarchy() is contended
-
-    def test_core_config_carries_chronogram_window(self):
-        spec = SimulationSpec(kernel=KERNEL, chronogram_window=16)
-        assert spec.core_config().pipeline.chronogram_window == 16
+        assert spec.resolved_hierarchy() is contended
 
     def test_build_program_requires_kernel(self):
         with pytest.raises(ValueError):
             SimulationSpec().build_program()
-
-    def test_describe_mentions_workload_and_policy(self):
-        spec = SimulationSpec(kernel=KERNEL, policy="laec")
-        text = spec.describe()
-        assert KERNEL in text and "laec" in text
 
 
 class TestFunnel:
@@ -74,45 +62,37 @@ class TestFunnel:
         assert via_facade.cycles == via_spec.cycles
         assert via_facade.stats.as_dict() == via_spec.stats.as_dict()
 
-    def test_simulate_program_attaches_spec(self):
+    def test_program_run_attaches_spec(self):
         program = build_kernel(KERNEL, scale=SCALE)
-        result = simulate_program(program, policy="extra-stage")
-        assert result.spec is not None
+        spec = SimulationSpec(policy="extra-stage")
+        result = simulate_spec(spec, program=program)
+        assert result.spec is spec
+        assert result.program_name == program.name
         assert result.spec.resolved_policy().kind is EccPolicyKind.EXTRA_STAGE
 
-    def test_simulate_program_config_maps_into_spec(self):
+    def test_program_run_times_the_spec_pipeline(self):
         program = build_kernel(KERNEL, scale=SCALE)
-        config = CoreConfig(pipeline=PipelineConfig(write_buffer_entries=2))
-        result = simulate_program(program, policy="no-ecc", config=config)
-        assert result.spec.pipeline.write_buffer_entries == 2
+        spec = SimulationSpec(pipeline=PipelineConfig(taken_branch_penalty=3))
+        result = simulate_spec(spec, program=program)
+        assert result.spec.pipeline.taken_branch_penalty == 3
+        default = simulate_spec(SimulationSpec(), program=program)
+        assert result.cycles > default.cycles
 
-    def test_soc_run_task_funnels_through_spec(self):
-        soc = NgmpSoC()
+    def test_contended_program_run_is_replayable(self):
         program = build_kernel(KERNEL, scale=SCALE)
-        placement = TaskPlacement(program=program, policy="laec", core_index=1)
         scenario = InterferenceScenario("worst", 3, "worst")
-        result = soc.run_task(placement, scenario=scenario)
-        assert result.spec is not None
-        assert result.spec.core_index == 1
-        assert result.spec.interference.mode == "worst"
-        # and the spec is replayable: same spec, same cycles
-        assert simulate_spec(result.spec, program=program).cycles == result.cycles
-
-    def test_soc_clamps_contenders_into_spec(self):
-        from repro.soc.ngmp import NgmpConfig
-
-        soc = NgmpSoC(NgmpConfig(cores=2))
-        program = build_kernel(KERNEL, scale=SCALE)
-        spec = soc.build_spec(
-            TaskPlacement(program=program),
-            scenario=InterferenceScenario("worst", 10, "worst"),
+        result = simulate_spec(
+            SimulationSpec(policy="laec", interference=scenario), program=program
         )
-        assert spec.interference.contenders == 1
+        assert result.spec.interference.mode == "worst"
+        assert result.timing.bus_contention_cycles > 0
+        # same spec, same cycles
+        assert simulate_spec(result.spec, program=program).cycles == result.cycles
 
     def test_wt_policy_forces_write_through_dl1(self):
         spec = SimulationSpec(kernel=KERNEL, scale=SCALE, policy="wt-parity")
         result = simulate_spec(spec)
-        hierarchy = result.spec.core_config().resolved_hierarchy_config()
+        hierarchy = result.spec.resolved_hierarchy()
         assert hierarchy.l1d.write_policy is WritePolicy.WRITE_THROUGH
         assert list(result.trace.memory_tapes) == [hierarchy]
 

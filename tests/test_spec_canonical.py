@@ -83,6 +83,9 @@ def spec_from_canonical(payload: Union[str, Dict[str, Any]]) -> SimulationSpec:
         bus_contention_mode=hierarchy_raw["bus_contention_mode"],
         bus_slot_cycles=hierarchy_raw["bus_slot_cycles"],
     )
+    for retired in ("core_index", "chronogram_window"):
+        if payload[retired] != 0:
+            raise ValueError(f"retired spec key {retired!r} must be 0")
     pipeline_raw = payload["pipeline"]
     pipeline = PipelineConfig(
         taken_branch_penalty=pipeline_raw["taken_branch_penalty"],
@@ -99,8 +102,6 @@ def spec_from_canonical(payload: Union[str, Dict[str, Any]]) -> SimulationSpec:
         pipeline=pipeline,
         hierarchy=hierarchy,
         interference=interference,
-        core_index=payload["core_index"],
-        chronogram_window=payload["chronogram_window"],
         max_instructions=payload["max_instructions"],
         fault=fault,
     )
@@ -142,8 +143,7 @@ class TestHashDiscrimination:
             dataclasses.replace(base, kernel="rspeed"),
             dataclasses.replace(base, scale=0.4),
             dataclasses.replace(base, policy="no-ecc"),
-            dataclasses.replace(base, core_index=1),
-            dataclasses.replace(base, chronogram_window=8),
+            dataclasses.replace(base, pipeline=PipelineConfig(chronogram_window=8)),
             dataclasses.replace(base, max_instructions=1000),
             base.with_fault(FaultSpec(word_address=64, bit=3, at_access=5)),
         ]
@@ -233,3 +233,63 @@ class TestHashDiscrimination:
         payload["hierarchy"]["l1d"]["replacement"] = "fifo"
         with pytest.raises(ValueError, match="fifo"):
             spec_from_canonical(payload)
+
+    def test_retired_keys_are_constant_and_nothing_else_decodes(self):
+        payload = canonical_dict(
+            SimulationSpec(kernel="matrix", pipeline=PipelineConfig(chronogram_window=8))
+        )
+        assert payload["core_index"] == 0 and payload["chronogram_window"] == 0
+        assert payload["pipeline"]["chronogram_window"] == 8
+        for retired in ("core_index", "chronogram_window"):
+            with pytest.raises(ValueError, match=retired):
+                spec_from_canonical(dict(payload, **{retired: 1}))
+
+
+#: Store keys computed before ``core_index`` and the spec-level
+#: ``chronogram_window`` left the spec: every stored row must keep
+#: resolving, so these literals may never change.
+PINNED_HASHES = {
+    "default": "5cee87c4064f448e3180e9a79ef6d3a9299cc99fe10fdd69b9d33201017c186b",
+    "laec-worst": "73d8182cca75fce64b02dea977caa6b26cafffb390b6f535765533231cd5c07d",
+    "dl1-point": "4b3136265822097938a1a41c709c64897bf846e5f49601591e678102d1258e15",
+    "l2-point": "5802809ab46754b2a440997d21bfe354663cbbde3aaeb35bb89661673510ec0a",
+    "pipeline": "9054f3fa820cd4d88b065f38052e60062956c390da2d1613cfe7e12dbaacd6ab",
+}
+
+
+def _pinned_specs():
+    from repro.scenarios.registry import scenario_interference
+
+    return {
+        "default": SimulationSpec(),
+        "laec-worst": get_scenario("laec-worst"),
+        # Campaign points as the engine builds them: DL1 under a
+        # contended scenario, and an unprotected L2 (the one form that
+        # encodes its L2 code).
+        "dl1-point": SimulationSpec(
+            kernel="rspeed",
+            scale=0.1,
+            policy="extra-cycle",
+            interference=scenario_interference("laec-worst"),
+            fault=FaultSpec(target="dl1", word_address=0x1040, bit=7, at_access=23),
+        ),
+        "l2-point": SimulationSpec(
+            kernel="rspeed",
+            scale=0.1,
+            policy="no-ecc",
+            fault=FaultSpec(target="l2", word_address=0x2008, bit=33, at_access=5),
+        ),
+        "pipeline": SimulationSpec(
+            kernel="matrix",
+            scale=0.4,
+            policy="laec",
+            pipeline=PipelineConfig(
+                write_buffer_entries=2, mul_latency=4, chronogram_window=12
+            ),
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_HASHES))
+def test_spec_hash_is_pinned(name):
+    assert spec_hash(_pinned_specs()[name]) == PINNED_HASHES[name]

@@ -6,6 +6,7 @@ import pytest
 
 from repro.experiments import figure8, table2
 from repro.experiments.runner import ExperimentRunner
+from repro.pipeline.config import PipelineConfig
 from repro.scenarios import SimulationSpec
 from repro.simulation import simulate_spec
 from repro.store import ResultStore
@@ -88,7 +89,9 @@ class TestCacheability:
 
         assert cacheable(SimulationSpec(kernel="matrix"))
         assert not cacheable(SimulationSpec())  # anonymous program
-        assert not cacheable(SimulationSpec(kernel="matrix", chronogram_window=4))
+        assert not cacheable(
+            SimulationSpec(kernel="matrix", pipeline=PipelineConfig(chronogram_window=4))
+        )
         assert not cacheable(
             SimulationSpec(kernel="matrix", fault=FaultSpec(at_access=1))
         )
@@ -115,6 +118,19 @@ class TestSimulateSpecStore:
         with ResultStore(":memory:") as store:
             simulate_spec(self.SPEC, store=store)
             assert spec_hash(self.SPEC) in store
+
+    def test_chronogram_run_bypasses_the_store(self):
+        # Chronograms are not serialised: a recording run must simulate
+        # every time rather than come back from the store without one.
+        spec = SimulationSpec(
+            kernel="rspeed", scale=0.1, pipeline=PipelineConfig(chronogram_window=5)
+        )
+        with ResultStore(":memory:") as store:
+            for _ in range(2):
+                result = simulate_spec(spec, store=store)
+                assert not result.from_store
+                assert len(result.chronogram.entries) == 5
+            assert len(store) == 0
 
     def test_store_survives_processes(self, tmp_path):
         path = tmp_path / "timing.sqlite"

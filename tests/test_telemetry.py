@@ -55,16 +55,13 @@ def _fresh_telemetry():
 # metrics registry                                                      #
 # --------------------------------------------------------------------- #
 class TestMetricsRegistry:
-    def test_counters_gauges_histograms(self):
+    def test_counters_and_histograms(self):
         reg = metrics.MetricsRegistry()
         reg.counter("jobs_total").inc()
         reg.counter("jobs_total").inc(2)
         assert reg.value("jobs_total") == 3
         with pytest.raises(ValueError):
             reg.counter("jobs_total").inc(-1)
-        reg.gauge("depth").set(5)
-        reg.gauge("depth").set(2)
-        assert reg.value("depth") == 2
         hist = reg.histogram("latency", bounds=(0.1, 1.0))
         hist.observe(0.05)
         hist.observe(0.5)

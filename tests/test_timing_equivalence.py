@@ -27,10 +27,11 @@ from repro.functional.interpreter import run_program
 from repro.functional.reference import reference_trace, run_reference
 from repro.memory.config import CacheConfig, MemoryHierarchyConfig, WritePolicy
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.pipeline.config import CoreConfig, PipelineConfig
+from repro.pipeline.config import PipelineConfig
 from repro.pipeline.reference_timing import ReferenceTimingPipeline
 from repro.pipeline.timing import TimingPipeline
-from repro.simulation import simulate_program
+from repro.scenarios.spec import SimulationSpec
+from repro.simulation import simulate_spec
 from repro.workloads import KERNEL_NAMES, build_kernel
 from repro.workloads.synthetic import SyntheticStreamConfig, SyntheticWorkloadGenerator
 
@@ -54,11 +55,10 @@ def _run_both(
     through the fast and the reference engine."""
     trace, records = traces
     policy = make_policy(policy_kind)
-    core_config = CoreConfig().with_policy(policy)
-    config = pipeline_config or core_config.pipeline
+    config = pipeline_config or PipelineConfig()
     if chronogram_window:
-        config = config.with_chronogram(chronogram_window)
-    hierarchy = hierarchy or core_config.resolved_hierarchy_config()
+        config = replace(config, chronogram_window=chronogram_window)
+    hierarchy = hierarchy or SimulationSpec(policy=policy).resolved_hierarchy()
     reference = ReferenceTimingPipeline(
         policy, MemoryHierarchy(hierarchy), config
     ).run(records)
@@ -196,10 +196,12 @@ def test_policies_share_one_prepass_per_hierarchy():
     program = build_kernel("pntrch", scale=SCALE)
     trace = run_program(program)
     for policy_kind in POLICIES:
-        simulate_program(program, policy=policy_kind, trace=trace)
+        simulate_spec(SimulationSpec(policy=policy_kind), program=program, trace=trace)
     assert len(trace.static_facts) == 1
     assert len(trace.memory_tapes) == 1
-    simulate_program(program, policy=EccPolicyKind.WT_PARITY, trace=trace)
+    simulate_spec(
+        SimulationSpec(policy=EccPolicyKind.WT_PARITY), program=program, trace=trace
+    )
     assert len(trace.static_facts) == 1
     assert len(trace.memory_tapes) == 2
 
@@ -207,7 +209,7 @@ def test_policies_share_one_prepass_per_hierarchy():
 def test_prepass_is_not_compared_or_pickled():
     program = build_kernel("pntrch", scale=SCALE)
     timed = run_program(program)
-    simulate_program(program, policy=EccPolicyKind.LAEC, trace=timed)
+    simulate_spec(SimulationSpec(policy=EccPolicyKind.LAEC), program=program, trace=timed)
     assert timed.memory_tapes and timed.static_facts
     assert timed == run_program(program)
     restored = pickle.loads(pickle.dumps(timed))
@@ -225,9 +227,8 @@ def test_repeated_runs_are_independent(kernel_traces, policy_kind):
     """A second run of one pipeline repeats the first and leaves the
     first result untouched (no statistics or hierarchy state carry over)."""
     policy = make_policy(policy_kind)
-    core_config = CoreConfig().with_policy(policy)
     pipeline = TimingPipeline(
-        policy, core_config.resolved_hierarchy_config(), core_config.pipeline
+        policy, SimulationSpec(policy=policy).resolved_hierarchy(), PipelineConfig()
     )
     trace = kernel_traces["matrix"][0]
     first = pipeline.run(trace)

@@ -63,7 +63,7 @@ def test_every_single_bit_flip_reaches_its_codes_branch(kind, target):
 @pytest.mark.parametrize("kernel", KERNEL_NAMES)
 def test_write_through_timelines_hold_no_dirty_events(kernel):
     spec = SimulationSpec(kernel=kernel, scale=0.1, policy="wt-parity")
-    geometry = geometry_for(spec.core_config().resolved_hierarchy_config().l1d)
+    geometry = geometry_for(spec.resolved_hierarchy().l1d)
     assert not geometry.write_back
     timelines = golden_timelines(cached_golden_run(kernel, 0.1), geometry)
     assert timelines
