@@ -19,9 +19,9 @@ from repro.ecc.hamming import HammingSecCode
 from repro.ecc.parity import ParityCode
 from repro.ecc.reliability import ReliabilityModel
 from repro.ecc.secded import HsiaoSecDedCode
-from repro.experiments.runner import cached_golden_run
 from repro.scenarios import FaultSpec, SimulationSpec
 from repro.simulation import simulate_spec
+from repro.workloads.golden import cached_golden_run
 
 
 def cache_level_demo() -> None:

@@ -37,30 +37,31 @@ def config(trials: int) -> CampaignConfig:
 
 
 def main() -> None:
-    store_path = Path(tempfile.mkdtemp(prefix="repro-campaign-")) / "campaign.sqlite"
-    print(f"store: {store_path}\n")
+    with tempfile.TemporaryDirectory(prefix="repro-campaign-") as directory:
+        store_path = Path(directory) / "campaign.sqlite"
+        print(f"store: {store_path}\n")
 
-    # --- phase 1: the campaign is "killed" after half its budget ------- #
-    with ResultStore(store_path) as store:
-        partial = run_campaign(config(trials=12), store=store, resume=True)
-        print(
-            f"phase 1 (interrupted): simulated {partial.simulated} points, "
-            f"{len(store)} checkpointed"
-        )
+        # --- phase 1: the campaign is "killed" after half its budget ------- #
+        with ResultStore(store_path) as store:
+            partial = run_campaign(config(trials=12), store=store, resume=True)
+            print(
+                f"phase 1 (interrupted): simulated {partial.simulated} points, "
+                f"{len(store)} checkpointed"
+            )
 
-    # --- phase 2: resume with the full budget -------------------------- #
-    with ResultStore(store_path) as store:
-        resumed = run_campaign(config(trials=24), store=store, resume=True)
-        print(
-            f"phase 2 (resumed):     simulated {resumed.simulated} new points, "
-            f"reused {resumed.store_hits} from the store\n"
-        )
+        # --- phase 2: resume with the full budget -------------------------- #
+        with ResultStore(store_path) as store:
+            resumed = run_campaign(config(trials=24), store=store, resume=True)
+            print(
+                f"phase 2 (resumed):     simulated {resumed.simulated} new points, "
+                f"reused {resumed.store_hits} from the store\n"
+            )
 
-    # --- the summary is exactly what one uninterrupted run produces ---- #
-    fresh = run_campaign(config(trials=24))
-    assert resumed.render() == fresh.render(), "resume changed the results!"
-    print(resumed.render())
-    print("\nresumed summary == fresh summary: OK")
+        # --- the summary is exactly what one uninterrupted run produces ---- #
+        fresh = run_campaign(config(trials=24))
+        assert resumed.render() == fresh.render(), "resume changed the results!"
+        print(resumed.render())
+        print("\nresumed summary == fresh summary: OK")
 
 
 if __name__ == "__main__":

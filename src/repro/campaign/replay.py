@@ -25,11 +25,12 @@ through three steps:
    timeline-delta walk follows to its end is classified with zero
    re-execution — the vast majority of sampled faults.
 
-3. **Snapshot resume**: a point whose corrupted value reaches a load the
-   walk cannot follow is re-executed on the one interpreter,
+3. **Checkpoint resume**: a point whose corrupted value reaches a load
+   the walk cannot follow is re-executed on the one interpreter,
    :func:`repro.functional.interpreter.execute`: golden from the nearest
-   snapshot to the diverging load, then faulty to HALT, a crash or the
-   instruction limit with the faulted word's DL1 set watched.  It is
+   register checkpoint (at most 63 instructions) to the diverging load,
+   then faulty to HALT, a crash or the instruction limit with the
+   faulted word's DL1 set watched.  It is
    classified by diffing the final memory image and the pc stream
    against the golden run.
 
@@ -59,7 +60,6 @@ from repro.functional.interpreter import (
     ExecutionLimitExceeded,
     FunctionalTrace,
     GoldenRun,
-    Snapshot,
     Watch,
     assemble_trace,
     execute,
@@ -152,7 +152,7 @@ def _golden_for(spec: SimulationSpec, program: Optional[Program]) -> GoldenRun:
         return golden_pass(program, max_instructions=spec.max_instructions)
     if spec.kernel is None:
         raise ValueError("faulty specs without a kernel need an explicit program=")
-    from repro.experiments.runner import cached_golden_run
+    from repro.workloads.golden import cached_golden_run
 
     return cached_golden_run(spec.kernel, spec.scale)
 
@@ -205,7 +205,7 @@ def warm_lean_golden(kernels, scales) -> None:
     Best-effort: a kernel that fails to warm simply warms lazily on its
     first job — an initializer exception would poison the whole pool.
     """
-    from repro.experiments.runner import cached_golden_run
+    from repro.workloads.golden import cached_golden_run
 
     for kernel in kernels:
         for scale in scales:
@@ -269,13 +269,13 @@ def memories_equal(mine: Dict[int, int], theirs: Dict[int, int]) -> bool:
 def _run_residue(
     spec: SimulationSpec, golden, geometry, plan, *, record: bool = False
 ) -> ArchInjectionResult:
-    """Execute one diverging fault from the nearest golden snapshot.
+    """Execute one diverging fault from the nearest golden checkpoint.
 
     The run up to the diverging load is golden by construction (triage
     proved no corrupted value was visible before it), so it replays from
-    the snapshot without fault tracking; the faulted word is then patched
-    in and the rest runs with its DL1 set watched.  ``record`` keeps the
-    faulty run's trace in ``faulty_trace``.
+    the checkpoint's state without fault tracking; the faulted word is
+    then patched in and the rest runs with its DL1 set watched.
+    ``record`` keeps the faulty run's trace in ``faulty_trace``.
     """
     fault = spec.fault
     wa = fault.word_address & ~0x3
@@ -296,7 +296,7 @@ def _run_residue(
         wa, plan.backing_value, set_state,
         geometry.line_bits, geometry.set_mask, golden.pcs,
     )
-    start = golden.snapshot_before(divergence)
+    start = golden.snapshot_before(divergence)  # freshly built: ours to patch
     run = None
     if start.index < divergence:
         lead = execute(golden.table, start, min(divergence - 1, limit), record=False)
@@ -304,15 +304,12 @@ def _run_residue(
         if start.index > limit:  # the run hangs before the fault is visible
             run = lead
     if run is None:
-        mem = dict(start.mem)
+        mem = start.mem
         if plan.resident_before:
             mem[wa] = mem.get(wa, 0) ^ plan.cache_xor
         else:
             mem[wa] = plan.backing_value
-        run = execute(
-            golden.table, Snapshot(start.index, start.pc, start.regs, start.cc, mem),
-            limit, record=record, watch=watch,
-        )
+        run = execute(golden.table, start, limit, record=record, watch=watch)
 
     # End-of-run flush semantics for the faulted word: dirty resident
     # lines are written back (the corrupted cache copy becomes the
@@ -454,7 +451,7 @@ def run_injection_batch(
     code-healed flip with zero re-execution, batching the corrupted
     codeword decodes per code through
     :meth:`~repro.ecc.codec.EccCode.decode_many`; only faults whose
-    corruption becomes load-visible are executed, via snapshot
+    corruption becomes load-visible are executed, via checkpoint
     suffix-resume.  This is the campaign engine's only replay entry
     point: every supervised group job, singleton retries included, runs
     through it, and an exception raised here is retried and quarantined
@@ -464,7 +461,7 @@ def run_injection_batch(
     the full re-execution of :func:`repro.campaign.reference.run_injection`,
     the test oracle (differentially tested over full grids).
     """
-    from repro.experiments.runner import cached_golden_run
+    from repro.workloads.golden import cached_golden_run
 
     specs = list(specs)
     results: List[Optional[ArchInjectionResult]] = [None] * len(specs)
@@ -507,7 +504,7 @@ def simulate_faulty_spec(
     Classifies the injection on the campaign's engine, then times the
     *actual* dynamic stream the faulty machine executed: the golden one
     (or the supplied ``trace``) when the fault never reached a load, else
-    the stream recorded by resuming the point from its golden snapshot.
+    the stream recorded by resuming the point from its golden checkpoint.
     The returned :class:`~repro.simulation.SimulationResult` carries
     both the usual timing result and the injection classification
     (``result.injection``).

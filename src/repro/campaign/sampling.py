@@ -58,7 +58,7 @@ class KernelFaultSpace:
     """The sampleable population of one kernel at one scale.
 
     Derived from the memory-op stream of the kernel's golden run
-    (:func:`repro.experiments.runner.cached_golden_run`), the same run
+    (:func:`repro.workloads.golden.cached_golden_run`), the same run
     batched replay classifies the sampled points against.  It is also
     the form a result store keeps (:meth:`payload`), so a resume that
     finds it there runs no kernel at all.
@@ -98,7 +98,7 @@ _SPACE_CACHE_MAX = 32
 
 
 def _derive_fault_space(kernel: str, scale: float) -> KernelFaultSpace:
-    from repro.experiments.runner import cached_golden_run
+    from repro.workloads.golden import cached_golden_run
 
     op_wa = cached_golden_run(kernel, scale).op_wa
     seen = set()

@@ -28,7 +28,8 @@ is followed by the sparse timeline-delta walk (:func:`_walk_divergent`),
 which interprets only while a register or the flags are corrupted and
 otherwise jumps from one access of a corrupted word to the next.  Only
 a walk that gives up yields a :class:`ResiduePlan`, re-run from the
-nearest golden snapshot by :func:`repro.campaign.replay._run_residue`.
+golden state at the nearest checkpoint by
+:func:`repro.campaign.replay._run_residue`.
 
 Every verdict is one of the two: the tree is total over the inputs the
 system can build — the five policies of :mod:`repro.core.policies`
@@ -45,7 +46,7 @@ differential tests in ``tests/test_batched_replay.py``.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -177,65 +178,59 @@ def _branch_taken(op: int, n: bool, z: bool, v: bool, c: bool) -> bool:
 def golden_state_at(
     golden: GoldenRun,
     instr_index: int,
-    state: Optional[Tuple[int, List[int], Dict[int, int]]] = None,
-) -> Tuple[List[int], Dict[int, int]]:
-    """Exact golden ``(registers, memory)`` right before retiring
-    instruction ``instr_index``, rebuilt from the nearest snapshot.
+    state: Optional[Tuple[int, List[int]]] = None,
+) -> List[int]:
+    """Exact golden registers right before retiring instruction
+    ``instr_index``, replayed from the latest register checkpoint at or
+    before it: at most ``SNAPSHOT_INTERVAL - 1`` instructions.
 
-    An exact golden ``state = (index, registers, memory)`` with ``index``
-    in ``[snapshot, instr_index]`` is advanced in place instead.
+    An exact golden ``state = (index, registers)`` with ``index`` in
+    ``[checkpoint, instr_index]`` is advanced in place instead.
 
-    Control flow is taken from the recorded PC stream, so only data
-    effects (ALU results, loads, stores, link writes) are replayed —
-    branch conditions never need evaluating.  Condition codes are not
-    reconstructed: callers that need flags recompute them from operand
-    values at the defining op.
+    Control flow is taken from the recorded PC stream and loads read
+    the store history (:meth:`~repro.functional.interpreter.GoldenRun.value_at`),
+    so only register effects (ALU results, loads, link writes) are
+    replayed — branch conditions and stores never need evaluating.
+    Condition codes are not reconstructed: callers that need flags
+    recompute them from operand values at the defining op.
     """
-    snap = golden.snapshot_before(instr_index)
-    if state is not None and snap.index <= state[0] <= instr_index:
-        start, regs, mem = state
-    else:
-        start, regs, mem = snap.index, list(snap.regs), dict(snap.mem)
+    start, regs = golden.checkpoint_before(instr_index)
+    if state is not None and start <= state[0] <= instr_index:
+        start, regs = state
     pcs = golden.pcs
     table = golden.table
-    mget = mem.get
+    op_wa = golden.op_wa
+    op_shift = golden.op_shift
+    value_at = golden.value_at
+    k = bisect_left(golden.op_instr, start)  # memory ops retired before `start`
     for index in range(start, instr_index):
         pc = pcs[index]
-        op, rd, rs1, rs2, imm, imm_u, uses_imm, size, _fall, _target, sx = table[pc]
+        op, rd, rs1, rs2, _imm, imm_u, uses_imm, size, _fall, _target, sx = table[pc]
         if op < 18:
             if rd:
                 regs[rd], _flags = _alu_eval(
                     op, regs[rs1], imm_u if uses_imm else regs[rs2], imm_u
                 )
         elif op == _OP_LOAD:
+            k += 1
             if rd:
-                address = (regs[rs1] + (imm if uses_imm else regs[rs2])) & _M32
-                word = mget(address & ~0x3, 0)
+                word = value_at(op_wa[k - 1], k)
                 if size == 4:
                     raw = word
                 else:
-                    shift = (address & 0x3) * 8
-                    raw = (word >> shift) & (0xFF if size == 1 else 0xFFFF)
+                    raw = (word >> op_shift[k - 1]) & (0xFF if size == 1 else 0xFFFF)
                     if sx == 1 and raw & 0x80:
                         raw |= 0xFFFFFF00
                     elif sx == 2 and raw & 0x8000:
                         raw |= 0xFFFF0000
                 regs[rd] = raw
         elif op == _OP_STORE:
-            address = (regs[rs1] + (imm if uses_imm else regs[rs2])) & _M32
-            wa = address & ~0x3
-            value = regs[rd]
-            if size == 4:
-                mem[wa] = value
-            else:
-                shift = (address & 0x3) * 8
-                mask = ((1 << (8 * size)) - 1) << shift
-                mem[wa] = (mget(wa, 0) & ~mask) | ((value << shift) & mask)
+            k += 1
         elif op == _OP_CALL or op == _OP_JUMP:
             if rd:
                 regs[rd] = pc + INSTRUCTION_BYTES
         # branches / NOP / HALT: no data effects
-    return regs, mem
+    return regs
 
 
 @dataclass
@@ -264,7 +259,8 @@ class ResiduePlan:
 
     Carries the exact machine state at the divergence point so
     :func:`~repro.campaign.replay._run_residue` can resume from the
-    nearest golden snapshot instead of re-running from scratch.
+    golden state at the nearest checkpoint instead of re-running from
+    scratch.
     """
 
     divergence_op: int  #: 1-based ordinal of the first corrupted load
@@ -449,11 +445,11 @@ def _walk_divergent(
     of the faulted word or op on a ``delta`` word (found through
     :meth:`~repro.functional.interpreter.GoldenRun.word_ops`) and applies it
     from the golden op stream.  Only a load that re-taints a register
-    needs the register file, rebuilt by
-    :func:`golden_state_at` from the last
-    interpreted state or the nearest snapshot.  Skipped instructions
-    count against the budget like interpreted ones, so no verdict
-    depends on how the walk got there.
+    needs the register file, rebuilt by :func:`golden_state_at` from
+    the last interpreted state or the nearest register checkpoint.
+    Golden memory is never copied: every load reads the store history.
+    Skipped instructions count against the budget like interpreted
+    ones, so no verdict depends on how the walk got there.
 
     The faulty PC stream provably equals the golden one as long as no
     tainted value reaches an address computation, an indirect jump or a
@@ -477,7 +473,8 @@ def _walk_divergent(
     end_ordinal = golden.total_ops + 1
     i = i0 = op_instr[ord0 - 1]
     stop = i0 + budget  # the walk gives up at this instruction
-    synced = None  # (index, regs, mem): the last golden state interpreted
+    synced = None  # (index, regs): the last golden state interpreted
+    value_at = golden.value_at
     taint: Dict[int, int] = {}
     cc_f: Optional[Tuple[bool, bool, bool, bool]] = None
     delta: Dict[int, int] = {}
@@ -544,8 +541,7 @@ def _walk_divergent(
                         del delta[word_address]
             if i >= golden_len:
                 break
-            regs, mem = golden_state_at(golden, i, synced)
-            mget = mem.get
+            regs = golden_state_at(golden, i, synced)
             # Tainted stretch: interpret until registers and flags are golden.
             while i < golden_len:
                 if i >= stop:
@@ -580,7 +576,7 @@ def _walk_divergent(
                     word_address = address & ~0x3
                     k += 1
                     pump()
-                    word = mget(word_address, 0)
+                    word = value_at(word_address, k)
                     if word_address == wa:
                         ei += 1  # consume this op's EV_LOAD entry
                         xor = cache_mask
@@ -621,8 +617,6 @@ def _walk_divergent(
                     smask = subword_mask(size, shift)
                     value_g = regs[rd]
                     value_f = taint.get(rd, value_g)
-                    prev = mget(word_address, 0)
-                    mem[word_address] = (prev & ~smask) | ((value_g << shift) & smask)
                     xor_bits = ((value_f ^ value_g) << shift) & smask
                     if word_address == wa:
                         ei += 1  # consume this op's EV_STORE entry
@@ -676,7 +670,7 @@ def _walk_divergent(
                 i += 1
                 if not taint and cc_f is None:
                     break
-            synced = (i, regs, mem)
+            synced = (i, regs)
     finally:
         inc("campaign_walk_instructions_total", i - i0 - skipped, {"mode": "interpreted"})
         inc("campaign_walk_instructions_total", skipped, {"mode": "skipped"})

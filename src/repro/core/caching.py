@@ -1,9 +1,8 @@
 """Tiny bounded-LRU helpers shared by the per-process caches.
 
-Three hot caches use the same policy — the kernel-trace cache
-(:mod:`repro.experiments.runner`), the fault-sampling space cache
-(:mod:`repro.campaign.sampling`) and the golden-memory cache
-(:mod:`repro.campaign.replay`): a plain insertion-ordered ``dict`` where
+Two hot caches use the same policy — the golden-run cache
+(:mod:`repro.workloads.golden`) and the fault-sampling space cache
+(:mod:`repro.campaign.sampling`): a plain insertion-ordered ``dict`` where
 a hit re-inserts the entry (making it the youngest) and an insert evicts
 from the front until under the cap.  Keeping them plain dicts (rather
 than a cache class) preserves direct introspection in tests; these two

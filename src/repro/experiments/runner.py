@@ -8,14 +8,11 @@ individual experiments.
 
 Two fast paths keep repeated campaigns cheap (see PERFORMANCE.md):
 
-* a module-level **golden-run cache** keyed by ``(kernel, scale)``: the
-  one clean run of each kernel (:func:`cached_golden_run`), shared by
-  the timing paths (its columnar trace, :func:`cached_kernel_trace`)
-  and fault campaigns (its op stream, snapshots and final image).
-  Traces are policy-independent — the architectural stream is identical
-  under every ECC scheme by construction — so the semantics of each
-  kernel are interpreted exactly once per process no matter how many
-  runners, experiments, policies or campaigns use it;
+* the per-process **golden-run cache** of :mod:`repro.workloads.golden`
+  (:func:`cached_golden_run`, re-exported here with
+  :func:`clear_kernel_trace_cache`): one clean run per
+  ``(kernel, scale)``, whose columnar trace :func:`cached_kernel_trace`
+  serves to the timing paths;
 * an opt-in **process-pool fan-out** (``max_workers=``) that distributes
   whole kernels (one functional simulation + all policy timing runs)
   across worker processes.  Results are reassembled in kernel order, so
@@ -28,14 +25,14 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.core.caching import lru_get, lru_put
 from repro.core.policies import EccPolicyKind
-from repro.functional.interpreter import FunctionalTrace, GoldenRun, golden_pass
+from repro.functional.interpreter import FunctionalTrace
 from repro.isa.program import Program
 from repro.scenarios.spec import DEFAULT_CAMPAIGN_SCALE, SimulationSpec
 from repro.simulation import SimulationResult, simulate_spec
-from repro.telemetry.metrics import phase_timer
-from repro.workloads.registry import KERNEL_NAMES, build_kernel
+from repro.workloads.golden import cached_golden_run
+from repro.workloads.golden import clear_kernel_trace_cache  # noqa: F401  (re-export)
+from repro.workloads.registry import KERNEL_NAMES
 
 FIGURE8_POLICIES = (
     EccPolicyKind.NO_ECC,
@@ -44,55 +41,11 @@ FIGURE8_POLICIES = (
     EccPolicyKind.LAEC,
 )
 
-#: (kernel name, scale) -> the kernel's clean run.  Runs are treated as
-#: immutable once built; everything that consumes them (the timing
-#: engine, Table II accounting, chronograms, fault campaigns) only reads
-#: them or fills their on-demand caches.
-_GOLDEN_CACHE: Dict[Tuple[str, float], GoldenRun] = {}
-
-#: Upper bound on cached (kernel, scale) runs.  The full campaign needs
-#: 16 (one per kernel at one scale); the cap keeps long-lived processes
-#: sweeping many scales from accumulating runs without bound.  Eviction
-#: is least-recently-used: every hit moves its entry to the back of the
-#: (insertion-ordered) dict, so the hottest traces survive long fault
-#: campaigns that cycle through many scales — FIFO would evict exactly
-#: the traces every stratum keeps coming back to.
-KERNEL_TRACE_CACHE_MAX_ENTRIES = 48
-
-
-def cached_golden_run(name: str, scale: float) -> GoldenRun:
-    """Interpret (or fetch) the clean run of one kernel.
-
-    The cache key is ``(name, scale)``: the functional behaviour of a
-    kernel depends on nothing else, and in particular not on the ECC
-    policy or pipeline configuration being timed.  The cache holds at
-    most :data:`KERNEL_TRACE_CACHE_MAX_ENTRIES` runs; the
-    least-recently-used entry is evicted when a new one would exceed the
-    cap (a hit refreshes an entry's recency).
-    """
-    key = (name, scale)
-    golden = lru_get(_GOLDEN_CACHE, key)
-    if golden is None:
-        with phase_timer("golden"):
-            golden = golden_pass(build_kernel(name, scale=scale))
-        lru_put(_GOLDEN_CACHE, key, golden, KERNEL_TRACE_CACHE_MAX_ENTRIES)
-    return golden
-
 
 def cached_kernel_trace(name: str, scale: float) -> Tuple[Program, FunctionalTrace]:
     """The program and functional trace of one kernel (see :func:`cached_golden_run`)."""
     golden = cached_golden_run(name, scale)
     return golden.program, golden.trace
-
-
-def clear_kernel_trace_cache() -> None:
-    """Drop all cached golden runs.
-
-    Public API (PERFORMANCE.md): long-lived services embedding the
-    campaign machinery call this between campaigns to release the cached
-    runs (their trace columns, op streams and snapshots).
-    """
-    _GOLDEN_CACHE.clear()
 
 
 def _simulate_kernel_task(

@@ -25,7 +25,8 @@ from typing import Dict, Sequence
 from repro.analysis.reporting import Table
 from repro.core.policies import EccPolicyKind
 from repro.functional.interpreter import run_program
-from repro.scenarios.interference import OTHER_CORES, InterferenceScenario
+from repro.scenarios.interference import OTHER_CORES
+from repro.scenarios.registry import scenario_interference
 from repro.scenarios.spec import SimulationSpec
 from repro.simulation import simulate_spec
 from repro.workloads.registry import build_kernel
@@ -93,10 +94,7 @@ def run(
     The WCET estimate is the observation under worst-case contention
     from all other cores times :data:`SAFETY_MARGIN`.
     """
-    scenarios = (
-        InterferenceScenario("isolation", 0, "none"),
-        InterferenceScenario("worst", OTHER_CORES, "worst"),
-    )
+    scenarios = (scenario_interference("isolation"), scenario_interference("worst"))
     bounds: Dict[str, Dict[str, WcetBound]] = {}
     for name in kernels:
         trace = run_program(build_kernel(name, scale=scale))

@@ -11,16 +11,19 @@ a clean run needs:
   instruction), which the timing engine in :mod:`repro.pipeline`
   replays — a functional-first / timing-directed decomposition;
 * the memory-op stream (word address / size / store flag per ordinal),
-  a per-word store-value history (so the backing copy of any word at
-  any ordinal can be reconstructed), periodic register+memory snapshots
-  and the final memory image, which a fault campaign shares across
-  every fault of a (kernel, scale) group (:mod:`repro.campaign`).
+  a per-word store-value history (the one record of golden memory: the
+  value of any word before any op, and the whole image before any
+  instruction, follow from it and the initial image), register and
+  flag checkpoints every :data:`SNAPSHOT_INTERVAL` instructions in two
+  flat buffers, and the final memory image, which a fault campaign
+  shares across every fault of a (kernel, scale) group
+  (:mod:`repro.campaign`).
 
 Its loop is :func:`execute`, the only production loop that runs
 the whole ISA: from any :class:`Snapshot`, recording or not, and with
 an optional :class:`Watch` on one faulted word, which is how a fault
-campaign resumes a diverged point from a golden snapshot
-(:mod:`repro.campaign.replay`).  The object interpreter
+campaign resumes a diverged point from the golden state at a
+checkpoint (:mod:`repro.campaign.replay`).  The object interpreter
 :mod:`repro.functional.reference` is its test oracle: the tests pin
 both to identical columns, final memory images and instruction limits.
 """
@@ -53,11 +56,11 @@ class ExecutionLimitExceeded(RuntimeError):
 _M32 = 0xFFFFFFFF
 _SIGN = 0x80000000
 
-#: Snapshot cadence (retired instructions) of the golden pass.  Small
-#: enough that the golden re-execution prefix of a resumed fault stays
-#: in the hundreds of instructions, large enough that snapshot copies
-#: are a rounding error of the pass itself.
-SNAPSHOT_INTERVAL = 1024
+#: Checkpoint cadence (retired instructions) of a recording run.  A
+#: checkpoint is 32 registers and one flag byte (129 bytes), so golden
+#: registers anywhere are at most 63 replayed instructions away for
+#: about two bytes per instruction of the run.
+SNAPSHOT_INTERVAL = 64
 
 # Integer opcodes.  The interpreter dispatch chains test these in
 # listed order, tuned to kernel instruction frequency.
@@ -307,7 +310,10 @@ class GoldenRun:
     op_shift: List[int]  #: bit shift of a sub-word access inside its word
     #: word address -> [(op ordinal, merged word value after the store)]
     store_hist: Dict[int, List[Tuple[int, int]]]
-    snapshots: List[Snapshot]
+    #: The state before every :data:`SNAPSHOT_INTERVAL`-th instruction,
+    #: see :class:`Execution`.
+    checkpoint_regs: array
+    checkpoint_flags: bytearray
     mem_init: Dict[int, int]
     mem_final: Dict[int, int]
     #: CacheGeometry -> per-word event timelines, filled on demand by
@@ -356,10 +362,32 @@ class GoldenRun:
             return self.mem_init.get(word_address, 0)
         return history[position - 1][1]
 
+    def memory_before(self, instr_index: int) -> Dict[int, int]:
+        """The golden memory image right before instruction ``instr_index``:
+        the initial image overlaid with each stored word's last merge
+        before that instruction."""
+        ordinal = bisect.bisect_left(self.op_instr, instr_index) + 1
+        mem = dict(self.mem_init)
+        for word_address, history in self.store_hist.items():
+            position = bisect.bisect_left(history, (ordinal, -1))
+            if position:
+                mem[word_address] = history[position - 1][1]
+        return mem
+
+    def checkpoint_before(self, instr_index: int) -> Tuple[int, List[int]]:
+        """The latest checkpoint at or before instruction ``instr_index``:
+        its instruction index and a copy of its registers."""
+        number = min(instr_index // SNAPSHOT_INTERVAL, len(self.checkpoint_flags) - 1)
+        regs = self.checkpoint_regs[32 * number : 32 * number + 32].tolist()
+        return number * SNAPSHOT_INTERVAL, regs
+
     def snapshot_before(self, instr_index: int) -> Snapshot:
-        """The latest snapshot taken at or before instruction ``instr_index``."""
-        snapshots = self.snapshots
-        return snapshots[min(instr_index // SNAPSHOT_INTERVAL, len(snapshots) - 1)]
+        """The full golden state at the latest checkpoint at or before
+        instruction ``instr_index``, freshly built (the caller owns it)."""
+        index, regs = self.checkpoint_before(instr_index)
+        flags = self.checkpoint_flags[index // SNAPSHOT_INTERVAL]
+        cc = (bool(flags & 8), bool(flags & 4), bool(flags & 2), bool(flags & 1))
+        return Snapshot(index, self.pcs[index], regs, cc, self.memory_before(index))
 
     def word_ops(self) -> Dict[int, array]:
         """Per-word op-ordinal index, built once from ``op_wa``."""
@@ -467,8 +495,14 @@ class Execution:
     op_size: List[int]
     op_shift: List[int]
     store_hist: Dict[int, List[Tuple[int, int]]]
-    #: A snapshot every :data:`SNAPSHOT_INTERVAL` retired instructions.
-    snapshots: List[Snapshot]
+    #: A recording run's checkpoints: the state before every retired
+    #: instruction whose index is a multiple of :data:`SNAPSHOT_INTERVAL`,
+    #: checkpoint ``j`` being the ``j``-th from ``start.index`` on.  Its
+    #: 32 registers are ``checkpoint_regs[32 * j : 32 * j + 32]`` and its
+    #: flags ``checkpoint_flags[j]``, packed as ``n<<3 | z<<2 | v<<1 | c``;
+    #: its pc is the pc retired at that index.
+    checkpoint_regs: array
+    checkpoint_flags: bytearray
     #: A watched run that does not record: whether every retired pc
     #: equalled ``watch.golden_pcs`` at its index.
     stream_match: bool
@@ -484,8 +518,7 @@ def execute(
 ) -> Execution:
     """Run the pre-decoded ``table`` from ``start`` until HALT retires,
     a crash, or more than ``limit`` instructions (``start.index``
-    included) have retired.  ``start`` is never mutated: golden
-    snapshots are shared."""
+    included) have retired.  ``start`` is never mutated."""
     mem = dict(start.mem)
     regs = list(start.regs)
     n, z, v, c = start.cc
@@ -499,8 +532,9 @@ def execute(
     op_size: List[int] = []
     op_shift: List[int] = []
     store_hist: Dict[int, List[Tuple[int, int]]] = {}
-    snapshots: List[Snapshot] = []
-    next_snapshot = -(-retired // SNAPSHOT_INTERVAL) * SNAPSHOT_INTERVAL if record else -1
+    checkpoint_regs = array("I")
+    checkpoint_flags = bytearray()
+    next_checkpoint = -(-retired // SNAPSHOT_INTERVAL) * SNAPSHOT_INTERVAL if record else -1
     status = detail = ""
     tget = table.get
     mget = mem.get
@@ -520,9 +554,10 @@ def execute(
     stream_match = watch is not None
 
     while True:
-        if retired == next_snapshot:
-            snapshots.append(Snapshot(retired, pc, list(regs), (n, z, v, c), dict(mem)))
-            next_snapshot += SNAPSHOT_INTERVAL
+        if retired == next_checkpoint:
+            checkpoint_regs.fromlist(regs)
+            checkpoint_flags.append(n << 3 | z << 2 | v << 1 | c)
+            next_checkpoint += SNAPSHOT_INTERVAL
         t = tget(pc)
         if t is None:
             status, detail = CRASH, f"PC outside text segment: {pc:#x}"
@@ -724,7 +759,8 @@ def execute(
         op_size=op_size,
         op_shift=op_shift,
         store_hist=store_hist,
-        snapshots=snapshots,
+        checkpoint_regs=checkpoint_regs,
+        checkpoint_flags=checkpoint_flags,
         stream_match=stream_match,
     )
 
@@ -757,7 +793,8 @@ def golden_pass(
         op_size=run.op_size,
         op_shift=run.op_shift,
         store_hist=run.store_hist,
-        snapshots=run.snapshots,
+        checkpoint_regs=run.checkpoint_regs,
+        checkpoint_flags=run.checkpoint_flags,
         mem_init=mem_init,
         mem_final=run.state.mem,
     )

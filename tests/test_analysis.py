@@ -123,6 +123,29 @@ class TestWcet:
             isolation, contention, int(round(contention * 1.2))
         )
 
+    def test_isolation_runs_are_the_registry_isolation_spec(self, monkeypatch):
+        """The study's isolation and contention runs are the registry's
+        ``isolation`` and ``worst`` scenarios, so they hash to the same
+        store keys as every other run of those scenarios."""
+        from repro.scenarios.registry import get_scenario
+        from repro.store.canonical import spec_hash
+
+        specs = []
+
+        def recording_simulate_spec(spec, **kwargs):
+            specs.append(spec)
+            return simulate_spec(spec, **kwargs)
+
+        monkeypatch.setattr(wt_vs_wb, "simulate_spec", recording_simulate_spec)
+        wt_vs_wb.run(kernels=("puwmod",), scale=0.1)
+        expected = {
+            spec_hash(get_scenario(name, kernel="puwmod", scale=0.1, policy=policy))
+            for name in ("isolation", "worst")
+            for _, policy in wt_vs_wb.CONFIGURATIONS
+        }
+        assert {spec_hash(spec) for spec in specs} == expected
+        assert len(specs) == len(expected)
+
 
 class TestReporting:
     def test_table_render(self):

@@ -3,7 +3,7 @@
 ``run_injection_batch`` must be *payload byte-identical* to the full
 per-point re-execution of the oracle ``repro.campaign.reference.run_injection``
 over full grids — the analytical triage, the timeline-delta walk and
-the snapshot suffix-resume are three routes to one answer, never three
+the checkpoint suffix-resume are three routes to one answer, never three
 answers.  These tests pin that equivalence over:
 
 * the production interpreter (``golden_pass``) vs the object reference
@@ -23,6 +23,8 @@ from __future__ import annotations
 import copy
 import dataclasses
 import itertools
+import random
+from array import array
 from bisect import bisect_left
 
 import pytest
@@ -266,35 +268,64 @@ class TestLeanGoldenPass:
         assert golden.value_at(dst, golden.total_ops + 1) == 0x13579BDF
 
     def test_snapshot_before_equals_bisect_over_snapshot_indices(self):
+        """Every instruction maps to the latest checkpoint at or before
+        it, and the state built there is that checkpoint's."""
         import bisect
 
         golden = cached_golden_run("canrdr", 0.4)
-        indices = [snap.index for snap in golden.snapshots]
+        indices = list(range(0, golden.instructions, SNAPSHOT_INTERVAL))
         assert len(indices) > 2
         for instr_index in range(golden.instructions + 1):
             position = bisect.bisect_right(indices, instr_index)
-            expected = golden.snapshots[max(position - 1, 0)]
-            assert golden.snapshot_before(instr_index) is expected
+            expected = indices[max(position - 1, 0)]
+            number = expected // SNAPSHOT_INTERVAL
+            index, regs = golden.checkpoint_before(instr_index)
+            assert index == expected
+            assert regs == golden.checkpoint_regs[32 * number : 32 * number + 32].tolist()
+            snap = golden.snapshot_before(instr_index)
+            assert (snap.index, snap.pc, snap.regs) == (expected, golden.pcs[expected], regs)
+            flags = golden.checkpoint_flags[number]
+            assert snap.cc == tuple(bool(flags & bit) for bit in (8, 4, 2, 1))
+            assert snap.mem == golden.memory_before(expected)
+
+    def test_checkpoints_are_two_flat_buffers_without_memory(self):
+        """A golden run keeps one register/flag record per checkpoint in
+        two flat buffers; golden memory lives only in the store history."""
+        from repro.functional.interpreter import Snapshot
+
+        golden = cached_golden_run("matrix", 0.4)
+        count = -(-golden.instructions // SNAPSHOT_INTERVAL)
+        assert type(golden.checkpoint_regs) is array
+        assert golden.checkpoint_regs.typecode == "I"
+        assert len(golden.checkpoint_regs) == 32 * count
+        assert type(golden.checkpoint_flags) is bytearray
+        assert len(golden.checkpoint_flags) == count
+        for spec in dataclasses.fields(golden):
+            value = getattr(golden, spec.name)
+            assert not isinstance(value, Snapshot), spec.name
+            if isinstance(value, (list, tuple)):
+                assert not any(isinstance(item, (dict, Snapshot)) for item in value), spec.name
 
     @pytest.mark.parametrize("kernel", ["canrdr", "matrix", "tblook", "aifirf"])
     def test_golden_state_advances_a_synced_state(self, kernel):
         """Replaying from an earlier exact state equals rebuilding from
-        the nearest snapshot, whichever of the two is later."""
-        import random
-
+        the nearest checkpoint, whichever of the two is later."""
         from repro.campaign.triage import golden_state_at
 
         golden = cached_golden_run(kernel, 0.4)
         rng = random.Random(2019)
-        for _ in range(12):
+        synced_used = 0
+        for _ in range(24):
             start = rng.randrange(golden.instructions)
             stop = min(
                 golden.instructions,
                 start + rng.randrange(3 * SNAPSHOT_INTERVAL),
             )
-            regs, mem = golden_state_at(golden, start)
-            advanced = golden_state_at(golden, stop, (start, regs, mem))
+            regs = golden_state_at(golden, start)
+            advanced = golden_state_at(golden, stop, (start, list(regs)))
             assert advanced == golden_state_at(golden, stop)
+            synced_used += golden.checkpoint_before(stop)[0] <= start
+        assert 0 < synced_used < 24  # both starting points were exercised
 
     @pytest.mark.parametrize("kernel", ["canrdr", "matrix"])
     def test_word_op_index_lists_every_op_once_in_order(self, kernel):
@@ -310,8 +341,8 @@ class TestLeanGoldenPass:
 
 
 class TestExecute:
-    """Where :func:`execute` starts and stops, from the golden snapshots
-    a campaign resume starts from."""
+    """Where :func:`execute` starts and stops, from the golden states at
+    the checkpoints a campaign resume starts from."""
 
     KERNELS = ["canrdr", "matrix", "tblook", "aifirf"]
 
@@ -324,21 +355,26 @@ class TestExecute:
         """Replaying to ``index - 1`` hands over the exact state before
         instruction ``index``: what leg 1 of a resume gives leg 2."""
         golden = cached_golden_run(kernel, 0.4)
-        snapshots = golden.snapshots
-        before = copy.deepcopy([self._state(snap) for snap in snapshots])
-        assert len(snapshots) > 2
-        for snap, following in zip(snapshots, snapshots[1:]):
-            run = execute(golden.table, snap, following.index - 1, record=False)
+        buffers = (array("I", golden.checkpoint_regs), bytearray(golden.checkpoint_flags))
+        indices = range(0, golden.instructions, SNAPSHOT_INTERVAL)
+        assert len(indices) > 2
+        for index, following in zip(indices, indices[1:]):
+            snap = golden.snapshot_before(index)
+            before = copy.deepcopy(self._state(snap))
+            run = execute(golden.table, snap, following - 1, record=False)
             assert run.status == LIMIT
-            assert self._state(run.state) == self._state(following)
-            assert not run.pcs and not run.op_wa and not run.snapshots
-        assert [self._state(snap) for snap in snapshots] == before
+            assert self._state(run.state) == self._state(golden.snapshot_before(following))
+            assert not run.pcs and not run.op_wa
+            assert not run.checkpoint_regs and not run.checkpoint_flags
+            assert self._state(snap) == before
+        assert (golden.checkpoint_regs, golden.checkpoint_flags) == buffers
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_a_recording_run_from_a_snapshot_reproduces_the_golden_suffix(self, kernel):
         golden = cached_golden_run(kernel, 0.4)
-        middle = len(golden.snapshots) // 2
-        snap = golden.snapshots[middle]
+        middle = len(golden.checkpoint_flags) // 2
+        snap = golden.snapshot_before(middle * SNAPSHOT_INTERVAL)
+        assert snap.index == middle * SNAPSHOT_INTERVAL
         before = copy.deepcopy(self._state(snap))
         run = execute(golden.table, snap, golden.instructions)
         assert run.status == HALTED
@@ -350,15 +386,94 @@ class TestExecute:
         for column in ("op_instr", "op_wa", "op_store", "op_size", "op_shift"):
             assert getattr(run, column) == getattr(golden, column)[ops:], column
         assert run.state.mem == golden.mem_final
-        assert [self._state(s) for s in run.snapshots] == [
-            self._state(s) for s in golden.snapshots[middle:]
-        ]
+        assert run.checkpoint_regs == golden.checkpoint_regs[32 * middle :]
+        assert run.checkpoint_flags == golden.checkpoint_flags[middle:]
         assert self._state(snap) == before
         # HALT counts against the limit: one instruction less is a stop.
         short = execute(golden.table, snap, golden.instructions - 1, record=False)
         assert short.status == LIMIT
         assert short.state.index == golden.instructions
         assert self._state(snap) == before
+
+
+#: A loop of sub-word stores and sign-extending loads over three words,
+#: with flag-setting ops, long enough to span several checkpoints.
+SUBWORD_LOOP_PROGRAM = """
+.data
+buf:
+    .word 0x8180F07F
+    .word 0x7F7F8080
+    .word 0
+.text
+main:
+    set buf, r1
+    set 40, r5
+loop:
+    ldsb [r1], r2
+    add r2, r5, r2
+    stb r2, [r1 + 8]
+    ldsh [r1 + 2], r3
+    sub r3, r5, r3
+    sth r3, [r1 + 6]
+    ldub [r1 + 9], r4
+    stb r4, [r1 + 1]
+    ld [r1 + 4], r6
+    addcc r6, r6, r6
+    st r6, [r1]
+    subcc r5, 1, r5
+    bne loop
+    halt
+"""
+
+
+class TestGoldenHistoryAgainstTheReference:
+    """The golden history — register checkpoints, :func:`golden_state_at`
+    and the memory image rebuilt from the store history — equals the
+    object interpreter's state stepped to the same instruction, at every
+    checkpoint and at seeded random instructions (at every instruction
+    of the small fixed program)."""
+
+    @staticmethod
+    def _assert_history_matches(program, samples=None):
+        from repro.campaign.replay import memories_equal
+        from repro.campaign.triage import golden_state_at
+
+        golden = golden_pass(program)
+        rng = random.Random(2019)
+        checkpoints = range(0, golden.instructions, SNAPSHOT_INTERVAL)
+        if samples is None:
+            probes = set(range(golden.instructions))
+        else:
+            probes = set(checkpoints)
+            probes.update(rng.randrange(golden.instructions) for _ in range(samples))
+        simulator = FunctionalSimulator(program)
+        at_checkpoint = {}
+        for index in range(golden.instructions):
+            if index in probes:
+                regs = simulator.registers.snapshot()
+                codes = simulator.condition_codes
+                if index % SNAPSHOT_INTERVAL == 0:
+                    at_checkpoint[index] = (
+                        simulator.pc,
+                        (codes.negative, codes.zero, codes.overflow, codes.carry),
+                        regs,
+                    )
+                assert golden_state_at(golden, index) == regs, index
+                assert memories_equal(golden.memory_before(index), simulator.memory.words()), index
+                snap = golden.snapshot_before(index)
+                assert snap.index == index - index % SNAPSHOT_INTERVAL
+                assert (snap.pc, snap.cc, snap.regs) == at_checkpoint[snap.index], index
+            simulator.step()
+        assert simulator.halted
+        assert len(at_checkpoint) == len(checkpoints) > 2
+
+    @pytest.mark.parametrize("kernel", ["aifirf", "canrdr", "matrix", "tblook"])
+    def test_kernel_history_matches_the_reference(self, kernel):
+        self._assert_history_matches(build_kernel(kernel, scale=0.4), samples=40)
+
+    def test_subword_store_history_matches_the_reference(self):
+        program = assemble(SUBWORD_LOOP_PROGRAM, name="subword_loop")
+        self._assert_history_matches(program)
 
 
 # --------------------------------------------------------------------- #
@@ -551,7 +666,7 @@ join:
 """
 
 #: The corrupted flag flips a branch whose fall-through arm does real
-#: work: the walk must bail and the point streams through the snapshot resume.
+#: work: the walk must bail and the point streams through the checkpoint resume.
 UNPROVABLE_BRANCH_PROGRAM = """
 .data
 cond:
@@ -621,8 +736,8 @@ loop:
 #: dropped; a sub-word load re-taints a register from `b` right away
 #: (rebuilt from the walk's own state); a load into r0 never taints;
 #: clean sub-word stores shrink the `b` delta and the faulted word's
-#: mask; a clean loop runs past the next snapshot before `b` re-taints
-#: a register again (rebuilt from the snapshot) and may leak into `c`;
+#: mask; a clean loop runs past the next checkpoint before `b` re-taints
+#: a register again (rebuilt from the checkpoint) and may leak into `c`;
 #: clean stores finally clear `b` and `a`, so only that leak is `sdc`.
 SPARSE_WALK_PROGRAM = """
 .data

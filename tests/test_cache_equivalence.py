@@ -26,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.experiments import ExperimentContext, all_experiments
 from repro.experiments import ablation_sensitivity, runner
+from repro.workloads import golden as golden_cache
 from repro.memory.cache import LruSet, SetAssociativeCache
 from repro.memory.config import CacheConfig, WritePolicy
 from repro.memory.hierarchy import MemoryHierarchy
@@ -119,7 +120,7 @@ def experiments_in_lockstep():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(timing, "MemoryHierarchy", hierarchies)
-        patch.setattr(runner, "_GOLDEN_CACHE", {})
+        patch.setattr(golden_cache, "_GOLDEN_CACHE", {})
         patch.setattr(ablation_sensitivity, "SyntheticWorkloadGenerator", RecordingGenerator)
         context = ExperimentContext()
         for experiment in all_experiments():

@@ -754,12 +754,12 @@ class TestCampaignResume:
         import dataclasses
 
         from repro.campaign import sampling
-        from repro.experiments import runner
+        from repro.workloads import golden as golden_cache
 
         path = tmp_path / "campaign.sqlite"
         with ResultStore(path) as store:
             cold = run_campaign(self.CONFIG, store=store)
-        monkeypatch.setattr(runner, "_GOLDEN_CACHE", {})
+        monkeypatch.setattr(golden_cache, "_GOLDEN_CACHE", {})
         monkeypatch.setattr(sampling, "_SPACE_CACHE", {})
 
         def no_golden(*_args, **_kwargs):
@@ -768,7 +768,7 @@ class TestCampaignResume:
         def no_pool(*_args, **_kwargs):
             raise AssertionError("a fully stored resume started a pool")
 
-        monkeypatch.setattr(runner, "golden_pass", no_golden)
+        monkeypatch.setattr(golden_cache, "golden_pass", no_golden)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         config = dataclasses.replace(self.CONFIG, workers=workers)
         with ResultStore(path) as store:
@@ -970,6 +970,35 @@ class TestCampaignCli:
         )
         assert completed.returncode == 0, completed.stderr
         assert completed.stdout.strip() == "[]"
+
+    def test_cold_campaign_loads_no_experiment_module(self, tmp_path):
+        """A cold campaign takes its golden runs from
+        :mod:`repro.workloads.golden`: neither the experiment catalogue,
+        its drivers and runner, nor the timing front end is loaded."""
+        import subprocess
+        import sys
+
+        script = (
+            "import sys\n"
+            "from repro.campaign import CampaignConfig, run_campaign\n"
+            "from repro.store import ResultStore\n"
+            f"with ResultStore({str(tmp_path / 'cold.sqlite')!r}) as store:\n"
+            "    result = run_campaign(CampaignConfig(\n"
+            "        kernels=('rspeed', 'canrdr'), policies=('no-ecc',), scale=0.1,\n"
+            "        trials=16, batch=8, targets=('dl1', 'l2')), store=store)\n"
+            "print(result.simulated == 4 * 16)\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith('repro.experiments') or m == 'repro.simulation'))\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.split("\n")[:2] == ["True", "[]"]
 
     def test_l2_target_sweep_through_the_cli(self, tmp_path, capsys):
         # End-to-end L2 injection: FAULT_TARGETS has always advertised

@@ -11,9 +11,10 @@ from repro import __main__ as cli
 from repro.experiments import ExperimentContext, all_experiments
 from repro.experiments.catalog import experiment_names, get_experiment
 from repro.experiments.runner import clear_kernel_trace_cache
-from repro.experiments import runner as runner_module
 from repro.experiments.catalog import EXPERIMENTS
-from repro.experiments.runner import KERNEL_TRACE_CACHE_MAX_ENTRIES, cached_kernel_trace
+from repro.experiments.runner import cached_kernel_trace
+from repro.workloads import golden as golden_cache
+from repro.workloads.golden import KERNEL_TRACE_CACHE_MAX_ENTRIES
 
 EXPECTED_EXPERIMENTS = {
     "table1",
@@ -153,23 +154,23 @@ class TestKernelTraceCacheCap:
     def test_cache_is_bounded_and_evicts_oldest(self):
         clear_kernel_trace_cache()
         try:
-            original = runner_module.KERNEL_TRACE_CACHE_MAX_ENTRIES
-            runner_module.KERNEL_TRACE_CACHE_MAX_ENTRIES = 3
+            original = golden_cache.KERNEL_TRACE_CACHE_MAX_ENTRIES
+            golden_cache.KERNEL_TRACE_CACHE_MAX_ENTRIES = 3
             for scale in (0.01, 0.02, 0.03, 0.04):
                 cached_kernel_trace("rspeed", scale)
-            assert len(runner_module._GOLDEN_CACHE) == 3
+            assert len(golden_cache._GOLDEN_CACHE) == 3
             # oldest entry (0.01) was evicted, newest still present
-            assert ("rspeed", 0.01) not in runner_module._GOLDEN_CACHE
-            assert ("rspeed", 0.04) in runner_module._GOLDEN_CACHE
+            assert ("rspeed", 0.01) not in golden_cache._GOLDEN_CACHE
+            assert ("rspeed", 0.04) in golden_cache._GOLDEN_CACHE
         finally:
-            runner_module.KERNEL_TRACE_CACHE_MAX_ENTRIES = original
+            golden_cache.KERNEL_TRACE_CACHE_MAX_ENTRIES = original
             clear_kernel_trace_cache()
 
     def test_clear_is_public_api(self):
         assert not clear_kernel_trace_cache.__name__.startswith("_")
         cached_kernel_trace("rspeed", 0.01)
         clear_kernel_trace_cache()
-        assert len(runner_module._GOLDEN_CACHE) == 0
+        assert len(golden_cache._GOLDEN_CACHE) == 0
 
     def test_default_cap_fits_full_campaign(self):
         assert KERNEL_TRACE_CACHE_MAX_ENTRIES >= 16

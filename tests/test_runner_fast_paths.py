@@ -53,9 +53,9 @@ class TestTraceCache:
     def test_lru_eviction_keeps_recently_hit_entries(self, monkeypatch):
         # Shrink the cap so eviction is cheap to provoke: three tiny
         # (kernel, scale) entries fill the cache.
-        from repro.experiments import runner
+        from repro.workloads import golden as golden_cache
 
-        monkeypatch.setattr(runner, "KERNEL_TRACE_CACHE_MAX_ENTRIES", 3)
+        monkeypatch.setattr(golden_cache, "KERNEL_TRACE_CACHE_MAX_ENTRIES", 3)
         cached_kernel_trace("rspeed", 0.01)  # A
         cached_kernel_trace("rspeed", 0.02)  # B
         cached_kernel_trace("rspeed", 0.03)  # C
@@ -63,7 +63,7 @@ class TestTraceCache:
         # would still be the first to go.
         _, trace_a = cached_kernel_trace("rspeed", 0.01)
         cached_kernel_trace("rspeed", 0.04)  # D evicts B, not A
-        keys = list(runner._GOLDEN_CACHE)
+        keys = list(golden_cache._GOLDEN_CACHE)
         assert ("rspeed", 0.01) in keys
         assert ("rspeed", 0.02) not in keys
         # A must still be the cached object, not a rebuild.
@@ -71,9 +71,9 @@ class TestTraceCache:
         assert trace_a_again is trace_a
 
     def test_lru_eviction_order_is_recency_not_insertion(self, monkeypatch):
-        from repro.experiments import runner
+        from repro.workloads import golden as golden_cache
 
-        monkeypatch.setattr(runner, "KERNEL_TRACE_CACHE_MAX_ENTRIES", 3)
+        monkeypatch.setattr(golden_cache, "KERNEL_TRACE_CACHE_MAX_ENTRIES", 3)
         scales = (0.01, 0.02, 0.03)
         for scale in scales:
             cached_kernel_trace("rspeed", scale)
@@ -82,7 +82,7 @@ class TestTraceCache:
             cached_kernel_trace("rspeed", scale)
         cached_kernel_trace("rspeed", 0.04)
         cached_kernel_trace("rspeed", 0.05)
-        keys = list(runner._GOLDEN_CACHE)
+        keys = list(golden_cache._GOLDEN_CACHE)
         # The two least recently used (0.03 then 0.02) were evicted.
         assert ("rspeed", 0.03) not in keys
         assert ("rspeed", 0.02) not in keys
@@ -158,17 +158,17 @@ class TestOneRunnerPath:
     def test_warm_run_set_runs_no_kernel(self, tmp_path, monkeypatch):
         """Restored results carry no trace, so a fully stored run set
         needs no golden pass."""
-        from repro.experiments import runner
+        from repro.workloads import golden as golden_cache
 
         path = tmp_path / "warm.sqlite"
         with ResultStore(path) as store:
             cold = ExperimentRunner(scale=0.1, kernels=self.KERNELS, store=store).run_all()
-        monkeypatch.setattr(runner, "_GOLDEN_CACHE", {})
+        monkeypatch.setattr(golden_cache, "_GOLDEN_CACHE", {})
 
         def no_golden(*_args, **_kwargs):
             raise AssertionError("a fully stored run set ran a kernel")
 
-        monkeypatch.setattr(runner, "golden_pass", no_golden)
+        monkeypatch.setattr(golden_cache, "golden_pass", no_golden)
         with ResultStore(path) as store:
             warm = ExperimentRunner(scale=0.1, kernels=self.KERNELS, store=store).run_all()
             assert (store.hits, store.misses) == (len(self.KERNELS) * 4, 0)

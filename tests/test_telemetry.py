@@ -550,7 +550,7 @@ class TestSupervisorAgreement:
         space from the store, so its trace shows no golden phase — and
         says why — while its summary equals the untraced one."""
         from repro.campaign import sampling
-        from repro.experiments import runner
+        from repro.workloads import golden as golden_cache
 
         def fault_spaces(loaded):
             return {
@@ -566,7 +566,7 @@ class TestSupervisorAgreement:
                 if metric["name"] == metrics.PHASE_METRIC
             }
 
-        monkeypatch.setattr(runner, "_GOLDEN_CACHE", {})
+        monkeypatch.setattr(golden_cache, "_GOLDEN_CACHE", {})
         monkeypatch.setattr(sampling, "_SPACE_CACHE", {})
         grid = config(kernels=("rspeed", "canrdr"), scales=(0.05, 0.1), trials=4)
         pairs = {(kernel, scale) for kernel, *_, scale in grid.strata()}
@@ -578,7 +578,7 @@ class TestSupervisorAgreement:
         assert fault_spaces(cold_trace) == {"golden": len(pairs)}
         assert "golden" in phase_names(cold_trace)
 
-        monkeypatch.setattr(runner, "_GOLDEN_CACHE", {})
+        monkeypatch.setattr(golden_cache, "_GOLDEN_CACHE", {})
         monkeypatch.setattr(sampling, "_SPACE_CACHE", {})
         resume_path = tmp_path / "resume.trace"
         with ResultStore(store_path) as store:
