@@ -344,24 +344,24 @@ def _build_campaign_parser() -> argparse.ArgumentParser:
 
 
 def _run_campaign_command(argv: List[str]) -> int:
-    from repro.campaign.chaos import parse_chaos
     from repro.campaign.engine import CampaignConfig, run_campaign
     from repro.campaign.errors import CampaignError, CampaignInterrupted
     from repro.store.result_store import ResultStore
     from repro.telemetry import flight
     from repro.telemetry.console import format_flight_tail, format_stats_line, get_console
     from repro.telemetry.trace import Telemetry
-    from repro.workloads.registry import KERNEL_NAMES
 
     args = _build_campaign_parser().parse_args(argv)
     console = get_console()
     console.quiet = args.quiet
-    kernels_arg = args.kernels.strip().lower()
-    kernels = (
-        tuple(KERNEL_NAMES)
-        if kernels_arg == "all"
-        else tuple(name.strip() for name in args.kernels.split(",") if name.strip())
-    )
+    if args.kernels.strip().lower() == "all":
+        from repro.workloads.registry import KERNEL_NAMES
+
+        kernels = tuple(KERNEL_NAMES)
+    else:
+        kernels = tuple(
+            name.strip() for name in args.kernels.split(",") if name.strip()
+        )
     policies = tuple(
         name.strip() for name in args.policies.split(",") if name.strip()
     )
@@ -394,17 +394,17 @@ def _run_campaign_command(argv: List[str]) -> int:
             retry_backoff=args.retry_backoff,
             quarantine=not args.no_quarantine,
         )
-        chaos = (
-            parse_chaos(args.chaos, hang_seconds=args.chaos_hang)
-            if args.chaos is not None
-            else None
-        )
+        chaos = None
+        if args.chaos is not None:
+            from repro.campaign.chaos import parse_chaos
+
+            chaos = parse_chaos(args.chaos, hang_seconds=args.chaos_hang)
         telemetry = (
             Telemetry(
                 args.trace,
                 progress_interval=args.progress_interval,
                 config={
-                    "kernels": ",".join(kernels),
+                    "kernels": ",".join(config.kernels),
                     "policies": ",".join(policies),
                     "targets": ",".join(targets),
                     "scenarios": ",".join(scenarios),

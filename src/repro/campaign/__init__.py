@@ -21,6 +21,9 @@ propagation into the memory image (SDC) and pure timing deviations.
   stopping, process-pool sharding, per-dimension marginals, and
   checkpoint/resume through the content-addressed
   :class:`~repro.store.ResultStore`.
+* :mod:`repro.campaign.outcome` — the outcome taxonomy (``masked``,
+  ``corrected``, ``detected``, ``sdc``, ``timing``), importable without
+  the replay stack.
 * :mod:`repro.campaign.stats` — Wilson score intervals.
 * :mod:`repro.campaign.errors` — the failure taxonomy (``PointTimeout``,
   ``WorkerCrash``, ``ReplayDivergence``, ``StoreCorruption``,

@@ -46,7 +46,7 @@ import os
 import signal
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.reporting import Table
@@ -59,7 +59,7 @@ from repro.campaign.errors import (
     WorkerCrash,
     wrap_point_error,
 )
-from repro.campaign.replay import ArchOutcome, warm_lean_golden
+from repro.campaign.outcome import OUTCOME_KEYS
 from repro.campaign.sampling import (
     DEFAULT_TARGET,
     ISOLATION_SCENARIO,
@@ -76,13 +76,16 @@ from repro.telemetry.console import format_heartbeat, format_quarantine_footer, 
 
 if TYPE_CHECKING:
     # A serial campaign never starts a pool: the process-pool machinery
-    # (and multiprocessing behind it) is imported where a pool starts.
+    # (and multiprocessing behind it) is imported where a pool starts,
+    # and the replay stack where a point first runs.
     from concurrent.futures import ProcessPoolExecutor
 
 #: The four DL1 deployments compared in Figure 8, in paper order.
 FIGURE8_POLICY_VALUES = ("no-ecc", "extra-cycle", "extra-stage", "laec")
 
-OUTCOME_KEYS = tuple(outcome.value for outcome in ArchOutcome)
+#: One point as the supervisor runs it: ``(global index, spec, (store
+#: key, canonical JSON))``.
+_Job = Tuple[int, SimulationSpec, Tuple[str, str]]
 
 
 @dataclass(frozen=True)
@@ -139,8 +142,20 @@ class CampaignConfig:
     quarantine: bool = True
 
     def __post_init__(self) -> None:
+        from repro.workloads.registry import KERNEL_NAMES
+
         if not self.kernels:
             raise ValueError("a campaign needs at least one kernel")
+        # Kernel names key the store and seed each stratum's RNG, so
+        # "RSPEED" must be "rspeed" (frozen: set through object).
+        kernels = tuple(name.strip().lower() for name in self.kernels)
+        for name in kernels:
+            if name not in KERNEL_NAMES:
+                raise ValueError(
+                    f"unknown kernel {name!r}; available kernels: "
+                    f"{', '.join(KERNEL_NAMES)}"
+                )
+        object.__setattr__(self, "kernels", kernels)
         if self.trials < 1 or self.batch < 1:
             raise ValueError("trials and batch must be positive")
         for value in self.policies:
@@ -384,6 +399,7 @@ def _simulate_batch(
     shard_store: Optional[str] = None,
     directive=None,
     hang_seconds: float = 0.0,
+    keyed: Sequence[Tuple[str, str]] = (),
 ) -> Dict[str, object]:
     """Worker-side job: one group of points through the shared-golden path.
 
@@ -405,7 +421,9 @@ def _simulate_batch(
     (:mod:`repro.store.sharding`) before returning — the campaign
     process then merges shards instead of re-writing every payload
     through one connection, and ``persisted=True`` tells it to skip its
-    own ``put_many`` for this group.
+    own ``put_many`` for this group.  ``keyed`` holds each spec's
+    ``(store key, canonical JSON)``, derived once by the campaign
+    process.
     """
     from repro.campaign.replay import run_injection_batch
 
@@ -426,14 +444,13 @@ def _simulate_batch(
             raise wrapped from error
         persisted = False
         if shard_store is not None:
-            from repro.store.canonical import canonical_json, spec_hash
             from repro.store.sharding import shard_writer
 
             with _metrics.phase_timer("store_write"):
                 shard_writer(shard_store).put_many(
                     [
-                        (spec_hash(spec), payload, canonical_json(spec))
-                        for spec, (payload, _mode) in zip(specs, results)
+                        (key, payload, text)
+                        for (key, text), (payload, _mode) in zip(keyed, results)
                     ],
                     kind="injection",
                 )
@@ -495,7 +512,7 @@ class _SignalGuard:
         )
 
 
-def _init_worker(kernels, scales) -> None:
+def _init_worker(warm, kernels, scales) -> None:
     """Pool initializer: a worker leaves signals and its lifetime to the
     campaign process.
 
@@ -505,14 +522,15 @@ def _init_worker(kernels, scales) -> None:
     group, and stopping is the campaign process's decision (it finishes
     the batch and checkpoints).  A campaign process killed outright
     never shuts its pool down, so each worker also exits on its own once
-    it is reparented.
+    it is reparented.  ``warm(kernels, scales)`` then preloads the
+    sweep's golden runs.
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     threading.Thread(
         target=_exit_with_parent, args=(os.getppid(),), daemon=True
     ).start()
-    warm_lean_golden(kernels, scales)
+    warm(kernels, scales)
 
 
 def _exit_with_parent(parent: int) -> None:
@@ -580,10 +598,16 @@ class _PointSupervisor:
             # once, not per batch).
             from concurrent.futures import ProcessPoolExecutor
 
+            from repro.campaign.replay import warm_lean_golden
+
             self._executor = ProcessPoolExecutor(
                 max_workers=self._width,
                 initializer=_init_worker,
-                initargs=(self.config.kernels, self.config.sweep_scales),
+                initargs=(
+                    warm_lean_golden,
+                    self.config.kernels,
+                    self.config.sweep_scales,
+                ),
             )
         return self._executor
 
@@ -638,14 +662,14 @@ class _PointSupervisor:
         return max(2, 2 * (self._width or 1))
 
     def run_batch_grouped(
-        self, jobs: Sequence[Tuple[int, SimulationSpec]], *, chunk: Optional[int] = None
+        self, jobs: Sequence[_Job], *, chunk: Optional[int] = None
     ) -> Tuple[
         Dict[int, Dict[str, object]],
         Dict[int, Tuple[CampaignError, int]],
         Dict[int, str],
         set,
     ]:
-        """Run one stratum window of ``(global_index, spec)`` jobs to
+        """Run one stratum window of ``(global_index, spec, keyed)`` jobs to
         completion or quarantine.
 
         Returns ``(payloads, quarantined, modes, persisted)`` keyed by
@@ -673,10 +697,10 @@ class _PointSupervisor:
           then retried after an exponential backoff or, past
           ``max_retries``, quarantined.
         """
-        clean: List[Tuple[int, SimulationSpec]] = []
+        clean: List[_Job] = []
         # Chaos-targeted points start in the requeue, so they run as
         # singletons in the round after the clean groups.
-        requeue: List[List[Tuple[int, SimulationSpec]]] = []
+        requeue: List[List[_Job]] = []
         for job in jobs:
             if self.chaos is not None and self.chaos.has_directive(job[0]):
                 requeue.append([job])
@@ -697,8 +721,8 @@ class _PointSupervisor:
                 if batch is not None:
                     _metrics.merge_phase_payload(batch["phases"])
                     if batch["persisted"]:
-                        persisted.update(index for index, _spec in group)
-                    for (index, _spec), (payload, mode) in zip(
+                        persisted.update(job[0] for job in group)
+                    for (index, _spec, _keyed), (payload, mode) in zip(
                         group, batch["results"]
                     ):
                         payloads[index] = payload
@@ -800,7 +824,7 @@ class _PointSupervisor:
                 directive = self._chaos_directive(group, inline=True)
                 try:
                     batch = _simulate_batch(
-                        [spec for _index, spec in group], None, directive
+                        [job[1] for job in group], None, directive
                     )
                 except Exception as error:  # noqa: BLE001 - taxonomy boundary
                     yield group, None, wrap_point_error(error)
@@ -820,10 +844,11 @@ class _PointSupervisor:
                 try:
                     future = self._pool().submit(
                         _simulate_batch,
-                        [spec for _index, spec in group],
+                        [job[1] for job in group],
                         self.shard_store,
                         directive,
                         hang,
+                        [job[2] for job in group] if self.shard_store else (),
                     )
                 except BrokenProcessPool:
                     self._kill_pool()
@@ -1052,9 +1077,19 @@ def _run_stratum(
     campaign_span: int = 0,
     merger=None,
 ) -> StratumSummary:
-    from repro.store.canonical import canonical_json, spec_hash
+    from repro.store.canonical import CanonicalTemplate
 
-    interference = config.scenario_interference(scenario)
+    # Every point of the stratum is this spec with its fault set, so the
+    # canonical text around the fault is derived once and each point's
+    # (store key, canonical JSON) spliced from it; a point's spec is
+    # built only if it runs.
+    base = SimulationSpec(
+        kernel=kernel,
+        scale=scale,
+        policy=policy_value,
+        interference=config.scenario_interference(scenario),
+    )
+    template = CanonicalTemplate(base)
     stratum_label = f"{kernel}/{policy_value}/{target}/{scenario}/{scale:g}"
     counts: Dict[str, int] = {key: 0 for key in OUTCOME_KEYS}
     # Window sizing: a sweep with no early-stopping checks to honour
@@ -1087,36 +1122,28 @@ def _run_stratum(
             )
         if not faults:
             break
-        specs = [
-            SimulationSpec(
-                kernel=kernel,
-                scale=scale,
-                policy=policy_value,
-                interference=interference,
-                fault=fault,
-            )
-            for fault in faults
-        ]
-        keys = [spec_hash(spec) for spec in specs]
-        indices = supervisor.assign_indices(len(specs))
+        keyed = [template.keyed(fault) for fault in faults]
+        indices = supervisor.assign_indices(len(faults))
         _metrics.inc("campaign_batches_total")
-        _metrics.inc("campaign_points_total", len(specs))
+        _metrics.inc("campaign_points_total", len(faults))
         batch_span = _trace.begin_span(
             "batch",
             parent=campaign_span,
             stratum=stratum_label,
-            points=len(specs),
+            points=len(faults),
             start=done,
         )
-        payloads: List[Optional[Dict[str, object]]] = [None] * len(specs)
+        payloads: List[Optional[Dict[str, object]]] = [None] * len(faults)
         to_run: List[int] = []
         batch_hits = 0
         lookup = store is not None and resume
         # One SELECT resolves the whole batch's store hits up front —
         # warm resumes never enter the supervisor loop per hit (the
         # BENCH_6 warm-path regression was exactly that).
-        stored_payloads = store.get_many(keys) if lookup else {}
-        for slot, key in enumerate(keys):
+        stored_payloads = (
+            store.get_many([key for key, _text in keyed]) if lookup else {}
+        )
+        for slot, (key, _text) in enumerate(keyed):
             stored = stored_payloads.get(key)
             if stored is not None:
                 payloads[slot] = stored
@@ -1132,7 +1159,10 @@ def _run_stratum(
         quarantined_slots: List[int] = []
         rows: List[Tuple[str, Dict[str, object], str]] = []
         if to_run:
-            jobs = [(indices[slot], specs[slot]) for slot in to_run]
+            jobs = [
+                (indices[slot], replace(base, fault=faults[slot]), keyed[slot])
+                for slot in to_run
+            ]
             run_started = _trace.now()
             computed, poisoned, modes, persisted = supervisor.run_batch_grouped(
                 jobs, chunk=config.batch
@@ -1163,9 +1193,8 @@ def _run_stratum(
                         outcome=str(computed[index]["outcome"]),
                     )
                     if store is not None and index not in persisted:
-                        rows.append(
-                            (keys[slot], computed[index], canonical_json(specs[slot]))
-                        )
+                        key, text = keyed[slot]
+                        rows.append((key, computed[index], text))
                 else:
                     error, tries = poisoned[index]
                     quarantined_slots.append(slot)
@@ -1178,8 +1207,8 @@ def _run_stratum(
                         scale=scale,
                         attempts=tries,
                         error=error.payload(),
-                        key=keys[slot],
-                        spec_json=canonical_json(specs[slot]),
+                        key=keyed[slot][0],
+                        spec_json=keyed[slot][1],
                     )
                     result.quarantined.append(point)
                     if store is not None:

@@ -37,21 +37,22 @@ through three steps:
 The full re-execution on the object interpreter over a data-carrying
 cache model is the test oracle :mod:`repro.campaign.reference`.
 
-Outcome taxonomy (:class:`ArchOutcome`): ``masked`` (no architectural
-effect), ``corrected`` (the DL1/L2 code repaired the flip), ``detected``
-(the system was informed: uncorrectable-but-refetchable error, a crash
-or a hang), ``sdc`` (silent data corruption: the final memory image
-differs with no error indication) and ``timing`` (same final state,
-different dynamic path — a pure execution-time deviation).
+Outcome taxonomy (:class:`~repro.campaign.outcome.ArchOutcome`):
+``masked`` (no architectural effect), ``corrected`` (the DL1/L2 code
+repaired the flip), ``detected`` (the system was informed:
+uncorrectable-but-refetchable error, a crash or a hang), ``sdc`` (silent
+data corruption: the final memory image differs with no error
+indication) and ``timing`` (same final state, different dynamic path — a
+pure execution-time deviation).
 """
 
 from __future__ import annotations
 
-import enum
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.campaign.outcome import ArchOutcome
 from repro.ecc.codec import DecodeResult
 from repro.functional.interpreter import (
     CRASH,
@@ -69,16 +70,6 @@ from repro.isa.program import Program
 from repro.memory.cache import LruSet
 from repro.scenarios.spec import SimulationSpec
 from repro.telemetry.metrics import observe_phase, phase_timer
-
-
-class ArchOutcome(enum.Enum):
-    """Architectural classification of one injected fault."""
-
-    MASKED = "masked"
-    CORRECTED = "corrected"
-    DETECTED = "detected"
-    SILENT_DATA_CORRUPTION = "sdc"
-    TIMING_DEVIATION = "timing"
 
 
 #: Events that mean "the system was informed of an uncorrectable problem".

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import TYPE_CHECKING, Callable, Dict, List
 
-from repro.isa.assembler import assemble
-from repro.isa.program import Program
 from repro.workloads.kernels import control, math_kernels, memory_kernels, signal
+
+if TYPE_CHECKING:
+    from repro.isa.program import Program
 
 
 @dataclass(frozen=True)
@@ -26,6 +27,10 @@ class KernelSpec:
         return self.builder(scale)
 
     def program(self, scale: float = 1.0) -> Program:
+        # The assembler loads only when a kernel is built: the name list
+        # (a campaign config checks its kernels) needs none of it.
+        from repro.isa.assembler import assemble
+
         return assemble(self.source(scale), name=self.name)
 
 

@@ -8,7 +8,8 @@ import os
 import pytest
 
 from repro.campaign import CampaignConfig, run_campaign
-from repro.campaign.replay import ArchOutcome, simulate_faulty_spec
+from repro.campaign.outcome import ArchOutcome
+from repro.campaign.replay import simulate_faulty_spec
 from repro.campaign.sampling import sample_faults
 from repro.campaign.reference import ShadowCache, run_injection
 from repro.ecc.secded import HsiaoSecDedCode
@@ -743,6 +744,44 @@ class TestCampaignResume:
             assert store.misses == first_misses
             assert rerun.store_hits == rerun.store_misses == 0
 
+    def test_integer_scale_resumes_from_float_scale_keys(self, tmp_path):
+        """``scale=1`` and the CLI's ``--scale 1`` (a float) key every
+        point alike, so either resumes the other's store."""
+        import dataclasses
+
+        grid = dataclasses.replace(
+            self.CONFIG, policies=("no-ecc",), scale=1, trials=4, batch=4,
+            targets=("dl1", "l2"),
+        )
+        path = tmp_path / "campaign.sqlite"
+        with ResultStore(path) as store:
+            cold = run_campaign(grid, store=store)
+        with ResultStore(path) as store:
+            resumed = run_campaign(
+                dataclasses.replace(grid, scale=1.0), store=store, resume=True
+            )
+        assert resumed.store_hits == 8 and resumed.simulated == 0
+        assert resumed.render() == cold.render()
+
+    def test_kernel_names_are_normalised(self, tmp_path):
+        """Kernel names key the store and seed the strata: an upper-case
+        name is the same kernel, under the same keys and RNG stream."""
+        import dataclasses
+
+        shouted = dataclasses.replace(self.CONFIG, kernels=(" RSPEED ",))
+        assert shouted.kernels == ("rspeed",)
+        path = tmp_path / "campaign.sqlite"
+        with ResultStore(path) as store:
+            cold = run_campaign(shouted, store=store)
+        with ResultStore(path) as store:
+            resumed = run_campaign(self.CONFIG, store=store, resume=True)
+        assert resumed.store_hits == 20 and resumed.simulated == 0
+        assert resumed.render() == cold.render()
+
+    def test_unknown_kernel_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown kernel 'nosuch'"):
+            CampaignConfig(kernels=("rspeed", "nosuch"))
+
     @pytest.mark.parametrize("workers", [None, 2])
     def test_fully_stored_resume_runs_no_kernel_and_starts_no_pool(
         self, tmp_path, monkeypatch, workers
@@ -1000,6 +1039,55 @@ class TestCampaignCli:
         assert completed.returncode == 0, completed.stderr
         assert completed.stdout.split("\n")[:2] == ["True", "[]"]
 
+    def test_fully_stored_resume_loads_no_replay_stack(self, tmp_path):
+        """A fresh process resuming a fully stored campaign samples,
+        derives keys and reads the store: it imports no interpreter,
+        assembler, cache, replay, triage or timing module (nor the chaos
+        harness, which only ``--chaos`` needs)."""
+        import subprocess
+        import sys
+
+        grid = [
+            "campaign", "--kernels", "RSPEED,canrdr", "--policies", "no-ecc,laec",
+            "--targets", "dl1,l2", "--scenarios", "isolation,laec-worst",
+            "--trials", "3", "--scale", "0.1", "--store", str(tmp_path / "s.sqlite"),
+            "--quiet",
+        ]
+        forbidden = (
+            "repro.functional.interpreter",
+            "repro.isa.assembler",
+            "repro.memory.cache",
+            "repro.campaign.replay",
+            "repro.campaign.triage",
+            "repro.campaign.timeline",
+            "repro.pipeline.timing",
+            "repro.memory.hierarchy",
+            "repro.campaign.chaos",
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        outputs = []
+        for extra in ([], ["--resume"]):
+            out = tmp_path / f"summary{len(outputs)}.txt"
+            probe = (
+                "import sys\n"
+                "from repro.__main__ import main\n"
+                f"code = main({grid + extra + ['--out', str(out)]!r})\n"
+                f"print(code, sorted(m for m in {forbidden!r} if m in sys.modules))\n"
+            )
+            completed = subprocess.run(
+                [sys.executable, "-c", probe],
+                capture_output=True,
+                text=True,
+                timeout=120,
+                env=env,
+            )
+            outputs.append((completed.stdout.strip(), completed.stderr, out.read_bytes()))
+        (cold, cold_err, cold_summary), (resume, resume_err, resumed) = outputs
+        assert cold.startswith("0 ['repro.campaign.replay'"), cold_err
+        assert resume == "0 []", resume_err
+        assert "simulated=0 " in resume_err and "store-hits=48 " in resume_err
+        assert resumed == cold_summary
+
     def test_l2_target_sweep_through_the_cli(self, tmp_path, capsys):
         # End-to-end L2 injection: FAULT_TARGETS has always advertised
         # "l2"; the CLI must actually sample and replay it.
@@ -1039,6 +1127,14 @@ class TestCampaignCli:
 
         assert cli.main(["campaign", "--targets", "dram"]) == 2
         assert "fault target" in capsys.readouterr().err
+
+    def test_unknown_kernel_is_a_clean_cli_error(self, capsys):
+        from repro import __main__ as cli
+
+        assert cli.main(["campaign", "--kernels", "rspeed,nosuch"]) == 2
+        error = capsys.readouterr().err
+        assert "unknown kernel 'nosuch'" in error
+        assert len(error.strip().splitlines()) == 1
 
     def test_sweep_summary_experiment_is_registered(self):
         from repro.experiments.catalog import get_experiment

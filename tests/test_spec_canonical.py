@@ -8,22 +8,31 @@ spec with a *stable* hash; distinct specs must hash differently.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import os
 import subprocess
 import sys
+from typing import Any, Dict, Union
 
 import pytest
-
-import json
-from typing import Any, Dict, Union
+from hypothesis import given, settings, strategies as st
 
 from repro.core.policies import EccPolicyKind
 from repro.memory.config import CacheConfig, MemoryHierarchyConfig, WritePolicy
 from repro.pipeline.config import PipelineConfig
 from repro.scenarios import FaultSpec, SimulationSpec
 from repro.scenarios.interference import InterferenceScenario
-from repro.scenarios.registry import get_scenario, scenario_names
-from repro.store.canonical import SCHEMA_VERSION, canonical_dict, canonical_json, spec_hash
+from repro.scenarios.registry import get_scenario, scenario_interference, scenario_names
+from repro.scenarios.spec import FAULT_TARGETS
+from repro.store.canonical import (
+    SCHEMA_VERSION,
+    CanonicalTemplate,
+    canonical_dict,
+    canonical_json,
+    fault_space_key,
+    spec_hash,
+)
 
 
 # ---------------------------------------------------------------------- #
@@ -293,3 +302,81 @@ def _pinned_specs():
 @pytest.mark.parametrize("name", sorted(PINNED_HASHES))
 def test_spec_hash_is_pinned(name):
     assert spec_hash(_pinned_specs()[name]) == PINNED_HASHES[name]
+
+
+def _oracle_text(spec: SimulationSpec) -> str:
+    """The canonical text as the whole-dict encoding writes it."""
+    return json.dumps(canonical_dict(spec), sort_keys=True, separators=(",", ":"))
+
+
+_FAULTS = st.none() | st.builds(
+    FaultSpec,
+    target=st.sampled_from(FAULT_TARGETS),
+    word_address=st.integers(min_value=0, max_value=2**40).map(lambda word: 4 * word),
+    bit=st.integers(min_value=0, max_value=2**20),
+    at_access=st.integers(min_value=1, max_value=2**40),
+)
+
+
+class TestSplicedEncoder:
+    """A stratum's keys are spliced from one fault-free text; each must be
+    byte-identical to the whole spec's encoding."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        policy=st.sampled_from(list(EccPolicyKind)),
+        scenario=st.sampled_from(["isolation", "laec-worst", "worst"]),
+        scale=st.sampled_from([0.1, 0.4, 1.0, 1, 2]),
+        kernel=st.sampled_from(["rspeed", "matrix"]),
+        faults=st.lists(_FAULTS, min_size=1, max_size=4),
+    )
+    def test_keyed_matches_the_whole_dict_encoding(
+        self, policy, scenario, scale, kernel, faults
+    ):
+        base = SimulationSpec(
+            kernel=kernel,
+            scale=scale,
+            policy=policy.value,
+            interference=(
+                None if scenario == "isolation" else scenario_interference(scenario)
+            ),
+        )
+        template = CanonicalTemplate(base)
+        for fault in faults:
+            spec = dataclasses.replace(base, fault=fault)
+            oracle = _oracle_text(spec)
+            key, text = template.keyed(fault)
+            assert text == oracle
+            assert key == hashlib.sha256(oracle.encode("utf-8")).hexdigest()
+            assert canonical_json(spec) == oracle
+            assert spec_hash(spec) == key
+
+    @pytest.mark.parametrize("policy", [kind.value for kind in EccPolicyKind])
+    @pytest.mark.parametrize("target", FAULT_TARGETS)
+    def test_every_policy_and_target(self, policy, target):
+        base = SimulationSpec(kernel="canrdr", scale=0.2, policy=policy)
+        fault = FaultSpec(target=target, word_address=0xFFFF_FFFC, bit=71, at_access=10**9)
+        text = CanonicalTemplate(base).text(fault)
+        assert text == _oracle_text(dataclasses.replace(base, fault=fault))
+        # Only the unprotected L2 deviates from schema v1's SECDED L2.
+        assert ('"l2_code":"raw"' in text) == (policy == "no-ecc" and target == "l2")
+
+    def test_fault_free_text_is_the_spec_encoding(self):
+        for name in scenario_names():
+            spec = get_scenario(name)
+            assert CanonicalTemplate(spec).text(None) == _oracle_text(spec)
+
+
+class TestScaleKeys:
+    def test_integer_and_float_scale_share_every_key(self):
+        fault = FaultSpec(target="dl1", word_address=0x40, bit=3, at_access=2)
+        for spec_fault in (None, fault):
+            as_int = SimulationSpec(kernel="rspeed", scale=1, fault=spec_fault)
+            as_float = SimulationSpec(kernel="rspeed", scale=1.0, fault=spec_fault)
+            assert canonical_json(as_int) == canonical_json(as_float)
+            assert spec_hash(as_int) == spec_hash(as_float)
+        assert fault_space_key("rspeed", 1) == fault_space_key("rspeed", 1.0)
+
+    def test_scale_is_encoded_as_a_float(self):
+        assert canonical_dict(SimulationSpec(kernel="rspeed", scale=2))["scale"] == 2.0
+        assert '"scale":2.0' in canonical_json(SimulationSpec(kernel="rspeed", scale=2))
