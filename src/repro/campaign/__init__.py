@@ -10,7 +10,7 @@ propagation into the memory image (SDC) and pure timing deviations.
   shared golden run, by analytical triage (:mod:`repro.campaign.triage`)
   and snapshot resume on :func:`repro.functional.interpreter.execute`.
   The full re-execution it replaces is the test oracle
-  :mod:`repro.campaign.reference`.
+  :mod:`oracles.campaign` (``tests/oracles/campaign.py``).
 * :mod:`repro.campaign.sampling` — deterministic stratified sampling of
   (injection cycle × cache word × bit) points per stratum of the sweep
   grid (kernel × policy × target × scenario × scale), with an O(N)

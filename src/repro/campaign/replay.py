@@ -35,7 +35,7 @@ through three steps:
    against the golden run.
 
 The full re-execution on the object interpreter over a data-carrying
-cache model is the test oracle :mod:`repro.campaign.reference`.
+cache model is the test oracle :mod:`oracles.campaign`.
 
 Outcome taxonomy (:class:`~repro.campaign.outcome.ArchOutcome`):
 ``masked`` (no architectural effect), ``corrected`` (the DL1/L2 code
@@ -449,7 +449,7 @@ def run_injection_batch(
     like any other point failure.
 
     Results come back in input order with payloads byte-identical to
-    the full re-execution of :func:`repro.campaign.reference.run_injection`,
+    the full re-execution of :func:`oracles.campaign.run_injection`,
     the test oracle (differentially tested over full grids).
     """
     from repro.workloads.golden import cached_golden_run

@@ -40,7 +40,7 @@ word, SECDED corrects every single-bit flip, and a write-through
 timeline has no dirty or line-store events (``tests/test_triage_inputs.py``).
 
 The equivalence of every branch against the full re-execution oracle
-(:mod:`repro.campaign.reference`) is pinned by the full-grid
+(:mod:`oracles.campaign`) is pinned by the full-grid
 differential tests in ``tests/test_batched_replay.py``.
 """
 
@@ -851,7 +851,7 @@ def triage_l2(
     """Classify one L2-targeted flip.
 
     ``decode`` is the L2 code's decode of the corrupted codeword that
-    :meth:`repro.campaign.reference.Dl1ContentModel.inject_l2_fault`
+    :meth:`oracles.campaign.Dl1ContentModel.inject_l2_fault`
     would have planted (encoded
     from ``golden_backing_value``, the backing copy at injection time).
     """

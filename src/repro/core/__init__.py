@@ -13,7 +13,7 @@ Four deployment schemes are modelled (Section II-B and III of the paper):
   pipeline stage is appended after Memory.
 * :class:`~repro.core.policies.LaecPolicy` — the paper's Look-Ahead
   Error Correction: address generation, DL1 access and ECC check are
-  anticipated by one cycle whenever the
-  :class:`~repro.core.lookahead.LookaheadUnit` finds no data or resource
-  hazard with the immediately preceding instruction.
+  anticipated by one cycle whenever the look-ahead conditions of
+  :mod:`repro.core.lookahead` find no data or resource hazard with the
+  immediately preceding instruction.
 """

@@ -4,9 +4,9 @@ A *policy* captures everything the timing pipeline must know about how a
 particular ECC deployment changes instruction timing:
 
 * whether the pipeline grows an extra ECC stage (8 stages instead of 7);
-* how many cycles the Memory stage is occupied by a DL1 load hit;
-* in which stage the loaded (and checked) value becomes available to
-  dependent instructions;
+* how many cycles the Memory stage is occupied by a DL1 load hit (the
+  checked value is available to dependent instructions at the end of
+  Memory, or of the ECC stage when the load traverses it);
 * which DL1 write policy the scheme requires (the paper's point is that
   only correction-capable schemes can afford write-back);
 * whether the LAEC look-ahead unit is active.
@@ -37,13 +37,6 @@ class EccPolicyKind(enum.Enum):
     LAEC = "laec"
 
 
-class DataReadyStage(enum.Enum):
-    """Pipeline stage at whose end a load hit's checked data is available."""
-
-    MEMORY = "M"
-    ECC = "ECC"
-
-
 @dataclass(frozen=True)
 class EccPolicy:
     """Base policy; concrete schemes are thin configurations of this."""
@@ -65,24 +58,6 @@ class EccPolicy:
     detects_errors: bool
     #: ECC code name stored in the DL1 ("secded", "parity" or None).
     dl1_code_name: Optional[str]
-
-    # ------------------------------------------------------------------ #
-    # timing contract used by the pipeline                               #
-    # ------------------------------------------------------------------ #
-    def load_hit_data_ready_stage(self, lookahead_taken: bool) -> DataReadyStage:
-        """Stage at whose end a dependent instruction may consume the data."""
-        if not self.has_ecc_stage:
-            return DataReadyStage.MEMORY
-        if self.supports_lookahead and lookahead_taken:
-            # Anticipated loads finish their ECC check in the Memory stage.
-            return DataReadyStage.MEMORY
-        return DataReadyStage.ECC
-
-    def memory_stage_cycles(self, *, is_load: bool, hit: bool) -> int:
-        """Cycles the Memory stage is occupied by this access."""
-        if is_load and hit:
-            return self.load_hit_memory_cycles
-        return 1
 
     # ------------------------------------------------------------------ #
     # the codes stored in each data array                                #

@@ -72,7 +72,7 @@ class EccCode:
     # Batch interface ---------------------------------------------------
     # One loop over the scalar paths for every code: each code's math
     # lives in its ``encode``/``decode`` alone, the pair the equivalence
-    # tests pin against :mod:`repro.ecc.reference`.
+    # tests pin against :mod:`oracles.ecc`.
     def encode_many(self, words: Iterable[int]) -> List[int]:
         """Encode a batch of data words (one codeword per input word)."""
         encode = self.encode

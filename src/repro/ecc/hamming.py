@@ -26,7 +26,7 @@ constructor flattens the construction into lookup structures over the
   (zero when ``s`` names a check-bit position).
 
 The original loop implementation lives on as
-:class:`repro.ecc.reference.ReferenceHammingSecCode` and the equivalence
+:class:`oracles.ecc.ReferenceHammingSecCode` and the equivalence
 tests hold the two bit-identical over clean words and all flips.
 """
 

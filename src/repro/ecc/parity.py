@@ -8,18 +8,13 @@ protected) L2, so a detected error simply becomes a refetch.
 
 This is the fast-path implementation: the word parity is one
 ``int.bit_count()`` instead of a shift-and-XOR loop over every bit.  The
-original loop lives on as :class:`repro.ecc.reference.ReferenceParityCode`
+original loop lives on as :class:`oracles.ecc.ReferenceParityCode`
 and the equivalence tests hold the two bit-identical.
 """
 
 from __future__ import annotations
 
 from repro.ecc.codec import DecodeResult, DecodeStatus, EccCode
-
-
-def _parity_of(value: int) -> int:
-    """Return the XOR of all bits of ``value`` (0 or 1)."""
-    return value.bit_count() & 1
 
 
 class ParityCode(EccCode):

@@ -28,7 +28,7 @@ so both use the same matrix) is flattened into two lookup structures:
   position (or -1 for "no matching column": a detected triple error).
 
 The original bit-loop implementation lives on as
-:class:`repro.ecc.reference.ReferenceHsiaoSecDedCode` and the
+:class:`oracles.ecc.ReferenceHsiaoSecDedCode` and the
 equivalence tests hold the two bit-identical.
 """
 

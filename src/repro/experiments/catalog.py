@@ -5,27 +5,24 @@ parameters are the drivers' defaults, so a row passes only what comes
 from the shared :class:`~repro.experiments.base.ExperimentContext` (the
 kernel × policy run set, a seed override, workers and the result
 store), and ``python -m repro --run <name>`` regenerates
-``benchmarks/output/<artifact>.txt`` byte-identically.
+``benchmarks/output/<artifact>.txt`` byte-identically.  A driver module
+is imported when its row first runs, so ``--run table1`` loads no
+campaign engine and a ``--run all`` process imports each driver's
+dependencies only when it reaches that driver.
 """
 
 from __future__ import annotations
 
+import importlib
+from types import ModuleType
 from typing import Dict, List
 
-from repro.experiments import (
-    ablation_hazards,
-    ablation_sensitivity,
-    campaign_summary,
-    chronograms,
-    energy_report,
-    fault_campaign,
-    figure8,
-    sweep_summary,
-    table1,
-    table2,
-    wt_vs_wb,
-)
 from repro.experiments.base import Experiment, ExperimentContext
+
+
+def _driver(name: str) -> ModuleType:
+    """The driver module ``repro.experiments.<name>``."""
+    return importlib.import_module(f"repro.experiments.{name}")
 
 
 def _seeded(context: ExperimentContext) -> Dict[str, object]:
@@ -48,80 +45,80 @@ EXPERIMENTS = (
         "table1",
         "Table I: commercial processors and their L1 protection",
         "table1",
-        lambda context: table1.run(),
-        table1.render,
+        lambda context: _driver("table1").run(),
+        lambda result: _driver("table1").render(result),
     ),
     Experiment(
         "table2",
         "Table II: per-benchmark load statistics (measured vs paper)",
         "table2",
-        lambda context: table2.run(run_set=context.run_set()),
-        table2.render,
+        lambda context: _driver("table2").run(run_set=context.run_set()),
+        lambda result: _driver("table2").render(result),
     ),
     Experiment(
         "figure8",
         "Figure 8: execution-time increase of each ECC scheme",
         "figure8",
-        lambda context: figure8.run(run_set=context.run_set()),
-        figure8.render,
+        lambda context: _driver("figure8").run(run_set=context.run_set()),
+        lambda result: _driver("figure8").render(result),
     ),
     Experiment(
         "chronograms",
         "Figures 2-5 and 7: pipeline chronograms of the micro-sequences",
         "figures_2_to_7_chronograms",
-        lambda context: chronograms.run(),
-        chronograms.render,
+        lambda context: _driver("chronograms").run(),
+        lambda result: _driver("chronograms").render(result),
     ),
     Experiment(
         "energy_report",
         "§IV-A energy study: dynamic/leakage increase per policy",
         "energy_report",
-        lambda context: energy_report.run(run_set=context.run_set()),
-        energy_report.render,
+        lambda context: _driver("energy_report").run(run_set=context.run_set()),
+        lambda result: _driver("energy_report").render(result),
     ),
     Experiment(
         "wt_vs_wb",
         "§I/§II-A: WT+parity vs WB WCET bounds under bus contention",
         "wt_vs_wb_wcet",
-        lambda context: wt_vs_wb.run(),
-        wt_vs_wb.render,
+        lambda context: _driver("wt_vs_wb").run(),
+        lambda result: _driver("wt_vs_wb").render(result),
     ),
     Experiment(
         "ablation_hazards",
         "Ablation A1: why LAEC anticipation is blocked, per benchmark",
         "ablation_hazards",
-        lambda context: ablation_hazards.run(run_set=context.run_set()),
-        ablation_hazards.render,
+        lambda context: _driver("ablation_hazards").run(run_set=context.run_set()),
+        lambda result: _driver("ablation_hazards").render(result),
     ),
     Experiment(
         "ablation_sensitivity",
         "Ablation A2: sensitivity of Figure 8 to Table II statistics",
         "ablation_sensitivity",
-        lambda context: ablation_sensitivity.run(),
-        ablation_sensitivity.render,
+        lambda context: _driver("ablation_sensitivity").run(),
+        lambda result: _driver("ablation_sensitivity").render(result),
     ),
     Experiment(
         "fault_campaign",
         "Ablation A3: fault-injection campaign on the ECC codecs",
         "fault_campaign",
-        lambda context: fault_campaign.run(**_seeded(context)),
-        fault_campaign.render,
+        lambda context: _driver("fault_campaign").run(**_seeded(context)),
+        lambda result: _driver("fault_campaign").render(result),
     ),
     Experiment(
         "campaign_summary",
         "Architectural fault-injection campaign vs the analytical "
         "reliability model",
         "campaign_summary",
-        lambda context: campaign_summary.run(**_campaign(context)),
-        campaign_summary.render,
+        lambda context: _driver("campaign_summary").run(**_campaign(context)),
+        lambda result: _driver("campaign_summary").render(result),
     ),
     Experiment(
         "sweep_summary",
         "Multi-dimensional fault sweep: DL1 vs L2 targets x isolation vs "
         "bus contention, per Figure-8 policy",
         "sweep_summary",
-        lambda context: sweep_summary.run(**_campaign(context)),
-        sweep_summary.render,
+        lambda context: _driver("sweep_summary").run(**_campaign(context)),
+        lambda result: _driver("sweep_summary").render(result),
     ),
 )
 

@@ -8,6 +8,6 @@ instruction its pc, static instruction, effective address (memory
 operations) and taken flag (control transfers).  The cycle-accurate
 timing model in :mod:`repro.pipeline` replays this stream (a standard
 functional-first / timing-directed decomposition, as used by many
-academic simulators).  :mod:`repro.functional.reference` keeps the
-object interpreter as its test oracle.
+academic simulators).  The object interpreter is its test oracle,
+:mod:`oracles.functional` (``tests/oracles/functional.py``).
 """

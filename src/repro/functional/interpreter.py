@@ -24,7 +24,7 @@ the whole ISA: from any :class:`Snapshot`, recording or not, and with
 an optional :class:`Watch` on one faulted word, which is how a fault
 campaign resumes a diverged point from the golden state at a
 checkpoint (:mod:`repro.campaign.replay`).  The object interpreter
-:mod:`repro.functional.reference` is its test oracle: the tests pin
+:mod:`oracles.functional` is its test oracle: the tests pin
 both to identical columns, final memory images and instruction limits.
 """
 

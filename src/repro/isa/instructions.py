@@ -250,11 +250,6 @@ class Instruction:
     def reads_condition_codes(self) -> bool:
         return self.is_branch and self.mnemonic not in (Mnemonic.BA, Mnemonic.BN)
 
-    @property
-    def memory_bytes(self) -> int:
-        """Access width in bytes for memory instructions (0 otherwise)."""
-        return MEMORY_ACCESS_BYTES.get(self.mnemonic, 0)
-
     def source_registers(self) -> Tuple[int, ...]:
         """Architectural registers read by this instruction (r0 excluded)."""
         klass = self.klass

@@ -38,19 +38,6 @@ class Segment:
         """One past the last initialised byte address."""
         return self.base + len(self.data)
 
-    def read_word(self, address: int) -> int:
-        """Read a little-endian 32-bit word at ``address``."""
-        offset = address - self.base
-        if offset < 0 or offset + 4 > len(self.data):
-            raise ProgramError(f"word read outside segment: {address:#x}")
-        return int.from_bytes(self.data[offset : offset + 4], "little")
-
-    def write_word(self, address: int, value: int) -> None:
-        offset = address - self.base
-        if offset < 0 or offset + 4 > len(self.data):
-            raise ProgramError(f"word write outside segment: {address:#x}")
-        self.data[offset : offset + 4] = (value & 0xFFFFFFFF).to_bytes(4, "little")
-
 
 @dataclass
 class Program:
@@ -63,21 +50,6 @@ class Program:
     entry: int = TEXT_BASE
     stack_top: int = STACK_TOP
     name: str = "program"
-
-    def __post_init__(self) -> None:
-        self._by_address: Dict[int, Instruction] = {
-            instr.address: instr for instr in self.instructions
-        }
-
-    def instruction_at(self, address: int) -> Instruction:
-        """Return the instruction located at byte ``address``."""
-        instr = self._by_address.get(address)
-        if instr is None:
-            raise ProgramError(f"no instruction at address {address:#x}")
-        return instr
-
-    def has_instruction_at(self, address: int) -> bool:
-        return address in self._by_address
 
 
 def find_entry(symbols: Dict[str, int], default: int, label: Optional[str] = None) -> int:

@@ -19,7 +19,7 @@ campaign triage run on one set implementation.  :class:`SetAssociativeCache` cre
 set on its first access: most L2 sets are never touched.
 
 The seed object cache is the test oracle
-:class:`repro.memory.reference_cache.ReferenceCache`.
+:class:`oracles.cache.ReferenceCache` (``tests/oracles/cache.py``).
 """
 
 from __future__ import annotations

@@ -81,11 +81,3 @@ class WriteBuffer:
         self._completions.append(start + drain_latency)
         self.stats.stores_buffered += 1
         return stalled_until
-
-    def record_load_wait(self, waited_cycles: int) -> None:
-        if waited_cycles > 0:
-            self.stats.load_drain_stall_cycles += waited_cycles
-
-    def reset(self) -> None:
-        self._completions = []
-        self.stats = WriteBufferStatistics()

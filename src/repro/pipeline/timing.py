@@ -22,23 +22,25 @@ is cycle-equivalent to stepping stage registers one cycle at a time, but
 it is far easier to instrument (every stall has an identifiable cause)
 and to validate against the paper's chronograms.
 
-This is the *fast-path* engine (see PERFORMANCE.md).  What does not
-depend on the ECC policy is computed once per trace and cached on it:
-:func:`static_facts` (operand sets, class and Execute extras per static
-instruction) and :func:`memory_tape` (every fetch, load and store
-outcome of one :class:`~repro.memory.hierarchy.MemoryHierarchy`
-replay — no hierarchy accessor takes a cycle).  :class:`TimingPipeline`
-therefore takes a hierarchy *config*; its loop reads both columns, owns
-a fresh write buffer per run (the one cycle-dependent memory model) and
-keeps register state in lists indexed by register number, stage end
-cycles and statistics in locals, and chronogram entries only inside the
-recording window.
+What does not depend on the ECC policy is computed once per trace and
+cached on it (see PERFORMANCE.md): :func:`static_facts` (operand sets,
+class and Execute extras per static instruction) and :func:`memory_tape`
+(every fetch, load and store outcome of one replay through three
+:class:`~repro.memory.cache.SetAssociativeCache` instances, the L1I, DL1
+and L2, with main memory's open row and the bus charges in locals — no
+access takes a cycle).  :class:`TimingPipeline` therefore takes a hierarchy *config*;
+its loop reads both columns, owns a fresh write buffer per run (the one
+cycle-dependent memory model), evaluates the LAEC look-ahead conditions
+inline and keeps register state in lists indexed by register number,
+stage end cycles and statistics in locals, and chronogram entries only
+inside the recording window.
 
-The seed loop is preserved verbatim as
-:class:`repro.pipeline.reference_timing.ReferenceTimingPipeline`, which
-drives a live hierarchy; the regression suite proves both engines
-produce identical cycle counts, stall breakdowns and chronograms on
-every kernel and on synthetic streams under every policy.
+The seed loop and the seed hierarchy object graph are test oracles
+(``tests/oracles/timing.py`` and ``tests/oracles/hierarchy.py``); the
+regression suite proves both engines produce identical cycle counts,
+stall breakdowns and chronograms on every kernel and on synthetic
+streams under every policy, and that the flat tape equals the object
+hierarchy's on every tape the artefacts build.
 """
 
 from __future__ import annotations
@@ -46,13 +48,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.lookahead import LookaheadDecision, LookaheadStatistics
+from repro.core.lookahead import LookaheadStatistics
 from repro.core.policies import EccPolicy
 from repro.functional.interpreter import FunctionalTrace
 from repro.isa.instructions import InstructionClass
 from repro.isa.registers import REGISTER_COUNT
-from repro.memory.config import MemoryHierarchyConfig
-from repro.memory.hierarchy import MemoryHierarchy
+from repro.memory.bus import ContentionModel
+from repro.memory.cache import SetAssociativeCache
+from repro.memory.config import MemoryHierarchyConfig, WritePolicy
 from repro.memory.write_buffer import WriteBuffer
 from repro.pipeline.chronogram import Chronogram, ChronogramEntry
 from repro.pipeline.config import PipelineConfig
@@ -88,19 +91,6 @@ class PipelineResult:
         if baseline.cycles == 0:
             return 0.0
         return self.cycles / baseline.cycles - 1.0
-
-
-@dataclass
-class _RegisterStatus:
-    """Book-keeping for bypass/ready-time tracking of one register.
-
-    The fast engine tracks the three fields in parallel lists; this class
-    remains the per-register record used by the reference engine.
-    """
-
-    ready: int = 0
-    produced_by_load: bool = False
-    via_ecc_stage: bool = False
 
 
 # Control-flow kinds precomputed per static instruction (see _static_info).
@@ -185,44 +175,102 @@ class MemoryTape:
     bus_contention_cycles: int
 
 
+#: Main memory: a line fetch from the most recently opened row costs
+#: ``memory_latency - MEMORY_ROW_HIT_DISCOUNT`` cycles (at least one),
+#: so streaming and pointer-chasing kernels differ beyond the caches.
+MEMORY_ROW_BYTES = 1024
+MEMORY_ROW_HIT_DISCOUNT = 6
+
+
 def memory_tape(trace: FunctionalTrace, config: MemoryHierarchyConfig) -> MemoryTape:
     """The :class:`MemoryTape` of ``trace`` under ``config`` (cached on ``trace``).
 
     One replay, fetch(i) then the data access of *i* in program order:
-    the L1I and DL1 share the L2, its open memory rows and the bus.
+    the L1I and DL1 share the L2, main memory's open row and the bus.
+    Every bus transaction costs a fixed charge per config (a line or a
+    word, plus the contention delay), so only their number is counted.
     """
     tape = trace.memory_tapes.get(config)
     if tape is not None:
         return tape
-    hierarchy = MemoryHierarchy(config)
-    fetch_cycles = hierarchy.instruction_fetch_cycles
-    load_access = hierarchy.load_access
-    store_access = hierarchy.store_access
+    l1i_access = SetAssociativeCache(config.l1i).access
+    dl1 = SetAssociativeCache(config.l1d)
+    dl1_access = dl1.access
+    l2_access = SetAssociativeCache(config.l2).access
+    contention = ContentionModel(
+        contenders=config.bus_contenders,
+        slot_cycles=config.bus_slot_cycles,
+        mode=config.bus_contention_mode,
+    ).delay()
+    line_bus = config.bus_request_latency + config.bus_transfer_latency + contention
+    word_bus = (
+        config.bus_request_latency + max(1, config.bus_transfer_latency // 4) + contention
+    )
+    store_through = word_bus + config.store_through_latency
+    write_back = config.l1d.write_policy is WritePolicy.WRITE_BACK
+    l2_hit = config.l2_hit_latency
+    row_miss = l2_hit + config.memory_latency
+    row_hit = l2_hit + max(1, config.memory_latency - MEMORY_ROW_HIT_DISCOUNT)
+    l2_writeback = config.memory_latency // 2
+    open_row = None
+
+    def l2_cycles(line: int, is_write: bool = False) -> int:
+        """Cycles in the L2 (and main memory, on an L2 miss) for one line."""
+        nonlocal open_row
+        hit, victim = l2_access(line, is_write=is_write)
+        if hit:
+            return l2_hit
+        row = line // MEMORY_ROW_BYTES
+        if row == open_row:
+            cycles = row_hit
+        else:
+            open_row = row
+            cycles = row_miss
+        # A dirty L2 victim adds the memory write (no row reuse credit).
+        return cycles if victim is None else cycles + l2_writeback
+
+    transactions = 0
     fetch_extra = []
     data = []
-    line_mask = ~(config.l1i.line_bytes - 1)
+    fetch_line_mask = ~(config.l1i.line_bytes - 1)
+    data_line_mask = ~(config.l1d.line_bytes - 1)
     fetched_line = None
     for pc, instr, address in zip(trace.pcs, trace.instructions, trace.addresses):
-        if pc & line_mask == fetched_line:
-            # The line fetched last is its set's MRU line: a hit whose
-            # only other effect is an L1I hit count no tape reports.
+        line = pc & fetch_line_mask
+        # The line fetched last is its set's MRU line: looking it up again
+        # would only count an L1I hit, which no tape reports.
+        if line == fetched_line or l1i_access(pc)[0]:
             fetch_extra.append(0)
         else:
-            fetch_extra.append(fetch_cycles(pc))
-            fetched_line = pc & line_mask
-        if address is not None and instr.is_load:
-            outcome = load_access(address)
-            data.append(-1 if outcome.hit else outcome.extra_cycles)
-        elif address is not None and instr.is_store:
-            data.append(store_access(address).store_drain_latency)
-        else:
+            transactions += 1
+            fetch_extra.append(line_bus + l2_cycles(line))
+        fetched_line = line
+        if address is None:  # only loads and stores carry an address
             data.append(0)
+            continue
+        is_store = instr.is_store
+        hit, victim = dl1_access(address, is_write=is_store)
+        if is_store and not write_back:
+            # Write-through: every store pays a bus + L2 word write.
+            transactions += 1
+            data.append(store_through)
+        elif hit:
+            data.append(1 if is_store else -1)
+        else:
+            transactions += 1
+            extra = line_bus + l2_cycles(address & data_line_mask)
+            if victim is not None:
+                # The dirty victim's write-back occupies the bus and the
+                # L2 write port before the fill can complete.
+                transactions += 1
+                extra += line_bus + l2_cycles(victim, True) // 2
+            data.append(1 + extra if is_store else extra)
     tape = MemoryTape(
         fetch_extra=fetch_extra,
         data=data,
-        dl1_stats=hierarchy.dl1_statistics().as_dict(),
-        bus_transactions=hierarchy.bus.stats.transactions,
-        bus_contention_cycles=hierarchy.bus.stats.contention_cycles,
+        dl1_stats=dl1.stats.as_dict(),
+        bus_transactions=transactions,
+        bus_contention_cycles=transactions * contention,
     )
     trace.memory_tapes[config] = tape
     return tape
@@ -252,8 +300,6 @@ class TimingPipeline:
         write_buffer = WriteBuffer(capacity=config.write_buffer_entries)
 
         stats = PipelineStatistics()
-        lookahead_stats = LookaheadStatistics()
-        stats.lookahead = lookahead_stats
         chronogram = Chronogram()
 
         # Policy constants ---------------------------------------------- #
@@ -266,7 +312,6 @@ class TimingPipeline:
         # Hoisted bound methods ----------------------------------------- #
         wb_drain_complete = write_buffer.drain_complete_time
         wb_push = write_buffer.push
-        record_lookahead = lookahead_stats.record
         chron_add = chronogram.add
 
         # Register scoreboard (index = architectural register number) --- #
@@ -290,6 +335,7 @@ class TimingPipeline:
         n_dep_loads = n_dep1 = n_dep2 = 0
         st_operand = st_load_use = st_ecc_wait = st_mem_struct = 0
         st_dl1_miss = st_wb_full = st_wb_drain = st_redirect = st_icache = 0
+        la_seen = la_taken = la_data = la_resource = la_late = 0
 
         instructions = trace.instructions
         taken = trace.taken
@@ -387,17 +433,14 @@ class TimingPipeline:
                 data_hazard = prev_dest is not None and prev_dest in addr_regs
                 resource_hazard = prev_is_load and not prev_lookahead
                 operands_late = address_ready > exec_cycle - 2
-                lookahead_taken = not (
-                    data_hazard or resource_hazard or operands_late
-                )
-                record_lookahead(
-                    LookaheadDecision(
-                        taken=lookahead_taken,
-                        data_hazard=data_hazard,
-                        resource_hazard=resource_hazard,
-                        operands_late=operands_late,
-                    )
-                )
+                la_seen += 1
+                if data_hazard or resource_hazard or operands_late:
+                    la_data += data_hazard
+                    la_resource += resource_hazard
+                    la_late += operands_late
+                else:
+                    lookahead_taken = True
+                    la_taken += 1
 
             # ---------------------------------------------------------- #
             # Memory                                                     #
@@ -468,9 +511,9 @@ class TimingPipeline:
             if destination is not None:
                 if is_load:
                     if load_hit and uses_ecc_stage:
-                        # Data leaves the dedicated check stage (the seed's
-                        # DataReadyStage.ECC case); anticipated LAEC loads
-                        # and miss data are ready at the end of Memory.
+                        # Data leaves the dedicated check stage;
+                        # anticipated LAEC loads and miss data are ready
+                        # at the end of Memory.
                         reg_ready[destination] = ecc_end
                         reg_via_ecc[destination] = True
                     else:
@@ -561,6 +604,13 @@ class TimingPipeline:
         stalls.write_buffer_drain = st_wb_drain
         stalls.branch_redirect = st_redirect
         stalls.icache_miss = st_icache
+        stats.lookahead = LookaheadStatistics(
+            loads_seen=la_seen,
+            lookaheads_taken=la_taken,
+            blocked_data_hazard=la_data,
+            blocked_resource_hazard=la_resource,
+            blocked_operands_late=la_late,
+        )
         return PipelineResult(
             policy=policy,
             stats=stats,

@@ -1,14 +1,26 @@
-"""Registry mapping EEMBC Automotive benchmark names to kernel builders."""
+"""Registry mapping EEMBC Automotive benchmark names to kernel builders.
+
+A kernel's builder lives in one of the kernel-source modules of
+:mod:`repro.workloads.kernels`, which is imported (with
+:mod:`repro.workloads.builder`) on the kernel's first build: the name
+list — a campaign config checks its kernels, and a fully stored resume
+builds none — loads no kernel source.
+"""
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
+from types import ModuleType
 from typing import TYPE_CHECKING, Callable, Dict, List
-
-from repro.workloads.kernels import control, math_kernels, memory_kernels, signal
 
 if TYPE_CHECKING:
     from repro.isa.program import Program
+
+
+def _family(name: str) -> ModuleType:
+    """The kernel-source module ``repro.workloads.kernels.<name>``."""
+    return importlib.import_module(f"repro.workloads.kernels.{name}")
 
 
 @dataclass(frozen=True)
@@ -17,14 +29,15 @@ class KernelSpec:
 
     name: str
     description: str
-    builder: Callable[[float], str]
+    #: Returns the kernel's source builder, importing its module.
+    builder: Callable[[], Callable[[float], str]]
     #: True when the kernel's load addresses are mostly produced by the
     #: immediately preceding instruction, which the paper identifies as
     #: the pattern limiting LAEC (aifftr, aiifft, bitmnp, matrix).
     laec_unfriendly: bool = False
 
     def source(self, scale: float = 1.0) -> str:
-        return self.builder(scale)
+        return self.builder()(scale)
 
     def program(self, scale: float = 1.0) -> Program:
         # The assembler loads only when a kernel is built: the name list
@@ -40,86 +53,86 @@ _SPECS: Dict[str, KernelSpec] = {
         KernelSpec(
             "a2time",
             "angle-to-time conversion with a correction table",
-            math_kernels.build_a2time_source,
+            lambda: _family("math_kernels").build_a2time_source,
         ),
         KernelSpec(
             "aifftr",
             "radix-2 FFT butterflies (fixed point)",
-            signal.build_aifftr_source,
+            lambda: _family("signal").build_aifftr_source,
             laec_unfriendly=True,
         ),
         KernelSpec(
             "aifirf",
             "direct-form FIR filter",
-            signal.build_aifirf_source,
+            lambda: _family("signal").build_aifirf_source,
         ),
         KernelSpec(
             "aiifft",
             "radix-2 inverse FFT butterflies",
-            signal.build_aiifft_source,
+            lambda: _family("signal").build_aiifft_source,
             laec_unfriendly=True,
         ),
         KernelSpec(
             "basefp",
             "emulated floating-point mantissa/exponent arithmetic",
-            math_kernels.build_basefp_source,
+            lambda: _family("math_kernels").build_basefp_source,
         ),
         KernelSpec(
             "bitmnp",
             "bit manipulation with value-dependent table indexing",
-            memory_kernels.build_bitmnp_source,
+            lambda: _family("memory_kernels").build_bitmnp_source,
             laec_unfriendly=True,
         ),
         KernelSpec(
             "cacheb",
             "cache-busting strided sweeps with far-apart consumers",
-            memory_kernels.build_cacheb_source,
+            lambda: _family("memory_kernels").build_cacheb_source,
         ),
         KernelSpec(
             "canrdr",
             "CAN remote-data-request filtering",
-            control.build_canrdr_source,
+            lambda: _family("control").build_canrdr_source,
         ),
         KernelSpec(
             "idctrn",
             "8x8 inverse discrete cosine transform",
-            math_kernels.build_idctrn_source,
+            lambda: _family("math_kernels").build_idctrn_source,
         ),
         KernelSpec(
             "iirflt",
             "cascaded biquad IIR filtering",
-            signal.build_iirflt_source,
+            lambda: _family("signal").build_iirflt_source,
         ),
         KernelSpec(
             "matrix",
             "dense integer matrix multiply",
-            math_kernels.build_matrix_source,
+            lambda: _family("math_kernels").build_matrix_source,
             laec_unfriendly=True,
         ),
         KernelSpec(
             "pntrch",
             "pointer chase over a shuffled linked list",
-            memory_kernels.build_pntrch_source,
+            lambda: _family("memory_kernels").build_pntrch_source,
         ),
         KernelSpec(
             "puwmod",
             "pulse-width-modulation duty-cycle control",
-            control.build_puwmod_source,
+            lambda: _family("control").build_puwmod_source,
         ),
         KernelSpec(
             "rspeed",
             "road-speed calculation from timer deltas",
-            control.build_rspeed_source,
+            lambda: _family("control").build_rspeed_source,
         ),
         KernelSpec(
             "tblook",
             "breakpoint-table lookup with interpolation",
-            control.build_tblook_source,
+            lambda: _family("control").build_tblook_source,
         ),
         KernelSpec(
             "ttsprk",
             "tooth-to-spark ignition timing",
-            control.build_ttsprk_source,
+            lambda: _family("control").build_ttsprk_source,
         ),
     ]
 }

@@ -7,12 +7,12 @@ fill, and every access returns a :class:`CacheAccessResult` naming the
 way it used.  Production caches are the lazily created flat sets of
 :mod:`repro.memory.cache`.
 
-Like :mod:`repro.ecc.reference`, :mod:`repro.pipeline.reference_timing`
-and :mod:`repro.functional.reference`, this module is a test oracle:
+Like :mod:`oracles.ecc`, :mod:`oracles.timing`
+and :mod:`oracles.functional`, this module is a test oracle:
 the tests drive both caches access by access (hit, write-back line,
 final :class:`~repro.memory.cache.CacheStatistics`) over every kernel
 and hierarchy configuration the experiments time, and the fault
-campaign oracle's :class:`~repro.campaign.reference.ShadowCache` is a
+campaign oracle's :class:`~oracles.campaign.ShadowCache` is a
 :class:`ReferenceCache`.  Nothing on a production path imports it.
 """
 

@@ -6,10 +6,10 @@ layers:
 
 1. **Content model** (:class:`Dl1ContentModel`): a
    :class:`ShadowCache` (the tag/valid/dirty machinery of the object
-   cache :class:`~repro.memory.reference_cache.ReferenceCache` plus an
+   cache :class:`~oracles.cache.ReferenceCache` plus an
    ECC shadow array holding the encoded word contents of every
    resident line) and a backing
-   :class:`~repro.functional.memory.FlatMemory` standing in for L2 +
+   :class:`~oracles.memory.FlatMemory` standing in for L2 +
    DRAM.  Every load/store goes through the array: fills copy encoded
    words in, dirty evictions decode words on their way out, loads
    decode through the policy's DL1 code, detected-uncorrectable errors
@@ -19,13 +19,13 @@ layers:
 2. **Replay**: the golden memory-op stream is streamed through the
    content model (:func:`_stream_replay`) until a load observes a
    corrupted value; from there the whole program is re-executed on the
-   object interpreter (:mod:`repro.functional.reference`) with the
+   object interpreter (:mod:`oracles.functional`) with the
    content model as its memory (:func:`_full_replay`), and the run is
    classified by diffing the final memory image and the pc stream
    against the golden run.
 
-Like :mod:`repro.ecc.reference`, :mod:`repro.pipeline.reference_timing`
-and :mod:`repro.functional.reference`, this module is a test oracle:
+Like :mod:`oracles.ecc`, :mod:`oracles.timing`
+and :mod:`oracles.functional`, this module is a test oracle:
 production classifies and times every fault through
 :func:`repro.campaign.replay.run_injection_batch` (triage plus snapshot
 resume), and the tests prove both give byte-identical payloads and
@@ -46,11 +46,12 @@ from repro.campaign.replay import (
 )
 from repro.ecc.codec import DecodeStatus, EccCode
 from repro.functional.interpreter import FunctionalTrace, GoldenRun
-from repro.functional.memory import FlatMemory, MemoryAccessError
 from repro.isa.program import Program
 from repro.memory.config import CacheConfig, MemoryHierarchyConfig, WritePolicy
-from repro.memory.reference_cache import CacheAccessResult, ReferenceCache
 from repro.scenarios.spec import FaultSpec, SimulationSpec
+
+from oracles.cache import CacheAccessResult, ReferenceCache
+from oracles.memory import FlatMemory, MemoryAccessError
 
 
 # ---------------------------------------------------------------------- #
@@ -432,7 +433,7 @@ def _full_replay(
     replays.  The returned trace is partial (and an event records why)
     when the corrupted execution crashed or ran away.
     """
-    from repro.functional.reference import FunctionalSimulator, SimulationFault
+    from oracles.functional import FunctionalSimulator, SimulationFault
 
     model = _build_model(spec, program)
     if fault.target == "l2":

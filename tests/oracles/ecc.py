@@ -246,7 +246,7 @@ class ReferenceHsiaoSecDedCode(EccCode):
 
 
 #: Fast-codec class name -> reference implementation, used by the
-#: equivalence tests and the perf harness baselines.
+#: equivalence tests.
 REFERENCE_CODES = {
     "parity": ReferenceParityCode,
     "hamming": ReferenceHammingSecCode,

@@ -3,14 +3,14 @@
 :class:`FunctionalSimulator` interprets an assembled
 :class:`~repro.isa.program.Program` one :class:`DynInstruction` record
 per retired instruction, re-deriving each instruction's class from its
-mnemonic on every step.  Like :mod:`repro.ecc.reference` and
-:mod:`repro.pipeline.reference_timing`, it is a test oracle: the
+mnemonic on every step.  Like :mod:`oracles.ecc` and
+:mod:`oracles.timing`, it is a test oracle: the
 production interpreter is :func:`repro.functional.interpreter.golden_pass`,
 and the tests prove both produce identical columns, final memory images
 and instruction limits.  It also feeds
-:class:`~repro.pipeline.reference_timing.ReferenceTimingPipeline` and,
+:class:`~oracles.timing.ReferenceTimingPipeline` and,
 through its pluggable memory, the full faulty re-execution of the
-fault-injection oracle :func:`repro.campaign.reference.run_injection`.
+fault-injection oracle :func:`oracles.campaign.run_injection`.
 Nothing on a production path runs it.
 """
 
@@ -20,16 +20,20 @@ from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
 from repro.functional.interpreter import ExecutionLimitExceeded, FunctionalTrace
-from repro.functional.memory import FlatMemory
 from repro.isa.instructions import INSTRUCTION_BYTES, Instruction, InstructionClass, Mnemonic
 from repro.isa.program import Program
-from repro.isa.registers import (
+from repro.isa.registers import STACK_POINTER
+
+from oracles.isa import (
     ConditionCodes,
     RegisterFile,
-    STACK_POINTER,
+    has_instruction_at,
+    instruction_at,
+    memory_bytes,
     to_signed,
     to_unsigned,
 )
+from oracles.memory import FlatMemory
 
 
 class SimulationFault(RuntimeError):
@@ -129,7 +133,7 @@ def reference_trace(trace: FunctionalTrace) -> ReferenceTrace:
                 pc=pc,
                 instruction=instruction,
                 address=address,
-                size=instruction.memory_bytes,
+                size=memory_bytes(instruction),
                 branch_taken=bool(taken),
             )
             for index, (pc, instruction, address, taken) in enumerate(
@@ -196,9 +200,9 @@ class FunctionalSimulator:
         """Execute a single instruction and return its dynamic record."""
         if self.halted:
             raise SimulationFault("step() called after halt")
-        if not self.program.has_instruction_at(self.pc):
+        if not has_instruction_at(self.program, self.pc):
             raise SimulationFault(f"PC outside text segment: {self.pc:#x}")
-        instruction = self.program.instruction_at(self.pc)
+        instruction = instruction_at(self.program, self.pc)
         index = self._retired
         next_pc = self.pc + INSTRUCTION_BYTES
         address: Optional[int] = None
@@ -323,7 +327,7 @@ class FunctionalSimulator:
 
     def _execute_load(self, instruction: Instruction) -> Tuple[int, int, int]:
         address = self._effective_address(instruction)
-        size = instruction.memory_bytes
+        size = memory_bytes(instruction)
         raw = self.memory.read(address, size)
         if instruction.mnemonic is Mnemonic.LDSB and raw & 0x80:
             raw |= 0xFFFFFF00
@@ -335,7 +339,7 @@ class FunctionalSimulator:
 
     def _execute_store(self, instruction: Instruction) -> Tuple[int, int, int]:
         address = self._effective_address(instruction)
-        size = instruction.memory_bytes
+        size = memory_bytes(instruction)
         value = self.registers.read(instruction.rd)
         self.memory.write(address, value, size)
         return address, size, value & ((1 << (8 * size)) - 1)

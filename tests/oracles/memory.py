@@ -1,7 +1,9 @@
-"""Flat byte-addressable memory used by the functional simulator.
+"""Flat byte-addressable memory used by the reference interpreter.
 
-The functional simulator needs architectural memory semantics only; all
-timing (caches, bus, DRAM) lives in :mod:`repro.memory`.  Memory is stored
+The reference interpreter (:mod:`oracles.functional`) and the fault
+campaign oracle (:mod:`oracles.campaign`) need architectural memory
+semantics only; all timing (caches, bus, DRAM) lives in
+:mod:`repro.memory`.  Memory is stored
 sparsely in fixed-size pages so large address spaces (stack near the top
 of a 2 GiB region, data at its base) do not allocate gigabytes.
 """

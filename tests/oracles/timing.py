@@ -7,15 +7,15 @@ same total cycles, same stall breakdown, same chronogram — and the
 regression tests replay every kernel under every Figure 8 policy through
 both engines to prove it.
 
-Like the codec references in :mod:`repro.ecc.reference`, nothing on a
-hot path should use this class; it exists for equivalence testing and as
-the baseline the perf harness measures speedups against.
+Like the codec references in :mod:`oracles.ecc`, it lives with the
+tests, outside the production package; it exists for equivalence
+testing.
 
 Unlike the optimized engine, which reads the columnar trace and its
 per-trace memory tape, this engine replays the object records of
-:mod:`repro.functional.reference` (``run_reference``, or
+:mod:`oracles.functional` (``run_reference``, or
 ``reference_trace`` for a synthetic stream) and drives a live
-:class:`~repro.memory.hierarchy.MemoryHierarchy`; hand it a fresh
+:class:`~oracles.hierarchy.MemoryHierarchy`; hand it a fresh
 hierarchy per run.
 """
 
@@ -23,18 +23,26 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.core.lookahead import LookaheadUnit
-from repro.core.policies import DataReadyStage, EccPolicy
-from repro.functional.reference import DynInstruction, ReferenceTrace
+from repro.core.policies import EccPolicy
 from repro.isa.instructions import InstructionClass
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.write_buffer import WriteBuffer
 from repro.pipeline.chronogram import Chronogram, ChronogramEntry
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.stages import Stage
 from repro.pipeline.statistics import PipelineStatistics
-from repro.pipeline.timing import PipelineResult, _RegisterStatus
-from repro.core.hazards import consumer_distance
+from repro.pipeline.timing import PipelineResult
+
+from oracles.functional import DynInstruction, ReferenceTrace
+from oracles.hierarchy import MemoryHierarchy
+from oracles.pipeline import (
+    DataReadyStage,
+    LookaheadUnit,
+    _RegisterStatus,
+    consumer_distance,
+    load_hit_data_ready_stage,
+    memory_stage_cycles,
+    record_load_wait,
+)
 
 
 class ReferenceTimingPipeline:
@@ -165,13 +173,13 @@ class ReferenceTimingPipeline:
                 drain_until = write_buffer.drain_complete_time(m_start)
                 if drain_until > m_start:
                     stats.stalls.write_buffer_drain += drain_until - m_start
-                    write_buffer.record_load_wait(drain_until - m_start)
+                    record_load_wait(write_buffer, drain_until - m_start)
                     m_start = drain_until
                 outcome = hierarchy.load_access(dyn.address)
                 load_hit = outcome.hit
                 if outcome.hit:
                     stats.load_hits += 1
-                    m_occupancy = policy.memory_stage_cycles(is_load=True, hit=True)
+                    m_occupancy = memory_stage_cycles(policy, is_load=True, hit=True)
                 else:
                     stats.load_misses += 1
                     m_occupancy = 1 + outcome.extra_cycles
@@ -216,7 +224,7 @@ class ReferenceTimingPipeline:
             if destination is not None:
                 if dyn.is_load:
                     if load_hit:
-                        ready_stage = policy.load_hit_data_ready_stage(lookahead_taken)
+                        ready_stage = load_hit_data_ready_stage(policy, lookahead_taken)
                         if ready_stage is DataReadyStage.ECC and uses_ecc_stage:
                             ready = ecc_end
                             data_via_ecc = True

@@ -33,7 +33,6 @@ from repro.campaign import CampaignConfig, run_campaign
 from repro.campaign.chaos import parse_chaos
 from repro.campaign.replay import run_injection_batch
 from repro.campaign.sampling import sample_faults
-from repro.campaign.reference import run_injection
 from repro.experiments.runner import cached_golden_run, clear_kernel_trace_cache
 from repro.functional.interpreter import (
     HALTED,
@@ -44,12 +43,14 @@ from repro.functional.interpreter import (
     golden_pass,
     run_program,
 )
-from repro.functional.reference import FunctionalSimulator, run_reference
 from repro.workloads import KERNEL_NAMES, build_kernel
 from repro.isa.assembler import assemble
 from repro.scenarios.spec import FaultSpec, SimulationSpec
 from repro.store import ResultStore
 from repro.store.canonical import spec_hash
+
+from oracles.campaign import run_injection
+from oracles.functional import FunctionalSimulator, run_reference
 
 # --------------------------------------------------------------------- #
 # synthetic programs: each one corners a different triage branch        #
@@ -934,9 +935,13 @@ def _assert_faulty_simulation_matches_the_oracle(spec, program=None):
 
 #: A fresh process runs a campaign over both targets and faulty
 #: simulate_spec calls (a corrected point, a streamed diverging point,
-#: a crash), then lists the oracle modules it imported.
+#: a crash), then lists every module it loaded from ``tests/`` (the
+#: oracles live in ``tests/oracles/``, which is on its path).
 ONE_ENGINE_SCRIPT = """
+import pathlib
 import sys
+
+import repro
 from repro.campaign import CampaignConfig, run_campaign
 from repro.campaign.replay import run_injection_batch
 from repro.campaign.sampling import sample_faults
@@ -969,14 +974,10 @@ crash = SimulationSpec(
     fault=FaultSpec(word_address=program.symbols["ptr"], bit=30, at_access=3),
 )
 assert "crash" in simulate_spec(crash, program=program).injection.events
+tests = pathlib.Path(repro.__file__).resolve().parents[2] / "tests"
 print(sorted(
-    name for name in sys.modules
-    if name in (
-        "repro.functional.reference",
-        "repro.campaign.reference",
-        "repro.memory.reference_cache",
-        "repro.ecc.reference",
-    )
+    name for name, module in list(sys.modules.items())
+    if tests in pathlib.Path(getattr(module, "__file__", None) or "/").resolve().parents
 ))
 """
 
@@ -1076,9 +1077,12 @@ class TestFaultySimulateSpec:
             elif word in stored:
                 break  # a load of a dirty word: SECDED corrects the flip
         script = ONE_ENGINE_SCRIPT % {"word": word, "at": at_access, "crash": CRASH_PROGRAM}
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        tests = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(os.path.dirname(tests), "src")
         environment = dict(os.environ)
-        environment["PYTHONPATH"] = src + os.pathsep + environment.get("PYTHONPATH", "")
+        environment["PYTHONPATH"] = os.pathsep.join(
+            (src, tests, environment.get("PYTHONPATH", ""))
+        )
         completed = subprocess.run(
             [sys.executable, "-c", script],
             env=environment,

@@ -1,20 +1,25 @@
-"""Regression: the flat LRU caches are access-identical to the object cache.
+"""Regression: the flat memory tape equals the seed hierarchy, access by access.
 
-Production caches (:class:`~repro.memory.cache.SetAssociativeCache`, a
-dict of lazily created :class:`~repro.memory.cache.LruSet` sets) replace
-the seed object cache, preserved as the oracle
-:class:`~repro.memory.reference_cache.ReferenceCache`.  The memory tape
-builds its hierarchies through ``repro.pipeline.timing.MemoryHierarchy``;
-here that name is patched so the L1I, DL1 and L2 of every hierarchy
-drive both caches in lock-step: every access must give the same hit and
-write-back line, and every cache must end with equal
-:class:`~repro.memory.cache.CacheStatistics`.  The suite covers all 11
-experiments as they run, then all 16 kernels and the 9 Ablation A2
-streams under every hierarchy configuration those experiments time.
-Two property tests cover the write modes no experiment times: one pins
-:class:`LruSet` itself (the set model the campaign's triage timelines
-and faulty resume use too) against a one-set oracle, the other the
-whole cache against a two-set oracle.
+Production replays every trace through three flat LRU caches
+(:class:`~repro.memory.cache.SetAssociativeCache`, a dict of lazily
+created :class:`~repro.memory.cache.LruSet` sets) in one loop,
+:func:`repro.pipeline.timing.memory_tape`.  Here ``timing``'s
+``SetAssociativeCache`` is patched so the L1I, DL1 and L2 of every tape
+drive the seed object cache (:class:`oracles.cache.ReferenceCache`) in
+lock-step: every access must give the same hit and write-back line, and
+every cache must end with equal
+:class:`~repro.memory.cache.CacheStatistics`.  ``timing.memory_tape`` is
+wrapped too, so every tape it builds is compared field by field with
+the replay of the same trace through the seed hierarchy object graph
+(:func:`oracles.hierarchy.hierarchy_tape`: bus, shared L2 and main
+memory objects).  The suite covers all 11 experiments as they run (the
+WCET study's worst-contention tapes at scale 0.3 among them), then all
+16 kernels and the 9 Ablation A2 streams under every hierarchy
+configuration those experiments time.  Two property tests cover the
+write modes no experiment times: one pins :class:`LruSet` itself (the
+set model the campaign's triage timelines and faulty resume use too)
+against a one-set oracle, the other the whole cache against a two-set
+oracle.
 """
 
 from __future__ import annotations
@@ -29,11 +34,12 @@ from repro.experiments import ablation_sensitivity, runner
 from repro.workloads import golden as golden_cache
 from repro.memory.cache import LruSet, SetAssociativeCache
 from repro.memory.config import CacheConfig, WritePolicy
-from repro.memory.hierarchy import MemoryHierarchy
-from repro.memory.reference_cache import ReferenceCache
 from repro.pipeline import timing
 from repro.workloads import KERNEL_NAMES
 from repro.workloads.synthetic import SyntheticWorkloadGenerator
+
+from oracles.cache import ReferenceCache
+from oracles.hierarchy import hierarchy_tape
 
 #: The scale of the committed artefacts (``ExperimentContext`` default).
 ARTIFACT_SCALE = 0.4
@@ -62,39 +68,49 @@ class LockstepCache:
             )
         return outcome
 
-    def line_address(self, address: int) -> int:
-        return self.cache.line_address(address)
-
     @property
     def stats(self):
         return self.cache.stats
 
 
-class LockstepHierarchies:
-    """Stands in for ``timing.MemoryHierarchy``: every hierarchy it
-    builds runs its three caches in lock-step with the oracle."""
+class LockstepTapes:
+    """Stands in for ``timing.SetAssociativeCache`` and ``timing.memory_tape``.
+
+    Every cache a tape builds runs in lock-step with the oracle cache,
+    and every tape built is checked against the seed hierarchy's.
+    """
 
     def __init__(self) -> None:
         self.caches: list = []
         self.mismatches: list = []
         self.configs: list = []
+        self.tapes = 0
+        self._memory_tape = timing.memory_tape
 
-    def __call__(self, config):
-        hierarchy = MemoryHierarchy(config)
-        hierarchy.l1i = self._wrap(hierarchy.l1i)
-        hierarchy.l1d = self._wrap(hierarchy.l1d)
-        hierarchy.l2.cache = self._wrap(hierarchy.l2.cache)
-        if config not in self.configs:
-            self.configs.append(config)
-        return hierarchy
-
-    def _wrap(self, cache) -> LockstepCache:
-        wrapped = LockstepCache(cache, self.mismatches)
+    def cache(self, config) -> LockstepCache:
+        wrapped = LockstepCache(SetAssociativeCache(config), self.mismatches)
         self.caches.append(wrapped)
         return wrapped
 
+    def memory_tape(self, trace, config):
+        built = config not in trace.memory_tapes
+        tape = self._memory_tape(trace, config)
+        if built:
+            self.tapes += 1
+            if config not in self.configs:
+                self.configs.append(config)
+            expected = hierarchy_tape(trace, config)
+            if tape != expected:
+                self.mismatches.append((trace.program_name, config, tape, expected))
+        return tape
+
+    def patch(self, monkeypatch) -> None:
+        monkeypatch.setattr(timing, "SetAssociativeCache", self.cache)
+        monkeypatch.setattr(timing, "memory_tape", self.memory_tape)
+
     def assert_agreed(self) -> None:
         assert self.caches and all(cache.accesses for cache in self.caches)
+        assert len(self.caches) == 3 * self.tapes
         assert self.mismatches == []
         for cache in self.caches:
             assert cache.cache.stats == cache.reference.stats, cache.cache.config.name
@@ -102,12 +118,12 @@ class LockstepHierarchies:
 
 @pytest.fixture(scope="module")
 def experiments_in_lockstep():
-    """All 11 experiments run once with lock-step hierarchies, from cold
-    golden runs so that every memory tape is replayed, not read back.
+    """All 11 experiments run once with lock-step tapes, from cold golden
+    runs so that every memory tape is replayed, not read back.
 
-    Returns the hierarchies and the A2 streams the experiments timed.
+    Returns the tapes and the A2 streams the experiments timed.
     """
-    hierarchies = LockstepHierarchies()
+    tapes = LockstepTapes()
     streams: list = []
 
     class RecordingGenerator(SyntheticWorkloadGenerator):
@@ -119,40 +135,40 @@ def experiments_in_lockstep():
             return trace
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(timing, "MemoryHierarchy", hierarchies)
+        tapes.patch(patch)
         patch.setattr(golden_cache, "_GOLDEN_CACHE", {})
         patch.setattr(ablation_sensitivity, "SyntheticWorkloadGenerator", RecordingGenerator)
         context = ExperimentContext()
         for experiment in all_experiments():
             experiment.execute(context)
-    return hierarchies, streams
+    return tapes, streams
 
 
 def test_every_experiment_tape_matches_the_object_cache(experiments_in_lockstep):
-    hierarchies, streams = experiments_in_lockstep
+    tapes, streams = experiments_in_lockstep
     # The Figure 8 run set, wt_vs_wb, the chronograms and the 9 A2
     # streams: 43 tapes under four hierarchy configurations (write-back
     # and write-through DL1, each without and with worst-case bus
     # contention).
     assert len(streams) == 9
-    assert len(hierarchies.caches) == 3 * 43
-    assert len(hierarchies.configs) == 4
-    hierarchies.assert_agreed()
+    assert tapes.tapes == 43
+    assert len(tapes.configs) == 4
+    tapes.assert_agreed()
 
 
 def test_all_kernels_and_a2_streams_under_every_config(experiments_in_lockstep):
     timed, streams = experiments_in_lockstep
     traces = [runner.cached_kernel_trace(name, ARTIFACT_SCALE)[1] for name in KERNEL_NAMES]
     traces += streams
-    hierarchies = LockstepHierarchies()
+    tapes = LockstepTapes()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(timing, "MemoryHierarchy", hierarchies)
+        tapes.patch(patch)
         for config in timed.configs:
             for trace in traces:
                 # A copy without the cached tapes, sharing the columns.
                 timing.memory_tape(replace(trace, memory_tapes={}), config)
-    assert len(hierarchies.caches) == 3 * len(timed.configs) * (len(KERNEL_NAMES) + 9)
-    hierarchies.assert_agreed()
+    assert tapes.tapes == len(timed.configs) * (len(KERNEL_NAMES) + 9)
+    tapes.assert_agreed()
 
 
 # --------------------------------------------------------------------- #

@@ -11,13 +11,14 @@ from repro.campaign import CampaignConfig, run_campaign
 from repro.campaign.outcome import ArchOutcome
 from repro.campaign.replay import simulate_faulty_spec
 from repro.campaign.sampling import sample_faults
-from repro.campaign.reference import ShadowCache, run_injection
 from repro.ecc.secded import HsiaoSecDedCode
 from repro.memory.config import CacheConfig
-from repro.memory.reference_cache import ReferenceCache
 from repro.scenarios import FaultSpec, SimulationSpec
 from repro.store import ResultStore
 from repro.workloads import KERNEL_NAMES, build_kernel
+
+from oracles.cache import ReferenceCache
+from oracles.campaign import ShadowCache, run_injection
 
 #: The kernels of the benchmark's campaign grid.
 BENCH_KERNELS = ("aifirf", "canrdr", "matrix", "tblook")
@@ -129,9 +130,9 @@ class TestArchitecturalReplay:
         # codeword; overwriting the backing word (write-through store or
         # dirty writeback) must drop it, or a later refill would
         # "correct" back to the stale pre-store value.
-        from repro.campaign.reference import Dl1ContentModel
+        from oracles.campaign import Dl1ContentModel
         from repro.core.policies import make_policy
-        from repro.functional.memory import FlatMemory
+        from oracles.memory import FlatMemory
         from repro.memory.config import MemoryHierarchyConfig, WritePolicy
 
         policy = make_policy("wt-parity")
@@ -373,7 +374,7 @@ class TestSampling:
             target_codeword_bits,
         )
         from repro.campaign import sampling
-        from repro.functional.reference import run_reference
+        from oracles.functional import run_reference
 
         trace = run_reference(build_kernel(kernel, scale=scale))
         seen = set()
@@ -1042,8 +1043,8 @@ class TestCampaignCli:
     def test_fully_stored_resume_loads_no_replay_stack(self, tmp_path):
         """A fresh process resuming a fully stored campaign samples,
         derives keys and reads the store: it imports no interpreter,
-        assembler, cache, replay, triage or timing module (nor the chaos
-        harness, which only ``--chaos`` needs)."""
+        assembler, kernel source, cache, replay, triage or timing module
+        (nor the chaos harness, which only ``--chaos`` needs)."""
         import subprocess
         import sys
 
@@ -1061,8 +1062,8 @@ class TestCampaignCli:
             "repro.campaign.triage",
             "repro.campaign.timeline",
             "repro.pipeline.timing",
-            "repro.memory.hierarchy",
             "repro.campaign.chaos",
+            "repro.workloads.builder",
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         outputs = []
@@ -1072,7 +1073,8 @@ class TestCampaignCli:
                 "import sys\n"
                 "from repro.__main__ import main\n"
                 f"code = main({grid + extra + ['--out', str(out)]!r})\n"
-                f"print(code, sorted(m for m in {forbidden!r} if m in sys.modules))\n"
+                "print(code, sorted(m for m in sys.modules if m in "
+                f"{forbidden!r} or m.startswith('repro.workloads.kernels.')))\n"
             )
             completed = subprocess.run(
                 [sys.executable, "-c", probe],

@@ -4,13 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.core.hazards import (
-    address_produced_by_predecessor,
-    consumer_distance,
-)
-from repro.core.lookahead import LookaheadUnit
 from repro.core.policies import (
-    DataReadyStage,
     EccPolicyKind,
     ExtraCacheCyclePolicy,
     ExtraStagePolicy,
@@ -20,9 +14,18 @@ from repro.core.policies import (
     make_policy,
 )
 from repro.experiments.runner import FIGURE8_POLICIES
-from repro.functional.reference import run_reference
 from repro.isa.assembler import assemble
 from repro.memory.config import WritePolicy
+
+from oracles.functional import run_reference
+from oracles.pipeline import (
+    DataReadyStage,
+    LookaheadUnit,
+    address_produced_by_predecessor,
+    consumer_distance,
+    load_hit_data_ready_stage,
+    memory_stage_cycles,
+)
 
 
 class TestPolicyDefinitions:
@@ -39,16 +42,17 @@ class TestPolicyDefinitions:
         assert LaecPolicy().dl1_write_policy is WritePolicy.WRITE_BACK
 
     def test_memory_stage_cycles(self):
-        assert ExtraCacheCyclePolicy().memory_stage_cycles(is_load=True, hit=True) == 2
-        assert ExtraCacheCyclePolicy().memory_stage_cycles(is_load=True, hit=False) == 1
-        assert ExtraCacheCyclePolicy().memory_stage_cycles(is_load=False, hit=True) == 1
-        assert LaecPolicy().memory_stage_cycles(is_load=True, hit=True) == 1
+        extra_cycle = ExtraCacheCyclePolicy()
+        assert memory_stage_cycles(extra_cycle, is_load=True, hit=True) == 2
+        assert memory_stage_cycles(extra_cycle, is_load=True, hit=False) == 1
+        assert memory_stage_cycles(extra_cycle, is_load=False, hit=True) == 1
+        assert memory_stage_cycles(LaecPolicy(), is_load=True, hit=True) == 1
 
     def test_data_ready_stage(self):
-        assert NoEccPolicy().load_hit_data_ready_stage(False) is DataReadyStage.MEMORY
-        assert ExtraStagePolicy().load_hit_data_ready_stage(False) is DataReadyStage.ECC
-        assert LaecPolicy().load_hit_data_ready_stage(True) is DataReadyStage.MEMORY
-        assert LaecPolicy().load_hit_data_ready_stage(False) is DataReadyStage.ECC
+        assert load_hit_data_ready_stage(NoEccPolicy(), False) is DataReadyStage.MEMORY
+        assert load_hit_data_ready_stage(ExtraStagePolicy(), False) is DataReadyStage.ECC
+        assert load_hit_data_ready_stage(LaecPolicy(), True) is DataReadyStage.MEMORY
+        assert load_hit_data_ready_stage(LaecPolicy(), False) is DataReadyStage.ECC
 
     def test_correction_capability_matches_write_policy_requirement(self):
         # Only correction-capable schemes may keep dirty data in the DL1.

@@ -19,7 +19,8 @@ from repro.ecc.fault_injection import FaultInjector, FaultModel
 from repro.ecc.hamming import HammingSecCode
 from repro.ecc.parity import ParityCode
 from repro.ecc.secded import HsiaoSecDedCode
-from repro.ecc.reference import (
+
+from oracles.ecc import (
     REFERENCE_CODES,
     ReferenceHammingSecCode,
     ReferenceHsiaoSecDedCode,

@@ -6,11 +6,12 @@ The production interpreter is pinned to it column by column in
 
 import pytest
 
-from repro.functional.memory import FlatMemory, MemoryAccessError
 from repro.functional.interpreter import ExecutionLimitExceeded
-from repro.functional.reference import FunctionalSimulator, run_reference
 from repro.isa.assembler import assemble
 from repro.isa.instructions import InstructionClass
+
+from oracles.functional import FunctionalSimulator, run_reference
+from oracles.memory import FlatMemory, MemoryAccessError
 
 
 def _run(source: str, **kwargs):

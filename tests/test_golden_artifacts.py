@@ -28,7 +28,6 @@ from repro.ecc.hamming import HammingSecCode
 from repro.ecc.parity import ParityCode
 from repro.ecc.reliability import ReliabilityModel
 from repro.ecc.secded import HsiaoSecDedCode
-from repro.functional.reference import FunctionalSimulator
 from repro.experiments import (
     ExperimentContext,
     ablation_hazards,
@@ -40,6 +39,8 @@ from repro.workloads.table2_reference import (
     PAPER_FIGURE8_AVERAGE_INCREASE,
     PAPER_LAEC_NO_IMPROVEMENT,
 )
+
+from oracles.functional import FunctionalSimulator
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "output"
 

@@ -7,6 +7,12 @@ from repro.isa.instructions import InstructionClass, Mnemonic
 from repro.isa.program import DATA_BASE, TEXT_BASE
 
 
+def _data_word(program, address: int) -> int:
+    """The little-endian word of ``program``'s data image at ``address``."""
+    offset = address - program.data.base
+    return int.from_bytes(program.data.data[offset : offset + 4], "little")
+
+
 def test_basic_instruction_encoding():
     program = assemble(
         """
@@ -94,10 +100,10 @@ def test_data_directives_and_symbols():
     assert program.symbols["table"] == DATA_BASE
     assert program.symbols["bytes"] == DATA_BASE + 12
     assert program.symbols["halves"] == DATA_BASE + 14
-    assert program.data.read_word(DATA_BASE) == 1
-    assert program.data.read_word(DATA_BASE + 8) == 3
+    assert _data_word(program, DATA_BASE) == 1
+    assert _data_word(program, DATA_BASE + 8) == 3
     # aligned word lands on the next 4-byte boundary after 14 + 2 + 8 = 24.
-    assert program.data.read_word(program.symbols["aligned"]) == 7
+    assert _data_word(program, program.symbols["aligned"]) == 7
 
 
 def test_set_resolves_symbols():

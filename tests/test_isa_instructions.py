@@ -1,12 +1,16 @@
 """Tests for instruction classification and def/use extraction."""
 
 from repro.isa.assembler import assemble
-from repro.isa.instructions import Instruction, InstructionClass
+from repro.isa.instructions import MEMORY_ACCESS_BYTES, Instruction, InstructionClass
 
 
 def _single(source_line: str) -> Instruction:
     program = assemble(f"main:\n    {source_line}\n    halt\n")
     return program.instructions[0]
+
+
+def _width(source_line: str) -> int:
+    return MEMORY_ACCESS_BYTES.get(_single(source_line).mnemonic, 0)
 
 
 class TestClassification:
@@ -28,10 +32,10 @@ class TestClassification:
         assert _single("udiv r1, r2, r3").klass is InstructionClass.DIV
 
     def test_memory_access_width(self):
-        assert _single("ld [r1], r2").memory_bytes == 4
-        assert _single("lduh [r1], r2").memory_bytes == 2
-        assert _single("ldub [r1], r2").memory_bytes == 1
-        assert _single("add r1, r2, r3").memory_bytes == 0
+        assert _width("ld [r1], r2") == 4
+        assert _width("lduh [r1], r2") == 2
+        assert _width("ldub [r1], r2") == 1
+        assert _width("add r1, r2, r3") == 0
 
 
 class TestDefUse:

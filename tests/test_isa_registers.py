@@ -1,17 +1,12 @@
-"""Tests for the register file and condition codes."""
+"""Tests for register naming, and for the reference interpreter's register
+file and condition codes."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.isa.registers import (
-    ConditionCodes,
-    RegisterError,
-    RegisterFile,
-    register_name,
-    register_number,
-    to_signed,
-    to_unsigned,
-)
+from repro.isa.registers import RegisterError, register_name, register_number
+
+from oracles.isa import ConditionCodes, RegisterFile, to_signed, to_unsigned
 
 
 class TestRegisterNaming:

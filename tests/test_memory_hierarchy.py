@@ -1,12 +1,13 @@
-"""Tests for the bus, main memory, L2 and the per-core hierarchy façade."""
+"""Tests for the bus contention model and the seed hierarchy object graph
+(bus, main memory, L2 and the per-core façade) the flat memory tape is
+checked against."""
 
 import pytest
 
-from repro.memory.bus import Bus, ContentionModel
+from repro.memory.bus import ContentionModel
 from repro.memory.config import CacheConfig, MemoryHierarchyConfig, WritePolicy
-from repro.memory.hierarchy import MemoryHierarchy
-from repro.memory.l2_cache import SharedL2Cache
-from repro.memory.main_memory import MainMemory
+
+from oracles.hierarchy import Bus, MainMemory, MemoryHierarchy, SharedL2Cache
 
 
 class TestContentionModel:

@@ -9,8 +9,10 @@ registered by a decorator call (the lint rules' ``@rule(...)``) are
 called through their registry.
 
 The exceptions are listed below, each with the document that names it:
-the test oracles, and documented API that production itself never calls.
-Code only the tests call belongs in the tests.
+documented API that production itself never calls.  Code only the tests
+call belongs in the tests: the slow oracles and everything only they use
+live in ``tests/oracles/``, which no production file may import, so the
+scan flags any ``src/`` definition that only an oracle calls.
 """
 
 from __future__ import annotations
@@ -22,16 +24,6 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
 PRODUCTION = ("src", "examples", "perfbench")
-
-#: Slow oracles of a production fast path, run only by the tests
-#: (module path relative to the package -> the document listing it).
-ORACLE_MODULES = {
-    "campaign/reference.py": "ARCHITECTURE.md",
-    "ecc/reference.py": "ARCHITECTURE.md",
-    "functional/reference.py": "ARCHITECTURE.md",
-    "memory/reference_cache.py": "ARCHITECTURE.md",
-    "pipeline/reference_timing.py": "ARCHITECTURE.md",
-}
 
 #: Documented API without a production caller -> the document naming it.
 DOCUMENTED = {
@@ -94,7 +86,7 @@ def _uncalled():
     for name, module, node in _definitions():
         if name.startswith("__") and name.endswith("__"):
             continue
-        if module in ORACLE_MODULES or _registered(node):
+        if _registered(node):
             continue
         if callers[name] - _loads(node)[name] <= 0:
             uncalled.append((name, f"{module}:{node.lineno}"))
@@ -116,6 +108,24 @@ def test_allow_list_is_current_and_documented():
     assert sorted(set(DOCUMENTED) - uncalled) == [], "allow-listed but called"
     for name, document in DOCUMENTED.items():
         assert name in (ROOT / document).read_text(), f"{document} does not name {name}"
-    for module, document in ORACLE_MODULES.items():
-        assert (PACKAGE / module).exists(), module
-        assert module in (ROOT / document).read_text(), f"{document} omits {module}"
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            yield node.module
+
+
+def test_production_imports_no_oracle():
+    importers = [
+        path.relative_to(ROOT).as_posix()
+        for directory in PRODUCTION
+        for path in sorted((ROOT / directory).rglob("*.py"))
+        if any(
+            module.split(".")[0] == "oracles"
+            for module in _imported_modules(ast.parse(path.read_text()))
+        )
+    ]
+    assert importers == [], "the test oracles (tests/oracles/) are test-only"

@@ -184,10 +184,14 @@ def _summary(run_set):
 
 
 #: A fresh process times two kernels through ``ExperimentContext.run_set``
-#: and runs a serial one-kernel campaign, then lists the test oracles and
-#: process-pool modules it imported.
+#: and runs a serial one-kernel campaign, then lists the process-pool
+#: modules it imported and every module it loaded from ``tests/`` (the
+#: oracles live in ``tests/oracles/``, which is on its path).
 SERIAL_PAPER_PATH_SCRIPT = """
+import pathlib
 import sys
+
+import repro
 from repro.campaign import CampaignConfig, run_campaign
 from repro.experiments import ExperimentContext
 from repro.experiments.runner import ExperimentRunner
@@ -201,15 +205,12 @@ result = run_campaign(CampaignConfig(
     trials=4, batch=4, seed=2019,
 ))
 assert result.points > 0
-print(sorted(name for name in sys.modules if name in (
-    "repro.memory.reference_cache",
-    "repro.pipeline.reference_timing",
-    "repro.functional.reference",
-    "repro.campaign.reference",
-    "repro.ecc.reference",
-    "multiprocessing",
-    "concurrent.futures.process",
-)))
+tests = pathlib.Path(repro.__file__).resolve().parents[2] / "tests"
+print(sorted(
+    name for name, module in list(sys.modules.items())
+    if name in ("multiprocessing", "concurrent.futures.process")
+    or tests in pathlib.Path(getattr(module, "__file__", None) or "/").resolve().parents
+))
 """
 
 
@@ -218,9 +219,12 @@ def test_serial_paper_path_imports_no_oracle_and_no_process_pool():
     import subprocess
     import sys
 
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
     environment = dict(os.environ)
-    environment["PYTHONPATH"] = src + os.pathsep + environment.get("PYTHONPATH", "")
+    environment["PYTHONPATH"] = os.pathsep.join(
+        (src, tests, environment.get("PYTHONPATH", ""))
+    )
     completed = subprocess.run(
         [sys.executable, "-c", SERIAL_PAPER_PATH_SCRIPT],
         env=environment,

@@ -24,16 +24,17 @@ import pytest
 
 from repro.core.policies import EccPolicyKind, make_policy
 from repro.functional.interpreter import run_program
-from repro.functional.reference import reference_trace, run_reference
 from repro.memory.config import CacheConfig, MemoryHierarchyConfig, WritePolicy
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.config import PipelineConfig
-from repro.pipeline.reference_timing import ReferenceTimingPipeline
 from repro.pipeline.timing import TimingPipeline
 from repro.scenarios.spec import SimulationSpec
 from repro.simulation import simulate_spec
 from repro.workloads import KERNEL_NAMES, build_kernel
 from repro.workloads.synthetic import SyntheticStreamConfig, SyntheticWorkloadGenerator
+
+from oracles.functional import reference_trace, run_reference
+from oracles.hierarchy import MemoryHierarchy
+from oracles.timing import ReferenceTimingPipeline
 
 POLICIES = [
     EccPolicyKind.NO_ECC,

@@ -94,8 +94,8 @@ class TestSyntheticGenerator:
         assert trace.load_fraction == pytest.approx(0.3, abs=0.07)
 
     def test_dependent_fraction_controllable(self):
-        from repro.core.hazards import consumer_distance
-        from repro.functional.reference import reference_trace
+        from oracles.pipeline import consumer_distance
+        from oracles.functional import reference_trace
 
         low = self._trace(dependent_load_fraction=0.1)
         high = self._trace(dependent_load_fraction=0.9)
