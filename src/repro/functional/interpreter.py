@@ -251,9 +251,10 @@ class FunctionalTrace:
     #: on demand; they take no part in equality and are not pickled.
     static_facts: Dict[tuple, list] = field(default_factory=dict, compare=False, repr=False)
     memory_tapes: Dict[object, object] = field(default_factory=dict, compare=False, repr=False)
+    front_ends: Dict[tuple, object] = field(default_factory=dict, compare=False, repr=False)
 
     def __getstate__(self):
-        return {**self.__dict__, "static_facts": {}, "memory_tapes": {}}
+        return {**self.__dict__, "static_facts": {}, "memory_tapes": {}, "front_ends": {}}
 
     def __len__(self) -> int:
         return len(self.pcs)

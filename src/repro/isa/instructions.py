@@ -102,6 +102,12 @@ class Mnemonic(enum.Enum):
     NOP = "nop"
     HALT = "halt"
 
+    # Members are singletons compared by identity, so the identity hash
+    # fits and skips ``Enum.__hash__``'s Python-level call on every
+    # ``mnemonic in <frozenset>`` test.  (That hash is the name's str
+    # hash, randomised per process, so no output relied on set order.)
+    __hash__ = object.__hash__
+
 
 ALU_MNEMONICS = frozenset(
     {

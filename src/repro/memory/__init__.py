@@ -1,4 +1,4 @@
-"""Cache, bus-contention and write-buffer timing models.
+"""Cache and bus-contention timing models.
 
 The hierarchy mirrors the NGMP organisation used in the paper's
 evaluation: each core has private L1 instruction and data caches; all
@@ -11,10 +11,11 @@ functional interpreter.  Every cache level is a
 :class:`~repro.memory.bus.ContentionModel`'s.  One loop,
 :func:`repro.pipeline.timing.memory_tape`, replays a trace through the
 L1I, DL1 and L2 with main memory's open row and the bus charges in
-locals; the write buffer (:mod:`repro.memory.write_buffer`) is the one
-cycle-dependent model and lives in the scheduling loop.
+locals.  The write buffer, the one cycle-dependent model, is a few
+locals of the scheduling loop (:class:`repro.pipeline.timing.TimingPipeline`).
 
-The seed object cache and the seed hierarchy object graph (bus, L2 and
-main-memory objects) are test oracles, ``tests/oracles/cache.py`` and
-``tests/oracles/hierarchy.py``.
+The seed object cache, the seed hierarchy object graph (bus, L2 and
+main-memory objects) and the seed write buffer are test oracles,
+``tests/oracles/cache.py``, ``tests/oracles/hierarchy.py`` and
+``tests/oracles/write_buffer.py``.
 """

@@ -24,19 +24,25 @@ and to validate against the paper's chronograms.
 
 What does not depend on the ECC policy is computed once per trace and
 cached on it (see PERFORMANCE.md): :func:`static_facts` (operand sets,
-class and Execute extras per static instruction) and :func:`memory_tape`
+class and Execute extras per static instruction), :func:`memory_tape`
 (every fetch, load and store outcome of one replay through three
 :class:`~repro.memory.cache.SetAssociativeCache` instances, the L1I, DL1
 and L2, with main memory's open row and the bus charges in locals — no
-access takes a cycle).  :class:`TimingPipeline` therefore takes a hierarchy *config*;
-its loop reads both columns, owns a fresh write buffer per run (the one
-cycle-dependent memory model), evaluates the LAEC look-ahead conditions
-inline and keeps register state in lists indexed by register number,
-stage end cycles and statistics in locals, and chronogram entries only
-inside the recording window.
+access takes a cycle) and :func:`front_end` (Fetch, Decode and Register
+Access, the branch counts and Table II's dependent loads: LAEC changes
+only the Memory stage and the check after it, and nothing flows back
+from Execute to fetch).  :class:`TimingPipeline` therefore takes a
+hierarchy *config*; its loop starts at Execute, reading the front end's
+register-access ends and the tape's data column.  It keeps the write
+buffer in locals (a deque of drain completions and the last of them —
+the one cycle-dependent memory model), evaluates the LAEC look-ahead
+conditions inline and keeps register state in lists indexed by register
+number, stage end cycles and statistics in locals, and chronogram
+entries only inside the recording window.
 
-The seed loop and the seed hierarchy object graph are test oracles
-(``tests/oracles/timing.py`` and ``tests/oracles/hierarchy.py``); the
+The seed loop, its write buffer and the seed hierarchy object graph are
+test oracles (``tests/oracles/timing.py``, ``tests/oracles/write_buffer.py``
+and ``tests/oracles/hierarchy.py``); the
 regression suite proves both engines produce identical cycle counts,
 stall breakdowns and chronograms on every kernel and on synthetic
 streams under every policy, and that the flat tape equals the object
@@ -45,8 +51,10 @@ hierarchy's on every tape the artefacts build.
 
 from __future__ import annotations
 
+from array import array
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.lookahead import LookaheadStatistics
 from repro.core.policies import EccPolicy
@@ -56,7 +64,6 @@ from repro.isa.registers import REGISTER_COUNT
 from repro.memory.bus import ContentionModel
 from repro.memory.cache import SetAssociativeCache
 from repro.memory.config import MemoryHierarchyConfig, WritePolicy
-from repro.memory.write_buffer import WriteBuffer
 from repro.pipeline.chronogram import Chronogram, ChronogramEntry
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.stages import Stage
@@ -276,6 +283,113 @@ def memory_tape(trace: FunctionalTrace, config: MemoryHierarchyConfig) -> Memory
     return tape
 
 
+@dataclass
+class FrontEnd:
+    """Fetch, Decode and Register Access of one trace under one hierarchy
+    and one pair of branch penalties.
+
+    ``ra_end[i]`` is the cycle instruction *i* leaves Register Access:
+    the floor of its Execute start.  ``fetch_decode[i]`` is ``(fetch
+    start, fetch end, decode end)`` of instruction *i* inside a
+    chronogram's recording window (empty when none was asked for).  The counters are the front end's share of
+    :class:`PipelineStatistics`.
+    """
+
+    ra_end: array
+    fetch_decode: List[Tuple[int, int, int]]
+    branch_redirect: int
+    icache_miss: int
+    branches: int
+    taken_branches: int
+    dependent_loads: int
+    dependent_load_distance_1: int
+    dependent_load_distance_2: int
+
+
+def front_end(
+    trace: FunctionalTrace,
+    hierarchy: MemoryHierarchyConfig,
+    config: PipelineConfig,
+    window: int = 0,
+) -> FrontEnd:
+    """The :class:`FrontEnd` of ``trace`` (cached on ``trace``).
+
+    Nothing flows back from Execute to fetch in this model, so the
+    front end depends only on the trace, its L1I outcomes and the branch
+    penalties: one pass serves every policy, Execute latency and write
+    buffer size.  It also counts the branches and Table II's dependent
+    loads, which are properties of the trace.  A positive ``window``
+    records the first ``window`` instructions' Fetch and Decode
+    occupancy for a chronogram; such a pass is not cached.
+    """
+    key = (hierarchy, config.taken_branch_penalty, config.indirect_branch_penalty)
+    if not window:
+        front = trace.front_ends.get(key)
+        if front is not None:
+            return front
+    fetch_extra = memory_tape(trace, hierarchy).fetch_extra
+    infos = static_facts(trace, config.mul_latency, config.div_latency)
+    taken = trace.taken
+    taken_penalty = config.taken_branch_penalty
+    indirect_penalty = config.indirect_branch_penalty
+    ra_end = array("i")
+    ra_append = ra_end.append
+    rows: List[Tuple[int, int, int]] = []
+    # A control transfer delays the next fetch by its penalty beyond the
+    # sequential one (penalties are non-negative).
+    f_end = pe_decode = pe_ra = bubble = 0
+    st_redirect = st_icache = n_branches = n_taken = n_dep1 = n_dep2 = 0
+    n = len(infos)
+    for i in range(n):
+        is_load, _, _, destination, _, _, _, _, kind = infos[i]
+        st_redirect += bubble
+        f_start = f_end + 1 + bubble
+        icache_extra = fetch_extra[i]
+        st_icache += icache_extra
+        f_end = f_start + icache_extra
+        d_end = f_end + 1 if f_end >= pe_decode else pe_decode + 1
+        pe_decode = d_end
+        pe_ra = d_end + 1 if d_end >= pe_ra else pe_ra + 1
+        ra_append(pe_ra)
+        if i < window:
+            rows.append((f_start, f_end, d_end))
+        if kind == _KIND_OTHER:
+            bubble = 0
+        elif kind == _KIND_BRANCH:
+            n_branches += 1
+            if taken[i]:
+                n_taken += 1
+                bubble = taken_penalty
+            else:
+                bubble = 0
+        elif kind == _KIND_CALL:
+            bubble = taken_penalty
+        else:
+            bubble = indirect_penalty
+        # Table II: a load whose value the next or the one-after-next
+        # instruction consumes (unless the next one overwrites it first).
+        if is_load and destination is not None and i + 1 < n:
+            follower = infos[i + 1]
+            if destination in follower[2]:
+                n_dep1 += 1
+            elif follower[3] != destination and i + 2 < n and destination in infos[i + 2][2]:
+                n_dep2 += 1
+    front = FrontEnd(
+        ra_end=ra_end,
+        fetch_decode=rows,
+        branch_redirect=st_redirect,
+        icache_miss=st_icache,
+        branches=n_branches,
+        taken_branches=n_taken,
+        dependent_loads=n_dep1 + n_dep2,
+        dependent_load_distance_1=n_dep1,
+        dependent_load_distance_2=n_dep2,
+    )
+    if not window:
+        trace.front_ends[key] = front
+    return front
+
+
 class TimingPipeline:
     """Replays a functional trace under one ECC policy."""
 
@@ -294,25 +408,27 @@ class TimingPipeline:
         """Time the whole ``trace`` and return the collected results."""
         policy = self.policy
         config = self.config
+        record_window = config.chronogram_window
         tape = memory_tape(trace, self.hierarchy_config)
-        # The write buffer depends on cycles, so it is the one piece of
-        # hierarchy state that lives in the scheduling loop.
-        write_buffer = WriteBuffer(capacity=config.write_buffer_entries)
+        front = front_end(trace, self.hierarchy_config, config, record_window)
 
         stats = PipelineStatistics()
         chronogram = Chronogram()
+        chron_add = chronogram.add
 
         # Policy constants ---------------------------------------------- #
         has_ecc_stage = policy.has_ecc_stage
         supports_lookahead = policy.supports_lookahead
         load_hit_cycles = policy.load_hit_memory_cycles
-        taken_branch_penalty = config.taken_branch_penalty
-        indirect_branch_penalty = config.indirect_branch_penalty
 
-        # Hoisted bound methods ----------------------------------------- #
-        wb_drain_complete = write_buffer.drain_complete_time
-        wb_push = write_buffer.push
-        chron_add = chronogram.add
+        # Write buffer: its drain-completion cycles, ascending, and the
+        # last of them.  Memory starts strictly grow, so an entry that has
+        # completed by one has completed for good.
+        wb_capacity = config.write_buffer_entries
+        wb_pending = deque()
+        wb_popleft = wb_pending.popleft
+        wb_append = wb_pending.append
+        wb_last = 0
 
         # Register scoreboard (index = architectural register number) --- #
         reg_ready = [0] * REGISTER_COUNT
@@ -320,29 +436,23 @@ class TimingPipeline:
         reg_via_ecc = [False] * REGISTER_COUNT
 
         # Per-stage in-order trackers ----------------------------------- #
-        pe_decode = pe_ra = pe_ex = pe_mem = pe_ecc = pe_xc = pe_wb = 0
+        pe_ex = pe_mem = pe_ecc = pe_xc = pe_wb = 0
         cc_ready = 0
-        fetch_free = 0
-        redirect_cycle = 1
         prev_is_load = False
         prev_dest: Optional[int] = None
         prev_lookahead = False
         last_retire = 0
 
         # Local statistic accumulators ---------------------------------- #
-        n_loads = n_stores = n_branches = n_taken = 0
-        n_load_hits = n_load_misses = 0
-        n_dep_loads = n_dep1 = n_dep2 = 0
+        n_loads = n_stores = n_load_hits = n_load_misses = 0
         st_operand = st_load_use = st_ecc_wait = st_mem_struct = 0
-        st_dl1_miss = st_wb_full = st_wb_drain = st_redirect = st_icache = 0
+        st_dl1_miss = st_wb_full = st_wb_drain = 0
         la_seen = la_taken = la_data = la_resource = la_late = 0
 
         instructions = trace.instructions
-        taken = trace.taken
         n = len(instructions)
-        record_window = config.chronogram_window
         infos = static_facts(trace, config.mul_latency, config.div_latency)
-        fetch_extra = tape.fetch_extra
+        ra_end = front.ra_end
         mem_data = tape.data
 
         for i in range(n):
@@ -355,38 +465,14 @@ class TimingPipeline:
                 reads_cc,
                 sets_cc,
                 ex_extra,
-                kind,
+                _,
             ) = infos[i]
-
-            # ---------------------------------------------------------- #
-            # Fetch                                                      #
-            # ---------------------------------------------------------- #
-            sequential_start = fetch_free + 1
-            if redirect_cycle > sequential_start:
-                f_start = redirect_cycle
-                st_redirect += redirect_cycle - sequential_start
-            else:
-                f_start = sequential_start
-            icache_extra = fetch_extra[i]
-            if icache_extra:
-                st_icache += icache_extra
-                f_end = f_start + icache_extra
-            else:
-                f_end = f_start
-            fetch_free = f_end
-
-            # ---------------------------------------------------------- #
-            # Decode / Register access                                   #
-            # ---------------------------------------------------------- #
-            d_end = f_end + 1 if f_end >= pe_decode else pe_decode + 1
-            pe_decode = d_end
-            ra_end = d_end + 1 if d_end >= pe_ra else pe_ra + 1
-            pe_ra = ra_end
 
             # ---------------------------------------------------------- #
             # Execute (operand wait happens here, matching the figures)  #
             # ---------------------------------------------------------- #
-            ex_start = ra_end + 1 if ra_end >= pe_ex else pe_ex + 1
+            ra = ra_end[i]
+            ex_start = ra + 1 if ra >= pe_ex else pe_ex + 1
             source_ready = 0
             limiting = -1
             for reg in sources:
@@ -455,10 +541,10 @@ class TimingPipeline:
             load_hit = False
             if is_load:
                 n_loads += 1
-                drain_until = wb_drain_complete(m_start)
-                if drain_until > m_start:
-                    st_wb_drain += drain_until - m_start
-                    m_start = drain_until
+                # Loads wait until the write buffer is empty.
+                if wb_last > m_start:
+                    st_wb_drain += wb_last - m_start
+                    m_start = wb_last
                 extra = mem_data[i]
                 if extra < 0:
                     load_hit = True
@@ -470,10 +556,16 @@ class TimingPipeline:
                     st_dl1_miss += extra
             elif is_store:
                 n_stores += 1
-                stalled_until = wb_push(m_start, mem_data[i])
-                if stalled_until > m_start:
-                    st_wb_full += stalled_until - m_start
-                    m_start = stalled_until
+                while wb_pending and wb_pending[0] <= m_start:
+                    wb_popleft()
+                if len(wb_pending) >= wb_capacity:
+                    # Back-pressure: wait until the buffer fully drains.
+                    st_wb_full += wb_last - m_start
+                    m_start = wb_last
+                    wb_pending.clear()
+                # Entries drain one after another.
+                wb_last = (wb_last if wb_last > m_start else m_start) + mem_data[i]
+                wb_append(wb_last)
             m_end = m_start + m_occupancy - 1
             pe_mem = m_end
 
@@ -528,48 +620,15 @@ class TimingPipeline:
                 cc_ready = ex_end
 
             # ---------------------------------------------------------- #
-            # Control flow                                               #
-            # ---------------------------------------------------------- #
-            if kind:
-                if kind == _KIND_BRANCH:
-                    n_branches += 1
-                    if taken[i]:
-                        n_taken += 1
-                        redirect_cycle = f_end + 1 + taken_branch_penalty
-                    else:
-                        redirect_cycle = f_end + 1
-                elif kind == _KIND_CALL:
-                    redirect_cycle = f_end + 1 + taken_branch_penalty
-                else:  # _KIND_JUMP
-                    redirect_cycle = f_end + 1 + indirect_branch_penalty
-            else:
-                redirect_cycle = f_end + 1
-
-            # ---------------------------------------------------------- #
-            # Table II: dependent-load accounting                        #
-            # ---------------------------------------------------------- #
-            if is_load and destination is not None:
-                follower = i + 1
-                if follower < n:
-                    f_info = infos[follower]
-                    if destination in f_info[2]:
-                        n_dep_loads += 1
-                        n_dep1 += 1
-                    elif f_info[3] != destination:
-                        follower += 1
-                        if follower < n and destination in infos[follower][2]:
-                            n_dep_loads += 1
-                            n_dep2 += 1
-
-            # ---------------------------------------------------------- #
             # Chronogram recording                                       #
             # ---------------------------------------------------------- #
             if i < record_window:
+                f_start, f_end, d_end = front.fetch_decode[i]
                 entry = ChronogramEntry(index=i, label=instructions[i].render())
                 occupancy = entry.occupancy
                 occupancy[Stage.FETCH] = (f_start, f_end)
                 occupancy[Stage.DECODE] = (d_end, d_end)
-                occupancy[Stage.REGISTER_ACCESS] = (ra_end, ra_end)
+                occupancy[Stage.REGISTER_ACCESS] = (ra, ra)
                 occupancy[Stage.EXECUTE] = (ex_start, ex_end)
                 occupancy[Stage.MEMORY] = (m_start, m_end)
                 if uses_ecc_stage:
@@ -587,13 +646,13 @@ class TimingPipeline:
         stats.cycles = last_retire
         stats.loads = n_loads
         stats.stores = n_stores
-        stats.branches = n_branches
-        stats.taken_branches = n_taken
+        stats.branches = front.branches
+        stats.taken_branches = front.taken_branches
         stats.load_hits = n_load_hits
         stats.load_misses = n_load_misses
-        stats.dependent_loads = n_dep_loads
-        stats.dependent_load_distance_1 = n_dep1
-        stats.dependent_load_distance_2 = n_dep2
+        stats.dependent_loads = front.dependent_loads
+        stats.dependent_load_distance_1 = front.dependent_load_distance_1
+        stats.dependent_load_distance_2 = front.dependent_load_distance_2
         stalls = stats.stalls
         stalls.operand_wait = st_operand
         stalls.load_use_wait = st_load_use
@@ -602,8 +661,8 @@ class TimingPipeline:
         stalls.dl1_miss = st_dl1_miss
         stalls.write_buffer_full = st_wb_full
         stalls.write_buffer_drain = st_wb_drain
-        stalls.branch_redirect = st_redirect
-        stalls.icache_miss = st_icache
+        stalls.branch_redirect = front.branch_redirect
+        stalls.icache_miss = front.icache_miss
         stats.lookahead = LookaheadStatistics(
             loads_seen=la_seen,
             lookaheads_taken=la_taken,

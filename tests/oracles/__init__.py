@@ -14,9 +14,11 @@ function with the same body from :mod:`oracles.isa` or
   program accessors (:mod:`oracles.isa`)
   (``tests/test_functional_simulator.py``);
 * :mod:`oracles.timing` — the seed scheduling loop, with the seed
-  look-ahead unit and policy timing contract (:mod:`oracles.pipeline`)
-  and the seed memory hierarchy object graph (:mod:`oracles.hierarchy`)
-  (``tests/test_timing_equivalence.py``, ``tests/test_cache_equivalence.py``);
+  look-ahead unit and policy timing contract (:mod:`oracles.pipeline`),
+  the seed write buffer (:mod:`oracles.write_buffer`) and the seed
+  memory hierarchy object graph (:mod:`oracles.hierarchy`)
+  (``tests/test_timing_equivalence.py``, ``tests/test_write_buffer_equivalence.py``,
+  ``tests/test_cache_equivalence.py``);
 * :mod:`oracles.cache` — the object cache (``tests/test_cache_equivalence.py``);
 * :mod:`oracles.campaign` — the full faulty re-execution
   (``tests/test_batched_replay.py``).

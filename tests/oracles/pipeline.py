@@ -23,7 +23,8 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.core.lookahead import LookaheadStatistics
 from repro.core.policies import EccPolicy
-from repro.memory.write_buffer import WriteBuffer
+
+from oracles.write_buffer import WriteBuffer
 
 if TYPE_CHECKING:
     from oracles.functional import DynInstruction

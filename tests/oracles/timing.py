@@ -25,7 +25,6 @@ from typing import Dict, Optional
 
 from repro.core.policies import EccPolicy
 from repro.isa.instructions import InstructionClass
-from repro.memory.write_buffer import WriteBuffer
 from repro.pipeline.chronogram import Chronogram, ChronogramEntry
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.stages import Stage
@@ -43,6 +42,7 @@ from oracles.pipeline import (
     memory_stage_cycles,
     record_load_wait,
 )
+from oracles.write_buffer import WriteBuffer
 
 
 class ReferenceTimingPipeline:

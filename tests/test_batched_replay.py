@@ -1,7 +1,7 @@
 """Differential equivalence of the batched replay backend.
 
 ``run_injection_batch`` must be *payload byte-identical* to the full
-per-point re-execution of the oracle ``repro.campaign.reference.run_injection``
+per-point re-execution of the oracle ``oracles.campaign.run_injection``
 over full grids — the analytical triage, the timeline-delta walk and
 the checkpoint suffix-resume are three routes to one answer, never three
 answers.  These tests pin that equivalence over:

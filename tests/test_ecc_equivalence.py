@@ -1,7 +1,7 @@
 """Equivalence of the table-driven codecs against the reference bit loops.
 
 The fast codecs in ``repro.ecc`` must be *bit-identical* to the seed
-implementations preserved in :mod:`repro.ecc.reference`: same codewords,
+implementations preserved in :mod:`oracles.ecc`: same codewords,
 same :class:`~repro.ecc.codec.DecodeResult` (data, status, syndrome,
 corrected bit) for clean words, for every possible single-bit flip and
 for sampled double-bit flips.  The fault campaign percentages depend on

@@ -2,7 +2,9 @@
 
 The hit/miss behaviour is asserted on both the production cache (flat
 :class:`~repro.memory.cache.LruSet` sets) and its oracle
-:class:`~repro.memory.reference_cache.ReferenceCache` (the object cache).
+:class:`~oracles.cache.ReferenceCache` (the object cache); the write
+buffer tests exercise the seed :class:`~oracles.write_buffer.WriteBuffer`
+the reference timing engine drives.
 """
 
 import pytest
@@ -11,11 +13,11 @@ from hypothesis import given, settings, strategies as st
 from repro.ecc.secded import HsiaoSecDedCode
 from repro.memory.cache import SetAssociativeCache
 from repro.memory.config import CacheConfig, WritePolicy
-from repro.memory.write_buffer import WriteBuffer
 
 from oracles.cache import LruState, ReferenceCache
 from oracles.campaign import ShadowCache
 from oracles.pipeline import record_load_wait
+from oracles.write_buffer import WriteBuffer
 
 #: The production cache and its oracle; TestHitMiss runs on both.
 CACHE_KINDS = (SetAssociativeCache, ReferenceCache)

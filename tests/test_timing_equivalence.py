@@ -4,12 +4,12 @@ Every kernel is replayed under every Figure 8 policy (plus the
 write-through parity scheme) through both the optimized
 :class:`~repro.pipeline.timing.TimingPipeline`, reading the production
 interpreter's columnar trace, and the preserved seed engine
-:class:`~repro.pipeline.reference_timing.ReferenceTimingPipeline`,
+:class:`~oracles.timing.ReferenceTimingPipeline`,
 reading the object interpreter's records of the same run.
 Total cycles, the full stall breakdown, look-ahead statistics, hierarchy
 counters and chronograms must all match — this is what guarantees that
 none of the paper's reported numbers moved.  The fast engine reads the
-per-trace pre-pass (static facts and memory tape), so the suite also
+per-trace pre-pass (static facts, memory tape and front end), so the suite also
 covers synthetic streams, non-default hierarchies and latencies, and
 re-use of the pre-pass across runs.
 """
@@ -192,33 +192,63 @@ def test_engines_identical_on_ablation_synthetic_traces(parameter, value):
 
 
 def test_policies_share_one_prepass_per_hierarchy():
-    """The four Figure 8 policies share one tape; WT-parity's
-    write-through DL1 is a different hierarchy and adds a second."""
+    """The four Figure 8 policies share one tape and one front end, and
+    so do back-end variants (an Execute latency, the write-buffer size).
+    A branch penalty changes only the front end; WT-parity's write-through
+    DL1 is a different hierarchy and adds a second tape and a third
+    front end."""
     program = build_kernel("pntrch", scale=SCALE)
     trace = run_program(program)
     for policy_kind in POLICIES:
         simulate_spec(SimulationSpec(policy=policy_kind), program=program, trace=trace)
-    assert len(trace.static_facts) == 1
+    for pipeline in (PipelineConfig(mul_latency=5), PipelineConfig(write_buffer_entries=2)):
+        simulate_spec(
+            SimulationSpec(policy=EccPolicyKind.LAEC, pipeline=pipeline),
+            program=program,
+            trace=trace,
+        )
+    assert len(trace.static_facts) == 2
     assert len(trace.memory_tapes) == 1
+    assert len(trace.front_ends) == 1
+    simulate_spec(
+        SimulationSpec(
+            policy=EccPolicyKind.LAEC, pipeline=PipelineConfig(taken_branch_penalty=2)
+        ),
+        program=program,
+        trace=trace,
+    )
+    assert len(trace.memory_tapes) == 1
+    assert len(trace.front_ends) == 2
+    # A chronogram's recording pass is not cached.
+    simulate_spec(
+        SimulationSpec(
+            policy=EccPolicyKind.LAEC, pipeline=PipelineConfig(chronogram_window=8)
+        ),
+        program=program,
+        trace=trace,
+    )
+    assert len(trace.front_ends) == 2
     simulate_spec(
         SimulationSpec(policy=EccPolicyKind.WT_PARITY), program=program, trace=trace
     )
-    assert len(trace.static_facts) == 1
+    assert len(trace.static_facts) == 2
     assert len(trace.memory_tapes) == 2
+    assert len(trace.front_ends) == 3
 
 
 def test_prepass_is_not_compared_or_pickled():
     program = build_kernel("pntrch", scale=SCALE)
     timed = run_program(program)
     simulate_spec(SimulationSpec(policy=EccPolicyKind.LAEC), program=program, trace=timed)
-    assert timed.memory_tapes and timed.static_facts
+    assert timed.memory_tapes and timed.static_facts and timed.front_ends
     assert timed == run_program(program)
     restored = pickle.loads(pickle.dumps(timed))
     assert restored == timed
     assert restored.memory_tapes == {} and restored.static_facts == {}
+    assert restored.front_ends == {}
     # Columns only: no golden-run state (snapshots, store history) travels.
     assert sorted(restored.__dict__) == [
-        "addresses", "halted", "instructions", "memory_tapes",
+        "addresses", "front_ends", "halted", "instructions", "memory_tapes",
         "pcs", "program_name", "static_facts", "taken",
     ]
 
