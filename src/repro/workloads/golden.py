@@ -16,6 +16,7 @@ so a campaign process loads no experiment module.
 
 from __future__ import annotations
 
+import atexit
 from typing import Dict, Tuple
 
 from repro.core.caching import lru_get, lru_put
@@ -67,3 +68,11 @@ def clear_kernel_trace_cache() -> None:
     checkpoints).
     """
     _GOLDEN_CACHE.clear()
+
+
+# Release the cached runs when the interpreter exits, by reference
+# counting.  Left in the module's globals, they would be freed by the
+# interpreter's final cyclic collection, which first traverses every
+# per-instruction list they hold: after ``--run all`` they hold nine
+# tenths of the references that collection visits.
+atexit.register(clear_kernel_trace_cache)

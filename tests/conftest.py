@@ -16,6 +16,23 @@ from repro.simulation import simulate_spec
 from repro.workloads import build_kernel
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "differential: a larger generated-program seed budget, "
+        "collected but skipped unless `-m differential` selects it",
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    if "differential" in (config.option.markexpr or ""):
+        return
+    skip = pytest.mark.skip(reason="larger seed budget: run with -m differential")
+    for item in items:
+        if "differential" in item.keywords:
+            item.add_marker(skip)
+
+
 #: A tiny program exercising loads, stores, ALU ops and a loop.
 TINY_LOOP_SOURCE = """
 .data

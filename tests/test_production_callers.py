@@ -31,7 +31,6 @@ DOCUMENTED = {
     "with_policy": "ARCHITECTURE.md",
     "with_scale": "ARCHITECTURE.md",
     "validate_report": "ARCHITECTURE.md",
-    "clear_kernel_trace_cache": "PERFORMANCE.md",
     # Process-wide caches and sinks the tests reset or swap.
     "clear_sample_cursors": "ARCHITECTURE.md",
     "close_shard_writers": "ARCHITECTURE.md",

@@ -192,14 +192,18 @@ def test_engines_identical_on_ablation_synthetic_traces(parameter, value):
 
 
 def test_policies_share_one_prepass_per_hierarchy():
-    """The four Figure 8 policies share one tape and one front end, and
-    so do back-end variants (an Execute latency, the write-buffer size).
-    A branch penalty changes only the front end; WT-parity's write-through
-    DL1 is a different hierarchy and adds a second tape and a third
-    front end."""
+    """The four Figure 8 policies share one tape, its block table and one
+    front end, and so do back-end variants (an Execute latency, the
+    write-buffer size).  A branch penalty changes only the front end;
+    WT-parity's write-through DL1 is a different hierarchy and adds a
+    second tape with its own block table, and a third front end."""
     program = build_kernel("pntrch", scale=SCALE)
     trace = run_program(program)
-    for policy_kind in POLICIES:
+    simulate_spec(SimulationSpec(policy=POLICIES[0]), program=program, trace=trace)
+    (tape,) = trace.memory_tapes.values()
+    table = tape.blocks
+    assert table is not None and table.shapes
+    for policy_kind in POLICIES[1:]:
         simulate_spec(SimulationSpec(policy=policy_kind), program=program, trace=trace)
     for pipeline in (PipelineConfig(mul_latency=5), PipelineConfig(write_buffer_entries=2)):
         simulate_spec(
@@ -210,6 +214,7 @@ def test_policies_share_one_prepass_per_hierarchy():
     assert len(trace.static_facts) == 2
     assert len(trace.memory_tapes) == 1
     assert len(trace.front_ends) == 1
+    assert tape.blocks is table
     simulate_spec(
         SimulationSpec(
             policy=EccPolicyKind.LAEC, pipeline=PipelineConfig(taken_branch_penalty=2)
@@ -234,6 +239,9 @@ def test_policies_share_one_prepass_per_hierarchy():
     assert len(trace.static_facts) == 2
     assert len(trace.memory_tapes) == 2
     assert len(trace.front_ends) == 3
+    assert tape.blocks is table
+    tables = [other.blocks for other in trace.memory_tapes.values()]
+    assert tables[1] is not None and tables[1] is not table
 
 
 def test_prepass_is_not_compared_or_pickled():
@@ -241,9 +249,14 @@ def test_prepass_is_not_compared_or_pickled():
     timed = run_program(program)
     simulate_spec(SimulationSpec(policy=EccPolicyKind.LAEC), program=program, trace=timed)
     assert timed.memory_tapes and timed.static_facts and timed.front_ends
+    # The block table rides on the tape and takes no part in its equality.
+    (tape,) = timed.memory_tapes.values()
+    assert tape.blocks is not None
+    assert tape == replace(tape, blocks=None)
     assert timed == run_program(program)
     restored = pickle.loads(pickle.dumps(timed))
     assert restored == timed
+    # No tape, and so no block table, travels.
     assert restored.memory_tapes == {} and restored.static_facts == {}
     assert restored.front_ends == {}
     # Columns only: no golden-run state (snapshots, store history) travels.
